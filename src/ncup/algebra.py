@@ -118,38 +118,69 @@ class AlgebraElement:
 
     def to_dict(self) -> dict:
         """JSON payload: {"shape": [n1, ...], "blocks": [[[[re, im], ...]]]}."""
-        blocks = [
-            [[[float(z.real), float(z.imag)] for z in row] for row in blk]
-            for blk in self.blocks
-        ]
-        return {"shape": self.shape.to_list(), "blocks": blocks}
+        return {
+            "shape": self.shape.to_list(),
+            "blocks": [_encode_matrices(blk) for blk in self.blocks],
+        }
 
     @classmethod
     def from_dict(cls, payload, where: str = "algebra element") -> "AlgebraElement":
-        if not isinstance(payload, dict):
-            raise InputError(f"{where}: expected an object, got {type(payload).__name__}")
-        for key in ("shape", "blocks"):
-            if key not in payload:
-                raise InputError(f"{where}: missing key {key!r}")
-        shape = _shape_from_payload(payload["shape"], where)
-        raw = payload["blocks"]
-        if not isinstance(raw, list) or len(raw) != shape.num_blocks:
-            raise InputError(f"{where}: 'blocks' must be a list of {shape.num_blocks} blocks")
-        blocks = []
-        for i, (n, blk) in enumerate(zip(shape.block_dims, raw)):
-            try:
-                arr = np.array(
-                    [[complex(entry[0], entry[1]) for entry in row] for row in blk],
-                    dtype=np.complex128,
-                )
-            except (TypeError, ValueError, IndexError) as exc:
-                raise InputError(
-                    f"{where}: block {i} entries must be [re, im] pairs"
-                ) from exc
-            if arr.shape != (n, n):
-                raise InputError(f"{where}: block {i} must be {n}x{n}, got {arr.shape}")
-            blocks.append(arr)
+        shape, raw = _element_payload(payload, where)
+        blocks = [
+            _decode_matrices([blk], n, lambda _, i=i: f"{where}: block {i}")[0]
+            for i, (n, blk) in enumerate(zip(shape.block_dims, raw))
+        ]
         return cls(shape, blocks)
+
+
+def _element_payload(payload, where: str) -> tuple[AlgebraShape, list]:
+    """Check an element payload's layout; return its shape and raw blocks."""
+    if not isinstance(payload, dict):
+        raise InputError(f"{where}: expected an object, got {type(payload).__name__}")
+    for key in ("shape", "blocks"):
+        if key not in payload:
+            raise InputError(f"{where}: missing key {key!r}")
+    shape = _shape_from_payload(payload["shape"], where)
+    raw = payload["blocks"]
+    if not isinstance(raw, list) or len(raw) != shape.num_blocks:
+        raise InputError(f"{where}: 'blocks' must be a list of {shape.num_blocks} blocks")
+    return shape, raw
+
+
+def _encode_matrices(stack: np.ndarray) -> list:
+    """Complex (..., n, n) array as nested lists ending in [re, im] pairs."""
+    pairs = np.ascontiguousarray(stack, dtype=np.complex128).view(np.float64)
+    return pairs.reshape(*np.shape(stack), 2).tolist()
+
+
+def _numeric(raw):
+    """raw as a numeric array, or None for ragged or non-numeric input."""
+    try:
+        arr = np.array(raw)
+    except ValueError:
+        return None
+    return arr if arr.dtype.kind in "biuf" else None
+
+
+def _decode_matrices(raws: list, n: int, locate) -> np.ndarray:
+    """Complex (len(raws), n, n) array from n x n matrices of [re, im] pairs.
+
+    All matrices are decoded by one np.array call.  Values must be finite
+    JSON numbers; locate(j) names matrix j in the error raised otherwise.
+    """
+    arr = _numeric(raws)
+    if arr is None or arr.shape != (len(raws), n, n, 2):
+        bad = next(
+            (j for j, raw in enumerate(raws) if getattr(_numeric(raw), "shape", None) != (n, n, 2)),
+            0,
+        )
+        raise InputError(f"{locate(bad)}: must be an {n}x{n} matrix of [re, im] number pairs")
+    arr = np.ascontiguousarray(arr, dtype=np.float64)
+    finite = np.isfinite(arr)
+    if not finite.all():
+        bad = int(np.argwhere(~finite)[0][0])
+        raise InputError(f"{locate(bad)}: non-finite value (NaN or Infinity)")
+    return arr.view(np.complex128)[..., 0]
 
 
 def _shape_from_payload(raw, where: str) -> AlgebraShape:

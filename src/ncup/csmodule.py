@@ -6,18 +6,30 @@ matrices over the algebra acting by right multiplication, (x M)_j =
 sum_i x_i M_ij, so composition reads left to right and the adjoint is the
 starred transpose.
 
-Internally everything is stored one algebra block at a time as stacked
-numpy arrays: a vector keeps a (d, n, n) array per block, an operator a
-(d, d, n, n) array per block.  All heavy lifting is einsum over those
-stacks, and an operator restricted to one block flattens to an ordinary
-(d*n) x (d*n) matrix, which is how spectral computations are done.
+Module data is stored one algebra block at a time in its matmul layout.
+Block b (of size n) of a vector is the (n, d*n) matrix X = [x_0 | ... |
+x_(d-1)] of its entries side by side, and of an operator the (d*n, d*n)
+block matrix with M_ij in block row i and block column j.  Then <x, y> is
+X Y^H, the right action is X M, and composition is A B: each one matmul.
+The `mats` attribute holds these read-only matrices, one per block; the
+`blocks` attribute shows the same memory as (d, n, n) and (d, d, n, n)
+entry stacks, which is also what the constructors accept.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .algebra import AlgebraElement, AlgebraShape, norm
+from .algebra import (
+    AlgebraElement,
+    AlgebraShape,
+    _decode_matrices,
+    _element_payload,
+    _encode_matrices,
+    norm,
+)
 from .errors import InputError, SingularOperatorError
 
 __all__ = [
@@ -47,36 +59,112 @@ __all__ = [
 INV_SQRT_TOL = 1e-10
 
 
-def _freeze(arrays):
-    out = []
-    for arr in arrays:
-        arr = np.ascontiguousarray(arr, dtype=np.complex128)
-        arr.setflags(write=False)
-        out.append(arr)
-    return tuple(out)
+def _freeze(mat) -> np.ndarray:
+    """mat as a C-contiguous read-only complex matrix (copied only if needed)."""
+    mat = np.ascontiguousarray(mat, dtype=np.complex128)
+    mat.setflags(write=False)
+    return mat
+
+
+def _layout_axes(lead: tuple) -> tuple:
+    """Axis permutation between an entry stack (*lead, n, n) and its block matrix.
+
+    The permuted stack becomes the matrix by merging adjacent axes: (d, n, n)
+    -> (n, d, n) -> (n, d*n), and (N, d, n, n) -> (N, n, d, n) -> (N*n, d*n).
+    Both permutations are their own inverse.
+    """
+    return (1, 0, 2) if len(lead) == 1 else (0, 2, 1, 3)
+
+
+def _stacks_to_mats(shape: AlgebraShape, blocks, lead: tuple) -> tuple:
+    """Check per-block entry stacks of shape (*lead, n, n); return private matrix copies."""
+    if len(blocks) != shape.num_blocks:
+        raise InputError(f"expected {shape.num_blocks} block stacks, got {len(blocks)}")
+    axes = _layout_axes(lead)
+    mats = []
+    for n, blk in zip(shape.block_dims, blocks):
+        if np.shape(blk) != (*lead, n, n):
+            raise InputError(
+                f"block stack must have shape {(*lead, n, n)}, got {np.shape(blk)}"
+            )
+        mat = np.array(blk, dtype=np.complex128).transpose(axes)
+        mats.append(_freeze(mat.reshape(n * math.prod(lead[:-1]), lead[-1] * n)))
+    return tuple(mats)
+
+
+def _stack_views(shape: AlgebraShape, mats, lead: tuple) -> tuple:
+    """Read-only (*lead, n, n) entry stack per block, as views of the matrices."""
+    axes = _layout_axes(lead)
+    return tuple(
+        m.reshape([(*lead, n, n)[a] for a in axes]).transpose(axes)
+        for n, m in zip(shape.block_dims, mats)
+    )
+
+
+def _parse_vector(payload, where: str) -> tuple[AlgebraShape, list]:
+    """Check a vector payload's layout; return its shape and each entry's raw blocks."""
+    if not isinstance(payload, dict):
+        raise InputError(f"{where}: expected an object, got {type(payload).__name__}")
+    for key in ("shape", "entries"):
+        if key not in payload:
+            raise InputError(f"{where}: missing key {key!r}")
+    raw = payload["entries"]
+    if not isinstance(raw, list) or not raw:
+        raise InputError(f"{where}: 'entries' must be a nonempty list")
+    shape, entries = None, []
+    for i, item in enumerate(raw):
+        entry_shape, blocks = _element_payload(item, f"{where}: entry {i}")
+        if shape is None:
+            shape = entry_shape
+        elif entry_shape != shape:
+            raise InputError(
+                f"{where}: entry {i} has shape {entry_shape.block_dims}, "
+                f"expected {shape.block_dims}"
+            )
+        entries.append(blocks)
+    declared = payload["shape"]
+    if declared != shape.to_list():
+        raise InputError(
+            f"{where}: declared shape {declared} does not match entries "
+            f"{shape.to_list()}"
+        )
+    return shape, entries
+
+
+def _vector_payload(shape: AlgebraShape, encoded: list, d: int) -> dict:
+    """Vector JSON payload from each block's encoded (d, n, n) entry stack."""
+    return {
+        "shape": shape.to_list(),
+        "entries": [
+            {"shape": shape.to_list(), "blocks": [blk[i] for blk in encoded]}
+            for i in range(d)
+        ],
+    }
 
 
 class ModuleVector:
-    """Element of A^d, stored per algebra block as a (d, n, n) stack."""
+    """Element of A^d, stored per algebra block as an (n, d*n) matrix."""
 
-    __slots__ = ("shape", "d", "blocks")
+    __slots__ = ("shape", "d", "mats")
 
     def __init__(self, shape: AlgebraShape, d: int, blocks) -> None:
         d = int(d)
         if d < 1:
             raise InputError(f"module rank d must be positive, got {d}")
-        if len(blocks) != shape.num_blocks:
-            raise InputError(
-                f"expected {shape.num_blocks} block stacks, got {len(blocks)}"
-            )
-        for n, blk in zip(shape.block_dims, blocks):
-            if np.shape(blk) != (d, n, n):
-                raise InputError(
-                    f"block stack must have shape {(d, n, n)}, got {np.shape(blk)}"
-                )
+        self.mats = _stacks_to_mats(shape, blocks, (d,))
         self.shape = shape
         self.d = d
-        self.blocks = _freeze(blocks)
+
+    @classmethod
+    def _from_mats(cls, shape: AlgebraShape, d: int, mats) -> "ModuleVector":
+        vec = cls.__new__(cls)
+        vec.shape, vec.d, vec.mats = shape, d, tuple(_freeze(m) for m in mats)
+        return vec
+
+    @property
+    def blocks(self) -> tuple[np.ndarray, ...]:
+        """Read-only (d, n, n) entry stack per block, a view of `mats`."""
+        return _stack_views(self.shape, self.mats, (self.d,))
 
     @classmethod
     def from_entries(cls, entries) -> "ModuleVector":
@@ -92,11 +180,11 @@ class ModuleVector:
                 raise InputError(
                     f"entry {i} has shape {e.shape.block_dims}, expected {shape.block_dims}"
                 )
-        blocks = [
-            np.stack([e.blocks[b] for e in entries])
+        mats = [
+            np.hstack([e.blocks[b] for e in entries])
             for b in range(shape.num_blocks)
         ]
-        return cls(shape, len(entries), blocks)
+        return cls._from_mats(shape, len(entries), mats)
 
     def entry(self, i: int) -> AlgebraElement:
         if not 0 <= i < self.d:
@@ -111,56 +199,44 @@ class ModuleVector:
         return f"ModuleVector(shape={self.shape.block_dims}, d={self.d})"
 
     def to_dict(self) -> dict:
-        return {
-            "shape": self.shape.to_list(),
-            "entries": [e.to_dict() for e in self.entries],
-        }
+        encoded = [_encode_matrices(blk) for blk in self.blocks]
+        return _vector_payload(self.shape, encoded, self.d)
 
     @classmethod
     def from_dict(cls, payload, where: str = "module vector") -> "ModuleVector":
-        if not isinstance(payload, dict):
-            raise InputError(f"{where}: expected an object, got {type(payload).__name__}")
-        for key in ("shape", "entries"):
-            if key not in payload:
-                raise InputError(f"{where}: missing key {key!r}")
-        raw = payload["entries"]
-        if not isinstance(raw, list) or not raw:
-            raise InputError(f"{where}: 'entries' must be a nonempty list")
-        entries = [
-            AlgebraElement.from_dict(item, where=f"{where}: entry {i}")
-            for i, item in enumerate(raw)
-        ]
-        vec = cls.from_entries(entries)
-        declared = payload["shape"]
-        if declared != vec.shape.to_list():
-            raise InputError(
-                f"{where}: declared shape {declared} does not match entries "
-                f"{vec.shape.to_list()}"
+        shape, entries = _parse_vector(payload, where)
+        blocks = [
+            _decode_matrices(
+                [e[b] for e in entries], n, lambda i, b=b: f"{where}: entry {i}: block {b}"
             )
-        return vec
+            for b, n in enumerate(shape.block_dims)
+        ]
+        return cls(shape, len(entries), blocks)
 
 
 class ModuleOperator:
-    """d x d matrix over A, stored per block as a (d, d, n, n) stack."""
+    """d x d matrix over A, stored per block as a (d*n, d*n) matrix."""
 
-    __slots__ = ("shape", "d", "blocks")
+    __slots__ = ("shape", "d", "mats")
 
     def __init__(self, shape: AlgebraShape, d: int, blocks) -> None:
         d = int(d)
         if d < 1:
             raise InputError(f"operator size d must be positive, got {d}")
-        if len(blocks) != shape.num_blocks:
-            raise InputError(
-                f"expected {shape.num_blocks} block stacks, got {len(blocks)}"
-            )
-        for n, blk in zip(shape.block_dims, blocks):
-            if np.shape(blk) != (d, d, n, n):
-                raise InputError(
-                    f"block stack must have shape {(d, d, n, n)}, got {np.shape(blk)}"
-                )
+        self.mats = _stacks_to_mats(shape, blocks, (d, d))
         self.shape = shape
         self.d = d
-        self.blocks = _freeze(blocks)
+
+    @classmethod
+    def _from_mats(cls, shape: AlgebraShape, d: int, mats) -> "ModuleOperator":
+        op = cls.__new__(cls)
+        op.shape, op.d, op.mats = shape, d, tuple(_freeze(m) for m in mats)
+        return op
+
+    @property
+    def blocks(self) -> tuple[np.ndarray, ...]:
+        """Read-only (d, d, n, n) entry stack per block, a view of `mats`."""
+        return _stack_views(self.shape, self.mats, (self.d, self.d))
 
     @classmethod
     def from_entries(cls, grid) -> "ModuleOperator":
@@ -177,11 +253,11 @@ class ModuleOperator:
                         f"entry ({i},{j}) has shape {e.shape.block_dims}, "
                         f"expected {shape.block_dims}"
                     )
-        blocks = [
-            np.stack([np.stack([e.blocks[b] for e in row]) for row in rows])
+        mats = [
+            np.block([[e.blocks[b] for e in row] for row in rows])
             for b in range(shape.num_blocks)
         ]
-        return cls(shape, d, blocks)
+        return cls._from_mats(shape, d, mats)
 
     def entry(self, i: int, j: int) -> AlgebraElement:
         if not (0 <= i < self.d and 0 <= j < self.d):
@@ -203,11 +279,7 @@ def _check_same_module(x, y) -> None:
 def inner_product(x: ModuleVector, y: ModuleVector) -> AlgebraElement:
     """<x, y> = sum_i x_i (y_i)*, an algebra element."""
     _check_same_module(x, y)
-    blocks = [
-        np.einsum("rab,rcb->ac", xb, yb.conj())
-        for xb, yb in zip(x.blocks, y.blocks)
-    ]
-    return AlgebraElement(x.shape, blocks)
+    return AlgebraElement(x.shape, [a @ b.conj().T for a, b in zip(x.mats, y.mats)])
 
 
 def module_norm(x: ModuleVector) -> float:
@@ -234,16 +306,16 @@ def cauchy_schwarz_gap(x: ModuleVector, y: ModuleVector) -> float:
 
 def vec_add(x: ModuleVector, y: ModuleVector) -> ModuleVector:
     _check_same_module(x, y)
-    return ModuleVector(x.shape, x.d, [a + b for a, b in zip(x.blocks, y.blocks)])
+    return ModuleVector._from_mats(x.shape, x.d, [a + b for a, b in zip(x.mats, y.mats)])
 
 
 def vec_sub(x: ModuleVector, y: ModuleVector) -> ModuleVector:
     _check_same_module(x, y)
-    return ModuleVector(x.shape, x.d, [a - b for a, b in zip(x.blocks, y.blocks)])
+    return ModuleVector._from_mats(x.shape, x.d, [a - b for a, b in zip(x.mats, y.mats)])
 
 
 def vec_scale(z: complex, x: ModuleVector) -> ModuleVector:
-    return ModuleVector(x.shape, x.d, [complex(z) * blk for blk in x.blocks])
+    return ModuleVector._from_mats(x.shape, x.d, [complex(z) * m for m in x.mats])
 
 
 def module_scale(a: AlgebraElement, x: ModuleVector) -> ModuleVector:
@@ -252,28 +324,24 @@ def module_scale(a: AlgebraElement, x: ModuleVector) -> ModuleVector:
         raise InputError(
             f"shape mismatch: {a.shape.block_dims} vs {x.shape.block_dims}"
         )
-    blocks = [
-        np.einsum("ab,rbc->rac", ab, xb)
-        for ab, xb in zip(a.blocks, x.blocks)
-    ]
-    return ModuleVector(x.shape, x.d, blocks)
+    return ModuleVector._from_mats(x.shape, x.d, [ab @ m for ab, m in zip(a.blocks, x.mats)])
 
 
 def basis_vector(shape: AlgebraShape, d: int, k: int) -> ModuleVector:
     """e_k, the vector with the algebra unit in slot k and zero elsewhere."""
     if not 0 <= k < d:
         raise InputError(f"basis index {k} out of range for d={d}")
-    blocks = []
+    mats = []
     for n in shape.block_dims:
-        blk = np.zeros((d, n, n), dtype=np.complex128)
-        blk[k] = np.eye(n)
-        blocks.append(blk)
-    return ModuleVector(shape, d, blocks)
+        mat = np.zeros((n, d * n), dtype=np.complex128)
+        mat[:, k * n : (k + 1) * n] = np.eye(n)
+        mats.append(mat)
+    return ModuleVector._from_mats(shape, d, mats)
 
 
 def zero_vector(shape: AlgebraShape, d: int) -> ModuleVector:
-    return ModuleVector(
-        shape, d, [np.zeros((d, n, n), dtype=np.complex128) for n in shape.block_dims]
+    return ModuleVector._from_mats(
+        shape, d, [np.zeros((n, d * n), dtype=np.complex128) for n in shape.block_dims]
     )
 
 
@@ -291,84 +359,58 @@ def random_vector(shape: AlgebraShape, d: int, rng: np.random.Generator) -> Modu
 def op_apply(m: ModuleOperator, x: ModuleVector) -> ModuleVector:
     """Right action of the operator, (x M)_j = sum_i x_i M_ij."""
     _check_same_module(x, m)
-    blocks = [
-        np.einsum("rab,rsbc->sac", xb, mb)
-        for xb, mb in zip(x.blocks, m.blocks)
-    ]
-    return ModuleVector(x.shape, x.d, blocks)
+    return ModuleVector._from_mats(x.shape, x.d, [a @ b for a, b in zip(x.mats, m.mats)])
 
 
 def op_adjoint(m: ModuleOperator) -> ModuleOperator:
     """(M*)_ij = (M_ji)*, the adjoint for the module inner product."""
-    blocks = [blk.transpose(1, 0, 3, 2).conj() for blk in m.blocks]
-    return ModuleOperator(m.shape, m.d, blocks)
+    return ModuleOperator._from_mats(m.shape, m.d, [a.conj().T for a in m.mats])
 
 
 def op_compose(a: ModuleOperator, b: ModuleOperator) -> ModuleOperator:
     """Matrix product (A B)_ij = sum_k A_ik B_kj."""
     _check_same_module(a, b)
-    blocks = [
-        np.einsum("rkab,ksbc->rsac", ab, bb)
-        for ab, bb in zip(a.blocks, b.blocks)
-    ]
-    return ModuleOperator(a.shape, a.d, blocks)
+    return ModuleOperator._from_mats(a.shape, a.d, [x @ y for x, y in zip(a.mats, b.mats)])
 
 
 def op_sub(a: ModuleOperator, b: ModuleOperator) -> ModuleOperator:
     _check_same_module(a, b)
-    return ModuleOperator(a.shape, a.d, [x - y for x, y in zip(a.blocks, b.blocks)])
+    return ModuleOperator._from_mats(a.shape, a.d, [x - y for x, y in zip(a.mats, b.mats)])
 
 
 def op_identity(shape: AlgebraShape, d: int) -> ModuleOperator:
-    blocks = []
-    for n in shape.block_dims:
-        blk = np.zeros((d, d, n, n), dtype=np.complex128)
-        idx = np.arange(d)
-        blk[idx, idx] = np.eye(n)
-        blocks.append(blk)
-    return ModuleOperator(shape, d, blocks)
-
-
-def _flatten_block(blk: np.ndarray) -> np.ndarray:
-    """(d, d, n, n) operator block as an ordinary (d*n, d*n) matrix."""
-    d, _, n, _ = blk.shape
-    return blk.transpose(0, 2, 1, 3).reshape(d * n, d * n)
-
-
-def _unflatten_block(mat: np.ndarray, d: int, n: int) -> np.ndarray:
-    return mat.reshape(d, n, d, n).transpose(0, 2, 1, 3)
+    return ModuleOperator._from_mats(
+        shape, d, [np.eye(d * n, dtype=np.complex128) for n in shape.block_dims]
+    )
 
 
 def op_norm(m: ModuleOperator) -> float:
-    """Operator norm on A^d: max over blocks of the flattened spectral norm."""
-    return float(max(np.linalg.norm(_flatten_block(blk), 2) for blk in m.blocks))
+    """Operator norm on A^d: max over blocks of the spectral norm of the block matrix."""
+    return float(max(np.linalg.norm(mat, 2) for mat in m.mats))
 
 
 def op_inv_sqrt(m: ModuleOperator, tol: float = INV_SQRT_TOL) -> ModuleOperator:
     """Inverse square root of a positive invertible operator.
 
-    Each block is flattened, Hermitized, and eigendecomposed; eigenvalues
-    at or below tol times the largest (over the whole operator) mean the
-    operator is not invertible and raise SingularOperatorError.
+    Each block matrix is Hermitized and eigendecomposed; eigenvalues at or
+    below tol times the largest (over the whole operator) mean the operator
+    is not invertible and raise SingularOperatorError.
     """
     if tol < 0:
         raise InputError(f"tol must be nonnegative, got {tol}")
-    flats = [_flatten_block(blk) for blk in m.blocks]
     decomps = []
     lam_max = 0.0
-    for flat in flats:
-        herm = (flat + flat.conj().T) / 2.0
-        vals, vecs = np.linalg.eigh(herm)
+    for mat in m.mats:
+        vals, vecs = np.linalg.eigh((mat + mat.conj().T) / 2.0)
         decomps.append((vals, vecs))
         lam_max = max(lam_max, float(vals.max()))
     cutoff = tol * lam_max
-    blocks = []
-    for (vals, vecs), n in zip(decomps, m.shape.block_dims):
+    mats = []
+    for vals, vecs in decomps:
         if vals.min() <= cutoff:
             raise SingularOperatorError(
                 f"operator is numerically singular: eigenvalue {vals.min():.3e} "
                 f"at cutoff {cutoff:.3e}"
             )
-        inv_sqrt = (vecs * (vals ** -0.5)) @ vecs.conj().T
-        blocks.append(_unflatten_block(inv_sqrt, m.d, n))
-    return ModuleOperator(m.shape, m.d, blocks)
+        mats.append((vecs * (vals ** -0.5)) @ vecs.conj().T)
+    return ModuleOperator._from_mats(m.shape, m.d, mats)

@@ -7,6 +7,12 @@ module operator composing the two.  A frame is Parseval when that operator
 is the identity, which makes analysis an isometry and gives the exact
 reconstruction x = sum_n <x, tau_n> tau_n.
 
+Block b (of size n) of a frame of N vectors is stored as the (N*n, d*n)
+matrix T whose row block k is the vector layout of tau_k (see csmodule),
+and a coefficient sequence as the (n, N*n) matrix [a_0 | ... | a_(N-1)].
+Analysis is then X T^H, synthesis C T, the frame operator T^H T, the
+Parseval normalization T S^(-1/2), and the cross Gram of two frames T W^H.
+
 Supports of coefficient sequences are decided by a relative threshold: a
 coefficient counts as nonzero when its C*-norm exceeds rel_tol times the
 largest coefficient norm in the sequence.
@@ -16,14 +22,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import AlgebraElement, AlgebraShape, norm
+from .algebra import AlgebraElement, AlgebraShape, _decode_matrices, _encode_matrices
 from .csmodule import (
     ModuleOperator,
     ModuleVector,
-    op_identity,
+    _freeze,
+    _parse_vector,
+    _stack_views,
+    _stacks_to_mats,
+    _vector_payload,
     op_inv_sqrt,
-    op_norm,
-    op_sub,
     random_vector,
 )
 from .errors import GenerationError, InputError, NotAFrameError, NonParsevalFrameError, SingularOperatorError
@@ -54,19 +62,15 @@ SUPPORT_REL_TOL = 1e-8
 PARSEVALIZE_MAX_RETRIES = 50
 
 
-def _freeze(arrays):
-    out = []
-    for arr in arrays:
-        arr = np.ascontiguousarray(arr, dtype=np.complex128)
-        arr.setflags(write=False)
-        out.append(arr)
-    return tuple(out)
+def _entry_norms(stacks) -> np.ndarray:
+    """C*-norms of stacked algebra elements, given one (..., n, n) stack per block."""
+    return np.max([np.linalg.svd(s, compute_uv=False)[..., 0] for s in stacks], axis=0)
 
 
 class ModularFrame:
-    """Finite vector family in A^d, stored per block as (N, d, n, n)."""
+    """Finite vector family in A^d, stored per block as an (N*n, d*n) matrix."""
 
-    __slots__ = ("shape", "d", "count", "blocks")
+    __slots__ = ("shape", "d", "count", "mats")
 
     def __init__(self, shape: AlgebraShape, d: int, blocks) -> None:
         d = int(d)
@@ -82,16 +86,22 @@ class ModularFrame:
         count = counts.pop()
         if count < 1:
             raise InputError("a frame needs at least one vector")
-        for n, blk in zip(shape.block_dims, blocks):
-            if np.shape(blk) != (count, d, n, n):
-                raise InputError(
-                    f"block stack must have shape {(count, d, n, n)}, "
-                    f"got {np.shape(blk)}"
-                )
+        self.mats = _stacks_to_mats(shape, blocks, (count, d))
         self.shape = shape
         self.d = d
         self.count = int(count)
-        self.blocks = _freeze(blocks)
+
+    @classmethod
+    def _from_mats(cls, shape: AlgebraShape, d: int, count: int, mats) -> "ModularFrame":
+        frame = cls.__new__(cls)
+        frame.shape, frame.d, frame.count = shape, d, count
+        frame.mats = tuple(_freeze(m) for m in mats)
+        return frame
+
+    @property
+    def blocks(self) -> tuple[np.ndarray, ...]:
+        """Read-only (N, d, n, n) entry stack per block, a view of `mats`."""
+        return _stack_views(self.shape, self.mats, (self.count, self.d))
 
     @classmethod
     def from_vectors(cls, vectors) -> "ModularFrame":
@@ -107,16 +117,20 @@ class ModularFrame:
                     f"frame vector {i} lives in a different module "
                     f"(shape {v.shape.block_dims}, d={v.d})"
                 )
-        blocks = [
-            np.stack([v.blocks[b] for v in vectors])
+        mats = [
+            np.vstack([v.mats[b] for v in vectors])
             for b in range(shape.num_blocks)
         ]
-        return cls(shape, d, blocks)
+        return cls._from_mats(shape, d, len(vectors), mats)
 
     def vector(self, n: int) -> ModuleVector:
         if not 0 <= n < self.count:
             raise InputError(f"frame index {n} out of range for count={self.count}")
-        return ModuleVector(self.shape, self.d, [blk[n] for blk in self.blocks])
+        return ModuleVector._from_mats(
+            self.shape,
+            self.d,
+            [m[n * size : (n + 1) * size] for size, m in zip(self.shape.block_dims, self.mats)],
+        )
 
     @property
     def vectors(self) -> list[ModuleVector]:
@@ -129,10 +143,14 @@ class ModularFrame:
         )
 
     def to_dict(self) -> dict:
+        encoded = [_encode_matrices(blk) for blk in self.blocks]
         return {
             "algebra": self.shape.to_list(),
             "d": int(self.d),
-            "vectors": [v.to_dict() for v in self.vectors],
+            "vectors": [
+                _vector_payload(self.shape, [blk[k] for blk in encoded], self.d)
+                for k in range(self.count)
+            ],
             "parseval": bool(is_parseval(self, tol=PARSEVAL_FILE_TOL)),
         }
 
@@ -158,20 +176,28 @@ class ModularFrame:
         raw = payload["vectors"]
         if not isinstance(raw, list) or not raw:
             raise InputError(f"{where}: 'vectors' must be a nonempty list")
-        vectors = []
+        entries = []
         for i, item in enumerate(raw):
-            v = ModuleVector.from_dict(item, where=f"{where}: vector {i}")
-            if v.shape != shape:
+            v_shape, v_entries = _parse_vector(item, f"{where}: vector {i}")
+            if v_shape != shape:
                 raise InputError(
-                    f"{where}: vector {i} has shape {v.shape.to_list()}, "
+                    f"{where}: vector {i} has shape {v_shape.to_list()}, "
                     f"expected {shape.to_list()}"
                 )
-            if v.d != d:
+            if len(v_entries) != d:
                 raise InputError(
-                    f"{where}: vector {i} has {v.d} entries, expected d={d}"
+                    f"{where}: vector {i} has {len(v_entries)} entries, expected d={d}"
                 )
-            vectors.append(v)
-        frame = cls.from_vectors(vectors)
+            entries.extend(v_entries)
+        blocks = [
+            _decode_matrices(
+                [e[b] for e in entries],
+                n,
+                lambda j, b=b: f"{where}: vector {j // d}: entry {j % d}: block {b}",
+            ).reshape(len(raw), d, n, n)
+            for b, n in enumerate(shape.block_dims)
+        ]
+        frame = cls(shape, d, blocks)
         claimed = payload["parseval"]
         if not isinstance(claimed, bool):
             raise InputError(f"{where}: 'parseval' must be a boolean")
@@ -184,9 +210,9 @@ class ModularFrame:
 
 
 class AnalysisCoefficients:
-    """Algebra-valued coefficient sequence, stored per block as (N, n, n)."""
+    """Algebra-valued coefficient sequence, stored per block as an (n, N*n) matrix."""
 
-    __slots__ = ("shape", "count", "blocks")
+    __slots__ = ("shape", "count", "mats")
 
     def __init__(self, shape: AlgebraShape, blocks) -> None:
         if len(blocks) != shape.num_blocks:
@@ -199,14 +225,21 @@ class AnalysisCoefficients:
         count = counts.pop()
         if count < 1:
             raise InputError("a coefficient sequence needs at least one entry")
-        for n, blk in zip(shape.block_dims, blocks):
-            if np.shape(blk) != (count, n, n):
-                raise InputError(
-                    f"block stack must have shape {(count, n, n)}, got {np.shape(blk)}"
-                )
+        self.mats = _stacks_to_mats(shape, blocks, (count,))
         self.shape = shape
         self.count = int(count)
-        self.blocks = _freeze(blocks)
+
+    @classmethod
+    def _from_mats(cls, shape: AlgebraShape, count: int, mats) -> "AnalysisCoefficients":
+        coeffs = cls.__new__(cls)
+        coeffs.shape, coeffs.count = shape, count
+        coeffs.mats = tuple(_freeze(m) for m in mats)
+        return coeffs
+
+    @property
+    def blocks(self) -> tuple[np.ndarray, ...]:
+        """Read-only (N, n, n) coefficient stack per block, a view of `mats`."""
+        return _stack_views(self.shape, self.mats, (self.count,))
 
     @classmethod
     def from_elements(cls, elements) -> "AnalysisCoefficients":
@@ -217,11 +250,11 @@ class AnalysisCoefficients:
         for i, e in enumerate(elements):
             if not isinstance(e, AlgebraElement) or e.shape != shape:
                 raise InputError(f"coefficient {i} is not an element of the algebra")
-        blocks = [
-            np.stack([e.blocks[b] for e in elements])
+        mats = [
+            np.hstack([e.blocks[b] for e in elements])
             for b in range(shape.num_blocks)
         ]
-        return cls(shape, blocks)
+        return cls._from_mats(shape, len(elements), mats)
 
     def coefficient(self, n: int) -> AlgebraElement:
         if not 0 <= n < self.count:
@@ -230,15 +263,11 @@ class AnalysisCoefficients:
 
     def norms(self) -> np.ndarray:
         """C*-norm of each coefficient, as a float array of length count."""
-        per_block = [
-            np.linalg.svd(blk, compute_uv=False).max(axis=-1)
-            for blk in self.blocks
-        ]
-        return np.max(per_block, axis=0)
+        return _entry_norms(self.blocks)
 
     def to_vector(self) -> ModuleVector:
         """The same data seen as a vector in A^count."""
-        return ModuleVector(self.shape, self.count, list(self.blocks))
+        return ModuleVector._from_mats(self.shape, self.count, self.mats)
 
     def __repr__(self) -> str:
         return f"AnalysisCoefficients(shape={self.shape.block_dims}, count={self.count})"
@@ -255,11 +284,9 @@ def _check_frame_vector(frame: ModularFrame, x: ModuleVector) -> None:
 def analysis(frame: ModularFrame, x: ModuleVector) -> AnalysisCoefficients:
     """Coefficient sequence (<x, tau_n>)_n."""
     _check_frame_vector(frame, x)
-    blocks = [
-        np.einsum("rab,nrcb->nac", xb, tb.conj())
-        for xb, tb in zip(x.blocks, frame.blocks)
-    ]
-    return AnalysisCoefficients(frame.shape, blocks)
+    return AnalysisCoefficients._from_mats(
+        frame.shape, frame.count, [xm @ t.conj().T for xm, t in zip(x.mats, frame.mats)]
+    )
 
 
 def synthesis(frame: ModularFrame, coeffs: AnalysisCoefficients) -> ModuleVector:
@@ -273,11 +300,9 @@ def synthesis(frame: ModularFrame, coeffs: AnalysisCoefficients) -> ModuleVector
         raise InputError(
             f"coefficient count {coeffs.count} does not match frame size {frame.count}"
         )
-    blocks = [
-        np.einsum("nab,nrbc->rac", cb, tb)
-        for cb, tb in zip(coeffs.blocks, frame.blocks)
-    ]
-    return ModuleVector(frame.shape, frame.d, blocks)
+    return ModuleVector._from_mats(
+        frame.shape, frame.d, [c @ t for c, t in zip(coeffs.mats, frame.mats)]
+    )
 
 
 def frame_operator(frame: ModularFrame) -> ModuleOperator:
@@ -285,43 +310,48 @@ def frame_operator(frame: ModularFrame) -> ModuleOperator:
 
     Acting on the right it realizes x -> sum_n <x, tau_n> tau_n.
     """
-    blocks = [
-        np.einsum("nrba,nsbc->rsac", tb.conj(), tb)
-        for tb in frame.blocks
-    ]
-    return ModuleOperator(frame.shape, frame.d, blocks)
+    return ModuleOperator._from_mats(
+        frame.shape, frame.d, [t.conj().T @ t for t in frame.mats]
+    )
+
+
+def _parseval_residual(frame: ModularFrame) -> float:
+    """Operator norm of S - I, from the eigenvalues of its Hermitian part."""
+    worst = 0.0
+    for s in frame_operator(frame).mats:
+        defect = (s + s.conj().T) / 2.0 - np.eye(len(s))
+        worst = max(worst, float(np.abs(np.linalg.eigvalsh(defect)).max()))
+    return worst
 
 
 def is_parseval(frame: ModularFrame, tol: float = 1e-10) -> bool:
     """True iff the frame operator is the identity up to tol in operator norm."""
     if tol < 0:
         raise InputError(f"tol must be nonnegative, got {tol}")
-    defect = op_sub(frame_operator(frame), op_identity(frame.shape, frame.d))
-    return op_norm(defect) <= tol
+    return _parseval_residual(frame) <= tol
 
 
 def parsevalize(frame: ModularFrame, tol: float = 1e-10) -> ModularFrame:
     """Canonical Parseval companion: every vector multiplied by S^(-1/2).
 
-    Raises NotAFrameError when the frame operator is singular (the family
-    does not generate A^d) and NonParsevalFrameError if the corrected frame
-    operator still deviates from the identity beyond 1e-8, which signals a
-    badly conditioned input.
+    Raises InputError when the frame operator overflows, NotAFrameError
+    when it is singular (the family does not generate A^d) and
+    NonParsevalFrameError if the corrected frame operator still deviates
+    from the identity beyond 1e-8, which signals a badly conditioned input.
     """
     s = frame_operator(frame)
+    if not all(np.isfinite(m).all() for m in s.mats):
+        raise InputError("frame operator overflows: the frame's entries are too large")
     try:
         p = op_inv_sqrt(s, tol=tol)
     except SingularOperatorError as exc:
         raise NotAFrameError(
             f"frame operator is singular, the family does not span: {exc}"
         ) from exc
-    blocks = [
-        np.einsum("nrab,rsbc->nsac", tb, pb)
-        for tb, pb in zip(frame.blocks, p.blocks)
-    ]
-    fixed = ModularFrame(frame.shape, frame.d, blocks)
-    defect = op_sub(frame_operator(fixed), op_identity(frame.shape, frame.d))
-    residual = op_norm(defect)
+    fixed = ModularFrame._from_mats(
+        frame.shape, frame.d, frame.count, [t @ pm for t, pm in zip(frame.mats, p.mats)]
+    )
+    residual = _parseval_residual(fixed)
     if residual > PARSEVAL_FILE_TOL:
         raise NonParsevalFrameError(
             f"normalization left a frame-operator residual of {residual:.3e}"
@@ -329,18 +359,22 @@ def parsevalize(frame: ModularFrame, tol: float = 1e-10) -> ModularFrame:
     return fixed
 
 
-def cross_gram_norms(tau: ModularFrame, omega: ModularFrame) -> np.ndarray:
-    """Matrix of C*-norms ||<tau_n, omega_m>||, shape (tau.count, omega.count)."""
+def _cross_grams(tau: ModularFrame, omega: ModularFrame) -> list[np.ndarray]:
+    """Per block, the (N, M, n, n) stack of cross inner products <tau_n, omega_m>."""
     if tau.shape != omega.shape or tau.d != omega.d:
         raise InputError(
             f"frames live in different modules: shape {tau.shape.block_dims} "
             f"d={tau.d} vs shape {omega.shape.block_dims} d={omega.d}"
         )
-    per_block = []
-    for tb, wb in zip(tau.blocks, omega.blocks):
-        gram = np.einsum("nrab,mrcb->nmac", tb, wb.conj())
-        per_block.append(np.linalg.svd(gram, compute_uv=False).max(axis=-1))
-    return np.max(per_block, axis=0)
+    return [
+        (t @ w.conj().T).reshape(tau.count, n, omega.count, n).transpose(0, 2, 1, 3)
+        for n, t, w in zip(tau.shape.block_dims, tau.mats, omega.mats)
+    ]
+
+
+def cross_gram_norms(tau: ModularFrame, omega: ModularFrame) -> np.ndarray:
+    """Matrix of C*-norms ||<tau_n, omega_m>||, shape (tau.count, omega.count)."""
+    return _entry_norms(_cross_grams(tau, omega))
 
 
 def coherence(tau: ModularFrame, omega: ModularFrame) -> float:

@@ -25,7 +25,7 @@ import numpy as np
 from .algebra import AlgebraShape
 from .csmodule import ModuleVector
 from .errors import InputError
-from .frames import ModularFrame
+from .frames import SUPPORT_REL_TOL, ModularFrame, _entry_norms
 
 __all__ = [
     "PrimeDim",
@@ -47,9 +47,6 @@ __all__ = [
 
 # Relative singular-value threshold for every rank decision in this module.
 RANK_TOL = 1e-10
-
-# Relative threshold for support counting, matching the frames module.
-SUPPORT_REL_TOL = 1e-8
 
 EXHAUSTIVE_MAX_P = 7
 SAMPLED_MAX_P = 13
@@ -107,14 +104,16 @@ def ncdft(x: ModuleVector) -> ModuleVector:
     Any length d is accepted; the prime-dimension theorems simply do not
     apply at composite d.
     """
-    w = dft_matrix(x.d)
-    blocks = [np.einsum("kj,jab->kab", w, blk) for blk in x.blocks]
-    return ModuleVector(x.shape, x.d, blocks)
+    return _transform(dft_matrix(x.d), x)
 
 
 def ncdft_inverse(x: ModuleVector) -> ModuleVector:
-    w = dft_matrix(x.d).conj()
-    blocks = [np.einsum("kj,jab->kab", w, blk) for blk in x.blocks]
+    return _transform(dft_matrix(x.d).conj(), x)
+
+
+def _transform(w: np.ndarray, x: ModuleVector) -> ModuleVector:
+    """Entries recombined as sum_j w[k, j] x_j, one matmul per block."""
+    blocks = [(w @ blk.reshape(x.d, -1)).reshape(blk.shape) for blk in x.blocks]
     return ModuleVector(x.shape, x.d, blocks)
 
 
@@ -123,13 +122,8 @@ def standard_frame(shape: AlgebraShape, d: int) -> ModularFrame:
     d = int(d)
     if d < 1:
         raise InputError(f"dimension must be positive, got {d}")
-    blocks = []
-    for n in shape.block_dims:
-        blk = np.zeros((d, d, n, n), dtype=np.complex128)
-        idx = np.arange(d)
-        blk[idx, idx] = np.eye(n)
-        blocks.append(blk)
-    return ModularFrame(shape, d, blocks)
+    mats = [np.eye(d * n, dtype=np.complex128) for n in shape.block_dims]
+    return ModularFrame._from_mats(shape, d, d, mats)
 
 
 def fourier_frame(shape: AlgebraShape, d: int) -> ModularFrame:
@@ -139,11 +133,8 @@ def fourier_frame(shape: AlgebraShape, d: int) -> ModularFrame:
     <x, omega_m> = x_hat_m.
     """
     w = dft_matrix(d)
-    blocks = []
-    for n in shape.block_dims:
-        blk = np.einsum("mj,ab->mjab", w.conj(), np.eye(n, dtype=np.complex128))
-        blocks.append(blk)
-    return ModularFrame(shape, d, blocks)
+    mats = [np.kron(w.conj(), np.eye(n)) for n in shape.block_dims]
+    return ModularFrame._from_mats(shape, d, d, mats)
 
 
 def dirac_comb(shape: AlgebraShape, d: int, spacing: int) -> ModuleVector:
@@ -167,17 +158,16 @@ def dirac_comb(shape: AlgebraShape, d: int, spacing: int) -> ModuleVector:
 
 def cyclic_shift(x: ModuleVector, steps: int) -> ModuleVector:
     """Entries rotated by steps positions (index j maps to j + steps mod d)."""
-    return ModuleVector(
-        x.shape, x.d, [np.roll(blk, int(steps), axis=0) for blk in x.blocks]
+    return ModuleVector._from_mats(
+        x.shape,
+        x.d,
+        [np.roll(m, int(steps) * n, axis=1) for n, m in zip(x.shape.block_dims, x.mats)],
     )
 
 
 def vector_entry_norms(x: ModuleVector) -> np.ndarray:
     """C*-norm of each coordinate of x, as a float array of length d."""
-    per_block = [
-        np.linalg.svd(blk, compute_uv=False)[..., 0] for blk in x.blocks
-    ]
-    return np.max(per_block, axis=0)
+    return _entry_norms(x.blocks)
 
 
 def vector_support(x: ModuleVector, rel_tol: float = SUPPORT_REL_TOL) -> list[int]:

@@ -25,9 +25,10 @@ from .errors import InputError, NonParsevalFrameError
 from .frames import (
     SUPPORT_REL_TOL,
     ModularFrame,
+    _cross_grams,
+    _entry_norms,
     analysis,
     coherence,
-    cross_gram_norms,
     is_parseval,
     random_parseval_frame,
     sparsity,
@@ -176,56 +177,29 @@ def proof_chain_check(
     coeff_omega = analysis(omega, x)
     supp_t = support(coeff_tau, rel_tol=rel_tol)
     supp_o = support(coeff_omega, rel_tol=rel_tol)
+    grams = _cross_grams(tau, omega)
+    cross = _entry_norms(grams)
 
     v0 = norm(inner_product(x, x))
 
-    # sum over the tau-support of <x,tau_n><tau_n,x>
-    sum_aa = AlgebraElement(
-        x.shape,
-        [
-            np.einsum("nab,ncb->ac", blk[supp_t], blk[supp_t].conj())
-            for blk in coeff_tau.blocks
-        ],
-    )
-    v1 = norm(sum_aa)
+    sum_aa, sum_qq, gram_u, gram_w = [], [], [], []
+    for n, ct, co, g in zip(x.shape.block_dims, coeff_tau.mats, coeff_omega.mats, grams):
+        # a = tau-coefficients on T, u = omega-coefficients on Omega, as (n, |.| n)
+        a = ct[:, _block_cols(supp_t, n)]
+        u = co[:, _block_cols(supp_o, n)]
+        # row block k of w is w_k = (<tau_k, omega_m>)_{m in Omega}, k in T
+        w = g[np.ix_(supp_t, supp_o)].transpose(0, 2, 1, 3).reshape(len(supp_t) * n, -1)
+        q = u @ w.conj().T  # column block k of q is q_k = <u, w_k>
+        sum_aa.append(a @ a.conj().T)
+        sum_qq.append(q @ q.conj().T)
+        gram_u.append(u @ u.conj().T)
+        w_rows = w.reshape(len(supp_t), n, -1)
+        gram_w.append(w_rows @ w_rows.conj().transpose(0, 2, 1))
 
-    # u = omega-coefficients restricted to their support
-    u_blocks = [blk[supp_o] for blk in coeff_omega.blocks]
-    # cross coefficients w_n = (<tau_n, omega_m>)_{m in supp_o}, n in supp_t
-    w_blocks = [
-        np.einsum("nrab,mrcb->nmac", tb, wb.conj())[np.ix_(supp_t, supp_o)]
-        for tb, wb in zip(tau.blocks, omega.blocks)
-    ]
-
-    # q_n = <u, w_n>, then sum_n q_n q_n*
-    sum_qq = AlgebraElement(
-        x.shape,
-        [
-            np.einsum(
-                "nab,ncb->ac",
-                np.einsum("mab,nmcb->nac", ub, wb.conj()),
-                np.einsum("mab,nmcb->nac", ub, wb.conj()).conj(),
-            )
-            for ub, wb in zip(u_blocks, w_blocks)
-        ],
-    )
-    v1x = norm(sum_qq)
-
-    # ||<w_n, w_n>|| for each n in supp_t, maximized across blocks
-    gram_w = [
-        np.einsum("nmab,nmcb->nac", wb, wb.conj()) for wb in w_blocks
-    ]
-    w_norms = np.max(
-        [np.linalg.svd(g, compute_uv=False)[..., 0] for g in gram_w], axis=0
-    )
-    gram_u = AlgebraElement(
-        x.shape,
-        [np.einsum("mab,mcb->ac", ub, ub.conj()) for ub in u_blocks],
-    )
-    norm_g = norm(gram_u)
-    v2 = float(w_norms.sum() * norm_g)
-
-    cross = cross_gram_norms(tau, omega)
+    v1 = norm(AlgebraElement(x.shape, sum_aa))
+    v1x = norm(AlgebraElement(x.shape, sum_qq))
+    norm_g = norm(AlgebraElement(x.shape, gram_u))
+    v2 = float(_entry_norms(gram_w).sum() * norm_g)
     v3 = float((cross[np.ix_(supp_t, supp_o)] ** 2).sum() * norm_g)
 
     mu = float(cross.max())
@@ -247,6 +221,11 @@ def proof_chain_check(
         ("coherence_sup", v3, v4, le(v3, v4)),
         ("support_count_parseval", v4, v5, le(v4, v5)),
     ]
+
+
+def _block_cols(indices, n: int) -> np.ndarray:
+    """Column indices of the n-wide column blocks numbered by indices."""
+    return (np.asarray(indices, dtype=int)[:, None] * n + np.arange(n)).ravel()
 
 
 def _validate_subset(count: int, indices, name: str) -> list[int]:

@@ -8,8 +8,11 @@ diagonal matrices of size N = n1 + ... + nB and works with plain matmul:
     operator on A^d  ->  (d*N, d*N) block matrix of embedded entries
 
 Under this embedding <x, y> = X Y^H, the right operator action is X M,
-and analysis coefficients are X T_n^H.  None of the library's einsum
-layouts are reused, so agreement is a genuine cross-check.
+analysis coefficients are X T_n^H, and a frame stacks its vectors' dense
+embeddings vertically into T, so the frame operator is T^H T and the cross
+Gram of two frames is T W^H.  Everything is rebuilt from the entries through
+this embedding; none of the library's per-block matrices are reused, so
+agreement is a genuine cross-check.
 """
 
 import numpy as np
@@ -50,6 +53,30 @@ def oracle_analysis(frame, x) -> list[np.ndarray]:
     """Dense embeddings of every coefficient <x, tau_n>."""
     xd = embed_vector(x)
     return [xd @ embed_vector(v).conj().T for v in frame.vectors]
+
+
+def embed_frame(frame) -> np.ndarray:
+    return np.vstack([embed_vector(v) for v in frame.vectors])
+
+
+def oracle_frame_operator(frame) -> np.ndarray:
+    """Dense embedding of the frame operator, T^H T."""
+    t = embed_frame(frame)
+    return t.conj().T @ t
+
+
+def oracle_cross_gram_norms(tau, omega) -> np.ndarray:
+    """Spectral norm of every (n, m) block of the dense cross Gram T W^H."""
+    total = sum(tau.shape.block_dims)
+    gram = embed_frame(tau) @ embed_frame(omega).conj().T
+    blocks = gram.reshape(tau.count, total, omega.count, total).transpose(0, 2, 1, 3)
+    return np.linalg.svd(blocks, compute_uv=False)[..., 0]
+
+
+def oracle_parsevalize(frame) -> np.ndarray:
+    """Dense embedding of the normalized frame, T S^(-1/2) with S = T^H T."""
+    vals, vecs = np.linalg.eigh(oracle_frame_operator(frame))
+    return embed_frame(frame) @ ((vecs * vals**-0.5) @ vecs.conj().T)
 
 
 def oracle_norm(a) -> float:

@@ -114,6 +114,43 @@ def test_certify_non_parseval_input(tmp_path, comb_files):
     assert "Parseval" in proc.stderr
 
 
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize(
+    "command, target",
+    [("certify", "x"), ("certify", "tau"), ("coherence", "tau"), ("parsevalize", "tau")],
+)
+def test_non_finite_values_rejected(comb_files, command, target, value):
+    path = comb_files[target]
+    payload = json.loads(path.read_text())
+    entries = payload["entries"] if target == "x" else payload["vectors"][2]["entries"]
+    entries[1]["blocks"][0][0][0][1] = float(value)
+    path.write_text(json.dumps(payload))
+    assert value in path.read_text()
+    args = {
+        "certify": ("--frame-tau", "--frame-omega", "--vector"),
+        "coherence": ("--frame-tau", "--frame-omega"),
+        "parsevalize": ("--frame-tau",),
+    }[command]
+    files = [comb_files[key] for key in ("tau", "omega", "x")]
+    proc = run_cli(command, *[str(a) for pair in zip(args, files) for a in pair])
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    where = "entry 1: block 0" if target == "x" else "vector 2: entry 1: block 0"
+    assert f"{path}: {where}: non-finite value" in proc.stderr
+
+
+def test_parsevalize_rejects_overflowing_frame(tmp_path):
+    payload = ModularFrame.from_vectors([basis_vector(C, 2, 0), basis_vector(C, 2, 1)]).to_dict()
+    payload["vectors"][0]["entries"][0]["blocks"][0][0][0] = [1e300, 0.0]
+    payload["parseval"] = False
+    src = tmp_path / "huge.json"
+    src.write_text(json.dumps(payload))
+    proc = run_cli("parsevalize", "--frame-tau", str(src))
+    assert proc.returncode == 2
+    assert "overflows" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_certify_rejects_bad_rel_tol(comb_files):
     proc = run_cli(
         "certify",

@@ -258,6 +258,16 @@ def test_vector_json_errors():
         ModuleVector.from_dict(
             {"shape": [2], "entries": [{"shape": [1], "blocks": [[[[1.0, 0.0]]]]}]}
         )
+    for block in ([[[1.0, 0.0]], []], [[[1.0]]], [[["1.0", "0.0"]]], [[[float("inf"), 0.0]]]):
+        payload = {
+            "shape": [1],
+            "entries": [
+                {"shape": [1], "blocks": [[[[1.0, 0.0]]]]},
+                {"shape": [1], "blocks": [block]},
+            ],
+        }
+        with pytest.raises(InputError, match="x.json: entry 1: block 0: "):
+            ModuleVector.from_dict(payload, where="x.json")
 
 
 def test_module_vector_validation():

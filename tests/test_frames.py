@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from ncup import (
     analysis,
     basis_vector,
     coherence,
+    cross_gram_norms,
     frame_operator,
     identity,
     inner_product,
@@ -33,6 +36,14 @@ from ncup import (
 )
 from ncup.csmodule import module_scale, op_sub, vec_add, vec_scale, vec_sub
 from ncup.ncft import fourier_frame, standard_frame
+
+from oracles import (
+    embed_frame,
+    embed_operator,
+    oracle_cross_gram_norms,
+    oracle_frame_operator,
+    oracle_parsevalize,
+)
 
 C = AlgebraShape((1,))
 M2 = AlgebraShape((2,))
@@ -272,6 +283,15 @@ def test_frame_json_round_trip(shape, rng):
     back = ModularFrame.from_dict(payload)
     assert back.to_dict() == payload
 
+    # signed zeros and subnormals survive a file round trip byte for byte
+    special = random_frame(AlgebraShape((1, 2)), 2, 3, rng).to_dict()
+    special["vectors"][0]["entries"][1]["blocks"][1][0][1] = [-0.0, 5e-324]
+    special["vectors"][2]["entries"][0]["blocks"][0][0][0] = [2.225e-309, -0.0]
+    text = json.dumps(special)
+    assert "-0.0" in text and "5e-324" in text and "2.225e-309" in text
+    back = ModularFrame.from_dict(json.loads(text))
+    assert json.dumps(back.to_dict()) == text
+
 
 def test_frame_json_rejects_false_parseval_claim():
     e0 = basis_vector(C, 2, 0)
@@ -290,6 +310,43 @@ def test_frame_json_errors_carry_location():
     bad["d"] = "two"
     with pytest.raises(InputError, match="frame.json"):
         ModularFrame.from_dict(bad, where="frame.json")
+    malformed = [
+        [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]],  # ragged rows
+        [[[1.0], [0.0]], [[0.0], [1.0]]],  # [re] singletons
+        [[["1.0", "0.0"], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],  # strings
+        [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [float("nan"), 0.0]]],
+    ]
+    for block in malformed:
+        payload = json.loads(json.dumps(standard_frame(M2, 2).to_dict()))
+        payload["vectors"][1]["entries"][0]["blocks"][0] = block
+        with pytest.raises(InputError, match="frame.json: vector 1: entry 0: block 0: "):
+            ModularFrame.from_dict(payload, where="frame.json")
+
+
+def test_block_views_are_read_only(rng):
+    shape = AlgebraShape((1, 2))
+    frame = random_frame(shape, 2, 3, rng)
+    x = random_vector(shape, 2, rng)
+    for obj in (x, frame, frame_operator(frame), analysis(frame, x)):
+        for blk, mat in zip(obj.blocks, obj.mats):
+            assert np.shares_memory(blk, mat)
+            with pytest.raises(ValueError):
+                blk[(0,) * blk.ndim] = 1.0
+    # constructors copy, so the caller's stack stays writable and detached
+    stack = np.zeros((2, 1, 1), dtype=complex)
+    v = ModuleVector(C, 2, [stack])
+    stack[0] = 5.0
+    assert v.blocks[0][0, 0, 0] == 0.0
+
+
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_contractions_match_dense_oracle(shape, rng, d):
+    tau = random_frame(shape, d, d + 2, rng)
+    omega = random_frame(shape, d, d + 3, rng)
+    close = dict(rtol=1e-12, atol=1e-12)
+    assert np.allclose(embed_operator(frame_operator(tau)), oracle_frame_operator(tau), **close)
+    assert np.allclose(cross_gram_norms(tau, omega), oracle_cross_gram_norms(tau, omega), **close)
+    assert np.allclose(embed_frame(parsevalize(tau)), oracle_parsevalize(tau), **close)
 
 
 def test_frame_vector_count_validation():
