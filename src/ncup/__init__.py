@@ -82,6 +82,7 @@ from .ncft import (
 from .uncertainty import (
     UncertaintyCertificate,
     certify,
+    evaluate,
     proof_chain_check,
     random_audit,
     support_pair_feasible,

@@ -17,27 +17,21 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
+import math
 import sys
 from dataclasses import dataclass
 
 from . import __version__
 from .algebra import AlgebraShape
 from .csmodule import ModuleVector
-from .errors import (
-    GenerationError,
-    InputError,
-    NonParsevalFrameError,
-    NotAFrameError,
-)
+from .errors import InputError, NcupError, NonParsevalFrameError
 from .frames import ModularFrame, coherence, parsevalize
 from .ncft import RANK_TOL, conjecture_audit, tao_min_sum
 from .uncertainty import (
     CHAIN_TOL,
     PARSEVAL_CHECK_TOL,
     SLACK_TOL,
-    certify,
-    proof_chain_check,
+    evaluate,
     random_audit,
 )
 
@@ -116,21 +110,6 @@ def _parse_algebra(text: str | None) -> AlgebraShape:
     return AlgebraShape(dims)
 
 
-def _thread_count() -> int:
-    """Hardware count, capped by the NCUP_THREADS environment variable."""
-    hardware = os.cpu_count() or 1
-    raw = os.environ.get("NCUP_THREADS")
-    if raw is None:
-        return hardware
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise InputError(f"NCUP_THREADS must be an integer, got {raw!r}") from exc
-    if cap < 1:
-        raise InputError(f"NCUP_THREADS must be positive, got {cap}")
-    return min(cap, hardware)
-
-
 def _require_p(config: RunConfig) -> int:
     if config.p is None:
         raise InputError("--p is required for this command")
@@ -141,8 +120,7 @@ def _cmd_certify(config: RunConfig):
     tau = _load_frame(config.frame_tau, "--frame-tau")
     omega = _load_frame(config.frame_omega, "--frame-omega")
     x = _load_vector(config.vector)
-    cert = certify(tau, omega, x, rel_tol=config.rel_tol)
-    chain = proof_chain_check(tau, omega, x, rel_tol=config.rel_tol)
+    cert, chain = evaluate(tau, omega, x, rel_tol=config.rel_tol)
     chain_rows = [
         [name, float(lhs), float(rhs), bool(holds)] for name, lhs, rhs, holds in chain
     ]
@@ -173,6 +151,10 @@ def _cmd_coherence(config: RunConfig):
     tau = _load_frame(config.frame_tau, "--frame-tau")
     omega = _load_frame(config.frame_omega, "--frame-omega")
     mu = coherence(tau, omega)
+    if not math.isfinite(mu * mu):
+        raise InputError(
+            f"coherence {mu:.3e} overflows when squared: the frames' entries are too large"
+        )
     report = _report(
         "coherence",
         {},
@@ -209,7 +191,6 @@ def _cmd_audit(config: RunConfig):
         config.trials,
         seed=config.seed,
         rel_tol=config.rel_tol,
-        threads=_thread_count(),
     )
     summary = {k: v for k, v in result.items() if k != "records"}
     summary_line = _report(
@@ -290,7 +271,7 @@ def run(config: RunConfig) -> int:
         code, text = _HANDLERS[config.command](config)
         _emit(text, config.out)
         return code
-    except (InputError, NotAFrameError, NonParsevalFrameError, GenerationError) as exc:
+    except NcupError as exc:
         print(f"ncup: error: {exc}", file=sys.stderr)
         return 2
 

@@ -281,6 +281,19 @@ def _check_frame_vector(frame: ModularFrame, x: ModuleVector) -> None:
         )
 
 
+def _validate_indices(count: int, indices, name: str) -> list[int]:
+    """Sorted copy of distinct indices into range(count)."""
+    out = []
+    for i in indices:
+        j = int(i)
+        if not 0 <= j < count:
+            raise InputError(f"{name} index {j} out of range 0..{count - 1}")
+        out.append(j)
+    if len(set(out)) != len(out):
+        raise InputError(f"{name} contains repeated indices")
+    return sorted(out)
+
+
 def analysis(frame: ModularFrame, x: ModuleVector) -> AnalysisCoefficients:
     """Coefficient sequence (<x, tau_n>)_n."""
     _check_frame_vector(frame, x)
@@ -316,9 +329,14 @@ def frame_operator(frame: ModularFrame) -> ModuleOperator:
 
 
 def _parseval_residual(frame: ModularFrame) -> float:
-    """Operator norm of S - I, from the eigenvalues of its Hermitian part."""
+    """Operator norm of S - I, from the eigenvalues of its Hermitian part.
+
+    Infinite when S overflows: eigvalsh returns zeros for a non-finite input.
+    """
     worst = 0.0
     for s in frame_operator(frame).mats:
+        if not np.isfinite(s).all():
+            return np.inf
         defect = (s + s.conj().T) / 2.0 - np.eye(len(s))
         worst = max(worst, float(np.abs(np.linalg.eigvalsh(defect)).max()))
     return worst
@@ -366,9 +384,12 @@ def _cross_grams(tau: ModularFrame, omega: ModularFrame) -> list[np.ndarray]:
             f"frames live in different modules: shape {tau.shape.block_dims} "
             f"d={tau.d} vs shape {omega.shape.block_dims} d={omega.d}"
         )
+    grams = [t @ w.conj().T for t, w in zip(tau.mats, omega.mats)]
+    if not all(np.isfinite(g).all() for g in grams):
+        raise InputError("cross Gram overflows: the frames' entries are too large")
     return [
-        (t @ w.conj().T).reshape(tau.count, n, omega.count, n).transpose(0, 2, 1, 3)
-        for n, t, w in zip(tau.shape.block_dims, tau.mats, omega.mats)
+        g.reshape(tau.count, n, omega.count, n).transpose(0, 2, 1, 3)
+        for n, g in zip(tau.shape.block_dims, grams)
     ]
 
 
@@ -382,15 +403,19 @@ def coherence(tau: ModularFrame, omega: ModularFrame) -> float:
     return float(cross_gram_norms(tau, omega).max())
 
 
+def _support_mask(norms: np.ndarray, rel_tol: float) -> np.ndarray:
+    """True where a norm exceeds rel_tol times the largest along the last axis.
+
+    All False for an all-zero (or NaN) row.
+    """
+    return norms > rel_tol * norms.max(axis=-1, keepdims=True)
+
+
 def support(coeffs: AnalysisCoefficients, rel_tol: float = SUPPORT_REL_TOL) -> list[int]:
     """Indices whose coefficient norm exceeds rel_tol times the largest one."""
     if rel_tol < 0:
         raise InputError(f"rel_tol must be nonnegative, got {rel_tol}")
-    norms = coeffs.norms()
-    peak = norms.max()
-    if peak == 0.0:
-        return []
-    return [int(n) for n in np.nonzero(norms > rel_tol * peak)[0]]
+    return np.flatnonzero(_support_mask(coeffs.norms(), rel_tol)).tolist()
 
 
 def sparsity(coeffs: AnalysisCoefficients, rel_tol: float = SUPPORT_REL_TOL) -> int:

@@ -25,7 +25,7 @@ import numpy as np
 from .algebra import AlgebraShape
 from .csmodule import ModuleVector
 from .errors import InputError
-from .frames import SUPPORT_REL_TOL, ModularFrame, _entry_norms
+from .frames import SUPPORT_REL_TOL, ModularFrame, _entry_norms, _support_mask, _validate_indices
 
 __all__ = [
     "PrimeDim",
@@ -174,27 +174,11 @@ def vector_support(x: ModuleVector, rel_tol: float = SUPPORT_REL_TOL) -> list[in
     """Coordinates whose norm exceeds rel_tol times the largest one."""
     if rel_tol < 0:
         raise InputError(f"rel_tol must be nonnegative, got {rel_tol}")
-    norms = vector_entry_norms(x)
-    peak = norms.max()
-    if peak == 0.0:
-        return []
-    return [int(j) for j in np.nonzero(norms > rel_tol * peak)[0]]
+    return np.flatnonzero(_support_mask(vector_entry_norms(x), rel_tol)).tolist()
 
 
 def vector_sparsity(x: ModuleVector, rel_tol: float = SUPPORT_REL_TOL) -> int:
     return len(vector_support(x, rel_tol=rel_tol))
-
-
-def _validate_indices(p: int, indices, name: str) -> list[int]:
-    out = []
-    for i in indices:
-        j = int(i)
-        if not 0 <= j < p:
-            raise InputError(f"{name} index {j} out of range 0..{p - 1}")
-        out.append(j)
-    if len(set(out)) != len(out):
-        raise InputError(f"{name} contains repeated indices")
-    return sorted(out)
 
 
 def chebotarev_minor_nonsingular(p, rows, cols, threshold: float = RANK_TOL) -> bool:
@@ -243,10 +227,15 @@ def _delta_supports(p: int, threshold: float) -> tuple[list[int], list[int]]:
     """Support and Fourier support of the scalar spike at index 0."""
     x = np.zeros(p, dtype=np.complex128)
     x[0] = 1.0
-    xh = dft_matrix(p) @ x
-    sup = [int(j) for j in np.nonzero(np.abs(x) > threshold * np.abs(x).max())[0]]
-    fsup = [int(k) for k in np.nonzero(np.abs(xh) > threshold * np.abs(xh).max())[0]]
-    return sup, fsup
+    return _supports(x, dft_matrix(p) @ x, threshold)
+
+
+def _supports(x: np.ndarray, xh: np.ndarray, threshold: float) -> tuple[list[int], list[int]]:
+    """Thresholded supports of a scalar vector and of its transform."""
+    return (
+        np.flatnonzero(_support_mask(np.abs(x), threshold)).tolist(),
+        np.flatnonzero(_support_mask(np.abs(xh), threshold)).tolist(),
+    )
 
 
 def _layer_pairs_exhaustive(p: int, w: np.ndarray, threshold: float):
@@ -291,10 +280,7 @@ def _pattern_witness(p: int, w: np.ndarray, t, omega, threshold: float):
         coeffs[0] = 1.0
     x = np.zeros(p, dtype=np.complex128)
     x[list(t)] = coeffs
-    xh = w @ x
-    sup = [int(j) for j in np.nonzero(np.abs(x) > threshold * np.abs(x).max())[0]]
-    fsup = [int(k) for k in np.nonzero(np.abs(xh) > threshold * np.abs(xh).max())[0]]
-    return x, sup, fsup
+    return (x, *_supports(x, w @ x, threshold))
 
 
 def tao_min_sum(
@@ -462,27 +448,24 @@ def conjecture_audit(
                 + 1j * rng.standard_normal((m, p, n, n))
             ) / np.sqrt(2.0)
             x_blocks.append(g * mask[:, :, None, None])
-        h_blocks = [np.einsum("kj,tjab->tkab", w, xb) for xb in x_blocks]
-
-        def counts(blocks):
-            per_block = [
-                np.linalg.svd(b, compute_uv=False)[..., 0] for b in blocks
-            ]
-            norms = np.max(per_block, axis=0)
-            peak = norms.max(axis=1)
-            return (norms > rel_tol * peak[:, None]).sum(axis=1), norms
-
-        s_counts, x_norms = counts(x_blocks)
-        t_counts, h_norms = counts(h_blocks)
-        sums = s_counts + t_counts
+        # x_hat_k = sum_j w[k, j] x_j for every trial at once: one GEMM per block
+        h_blocks = [
+            (w @ xb.transpose(1, 0, 2, 3).reshape(p, -1))
+            .reshape(p, m, n, n)
+            .transpose(1, 0, 2, 3)
+            for n, xb in zip(shape.block_dims, x_blocks)
+        ]
+        x_supp = _support_mask(_entry_norms(x_blocks), rel_tol)
+        h_supp = _support_mask(_entry_norms(h_blocks), rel_tol)
+        sums = x_supp.sum(axis=1) + h_supp.sum(axis=1)
         batch_min = int(sums.min())
         if min_sum is None or batch_min < min_sum:
             min_sum = batch_min
         for i in np.nonzero(sums <= p)[0]:
             if len(vector_violations) >= 10:
                 break
-            sup = [int(j) for j in np.nonzero(x_norms[i] > rel_tol * x_norms[i].max())[0]]
-            fsup = [int(k) for k in np.nonzero(h_norms[i] > rel_tol * h_norms[i].max())[0]]
+            sup = np.flatnonzero(x_supp[i]).tolist()
+            fsup = np.flatnonzero(h_supp[i]).tolist()
             vec = ModuleVector(shape, p, [xb[i] for xb in x_blocks])
             feasible = pattern_feasible_minor(p, sup, fsup, threshold)
             vector_violations.append(

@@ -6,15 +6,15 @@ effectively nonzero analysis coefficients against each frame obeys
     s_tau * s_omega >= 1 / mu**2,    mu = max ||<tau_n, omega_m>||,
 
 together with the additive consequence ((s_tau + s_omega)/2)**2 >= 1/mu**2.
-certify evaluates both on a concrete instance, proof_chain_check replays
-the inequality chain behind the bound step by step, and
-support_pair_feasible is an independent linear-algebra oracle deciding
-whether a given pair of coefficient supports is achievable at all.
+evaluate checks both on a concrete instance and replays the inequality
+chain behind the bound step by step (certify and proof_chain_check return
+one half each), and support_pair_feasible is an independent linear-algebra
+oracle deciding whether a given pair of coefficient supports is achievable
+at all.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,16 +27,16 @@ from .frames import (
     ModularFrame,
     _cross_grams,
     _entry_norms,
+    _validate_indices,
     analysis,
-    coherence,
     is_parseval,
     random_parseval_frame,
-    sparsity,
     support,
 )
 
 __all__ = [
     "UncertaintyCertificate",
+    "evaluate",
     "certify",
     "proof_chain_check",
     "support_pair_feasible",
@@ -106,52 +106,19 @@ def _check_rel_tol(rel_tol: float) -> None:
         raise InputError(f"rel_tol must lie in [0, 1), got {rel_tol}")
 
 
-def certify(
+def evaluate(
     tau: ModularFrame,
     omega: ModularFrame,
     x: ModuleVector,
     rel_tol: float = SUPPORT_REL_TOL,
-) -> UncertaintyCertificate:
-    """Evaluate both uncertainty inequalities for x against the frame pair.
+) -> tuple[UncertaintyCertificate, list[tuple[str, float, float, bool]]]:
+    """Certificate and replayed proof chain for one instance (tau, omega, x).
 
     Both frames must pass the Parseval check at 1e-8 and x must be
-    nonzero; violations raise NonParsevalFrameError / InputError.  A false
-    product_holds on valid input signals an implementation bug, not new
-    mathematics.
-    """
-    _check_rel_tol(rel_tol)
-    _require_parseval(tau, "first (tau)")
-    _require_parseval(omega, "second (omega)")
-    _require_nonzero(x)
-    s_tau = sparsity(analysis(tau, x), rel_tol=rel_tol)
-    s_omega = sparsity(analysis(omega, x), rel_tol=rel_tol)
-    mu = coherence(tau, omega)
-    if mu <= 0.0:
-        raise InputError("coherence is zero; frame pair is degenerate")
-    rhs = 1.0 / mu**2
-    product_lhs = s_tau * s_omega
-    additive_lhs = ((s_tau + s_omega) / 2.0) ** 2
-    return UncertaintyCertificate(
-        s_tau=s_tau,
-        s_omega=s_omega,
-        mu=float(mu),
-        product_lhs=product_lhs,
-        additive_lhs=additive_lhs,
-        rhs=float(rhs),
-        product_holds=bool(product_lhs >= rhs - SLACK_TOL),
-        additive_holds=bool(additive_lhs >= rhs - SLACK_TOL),
-        slack=float(product_lhs - rhs),
-    )
-
-
-def proof_chain_check(
-    tau: ModularFrame,
-    omega: ModularFrame,
-    x: ModuleVector,
-    rel_tol: float = SUPPORT_REL_TOL,
-    tol: float = CHAIN_TOL,
-) -> list[tuple[str, float, float, bool]]:
-    """Replay the chain of norms behind the product bound on one instance.
+    nonzero; violations raise NonParsevalFrameError / InputError.  The
+    checks, both analyses, both supports and the cross Gram are computed
+    once and shared by the two results; certify and proof_chain_check
+    return one half each.
 
     With T, Omega the supports of the two coefficient sequences, u the
     omega-coefficients of x restricted to Omega, and w_n the cross
@@ -164,9 +131,9 @@ def proof_chain_check(
                <= mu^2 |T| |Omega| ||<u,u>||
                <= mu^2 |T| |Omega| ||x||^2,
 
-    which forces |T| |Omega| >= 1/mu^2.  Returns one (step_name, lhs, rhs,
-    holds) tuple per link; equalities and inequalities are tested with
-    relative tolerance tol.
+    which forces |T| |Omega| >= 1/mu^2.  The chain is one (step_name, lhs,
+    rhs, holds) tuple per link; equalities and inequalities are tested
+    with relative tolerance CHAIN_TOL.
     """
     _check_rel_tol(rel_tol)
     _require_parseval(tau, "first (tau)")
@@ -179,6 +146,25 @@ def proof_chain_check(
     supp_o = support(coeff_omega, rel_tol=rel_tol)
     grams = _cross_grams(tau, omega)
     cross = _entry_norms(grams)
+    mu = float(cross.max())
+    if mu <= 0.0:
+        raise InputError("coherence is zero; frame pair is degenerate")
+
+    s_tau, s_omega = len(supp_t), len(supp_o)
+    rhs = 1.0 / mu**2
+    product_lhs = s_tau * s_omega
+    additive_lhs = ((s_tau + s_omega) / 2.0) ** 2
+    cert = UncertaintyCertificate(
+        s_tau=s_tau,
+        s_omega=s_omega,
+        mu=mu,
+        product_lhs=product_lhs,
+        additive_lhs=additive_lhs,
+        rhs=rhs,
+        product_holds=bool(product_lhs >= rhs - SLACK_TOL),
+        additive_holds=bool(additive_lhs >= rhs - SLACK_TOL),
+        slack=float(product_lhs - rhs),
+    )
 
     v0 = norm(inner_product(x, x))
 
@@ -201,19 +187,16 @@ def proof_chain_check(
     norm_g = norm(AlgebraElement(x.shape, gram_u))
     v2 = float(_entry_norms(gram_w).sum() * norm_g)
     v3 = float((cross[np.ix_(supp_t, supp_o)] ** 2).sum() * norm_g)
-
-    mu = float(cross.max())
-    count = len(supp_t) * len(supp_o)
-    v4 = mu**2 * count * norm_g
-    v5 = mu**2 * count * v0
+    v4 = mu**2 * product_lhs * norm_g
+    v5 = mu**2 * product_lhs * v0
 
     def eq(a: float, b: float) -> bool:
-        return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+        return abs(a - b) <= CHAIN_TOL * max(1.0, abs(a), abs(b))
 
     def le(a: float, b: float) -> bool:
-        return a <= b + tol * max(1.0, abs(a), abs(b))
+        return a <= b + CHAIN_TOL * max(1.0, abs(a), abs(b))
 
-    return [
+    chain = [
         ("parseval_support_identity", v0, v1, eq(v0, v1)),
         ("dual_frame_expansion", v1, v1x, eq(v1, v1x)),
         ("cauchy_schwarz", v1x, v2, le(v1x, v2)),
@@ -221,23 +204,39 @@ def proof_chain_check(
         ("coherence_sup", v3, v4, le(v3, v4)),
         ("support_count_parseval", v4, v5, le(v4, v5)),
     ]
+    return cert, chain
+
+
+def certify(
+    tau: ModularFrame,
+    omega: ModularFrame,
+    x: ModuleVector,
+    rel_tol: float = SUPPORT_REL_TOL,
+) -> UncertaintyCertificate:
+    """Evaluate both uncertainty inequalities for x against the frame pair.
+
+    The certificate half of evaluate.  A false product_holds on valid
+    input signals an implementation bug, not new mathematics.
+    """
+    return evaluate(tau, omega, x, rel_tol)[0]
+
+
+def proof_chain_check(
+    tau: ModularFrame,
+    omega: ModularFrame,
+    x: ModuleVector,
+    rel_tol: float = SUPPORT_REL_TOL,
+) -> list[tuple[str, float, float, bool]]:
+    """Replay the chain of norms behind the product bound on one instance.
+
+    The chain half of evaluate, which documents the six steps.
+    """
+    return evaluate(tau, omega, x, rel_tol)[1]
 
 
 def _block_cols(indices, n: int) -> np.ndarray:
     """Column indices of the n-wide column blocks numbered by indices."""
     return (np.asarray(indices, dtype=int)[:, None] * n + np.arange(n)).ravel()
-
-
-def _validate_subset(count: int, indices, name: str) -> list[int]:
-    out = []
-    for i in indices:
-        j = int(i)
-        if not 0 <= j < count:
-            raise InputError(f"{name} index {j} out of range 0..{count - 1}")
-        out.append(j)
-    if len(set(out)) != len(out):
-        raise InputError(f"{name} contains repeated indices")
-    return sorted(out)
 
 
 def support_pair_feasible(
@@ -261,8 +260,8 @@ def support_pair_feasible(
             f"frames live in different modules: shape {tau.shape.block_dims} "
             f"d={tau.d} vs shape {omega.shape.block_dims} d={omega.d}"
         )
-    supp_t = _validate_subset(tau.count, support_t, "support")
-    supp_o = _validate_subset(omega.count, support_omega, "fourier support")
+    supp_t = _validate_indices(tau.count, support_t, "support")
+    supp_o = _validate_indices(omega.count, support_omega, "fourier support")
     comp_t = sorted(set(range(tau.count)) - set(supp_t))
     comp_o = sorted(set(range(omega.count)) - set(supp_o))
 
@@ -315,12 +314,11 @@ def random_audit(
     trials: int,
     seed: int = 0,
     rel_tol: float = SUPPORT_REL_TOL,
-    threads: int = 1,
 ) -> dict:
     """Certify `trials` random Parseval pairs with random nonzero vectors.
 
-    Each trial draws its own generator from (seed, trial), so results do
-    not depend on scheduling and the whole report is reproducible.  The
+    Each trial draws its own generator from (seed, trial), so every trial
+    is reproducible on its own and so is the whole report.  The
     report counts violations (the bound guarantees zero), tracks the
     minimum slack and the tightest trial, and keeps one record per trial.
     """
@@ -329,27 +327,21 @@ def random_audit(
         raise InputError(f"trials must be positive, got {trials}")
     _check_rel_tol(rel_tol)
 
-    def one_trial(t: int) -> dict:
+    records = []
+    for t in range(trials):
         rng = np.random.default_rng((seed, t))
         tau = random_parseval_frame(shape, d, n_tau, rng)
         omega = random_parseval_frame(shape, d, n_omega, rng)
         x = random_vector(shape, d, rng)
         while module_norm(x) <= ZERO_VECTOR_TOL:
             x = random_vector(shape, d, rng)
-        cert = certify(tau, omega, x, rel_tol=rel_tol)
-        chain = proof_chain_check(tau, omega, x, rel_tol=rel_tol)
+        cert, chain = evaluate(tau, omega, x, rel_tol=rel_tol)
         record = {"trial": t, **cert.to_dict()}
         record["chain_holds"] = all(holds for *_, holds in chain)
         failing = [name for name, _, _, holds in chain if not holds]
         if failing:
             record["failing_steps"] = failing
-        return record
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(one_trial, range(trials)))
-    else:
-        records = [one_trial(t) for t in range(trials)]
+        records.append(record)
 
     violations = sum(
         1

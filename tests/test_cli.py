@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from ncup import AlgebraShape, ModularFrame, basis_vector, module_norm
+from ncup import AlgebraShape, ModularFrame, SingularOperatorError, basis_vector, cli, module_norm
 from ncup.csmodule import vec_sub
 from ncup.ncft import dirac_comb, fourier_frame, standard_frame
 
@@ -149,6 +149,43 @@ def test_parsevalize_rejects_overflowing_frame(tmp_path):
     assert proc.returncode == 2
     assert "overflows" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "command, omega, message",
+    [
+        ("coherence", "huge", "cross Gram overflows"),
+        ("coherence", "omega", "overflows when squared"),
+        ("certify", "omega", "first (tau) frame is not Parseval"),
+    ],
+)
+def test_overflowing_frame_rejected(comb_files, tmp_path, command, omega, message):
+    payload = json.loads(comb_files["tau"].read_text())
+    payload["vectors"][0]["entries"][0]["blocks"][0][0][0] = [1e300, 0.0]
+    payload["parseval"] = False
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(payload))
+    files = {"huge": huge, **comb_files}
+    args = ["--frame-tau", str(huge), "--frame-omega", str(files[omega])]
+    if command == "certify":
+        args += ["--vector", str(comb_files["x"])]
+    proc = run_cli(command, *args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_every_package_error_exits_2(monkeypatch, capsys):
+    def singular(config):
+        raise SingularOperatorError("operator is singular")
+
+    monkeypatch.setitem(cli._HANDLERS, "tao", singular)
+    assert cli.run(cli.RunConfig(command="tao", p=7)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "ncup: error: operator is singular" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_certify_rejects_bad_rel_tol(comb_files):

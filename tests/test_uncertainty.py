@@ -9,6 +9,7 @@ from ncup import (
     NonParsevalFrameError,
     basis_vector,
     certify,
+    evaluate,
     module_norm,
     proof_chain_check,
     random_audit,
@@ -16,6 +17,7 @@ from ncup import (
     random_vector,
     support_pair_feasible,
 )
+from ncup import frames, uncertainty
 from ncup.csmodule import vec_scale
 from ncup.ncft import dirac_comb, fourier_frame, standard_frame
 
@@ -142,6 +144,39 @@ def test_proof_chain_exact_identity_steps(shape, rng):
     assert holds and abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs))
 
 
+def test_evaluate_halves_are_certify_and_chain(shape, rng):
+    d = 3
+    tau = random_parseval_frame(shape, d, d + 1, rng)
+    omega = random_parseval_frame(shape, d, d + 2, rng)
+    x = random_vector(shape, d, rng)
+    cert, chain = evaluate(tau, omega, x, rel_tol=1e-6)
+    assert cert == certify(tau, omega, x, rel_tol=1e-6)
+    assert chain == proof_chain_check(tau, omega, x, rel_tol=1e-6)
+
+
+def test_evaluate_computes_each_intermediate_once(monkeypatch, rng):
+    d = 3
+    tau = random_parseval_frame(M2, d, d + 1, rng)
+    omega = random_parseval_frame(M2, d, d + 2, rng)
+    x = random_vector(M2, d, rng)
+    calls = {}
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(frames, "frame_operator")
+    count(uncertainty, "analysis")
+    count(uncertainty, "_cross_grams")
+    evaluate(tau, omega, x)
+    assert calls == {"frame_operator": 2, "analysis": 2, "_cross_grams": 1}
+
+
 def test_support_pair_feasible_examples():
     tau = standard_frame(C, 4)
     omega = fourier_frame(C, 4)
@@ -209,13 +244,6 @@ def test_random_audit_additive_dominates_product(shape):
     for rec in report["records"]:
         gm = 2 * np.sqrt(rec["s_tau"] * rec["s_omega"])
         assert rec["additive_lhs"] >= gm - 1e-12
-
-
-def test_random_audit_threaded_matches_serial():
-    kwargs = dict(d=2, n_tau=3, n_omega=4, trials=12, seed=5)
-    serial = random_audit(C, threads=1, **kwargs)
-    threaded = random_audit(C, threads=4, **kwargs)
-    assert serial == threaded
 
 
 def test_random_audit_validates_arguments():
