@@ -25,15 +25,9 @@ from . import __version__
 from .algebra import AlgebraShape
 from .csmodule import ModuleVector
 from .errors import InputError, NcupError, NonParsevalFrameError
-from .frames import ModularFrame, coherence, parsevalize
-from .ncft import RANK_TOL, conjecture_audit, tao_min_sum
-from .uncertainty import (
-    CHAIN_TOL,
-    PARSEVAL_CHECK_TOL,
-    SLACK_TOL,
-    evaluate,
-    random_audit,
-)
+from .frames import PARSEVAL_TOL, RANK_TOL, ModularFrame, coherence, parsevalize
+from .ncft import conjecture_audit, tao_min_sum
+from .uncertainty import CHAIN_TOL, SLACK_TOL, evaluate, random_audit
 
 __all__ = ["RunConfig", "run", "main"]
 
@@ -133,7 +127,7 @@ def _cmd_certify(config: RunConfig):
         "certify",
         {
             "rel_tol": config.rel_tol,
-            "parseval_tol": PARSEVAL_CHECK_TOL,
+            "parseval_tol": PARSEVAL_TOL,
             "slack_tol": SLACK_TOL,
             "chain_tol": CHAIN_TOL,
         },
@@ -170,7 +164,7 @@ def _cmd_parsevalize(config: RunConfig):
     except NonParsevalFrameError as exc:
         report = _report(
             "parsevalize",
-            {"parseval_tol": PARSEVAL_CHECK_TOL},
+            {"parseval_tol": PARSEVAL_TOL},
             {"holds": False, "diagnosis": "implementation-defect", "error": str(exc)},
         )
         return 1, _canonical(report) + "\n"
@@ -195,7 +189,7 @@ def _cmd_audit(config: RunConfig):
     summary = {k: v for k, v in result.items() if k != "records"}
     summary_line = _report(
         "audit",
-        {"rel_tol": config.rel_tol, "slack_tol": SLACK_TOL, "parseval_tol": PARSEVAL_CHECK_TOL},
+        {"rel_tol": config.rel_tol, "slack_tol": SLACK_TOL, "parseval_tol": PARSEVAL_TOL},
         {"summary": summary},
     )
     lines = [_canonical(r) for r in result["records"]]

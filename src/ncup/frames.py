@@ -52,12 +52,16 @@ __all__ = [
     "random_parseval_frame",
 ]
 
-# A frame written to disk is declared Parseval at this tolerance, and the
-# claim is re-verified at the same tolerance when a file is loaded.
-PARSEVAL_FILE_TOL = 1e-8
+# The one Parseval decision: a frame counts as Parseval when its frame
+# operator is within this of the identity.  Files declare and re-verify
+# the claim at it, certificates require it, and parsevalize must reach it.
+PARSEVAL_TOL = 1e-8
 
 # Default relative threshold separating zero coefficients from nonzero ones.
 SUPPORT_REL_TOL = 1e-8
+
+# Relative singular-value cutoff for every rank decision (see _numeric_rank).
+RANK_TOL = 1e-10
 
 PARSEVALIZE_MAX_RETRIES = 50
 
@@ -70,7 +74,7 @@ def _entry_norms(stacks) -> np.ndarray:
 class ModularFrame:
     """Finite vector family in A^d, stored per block as an (N*n, d*n) matrix."""
 
-    __slots__ = ("shape", "d", "count", "mats")
+    __slots__ = ("shape", "d", "count", "mats", "_residual")
 
     def __init__(self, shape: AlgebraShape, d: int, blocks) -> None:
         d = int(d)
@@ -90,12 +94,14 @@ class ModularFrame:
         self.shape = shape
         self.d = d
         self.count = int(count)
+        self._residual = None
 
     @classmethod
     def _from_mats(cls, shape: AlgebraShape, d: int, count: int, mats) -> "ModularFrame":
         frame = cls.__new__(cls)
         frame.shape, frame.d, frame.count = shape, d, count
         frame.mats = tuple(_freeze(m) for m in mats)
+        frame._residual = None
         return frame
 
     @property
@@ -151,7 +157,7 @@ class ModularFrame:
                 _vector_payload(self.shape, [blk[k] for blk in encoded], self.d)
                 for k in range(self.count)
             ],
-            "parseval": bool(is_parseval(self, tol=PARSEVAL_FILE_TOL)),
+            "parseval": bool(is_parseval(self, tol=PARSEVAL_TOL)),
         }
 
     @classmethod
@@ -201,10 +207,10 @@ class ModularFrame:
         claimed = payload["parseval"]
         if not isinstance(claimed, bool):
             raise InputError(f"{where}: 'parseval' must be a boolean")
-        if claimed and not is_parseval(frame, tol=PARSEVAL_FILE_TOL):
+        if claimed and not is_parseval(frame, tol=PARSEVAL_TOL):
             raise InputError(
                 f"{where}: file claims a Parseval frame but the frame operator "
-                f"deviates from the identity by more than {PARSEVAL_FILE_TOL:g}"
+                f"deviates from the identity by more than {PARSEVAL_TOL:g}"
             )
         return frame
 
@@ -331,15 +337,21 @@ def frame_operator(frame: ModularFrame) -> ModuleOperator:
 def _parseval_residual(frame: ModularFrame) -> float:
     """Operator norm of S - I, from the eigenvalues of its Hermitian part.
 
+    Measured once per frame (frames are immutable) and kept on it.
     Infinite when S overflows: eigvalsh returns zeros for a non-finite input.
     """
-    worst = 0.0
-    for s in frame_operator(frame).mats:
-        if not np.isfinite(s).all():
-            return np.inf
-        defect = (s + s.conj().T) / 2.0 - np.eye(len(s))
-        worst = max(worst, float(np.abs(np.linalg.eigvalsh(defect)).max()))
-    return worst
+    if frame._residual is None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            ops = frame_operator(frame).mats
+        worst = 0.0
+        for s in ops:
+            if not np.isfinite(s).all():
+                worst = np.inf
+                break
+            defect = (s + s.conj().T) / 2.0 - np.eye(len(s))
+            worst = max(worst, float(np.abs(np.linalg.eigvalsh(defect)).max()))
+        frame._residual = worst
+    return frame._residual
 
 
 def is_parseval(frame: ModularFrame, tol: float = 1e-10) -> bool:
@@ -357,7 +369,8 @@ def parsevalize(frame: ModularFrame, tol: float = 1e-10) -> ModularFrame:
     NonParsevalFrameError if the corrected frame operator still deviates
     from the identity beyond 1e-8, which signals a badly conditioned input.
     """
-    s = frame_operator(frame)
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = frame_operator(frame)
     if not all(np.isfinite(m).all() for m in s.mats):
         raise InputError("frame operator overflows: the frame's entries are too large")
     try:
@@ -370,7 +383,7 @@ def parsevalize(frame: ModularFrame, tol: float = 1e-10) -> ModularFrame:
         frame.shape, frame.d, frame.count, [t @ pm for t, pm in zip(frame.mats, p.mats)]
     )
     residual = _parseval_residual(fixed)
-    if residual > PARSEVAL_FILE_TOL:
+    if residual > PARSEVAL_TOL:
         raise NonParsevalFrameError(
             f"normalization left a frame-operator residual of {residual:.3e}"
         )
@@ -384,7 +397,8 @@ def _cross_grams(tau: ModularFrame, omega: ModularFrame) -> list[np.ndarray]:
             f"frames live in different modules: shape {tau.shape.block_dims} "
             f"d={tau.d} vs shape {omega.shape.block_dims} d={omega.d}"
         )
-    grams = [t @ w.conj().T for t, w in zip(tau.mats, omega.mats)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        grams = [t @ w.conj().T for t, w in zip(tau.mats, omega.mats)]
     if not all(np.isfinite(g).all() for g in grams):
         raise InputError("cross Gram overflows: the frames' entries are too large")
     return [
@@ -409,6 +423,14 @@ def _support_mask(norms: np.ndarray, rel_tol: float) -> np.ndarray:
     All False for an all-zero (or NaN) row.
     """
     return norms > rel_tol * norms.max(axis=-1, keepdims=True)
+
+
+def _numeric_rank(sv: np.ndarray, ref, threshold: float):
+    """Count of singular values above threshold times ref, along the last axis.
+
+    The one rank decision: a value at or below the cutoff counts as zero.
+    """
+    return np.count_nonzero(sv > threshold * ref, axis=-1)
 
 
 def support(coeffs: AnalysisCoefficients, rel_tol: float = SUPPORT_REL_TOL) -> list[int]:

@@ -10,9 +10,11 @@ search routines here decide support-pattern feasibility through exactly
 that minor criterion: a nonzero x with supp(x) inside T and supp(x_hat)
 inside Omega exists iff the minor on rows (complement of Omega) and
 columns T is rank deficient.  Because the transform acts coordinatewise,
-the same criterion settles feasibility for algebra-valued x, and the
-audit cross-checks the reduction against a kernel search in the full
-complex flattening.
+the same criterion settles feasibility for algebra-valued x; the audit
+cross-checks that reduction with uncertainty.support_pair_feasible on the
+standard and Fourier frames over A, which decides each pattern from the
+frame matrices without the minor.  Every rank verdict goes through
+frames._numeric_rank at RANK_TOL.
 """
 
 from __future__ import annotations
@@ -25,7 +27,16 @@ import numpy as np
 from .algebra import AlgebraShape
 from .csmodule import ModuleVector
 from .errors import InputError
-from .frames import SUPPORT_REL_TOL, ModularFrame, _entry_norms, _support_mask, _validate_indices
+from .frames import (
+    RANK_TOL,
+    SUPPORT_REL_TOL,
+    ModularFrame,
+    _entry_norms,
+    _numeric_rank,
+    _support_mask,
+    _validate_indices,
+)
+from .uncertainty import _check_rel_tol, support_pair_feasible
 
 __all__ = [
     "PrimeDim",
@@ -44,9 +55,6 @@ __all__ = [
     "tao_min_sum",
     "conjecture_audit",
 ]
-
-# Relative singular-value threshold for every rank decision in this module.
-RANK_TOL = 1e-10
 
 EXHAUSTIVE_MAX_P = 7
 SAMPLED_MAX_P = 13
@@ -87,6 +95,11 @@ def _as_prime(p) -> int:
     if isinstance(p, PrimeDim):
         return p.p
     return PrimeDim(p).p
+
+
+def _check_sampled_cap(p: int) -> None:
+    if p > SAMPLED_MAX_P:
+        raise InputError(f"p={p} exceeds the supported maximum {SAMPLED_MAX_P}")
 
 
 def dft_matrix(d: int) -> np.ndarray:
@@ -184,8 +197,9 @@ def vector_sparsity(x: ModuleVector, rel_tol: float = SUPPORT_REL_TOL) -> int:
 def chebotarev_minor_nonsingular(p, rows, cols, threshold: float = RANK_TOL) -> bool:
     """True iff the square DFT minor on (rows, cols) is nonsingular.
 
-    Nonsingular means the smallest singular value exceeds threshold times
-    the largest.  For prime p this holds for every square minor.
+    Nonsingular means full numeric rank, i.e. the pattern (T = cols,
+    Omega = complement of rows) is infeasible.  For prime p this holds for
+    every square minor.
     """
     p = _as_prime(p)
     rows = _validate_indices(p, rows, "rows")
@@ -196,9 +210,7 @@ def chebotarev_minor_nonsingular(p, rows, cols, threshold: float = RANK_TOL) -> 
         )
     if not rows:
         raise InputError("minor must have at least one row and column")
-    minor = dft_matrix(p)[np.ix_(rows, cols)]
-    sv = np.linalg.svd(minor, compute_uv=False)
-    return bool(sv[-1] > threshold * sv[0])
+    return not pattern_feasible_minor(p, cols, sorted(set(range(p)) - set(rows)), threshold)
 
 
 def pattern_feasible_minor(
@@ -217,10 +229,8 @@ def pattern_feasible_minor(
     rows = sorted(set(range(p)) - set(om))
     if not rows:
         return True
-    minor = dft_matrix(p)[np.ix_(rows, t)]
-    sv = np.linalg.svd(minor, compute_uv=False)
-    rank = int(np.count_nonzero(sv > threshold * sv[0]))
-    return rank < len(t)
+    sv = np.linalg.svd(dft_matrix(p)[np.ix_(rows, t)], compute_uv=False)
+    return bool(_numeric_rank(sv, sv[0], threshold) < len(t))
 
 
 def _delta_supports(p: int, threshold: float) -> tuple[list[int], list[int]]:
@@ -236,6 +246,18 @@ def _supports(x: np.ndarray, xh: np.ndarray, threshold: float) -> tuple[list[int
         np.flatnonzero(_support_mask(np.abs(x), threshold)).tolist(),
         np.flatnonzero(_support_mask(np.abs(xh), threshold)).tolist(),
     )
+
+
+def _deficient_minors(w: np.ndarray, cols: np.ndarray, rows: np.ndarray, threshold: float):
+    """(T, Omega) for every rank-deficient minor w[rows[i], cols[i]] of a batch.
+
+    cols is (m, s) and rows (m, r) with r >= s; Omega is the complement of
+    the row set.
+    """
+    sv = np.linalg.svd(w[rows[:, :, None], cols[:, None, :]], compute_uv=False)
+    bad = np.flatnonzero(_numeric_rank(sv, sv[:, :1], threshold) < cols.shape[1])
+    everything = set(range(len(w)))
+    return [(cols[i].tolist(), sorted(everything - set(rows[i].tolist()))) for i in bad]
 
 
 def _layer_pairs_exhaustive(p: int, w: np.ndarray, threshold: float):
@@ -257,14 +279,8 @@ def _layer_pairs_exhaustive(p: int, w: np.ndarray, threshold: float):
                 break
             t_arr = np.array([c[0] for c in chunk])
             r_arr = np.array([c[1] for c in chunk])
-            minors = w[r_arr[:, :, None], t_arr[:, None, :]]
-            sv = np.linalg.svd(minors, compute_uv=False)
-            bad = np.nonzero(sv[:, -1] <= threshold * sv[:, 0])[0]
+            hits += _deficient_minors(w, t_arr, r_arr, threshold)
             checked += len(chunk)
-            for i in bad:
-                t = [int(v) for v in t_arr[i]]
-                omega = sorted(set(range(p)) - {int(v) for v in r_arr[i]})
-                hits.append((t, omega))
     return checked, hits
 
 
@@ -305,8 +321,7 @@ def tao_min_sum(
     p = _as_prime(p)
     if mode not in ("exhaustive", "sampled"):
         raise InputError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")
-    if p > SAMPLED_MAX_P:
-        raise InputError(f"p={p} exceeds the supported maximum {SAMPLED_MAX_P}")
+    _check_sampled_cap(p)
     if mode == "exhaustive" and p > EXHAUSTIVE_MAX_P and not force:
         raise InputError(
             f"exhaustive mode at p={p} scans ~C(2p,p) minors; pass force=True "
@@ -333,13 +348,7 @@ def tao_min_sum(
             perm_o = np.argsort(rng.random((m, p)), axis=1)
             supp_t = np.sort(perm_t[:, :s], axis=1)
             rows = np.sort(perm_o[:, t:], axis=1)
-            minors = w[rows[:, :, None], supp_t[:, None, :]]
-            sv = np.linalg.svd(minors, compute_uv=False)
-            bad = np.nonzero(sv[:, -1] <= threshold * sv[:, 0])[0]
-            for i in bad:
-                t_set = [int(v) for v in supp_t[i]]
-                omega = sorted(np.sort(perm_o[i, :t]).tolist())
-                hits.append((t_set, [int(v) for v in omega]))
+            hits += _deficient_minors(w, supp_t, rows, threshold)
 
     min_sum = None
     witness = None
@@ -374,27 +383,6 @@ def tao_min_sum(
     return report
 
 
-def _flattening_feasible(
-    w: np.ndarray, p: int, t, omega, block_dims, threshold: float
-) -> bool:
-    """Kernel search for algebra-valued x in the complex flattening.
-
-    The DFT acts on each scalar coordinate of A independently, so the
-    constraint matrix is the minor tensored with an identity of size
-    dim(A).  Used as an independent check of the coordinate reduction.
-    """
-    if not t:
-        return False
-    rows = sorted(set(range(p)) - set(omega))
-    dim = sum(n * n for n in block_dims)
-    if not rows:
-        return True
-    mat = np.kron(w[np.ix_(rows, list(t))], np.eye(dim))
-    sv = np.linalg.svd(mat, compute_uv=False)
-    rank = int(np.count_nonzero(sv > threshold * sv[0]))
-    return rank < len(t) * dim
-
-
 def conjecture_audit(
     shape: AlgebraShape,
     p,
@@ -412,8 +400,9 @@ def conjecture_audit(
       structured search (p <= 5): every support pattern with sum <= p is
       tested by the scalar minor criterion (the transform acts on each
       scalar coordinate of A separately, so scalar infeasibility rules out
-      algebra-valued solutions) and cross-checked by a kernel search in
-      the complex flattening.
+      algebra-valued solutions) and cross-checked by support_pair_feasible
+      on the standard and Fourier frames over A, which decides the same
+      pattern for algebra-valued x from the frame matrices.
 
     Any recorded violation is classified: "counterexample" if the scalar
     oracle confirms the support pattern is genuinely feasible, otherwise
@@ -423,10 +412,8 @@ def conjecture_audit(
     trials = int(trials)
     if trials < 1:
         raise InputError(f"trials must be positive, got {trials}")
-    if p > SAMPLED_MAX_P:
-        raise InputError(f"p={p} exceeds the supported maximum {SAMPLED_MAX_P}")
-    if not 0 <= rel_tol < 1:
-        raise InputError(f"rel_tol must lie in [0, 1), got {rel_tol}")
+    _check_sampled_cap(p)
+    _check_rel_tol(rel_tol)
 
     w = dft_matrix(p)
     rng = np.random.default_rng(seed)
@@ -494,18 +481,19 @@ def conjecture_audit(
     crosscheck_agreed = True
     pattern_search_performed = p <= PATTERN_SEARCH_MAX_P
     if pattern_search_performed:
+        std, fourier = standard_frame(shape, p), fourier_frame(shape, p)
         for size_t in range(1, p):
             for t_set in itertools.combinations(range(p), size_t):
                 for size_o in range(1, p - size_t + 1):
                     for omega in itertools.combinations(range(p), size_o):
                         patterns_checked += 1
                         scalar = pattern_feasible_minor(p, t_set, omega, threshold)
-                        flat = _flattening_feasible(
-                            w, p, t_set, omega, shape.block_dims, threshold
+                        by_frames, _ = support_pair_feasible(
+                            std, fourier, t_set, omega, threshold
                         )
-                        if scalar != flat:
+                        if scalar != by_frames:
                             crosscheck_agreed = False
-                        if scalar or flat:
+                        if scalar or by_frames:
                             pattern_violations.append(
                                 {"support": list(t_set), "fourier_support": list(omega)}
                             )

@@ -10,7 +10,7 @@ evaluate checks both on a concrete instance and replays the inequality
 chain behind the bound step by step (certify and proof_chain_check return
 one half each), and support_pair_feasible is an independent linear-algebra
 oracle deciding whether a given pair of coefficient supports is achievable
-at all.
+at all, by a rank test on the frames' stacked constraint rows block by block.
 """
 
 from __future__ import annotations
@@ -23,10 +23,13 @@ from .algebra import AlgebraElement, norm
 from .csmodule import ModuleVector, basis_vector, inner_product, module_norm, random_vector
 from .errors import InputError, NonParsevalFrameError
 from .frames import (
+    PARSEVAL_TOL,
+    RANK_TOL,
     SUPPORT_REL_TOL,
     ModularFrame,
     _cross_grams,
     _entry_norms,
+    _numeric_rank,
     _validate_indices,
     analysis,
     is_parseval,
@@ -47,14 +50,8 @@ __all__ = [
 # but 1/mu**2 carries floating error.
 SLACK_TOL = 1e-9
 
-# Frames must pass the Parseval check at this tolerance before certifying.
-PARSEVAL_CHECK_TOL = 1e-8
-
 # Vectors at or below this module norm count as zero and are rejected.
 ZERO_VECTOR_TOL = 1e-12
-
-# Relative singular-value cutoff for the feasibility oracle's rank test.
-FEASIBILITY_TOL = 1e-10
 
 # Relative tolerance for each replayed step of the inequality chain.
 CHAIN_TOL = 1e-9
@@ -89,9 +86,9 @@ class UncertaintyCertificate:
 
 
 def _require_parseval(frame: ModularFrame, name: str) -> None:
-    if not is_parseval(frame, tol=PARSEVAL_CHECK_TOL):
+    if not is_parseval(frame, tol=PARSEVAL_TOL):
         raise NonParsevalFrameError(
-            f"{name} frame is not Parseval at tolerance {PARSEVAL_CHECK_TOL:g}; "
+            f"{name} frame is not Parseval at tolerance {PARSEVAL_TOL:g}; "
             f"run parsevalize first"
         )
 
@@ -235,7 +232,7 @@ def proof_chain_check(
 
 
 def _block_cols(indices, n: int) -> np.ndarray:
-    """Column indices of the n-wide column blocks numbered by indices."""
+    """Indices of the n-wide column (or row) blocks numbered by indices."""
     return (np.asarray(indices, dtype=int)[:, None] * n + np.arange(n)).ravel()
 
 
@@ -244,16 +241,19 @@ def support_pair_feasible(
     omega: ModularFrame,
     support_t,
     support_omega,
-    threshold: float = FEASIBILITY_TOL,
+    threshold: float = RANK_TOL,
 ) -> tuple[bool, ModuleVector | None]:
     """Can a nonzero x have tau-support inside T and omega-support inside Omega?
 
-    The constraints <x, tau_n> = 0 (n outside T) and <x, omega_m> = 0
-    (m outside Omega) are complex-linear in the coordinates of x, so the
-    question is whether the stacked constraint matrix has a nontrivial
-    kernel; singular values at or below threshold times the largest count
-    as zero.  Returns the verdict and a unit-module-norm witness when
-    feasible.
+    In block b the coefficient <x, tau_n> is X_b T_b[n]^H, with T_b[n] the
+    n-th row block of the frame matrix, so the constraints <x, tau_n> = 0
+    (n outside T) and <x, omega_m> = 0 (m outside Omega) split by block and
+    by row of X_b: each row must lie in the kernel of the stacked rows
+    T_b[n], W_b[m].  A nonzero x exists iff some block's stack has rank
+    below d*n, with singular values at or below threshold times the largest
+    one over all blocks counting as zero.  Returns the verdict and, when
+    feasible, a unit-module-norm witness: the last right singular vector of
+    that block's stack, placed in row 0 of X_b.
     """
     if tau.shape != omega.shape or tau.d != omega.d:
         raise InputError(
@@ -264,46 +264,21 @@ def support_pair_feasible(
     supp_o = _validate_indices(omega.count, support_omega, "fourier support")
     comp_t = sorted(set(range(tau.count)) - set(supp_t))
     comp_o = sorted(set(range(omega.count)) - set(supp_o))
-
     shape, d = tau.shape, tau.d
-    coords = [
-        (r, b, a, c)
-        for r in range(d)
-        for b, n in enumerate(shape.block_dims)
-        for a in range(n)
-        for c in range(n)
-    ]
-    dim = len(coords)
-
     if not comp_t and not comp_o:
         return True, basis_vector(shape, d, 0)
 
-    columns = []
-    for r, b, a, c in coords:
-        blocks = [np.zeros((d, n, n), dtype=np.complex128) for n in shape.block_dims]
-        blocks[b][r, a, c] = 1.0
-        probe = ModuleVector(shape, d, blocks)
-        ct = analysis(tau, probe)
-        co = analysis(omega, probe)
-        parts = [np.concatenate([cb[n].ravel() for cb in ct.blocks]) for n in comp_t]
-        parts += [np.concatenate([cb[m].ravel() for cb in co.blocks]) for m in comp_o]
-        columns.append(np.concatenate(parts))
-    mat = np.array(columns).T
-
-    _, sv, vh = np.linalg.svd(mat)
-    rank = int(np.count_nonzero(sv > threshold * sv[0])) if sv.size else 0
-    if rank >= dim:
-        return False, None
-
-    kernel = vh[-1].conj()
-    blocks = [np.zeros((d, n, n), dtype=np.complex128) for n in shape.block_dims]
-    for value, (r, b, a, c) in zip(kernel, coords):
-        blocks[b][r, a, c] = value
-    witness = ModuleVector(shape, d, blocks)
-    scale = module_norm(witness)
-    if scale > 0:
-        witness = ModuleVector(shape, d, [blk / scale for blk in witness.blocks])
-    return True, witness
+    svds = [
+        np.linalg.svd(np.vstack([t[_block_cols(comp_t, n)], w[_block_cols(comp_o, n)]]))
+        for n, t, w in zip(shape.block_dims, tau.mats, omega.mats)
+    ]
+    ref = max(sv[0] for _, sv, _ in svds)
+    for b, (n, (_, sv, vh)) in enumerate(zip(shape.block_dims, svds)):
+        if _numeric_rank(sv, ref, threshold) < d * n:
+            mats = [np.zeros((m, d * m), dtype=np.complex128) for m in shape.block_dims]
+            mats[b][0] = vh[-1]
+            return True, ModuleVector._from_mats(shape, d, mats)
+    return False, None
 
 
 def random_audit(

@@ -13,9 +13,15 @@ embeddings vertically into T, so the frame operator is T^H T and the cross
 Gram of two frames is T W^H.  Everything is rebuilt from the entries through
 this embedding; none of the library's per-block matrices are reused, so
 agreement is a genuine cross-check.
+
+oracle_support_pair_feasible decides support feasibility the slow way: it
+probes every scalar coordinate of A^d and stacks the dense coefficients
+into one constraint matrix, with no use of the block structure.
 """
 
 import numpy as np
+
+from ncup import ModuleVector, basis_vector, module_norm
 
 
 def embed_element(a) -> np.ndarray:
@@ -87,3 +93,42 @@ def oracle_min_eig(a) -> float:
     dense = embed_element(a)
     herm = (dense + dense.conj().T) / 2.0
     return float(np.linalg.eigvalsh(herm).min())
+
+
+def oracle_support_pair_feasible(tau, omega, support_t, support_omega, threshold=1e-10):
+    """Verdict and unit witness for "nonzero x with supports inside T and Omega".
+
+    Column j of the constraint matrix holds the dense coefficients
+    <e_j, tau_n> (n outside T) and <e_j, omega_m> (m outside Omega) of the
+    j-th scalar coordinate probe e_j; the pattern is feasible iff the
+    matrix's numeric rank, singular values above threshold times the
+    largest, is below the number of coordinates.
+    """
+    shape, d = tau.shape, tau.d
+    comp_t = sorted(set(range(tau.count)) - set(support_t))
+    comp_o = sorted(set(range(omega.count)) - set(support_omega))
+    if not comp_t and not comp_o:
+        return True, basis_vector(shape, d, 0)
+    coords = [
+        (r, b, a, c)
+        for r in range(d)
+        for b, n in enumerate(shape.block_dims)
+        for a in range(n)
+        for c in range(n)
+    ]
+    columns = []
+    for r, b, a, c in coords:
+        blocks = [np.zeros((d, n, n), dtype=np.complex128) for n in shape.block_dims]
+        blocks[b][r, a, c] = 1.0
+        probe = ModuleVector(shape, d, blocks)
+        ct, co = oracle_analysis(tau, probe), oracle_analysis(omega, probe)
+        parts = [ct[n].ravel() for n in comp_t] + [co[m].ravel() for m in comp_o]
+        columns.append(np.concatenate(parts))
+    _, sv, vh = np.linalg.svd(np.array(columns).T)
+    if np.count_nonzero(sv > threshold * sv[0]) >= len(coords):
+        return False, None
+    blocks = [np.zeros((d, n, n), dtype=np.complex128) for n in shape.block_dims]
+    for value, (r, b, a, c) in zip(vh[-1].conj(), coords):
+        blocks[b][r, a, c] = value
+    witness = ModuleVector(shape, d, blocks)
+    return True, ModuleVector(shape, d, [blk / module_norm(witness) for blk in witness.blocks])

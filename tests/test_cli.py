@@ -1,6 +1,7 @@
 """End-to-end checks of the command line entry point via subprocess."""
 
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -139,6 +140,13 @@ def test_non_finite_values_rejected(comb_files, command, target, value):
     assert f"{path}: {where}: non-finite value" in proc.stderr
 
 
+def assert_single_error_line(stderr, message):
+    """stderr is the one error line: no traceback, no numpy warnings."""
+    lines = stderr.splitlines()
+    assert len(lines) == 1, stderr
+    assert lines[0].startswith("ncup: error: ") and message in lines[0]
+
+
 def test_parsevalize_rejects_overflowing_frame(tmp_path):
     payload = ModularFrame.from_vectors([basis_vector(C, 2, 0), basis_vector(C, 2, 1)]).to_dict()
     payload["vectors"][0]["entries"][0]["blocks"][0][0][0] = [1e300, 0.0]
@@ -147,8 +155,7 @@ def test_parsevalize_rejects_overflowing_frame(tmp_path):
     src.write_text(json.dumps(payload))
     proc = run_cli("parsevalize", "--frame-tau", str(src))
     assert proc.returncode == 2
-    assert "overflows" in proc.stderr
-    assert "Traceback" not in proc.stderr
+    assert_single_error_line(proc.stderr, "frame operator overflows")
 
 
 @pytest.mark.parametrize(
@@ -172,8 +179,7 @@ def test_overflowing_frame_rejected(comb_files, tmp_path, command, omega, messag
     proc = run_cli(command, *args)
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert message in proc.stderr
-    assert "Traceback" not in proc.stderr
+    assert_single_error_line(proc.stderr, message)
 
 
 def test_every_package_error_exits_2(monkeypatch, capsys):
@@ -301,6 +307,26 @@ def test_conjecture_command():
     report = json.loads(proc.stdout)
     assert report["holds"] is True
     assert report["delta_witness_sum"] == 4
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "name, args",
+    [
+        ("tao_p7.json", "tao --p 7"),
+        ("tao_p11_sampled_seed3.json", "tao --p 11 --mode sampled --samples 20000 --seed 3"),
+        ("conjecture_m2_p5.json", "conjecture --algebra 2 --p 5 --trials 2000"),
+        ("conjecture_c2_p5.json", "conjecture --algebra 1,1 --p 5 --trials 2000"),
+    ],
+)
+def test_report_matches_golden(name, args):
+    # These reports hold only counts, supports and input tolerances, so the
+    # stored bytes are the same on every platform.
+    proc = run_cli(*args.split())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / name).read_text()
 
 
 def test_canonical_json_output(comb_files):

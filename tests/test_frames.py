@@ -34,6 +34,7 @@ from ncup import (
     support,
     synthesis,
 )
+from ncup import frames
 from ncup.csmodule import module_scale, op_sub, vec_add, vec_scale, vec_sub
 from ncup.ncft import fourier_frame, standard_frame
 
@@ -161,6 +162,25 @@ def test_is_parseval_examples():
     assert not is_parseval(ModularFrame.from_vectors([e0, e0, e1]))
     scaled = [vec_scale(1 / np.sqrt(2), e0), vec_scale(1 / np.sqrt(2), e0), e1]
     assert is_parseval(ModularFrame.from_vectors(scaled), tol=1e-12)
+
+
+def test_parseval_residual_measured_once(monkeypatch, rng):
+    calls = []
+    original = frames.frame_operator
+
+    def counted(frame):
+        calls.append(frame)
+        return original(frame)
+
+    monkeypatch.setattr(frames, "frame_operator", counted)
+    raw = random_frame(M2, 3, 5, rng)
+    fixed = parsevalize(raw)
+    assert len(calls) == 2  # S of the input, then the residual of the output
+    payload = fixed.to_dict()
+    assert payload["parseval"] is True and len(calls) == 2
+    loaded = ModularFrame.from_dict(payload)
+    assert len(calls) == 3  # the claim is verified on load
+    assert is_parseval(loaded, tol=1e-8) and len(calls) == 3
 
 
 def test_parseval_definition_equivalence(shape, rng):

@@ -24,6 +24,7 @@ from ncup import (
     vector_sparsity,
     vector_support,
 )
+from ncup import cli, ncft
 from ncup.csmodule import vec_sub
 from ncup.ncft import PrimeDim, dft_matrix
 
@@ -248,6 +249,29 @@ def test_conjecture_audit_deterministic():
     a = conjecture_audit(M2, 5, trials=200, seed=1)
     b = conjecture_audit(M2, 5, trials=200, seed=1)
     assert a == b
+
+
+def test_conjecture_crosscheck_is_live(monkeypatch, tmp_path):
+    # Flip the scalar verdict for one pattern: the frame-level check must
+    # disagree with it, so the audit cannot pass by comparing the minor
+    # test with itself.
+    original = ncft.pattern_feasible_minor
+
+    def flipped(p, support_t, support_omega, threshold=ncft.RANK_TOL):
+        verdict = original(p, support_t, support_omega, threshold)
+        if list(support_t) == [0] and list(support_omega) == [0]:
+            return not verdict
+        return verdict
+
+    monkeypatch.setattr(ncft, "pattern_feasible_minor", flipped)
+    report = conjecture_audit(M2, 3, trials=50)
+    assert report["reduction_crosscheck_agreed"] is False
+    assert report["holds"] is False
+    assert report["pattern_violations"] == [{"support": [0], "fourier_support": [0]}]
+    out = tmp_path / "report.json"
+    argv = ["conjecture", "--algebra", "2", "--p", "3", "--trials", "50", "--out", str(out)]
+    assert cli.main(argv) == 1
+    assert '"reduction_crosscheck_agreed":false' in out.read_text()
 
 
 def test_conjecture_audit_skips_pattern_search_large_p():

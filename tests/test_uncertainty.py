@@ -17,9 +17,10 @@ from ncup import (
     random_vector,
     support_pair_feasible,
 )
-from ncup import frames, uncertainty
+from ncup import analysis, frames, support, uncertainty
 from ncup.csmodule import vec_scale
 from ncup.ncft import dirac_comb, fourier_frame, standard_frame
+from oracles import oracle_support_pair_feasible
 
 C = AlgebraShape((1,))
 M2 = AlgebraShape((2,))
@@ -156,8 +157,10 @@ def test_evaluate_halves_are_certify_and_chain(shape, rng):
 
 def test_evaluate_computes_each_intermediate_once(monkeypatch, rng):
     d = 3
-    tau = random_parseval_frame(M2, d, d + 1, rng)
-    omega = random_parseval_frame(M2, d, d + 2, rng)
+    # Rebuilt from their entries, so neither frame has measured its
+    # Parseval residual yet (parsevalize already did for the originals).
+    tau = ModularFrame(M2, d, random_parseval_frame(M2, d, d + 1, rng).blocks)
+    omega = ModularFrame(M2, d, random_parseval_frame(M2, d, d + 2, rng).blocks)
     x = random_vector(M2, d, rng)
     calls = {}
 
@@ -175,6 +178,9 @@ def test_evaluate_computes_each_intermediate_once(monkeypatch, rng):
     count(uncertainty, "_cross_grams")
     evaluate(tau, omega, x)
     assert calls == {"frame_operator": 2, "analysis": 2, "_cross_grams": 1}
+    # Each frame keeps its residual: a second instance does not re-measure it.
+    evaluate(tau, omega, x)
+    assert calls == {"frame_operator": 2, "analysis": 4, "_cross_grams": 2}
 
 
 def test_support_pair_feasible_examples():
@@ -210,6 +216,34 @@ def test_support_pair_feasible_full_pattern(shape):
     tau = standard_frame(shape, d)
     ok, witness = support_pair_feasible(tau, tau, [0, 1], [0, 1])
     assert ok and witness is not None
+
+
+def test_support_pair_feasible_matches_probe_oracle(shape, rng):
+    d = 3
+    square = random_parseval_frame(shape, d, d, rng)
+    pairs = [
+        (random_parseval_frame(shape, d, d + 2, rng), random_parseval_frame(shape, d, d + 1, rng))
+        for _ in range(3)
+    ]
+    # tau == omega with count == d repeats constraint rows: the stacked
+    # system is rank deficient whenever the two complements overlap.
+    pairs += [(square, square), (standard_frame(shape, d), fourier_frame(shape, d))]
+    verdicts = []
+    for tau, omega in pairs:
+        for _ in range(16):
+            t_set = sorted(rng.choice(tau.count, rng.integers(tau.count + 1), replace=False))
+            o_set = sorted(rng.choice(omega.count, rng.integers(omega.count + 1), replace=False))
+            ok, witness = support_pair_feasible(tau, omega, t_set, o_set)
+            expected, _ = oracle_support_pair_feasible(tau, omega, t_set, o_set)
+            assert ok == expected, (t_set, o_set)
+            verdicts.append(ok)
+            if not ok:
+                assert witness is None
+                continue
+            assert abs(module_norm(witness) - 1.0) < 1e-12
+            assert set(support(analysis(tau, witness))) <= set(t_set)
+            assert set(support(analysis(omega, witness))) <= set(o_set)
+    assert any(verdicts) and not all(verdicts)
 
 
 def test_support_pair_feasible_validates_indices():
