@@ -15,11 +15,21 @@ cross-checks that reduction with uncertainty.support_pair_feasible on the
 standard and Fourier frames over A, which decides each pattern from the
 frame matrices without the minor.  Every rank verdict goes through
 frames._numeric_rank at RANK_TOL.
+
+The batch minor scan decides one minor per symmetry class.  With W the
+DFT matrix of length n, translating the column set T by a multiplies row k
+of W[R, T] by the unit scalar e^(-2 pi i ka/n), translating the row set R
+by b multiplies column j by e^(-2 pi i jb/n), and for a unit u mod n
+W[u^-1 k, u j] = W[k, j], so (T, R) -> (uT, u^-1 R) only permutes rows and
+columns.  None of these moves the singular values, so every minor in a
+class gets the verdict of the class's first member.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -248,16 +258,60 @@ def _supports(x: np.ndarray, xh: np.ndarray, threshold: float) -> tuple[list[int
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _class_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Class-key lookup tables for index subsets of Z/n, held as n-bit masks.
+
+    Row i of the first table maps a mask m to the smallest rotation of u*m,
+    and row i of the second to the smallest rotation of u^-1*m, where u is
+    the i-th unit mod n.  Built on first use; 2^n columns, 8192 at p = 13.
+    """
+    units = [u for u in range(n) if math.gcd(u, n) == 1]
+    masks = np.arange(1 << n, dtype=np.int64)
+    full = (1 << n) - 1
+    rot_min = masks.copy()
+    for a in range(1, n):
+        rot_min = np.minimum(rot_min, ((masks << a) | (masks >> (n - a))) & full)
+    bits = (masks[:, None] >> np.arange(n)) & 1
+    dilated = np.stack([rot_min[bits @ (1 << (u * np.arange(n) % n))] for u in units])
+    inverse = [units.index(pow(u, -1, n)) for u in units]
+    tables = dilated, dilated[inverse]
+    for table in tables:
+        table.setflags(write=False)  # shared by every caller through the cache
+    return tables
+
+
+def _class_keys(n: int, cols: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """One integer per (T, R) pair, equal exactly on pairs in one symmetry class.
+
+    The key is the minimum over units u of (rotation-minimal u*T,
+    rotation-minimal u^-1*R), which is constant under translating T,
+    translating R and the joint dilation (uT, u^-1 R).
+    """
+    dil_t, dil_r = _class_tables(n)
+    t_masks = (1 << cols).sum(axis=1)
+    r_masks = (1 << rows).sum(axis=1)
+    return ((dil_t[:, t_masks] << n) | dil_r[:, r_masks]).min(axis=0)
+
+
 def _deficient_minors(w: np.ndarray, cols: np.ndarray, rows: np.ndarray, threshold: float):
     """(T, Omega) for every rank-deficient minor w[rows[i], cols[i]] of a batch.
 
     cols is (m, s) and rows (m, r) with r >= s; Omega is the complement of
-    the row set.
+    the row set.  Only the first minor of each symmetry class is
+    decomposed; the others take its verdict, and hits keep batch order.
     """
-    sv = np.linalg.svd(w[rows[:, :, None], cols[:, None, :]], compute_uv=False)
-    bad = np.flatnonzero(_numeric_rank(sv, sv[:, :1], threshold) < cols.shape[1])
-    everything = set(range(len(w)))
-    return [(cols[i].tolist(), sorted(everything - set(rows[i].tolist()))) for i in bad]
+    n = len(w)
+    _, first, inverse = np.unique(
+        _class_keys(n, cols, rows), return_index=True, return_inverse=True
+    )
+    sv = np.linalg.svd(w[rows[first, :, None], cols[first, None, :]], compute_uv=False)
+    deficient = _numeric_rank(sv, sv[:, :1], threshold) < cols.shape[1]
+    everything = set(range(n))
+    return [
+        (cols[i].tolist(), sorted(everything - set(rows[i].tolist())))
+        for i in np.flatnonzero(deficient[inverse])
+    ]
 
 
 def _layer_pairs_exhaustive(p: int, w: np.ndarray, threshold: float):
@@ -266,21 +320,17 @@ def _layer_pairs_exhaustive(p: int, w: np.ndarray, threshold: float):
     Yields nothing for primes; a singular minor yields (T, Omega).  By
     monotonicity in Omega this layer decides all patterns with smaller
     support sums.  Runs in chunks so forced large-p scans stay bounded
-    in memory.
+    in memory; pair i of a layer is (combos[i // C], combos[i % C]).
     """
     checked = 0
     hits = []
     for s in range(1, p):
-        cols_list = list(itertools.combinations(range(p), s))
-        pair_iter = itertools.product(cols_list, cols_list)
-        while True:
-            chunk = list(itertools.islice(pair_iter, _CHUNK))
-            if not chunk:
-                break
-            t_arr = np.array([c[0] for c in chunk])
-            r_arr = np.array([c[1] for c in chunk])
-            hits += _deficient_minors(w, t_arr, r_arr, threshold)
-            checked += len(chunk)
+        combos = np.array(list(itertools.combinations(range(p), s)))
+        c = len(combos)
+        for start in range(0, c * c, _CHUNK):
+            pair = np.arange(start, min(start + _CHUNK, c * c))
+            hits += _deficient_minors(w, combos[pair // c], combos[pair % c], threshold)
+        checked += c * c
     return checked, hits
 
 
@@ -341,9 +391,10 @@ def tao_min_sum(
         t_arr = rng.integers(1, p - s_arr + 1)
         checked = int(samples)
         hits = []
-        for s, t in sorted(set(zip(s_arr.tolist(), t_arr.tolist()))):
-            group = np.nonzero((s_arr == s) & (t_arr == t))[0]
-            m = len(group)
+        # one group per (s, t) in sorted order; t < p, so s * p + t sorts like (s, t)
+        codes, sizes = np.unique(s_arr * p + t_arr, return_counts=True)
+        for code, m in zip(codes.tolist(), sizes.tolist()):
+            s, t = divmod(code, p)
             perm_t = np.argsort(rng.random((m, p)), axis=1)
             perm_o = np.argsort(rng.random((m, p)), axis=1)
             supp_t = np.sort(perm_t[:, :s], axis=1)

@@ -17,6 +17,9 @@ agreement is a genuine cross-check.
 oracle_support_pair_feasible decides support feasibility the slow way: it
 probes every scalar coordinate of A^d and stacks the dense coefficients
 into one constraint matrix, with no use of the block structure.
+
+oracle_deficient_minors is the DFT-minor scan without symmetry reduction:
+one SVD per minor of the batch.
 """
 
 import numpy as np
@@ -132,3 +135,15 @@ def oracle_support_pair_feasible(tau, omega, support_t, support_omega, threshold
         blocks[b][r, a, c] = value
     witness = ModuleVector(shape, d, blocks)
     return True, ModuleVector(shape, d, [blk / module_norm(witness) for blk in witness.blocks])
+
+
+def oracle_deficient_minors(w, cols, rows, threshold=1e-10):
+    """(T, Omega) for every rank-deficient minor w[rows[i], cols[i]], in batch order.
+
+    Each minor is decomposed on its own; a minor is deficient when fewer
+    than len(T) singular values exceed threshold times the largest.
+    """
+    sv = np.linalg.svd(w[rows[:, :, None], cols[:, None, :]], compute_uv=False)
+    bad = np.flatnonzero(np.count_nonzero(sv > threshold * sv[:, :1], axis=1) < cols.shape[1])
+    everything = set(range(len(w)))
+    return [(cols[i].tolist(), sorted(everything - set(rows[i].tolist()))) for i in bad]

@@ -317,6 +317,8 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
     [
         ("tao_p7.json", "tao --p 7"),
         ("tao_p11_sampled_seed3.json", "tao --p 11 --mode sampled --samples 20000 --seed 3"),
+        ("tao_p13_sampled_seed77.json", "tao --p 13 --mode sampled --seed 77"),
+        ("tao_p11_exhaustive_force.json", "tao --p 11 --mode exhaustive --force"),
         ("conjecture_m2_p5.json", "conjecture --algebra 2 --p 5 --trials 2000"),
         ("conjecture_c2_p5.json", "conjecture --algebra 1,1 --p 5 --trials 2000"),
     ],

@@ -1,3 +1,6 @@
+from itertools import combinations
+from math import comb, gcd
+
 import numpy as np
 import pytest
 
@@ -26,7 +29,9 @@ from ncup import (
 )
 from ncup import cli, ncft
 from ncup.csmodule import vec_sub
-from ncup.ncft import PrimeDim, dft_matrix
+from ncup.ncft import RANK_TOL, PrimeDim, dft_matrix
+
+from oracles import oracle_deficient_minors
 
 C = AlgebraShape((1,))
 M2 = AlgebraShape((2,))
@@ -176,6 +181,95 @@ def test_donoho_stark_comb_equality():
         comb = dirac_comb(C, d, spacing)
         prod = vector_sparsity(comb) * vector_sparsity(ncdft(comb))
         assert prod == d
+
+
+def layer_batch(n, s, r):
+    """Every pair (T, R) with |T| = s and |R| = r, T varying slowest."""
+    cols = np.array(list(combinations(range(n), s)))
+    rows = np.array(list(combinations(range(n), r)))
+    return np.repeat(cols, len(rows), axis=0), np.tile(rows, (len(cols), 1))
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9, 10])
+def test_deficient_minors_match_per_minor_oracle(n):
+    w = dft_matrix(n)
+    found = 0
+    for s in range(1, n):
+        cols, rows = layer_batch(n, s, s)
+        hits = ncft._deficient_minors(w, cols, rows, RANK_TOL)
+        assert hits == oracle_deficient_minors(w, cols, rows, RANK_TOL)
+        found += len(hits)
+    # composite lengths have singular minors, so the comparison is not vacuous
+    assert (found > 0) == (n not in (5, 7))
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_deficient_minors_match_oracle_on_tall_minors(n):
+    # sampled tao decides minors with more rows than columns
+    w = dft_matrix(n)
+    for s in range(1, n):
+        for r in range(s + 1, n):
+            cols, rows = layer_batch(n, s, r)
+            hits = ncft._deficient_minors(w, cols, rows, RANK_TOL)
+            assert hits == oracle_deficient_minors(w, cols, rows, RANK_TOL)
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_exhaustive_layers_match_per_minor_oracle(n):
+    w = dft_matrix(n)
+    checked, hits = ncft._layer_pairs_exhaustive(n, w, RANK_TOL)
+    expected = []
+    for s in range(1, n):
+        expected += oracle_deficient_minors(w, *layer_batch(n, s, s), RANK_TOL)
+    assert checked == comb(2 * n, n) - 2
+    assert hits == expected
+    assert hits
+
+
+@pytest.mark.parametrize("n", [7, 8, 9, 12, 13])
+def test_class_key_is_invariant(n, rng):
+    s, r = 3, 5
+    cols = np.sort(np.argsort(rng.random((40, n)), axis=1)[:, :s], axis=1)
+    rows = np.sort(np.argsort(rng.random((40, n)), axis=1)[:, :r], axis=1)
+    key = ncft._class_keys(n, cols, rows)
+    for a in range(n):
+        assert np.array_equal(ncft._class_keys(n, (cols + a) % n, rows), key)
+        assert np.array_equal(ncft._class_keys(n, cols, (rows + a) % n), key)
+    for u in range(1, n):
+        if gcd(u, n) == 1:
+            moved = ncft._class_keys(n, u * cols % n, pow(u, -1, n) * rows % n)
+            assert np.array_equal(moved, key)
+
+
+def test_each_symmetry_class_decomposed_once(monkeypatch):
+    p, s = 7, 3
+    cols, rows = layer_batch(p, s, s)
+    units = [(u, pow(u, -1, p)) for u in range(1, p)]
+    seen, orbits = set(), 0
+    for pair in zip(map(tuple, cols.tolist()), map(tuple, rows.tolist())):
+        if pair in seen:
+            continue
+        orbits += 1
+        t, r = pair
+        seen.update(
+            (
+                tuple(sorted((u * j + a) % p for j in t)),
+                tuple(sorted((v * k + b) % p for k in r)),
+            )
+            for u, v in units
+            for a in range(p)
+            for b in range(p)
+        )
+    decomposed = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        decomposed.append(a.shape[0] if a.ndim == 3 else 1)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    assert ncft._deficient_minors(dft_matrix(p), cols, rows, RANK_TOL) == []
+    assert sum(decomposed) == orbits < len(cols)
 
 
 def test_tao_min_sum_exhaustive_small_primes():
