@@ -49,7 +49,6 @@ from .errors import (
     SingularOperatorError,
 )
 from .frames import (
-    AnalysisCoefficients,
     ModularFrame,
     analysis,
     coherence,
@@ -64,7 +63,6 @@ from .frames import (
     synthesis,
 )
 from .ncft import (
-    PrimeDim,
     chebotarev_minor_nonsingular,
     conjecture_audit,
     cyclic_shift,
@@ -76,8 +74,6 @@ from .ncft import (
     pattern_feasible_minor,
     standard_frame,
     tao_min_sum,
-    vector_sparsity,
-    vector_support,
 )
 from .uncertainty import (
     UncertaintyCertificate,

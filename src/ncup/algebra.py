@@ -32,7 +32,9 @@ __all__ = [
     "random_element",
 ]
 
-# Relative tolerance separating roundoff from genuine negativity / asymmetry.
+# The one positivity cutoff, relative to the element's scale: it separates
+# roundoff from genuine negativity or asymmetry in is_positive, and from a
+# genuinely singular spectrum in csmodule.op_inv_sqrt.
 POSITIVITY_TOL = 1e-10
 
 
@@ -236,16 +238,14 @@ def is_zero(a: AlgebraElement, tol: float = 0.0) -> bool:
     return norm(a) <= tol
 
 
-def is_positive(a: AlgebraElement, tol: float = POSITIVITY_TOL) -> bool:
-    """True iff a is self-adjoint and has nonnegative spectrum, up to tol.
+def is_positive(a: AlgebraElement) -> bool:
+    """True iff a is self-adjoint and has nonnegative spectrum, up to roundoff.
 
     Both checks are relative to max(1, norm(a)): the self-adjointness defect
     norm(a - a*) and the most negative Hermitian eigenvalue must stay within
-    tol of zero.
+    POSITIVITY_TOL of zero.
     """
-    if tol < 0:
-        raise InputError(f"tol must be nonnegative, got {tol}")
-    cutoff = tol * max(1.0, norm(a))
+    cutoff = POSITIVITY_TOL * max(1.0, norm(a))
     if norm(sub(a, star(a))) > cutoff:
         return False
     for blk in a.blocks:

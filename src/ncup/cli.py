@@ -25,8 +25,8 @@ from . import __version__
 from .algebra import AlgebraShape
 from .csmodule import ModuleVector
 from .errors import InputError, NcupError, NonParsevalFrameError
-from .frames import PARSEVAL_TOL, RANK_TOL, ModularFrame, coherence, parsevalize
-from .ncft import conjecture_audit, tao_min_sum
+from .frames import PARSEVAL_TOL, RANK_TOL, SUPPORT_REL_TOL, ModularFrame, coherence, parsevalize
+from .ncft import DEFAULT_SAMPLES, conjecture_audit, tao_min_sum
 from .uncertainty import CHAIN_TOL, SLACK_TOL, evaluate, random_audit
 
 __all__ = ["RunConfig", "run", "main"]
@@ -44,13 +44,13 @@ class RunConfig:
     out: str | None = None
     seed: int = 0
     trials: int = 100
-    rel_tol: float = 1e-8
+    rel_tol: float = SUPPORT_REL_TOL
     mode: str = "exhaustive"
     p: int | None = None
     d: int | None = None
     n_tau: int | None = None
     n_omega: int | None = None
-    samples: int = 100_000
+    samples: int = DEFAULT_SAMPLES
     force: bool = False
 
 
@@ -288,8 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=0, help="seed for all randomness (default 0)")
         if rel_tol:
             sp.add_argument(
-                "--rel-tol", dest="rel_tol", type=float, default=1e-8,
-                help="relative threshold for support counting (default 1e-8)",
+                "--rel-tol", dest="rel_tol", type=float, default=SUPPORT_REL_TOL,
+                help=f"relative threshold for support counting (default {SUPPORT_REL_TOL:g})",
             )
 
     sp = sub.add_parser("certify", help="evaluate both uncertainty inequalities on a frame pair and vector")
@@ -318,7 +318,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("tao", help="minimum support sum under the length-p transform")
     sp.add_argument("--p", type=int, required=True, help="prime length")
     sp.add_argument("--mode", choices=["exhaustive", "sampled"], default="exhaustive")
-    sp.add_argument("--samples", type=int, default=100_000, help="support pairs to draw in sampled mode")
+    sp.add_argument(
+        "--samples", type=int, default=DEFAULT_SAMPLES, help="support pairs to draw in sampled mode"
+    )
     sp.add_argument("--force", action="store_true", help="allow exhaustive mode beyond p=7")
     common(sp, rel_tol=False)
 

@@ -23,6 +23,7 @@ import math
 import numpy as np
 
 from .algebra import (
+    POSITIVITY_TOL,
     AlgebraElement,
     AlgebraShape,
     _decode_matrices,
@@ -53,11 +54,6 @@ __all__ = [
     "op_norm",
     "op_inv_sqrt",
 ]
-
-# Eigenvalues below INV_SQRT_TOL times the largest are treated as zero when
-# inverting a positive operator.
-INV_SQRT_TOL = 1e-10
-
 
 def _freeze(mat) -> np.ndarray:
     """mat as a C-contiguous read-only complex matrix (copied only if needed)."""
@@ -389,22 +385,20 @@ def op_norm(m: ModuleOperator) -> float:
     return float(max(np.linalg.norm(mat, 2) for mat in m.mats))
 
 
-def op_inv_sqrt(m: ModuleOperator, tol: float = INV_SQRT_TOL) -> ModuleOperator:
+def op_inv_sqrt(m: ModuleOperator) -> ModuleOperator:
     """Inverse square root of a positive invertible operator.
 
     Each block matrix is Hermitized and eigendecomposed; eigenvalues at or
-    below tol times the largest (over the whole operator) mean the operator
-    is not invertible and raise SingularOperatorError.
+    below POSITIVITY_TOL times the largest (over the whole operator) mean
+    the operator is not invertible and raise SingularOperatorError.
     """
-    if tol < 0:
-        raise InputError(f"tol must be nonnegative, got {tol}")
     decomps = []
     lam_max = 0.0
     for mat in m.mats:
         vals, vecs = np.linalg.eigh((mat + mat.conj().T) / 2.0)
         decomps.append((vals, vecs))
         lam_max = max(lam_max, float(vals.max()))
-    cutoff = tol * lam_max
+    cutoff = POSITIVITY_TOL * lam_max
     mats = []
     for vals, vecs in decomps:
         if vals.min() <= cutoff:

@@ -1,28 +1,29 @@
 """Modular frames: finite spanning families in A^d and their invariants.
 
 A frame is a finite family (tau_n) in A^d.  Analysis maps a vector to its
-algebra-valued coefficient sequence (<x, tau_n>)_n, synthesis maps left
-coefficients back via sum_n a_n tau_n, and the frame operator is the d x d
-module operator composing the two.  A frame is Parseval when that operator
+coefficient vector (<x, tau_n>)_n in A^N, synthesis maps a vector (a_n) of
+A^N back via sum_n a_n tau_n, and the frame operator is the d x d module
+operator composing the two.  A frame is Parseval when that operator
 is the identity, which makes analysis an isometry and gives the exact
 reconstruction x = sum_n <x, tau_n> tau_n.
 
 Block b (of size n) of a frame of N vectors is stored as the (N*n, d*n)
-matrix T whose row block k is the vector layout of tau_k (see csmodule),
-and a coefficient sequence as the (n, N*n) matrix [a_0 | ... | a_(N-1)].
-Analysis is then X T^H, synthesis C T, the frame operator T^H T, the
-Parseval normalization T S^(-1/2), and the cross Gram of two frames T W^H.
+matrix T whose row block k is the vector layout of tau_k (see csmodule).
+Coefficients are module vectors, so they share the one vector layout, the
+(n, N*n) matrix [a_0 | ... | a_(N-1)].  Analysis is then X T^H, synthesis
+C T, the frame operator T^H T, the Parseval normalization T S^(-1/2), and
+the cross Gram of two frames T W^H.
 
-Supports of coefficient sequences are decided by a relative threshold: a
-coefficient counts as nonzero when its C*-norm exceeds rel_tol times the
-largest coefficient norm in the sequence.
+The support of any module vector, coefficients or not, is decided by a
+relative threshold: an entry counts as nonzero when its C*-norm exceeds
+rel_tol times the largest entry norm of the vector.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .algebra import AlgebraElement, AlgebraShape, _decode_matrices, _encode_matrices
+from .algebra import AlgebraShape, _decode_matrices, _encode_matrices
 from .csmodule import (
     ModuleOperator,
     ModuleVector,
@@ -38,7 +39,6 @@ from .errors import GenerationError, InputError, NotAFrameError, NonParsevalFram
 
 __all__ = [
     "ModularFrame",
-    "AnalysisCoefficients",
     "analysis",
     "synthesis",
     "frame_operator",
@@ -53,11 +53,12 @@ __all__ = [
 ]
 
 # The one Parseval decision: a frame counts as Parseval when its frame
-# operator is within this of the identity.  Files declare and re-verify
-# the claim at it, certificates require it, and parsevalize must reach it.
+# operator is within this of the identity.  is_parseval defaults to it,
+# files declare and re-verify the claim at it, certificates require it,
+# and parsevalize must reach it.
 PARSEVAL_TOL = 1e-8
 
-# Default relative threshold separating zero coefficients from nonzero ones.
+# Default relative threshold separating zero entries from nonzero ones.
 SUPPORT_REL_TOL = 1e-8
 
 # Relative singular-value cutoff for every rank decision (see _numeric_rank).
@@ -157,7 +158,7 @@ class ModularFrame:
                 _vector_payload(self.shape, [blk[k] for blk in encoded], self.d)
                 for k in range(self.count)
             ],
-            "parseval": bool(is_parseval(self, tol=PARSEVAL_TOL)),
+            "parseval": bool(is_parseval(self)),
         }
 
     @classmethod
@@ -207,76 +208,12 @@ class ModularFrame:
         claimed = payload["parseval"]
         if not isinstance(claimed, bool):
             raise InputError(f"{where}: 'parseval' must be a boolean")
-        if claimed and not is_parseval(frame, tol=PARSEVAL_TOL):
+        if claimed and not is_parseval(frame):
             raise InputError(
                 f"{where}: file claims a Parseval frame but the frame operator "
                 f"deviates from the identity by more than {PARSEVAL_TOL:g}"
             )
         return frame
-
-
-class AnalysisCoefficients:
-    """Algebra-valued coefficient sequence, stored per block as an (n, N*n) matrix."""
-
-    __slots__ = ("shape", "count", "mats")
-
-    def __init__(self, shape: AlgebraShape, blocks) -> None:
-        if len(blocks) != shape.num_blocks:
-            raise InputError(
-                f"expected {shape.num_blocks} block stacks, got {len(blocks)}"
-            )
-        counts = {np.shape(blk)[0] for blk in blocks}
-        if len(counts) != 1:
-            raise InputError("all block stacks must agree on the sequence length")
-        count = counts.pop()
-        if count < 1:
-            raise InputError("a coefficient sequence needs at least one entry")
-        self.mats = _stacks_to_mats(shape, blocks, (count,))
-        self.shape = shape
-        self.count = int(count)
-
-    @classmethod
-    def _from_mats(cls, shape: AlgebraShape, count: int, mats) -> "AnalysisCoefficients":
-        coeffs = cls.__new__(cls)
-        coeffs.shape, coeffs.count = shape, count
-        coeffs.mats = tuple(_freeze(m) for m in mats)
-        return coeffs
-
-    @property
-    def blocks(self) -> tuple[np.ndarray, ...]:
-        """Read-only (N, n, n) coefficient stack per block, a view of `mats`."""
-        return _stack_views(self.shape, self.mats, (self.count,))
-
-    @classmethod
-    def from_elements(cls, elements) -> "AnalysisCoefficients":
-        elements = list(elements)
-        if not elements:
-            raise InputError("a coefficient sequence needs at least one entry")
-        shape = elements[0].shape
-        for i, e in enumerate(elements):
-            if not isinstance(e, AlgebraElement) or e.shape != shape:
-                raise InputError(f"coefficient {i} is not an element of the algebra")
-        mats = [
-            np.hstack([e.blocks[b] for e in elements])
-            for b in range(shape.num_blocks)
-        ]
-        return cls._from_mats(shape, len(elements), mats)
-
-    def coefficient(self, n: int) -> AlgebraElement:
-        if not 0 <= n < self.count:
-            raise InputError(f"coefficient index {n} out of range for count={self.count}")
-        return AlgebraElement(self.shape, [blk[n] for blk in self.blocks])
-
-    def norms(self) -> np.ndarray:
-        """C*-norm of each coefficient, as a float array of length count."""
-        return _entry_norms(self.blocks)
-
-    def to_vector(self) -> ModuleVector:
-        """The same data seen as a vector in A^count."""
-        return ModuleVector._from_mats(self.shape, self.count, self.mats)
-
-    def __repr__(self) -> str:
-        return f"AnalysisCoefficients(shape={self.shape.block_dims}, count={self.count})"
 
 
 def _check_frame_vector(frame: ModularFrame, x: ModuleVector) -> None:
@@ -300,24 +237,24 @@ def _validate_indices(count: int, indices, name: str) -> list[int]:
     return sorted(out)
 
 
-def analysis(frame: ModularFrame, x: ModuleVector) -> AnalysisCoefficients:
-    """Coefficient sequence (<x, tau_n>)_n."""
+def analysis(frame: ModularFrame, x: ModuleVector) -> ModuleVector:
+    """Coefficient vector (<x, tau_n>)_n in A^N."""
     _check_frame_vector(frame, x)
-    return AnalysisCoefficients._from_mats(
+    return ModuleVector._from_mats(
         frame.shape, frame.count, [xm @ t.conj().T for xm, t in zip(x.mats, frame.mats)]
     )
 
 
-def synthesis(frame: ModularFrame, coeffs: AnalysisCoefficients) -> ModuleVector:
-    """Left combination sum_n a_n tau_n."""
+def synthesis(frame: ModularFrame, coeffs: ModuleVector) -> ModuleVector:
+    """Left combination sum_n a_n tau_n of a coefficient vector (a_n) in A^N."""
     if frame.shape != coeffs.shape:
         raise InputError(
             f"coefficients have shape {coeffs.shape.block_dims}, frame has "
             f"{frame.shape.block_dims}"
         )
-    if frame.count != coeffs.count:
+    if frame.count != coeffs.d:
         raise InputError(
-            f"coefficient count {coeffs.count} does not match frame size {frame.count}"
+            f"coefficient count {coeffs.d} does not match frame size {frame.count}"
         )
     return ModuleVector._from_mats(
         frame.shape, frame.d, [c @ t for c, t in zip(coeffs.mats, frame.mats)]
@@ -354,27 +291,28 @@ def _parseval_residual(frame: ModularFrame) -> float:
     return frame._residual
 
 
-def is_parseval(frame: ModularFrame, tol: float = 1e-10) -> bool:
+def is_parseval(frame: ModularFrame, tol: float = PARSEVAL_TOL) -> bool:
     """True iff the frame operator is the identity up to tol in operator norm."""
     if tol < 0:
         raise InputError(f"tol must be nonnegative, got {tol}")
     return _parseval_residual(frame) <= tol
 
 
-def parsevalize(frame: ModularFrame, tol: float = 1e-10) -> ModularFrame:
+def parsevalize(frame: ModularFrame) -> ModularFrame:
     """Canonical Parseval companion: every vector multiplied by S^(-1/2).
 
     Raises InputError when the frame operator overflows, NotAFrameError
-    when it is singular (the family does not generate A^d) and
-    NonParsevalFrameError if the corrected frame operator still deviates
-    from the identity beyond 1e-8, which signals a badly conditioned input.
+    when it is singular (the family does not generate A^d, see
+    op_inv_sqrt) and NonParsevalFrameError if the corrected frame operator
+    still deviates from the identity beyond PARSEVAL_TOL, which signals a
+    badly conditioned input.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         s = frame_operator(frame)
     if not all(np.isfinite(m).all() for m in s.mats):
         raise InputError("frame operator overflows: the frame's entries are too large")
     try:
-        p = op_inv_sqrt(s, tol=tol)
+        p = op_inv_sqrt(s)
     except SingularOperatorError as exc:
         raise NotAFrameError(
             f"frame operator is singular, the family does not span: {exc}"
@@ -425,24 +363,24 @@ def _support_mask(norms: np.ndarray, rel_tol: float) -> np.ndarray:
     return norms > rel_tol * norms.max(axis=-1, keepdims=True)
 
 
-def _numeric_rank(sv: np.ndarray, ref, threshold: float):
-    """Count of singular values above threshold times ref, along the last axis.
+def _numeric_rank(sv: np.ndarray, ref):
+    """Count of singular values above RANK_TOL times ref, along the last axis.
 
     The one rank decision: a value at or below the cutoff counts as zero.
     """
-    return np.count_nonzero(sv > threshold * ref, axis=-1)
+    return np.count_nonzero(sv > RANK_TOL * ref, axis=-1)
 
 
-def support(coeffs: AnalysisCoefficients, rel_tol: float = SUPPORT_REL_TOL) -> list[int]:
-    """Indices whose coefficient norm exceeds rel_tol times the largest one."""
+def support(x: ModuleVector, rel_tol: float = SUPPORT_REL_TOL) -> list[int]:
+    """Indices whose entry norm exceeds rel_tol times the largest one."""
     if rel_tol < 0:
         raise InputError(f"rel_tol must be nonnegative, got {rel_tol}")
-    return np.flatnonzero(_support_mask(coeffs.norms(), rel_tol)).tolist()
+    return np.flatnonzero(_support_mask(_entry_norms(x.blocks), rel_tol)).tolist()
 
 
-def sparsity(coeffs: AnalysisCoefficients, rel_tol: float = SUPPORT_REL_TOL) -> int:
-    """Number of effectively nonzero coefficients."""
-    return len(support(coeffs, rel_tol=rel_tol))
+def sparsity(x: ModuleVector, rel_tol: float = SUPPORT_REL_TOL) -> int:
+    """Number of effectively nonzero entries."""
+    return len(support(x, rel_tol=rel_tol))
 
 
 def random_frame(

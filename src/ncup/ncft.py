@@ -30,7 +30,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,11 +44,11 @@ from .frames import (
     _numeric_rank,
     _support_mask,
     _validate_indices,
+    sparsity,
 )
 from .uncertainty import _check_rel_tol, support_pair_feasible
 
 __all__ = [
-    "PrimeDim",
     "dft_matrix",
     "ncdft",
     "ncdft_inverse",
@@ -57,9 +56,6 @@ __all__ = [
     "fourier_frame",
     "dirac_comb",
     "cyclic_shift",
-    "vector_entry_norms",
-    "vector_support",
-    "vector_sparsity",
     "chebotarev_minor_nonsingular",
     "pattern_feasible_minor",
     "tao_min_sum",
@@ -85,26 +81,15 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PrimeDim:
-    """A dimension certified prime by trial division."""
-
-    p: int
-
-    def __post_init__(self) -> None:
-        try:
-            p = int(self.p)
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"prime dimension must be an integer, got {self.p!r}") from exc
-        if not _is_prime(p):
-            raise InputError(f"{p} is not prime")
-        object.__setattr__(self, "p", p)
-
-
 def _as_prime(p) -> int:
-    if isinstance(p, PrimeDim):
-        return p.p
-    return PrimeDim(p).p
+    """p as an int, certified prime by trial division."""
+    try:
+        value = int(p)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"prime dimension must be an integer, got {p!r}") from exc
+    if not _is_prime(value):
+        raise InputError(f"{value} is not prime")
+    return value
 
 
 def _check_sampled_cap(p: int) -> None:
@@ -188,23 +173,7 @@ def cyclic_shift(x: ModuleVector, steps: int) -> ModuleVector:
     )
 
 
-def vector_entry_norms(x: ModuleVector) -> np.ndarray:
-    """C*-norm of each coordinate of x, as a float array of length d."""
-    return _entry_norms(x.blocks)
-
-
-def vector_support(x: ModuleVector, rel_tol: float = SUPPORT_REL_TOL) -> list[int]:
-    """Coordinates whose norm exceeds rel_tol times the largest one."""
-    if rel_tol < 0:
-        raise InputError(f"rel_tol must be nonnegative, got {rel_tol}")
-    return np.flatnonzero(_support_mask(vector_entry_norms(x), rel_tol)).tolist()
-
-
-def vector_sparsity(x: ModuleVector, rel_tol: float = SUPPORT_REL_TOL) -> int:
-    return len(vector_support(x, rel_tol=rel_tol))
-
-
-def chebotarev_minor_nonsingular(p, rows, cols, threshold: float = RANK_TOL) -> bool:
+def chebotarev_minor_nonsingular(p, rows, cols) -> bool:
     """True iff the square DFT minor on (rows, cols) is nonsingular.
 
     Nonsingular means full numeric rank, i.e. the pattern (T = cols,
@@ -220,12 +189,10 @@ def chebotarev_minor_nonsingular(p, rows, cols, threshold: float = RANK_TOL) -> 
         )
     if not rows:
         raise InputError("minor must have at least one row and column")
-    return not pattern_feasible_minor(p, cols, sorted(set(range(p)) - set(rows)), threshold)
+    return not pattern_feasible_minor(p, cols, sorted(set(range(p)) - set(rows)))
 
 
-def pattern_feasible_minor(
-    p: int, support_t, support_omega, threshold: float = RANK_TOL
-) -> bool:
+def pattern_feasible_minor(p: int, support_t, support_omega) -> bool:
     """Does a nonzero x exist with supp(x) in T and supp(x_hat) in Omega?
 
     Works for any length p (prime or not).  Feasibility is equivalent to
@@ -240,21 +207,21 @@ def pattern_feasible_minor(
     if not rows:
         return True
     sv = np.linalg.svd(dft_matrix(p)[np.ix_(rows, t)], compute_uv=False)
-    return bool(_numeric_rank(sv, sv[0], threshold) < len(t))
+    return bool(_numeric_rank(sv, sv[0]) < len(t))
 
 
-def _delta_supports(p: int, threshold: float) -> tuple[list[int], list[int]]:
+def _delta_supports(p: int) -> tuple[list[int], list[int]]:
     """Support and Fourier support of the scalar spike at index 0."""
     x = np.zeros(p, dtype=np.complex128)
     x[0] = 1.0
-    return _supports(x, dft_matrix(p) @ x, threshold)
+    return _supports(x, dft_matrix(p) @ x)
 
 
-def _supports(x: np.ndarray, xh: np.ndarray, threshold: float) -> tuple[list[int], list[int]]:
-    """Thresholded supports of a scalar vector and of its transform."""
+def _supports(x: np.ndarray, xh: np.ndarray) -> tuple[list[int], list[int]]:
+    """Supports of a scalar vector and of its transform, thresholded at RANK_TOL."""
     return (
-        np.flatnonzero(_support_mask(np.abs(x), threshold)).tolist(),
-        np.flatnonzero(_support_mask(np.abs(xh), threshold)).tolist(),
+        np.flatnonzero(_support_mask(np.abs(x), RANK_TOL)).tolist(),
+        np.flatnonzero(_support_mask(np.abs(xh), RANK_TOL)).tolist(),
     )
 
 
@@ -294,7 +261,7 @@ def _class_keys(n: int, cols: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return ((dil_t[:, t_masks] << n) | dil_r[:, r_masks]).min(axis=0)
 
 
-def _deficient_minors(w: np.ndarray, cols: np.ndarray, rows: np.ndarray, threshold: float):
+def _deficient_minors(w: np.ndarray, cols: np.ndarray, rows: np.ndarray):
     """(T, Omega) for every rank-deficient minor w[rows[i], cols[i]] of a batch.
 
     cols is (m, s) and rows (m, r) with r >= s; Omega is the complement of
@@ -306,7 +273,7 @@ def _deficient_minors(w: np.ndarray, cols: np.ndarray, rows: np.ndarray, thresho
         _class_keys(n, cols, rows), return_index=True, return_inverse=True
     )
     sv = np.linalg.svd(w[rows[first, :, None], cols[first, None, :]], compute_uv=False)
-    deficient = _numeric_rank(sv, sv[:, :1], threshold) < cols.shape[1]
+    deficient = _numeric_rank(sv, sv[:, :1]) < cols.shape[1]
     everything = set(range(n))
     return [
         (cols[i].tolist(), sorted(everything - set(rows[i].tolist())))
@@ -314,7 +281,7 @@ def _deficient_minors(w: np.ndarray, cols: np.ndarray, rows: np.ndarray, thresho
     ]
 
 
-def _layer_pairs_exhaustive(p: int, w: np.ndarray, threshold: float):
+def _layer_pairs_exhaustive(p: int, w: np.ndarray):
     """Scan every square minor in the layer |T| + |Omega| = p.
 
     Yields nothing for primes; a singular minor yields (T, Omega).  By
@@ -329,12 +296,12 @@ def _layer_pairs_exhaustive(p: int, w: np.ndarray, threshold: float):
         c = len(combos)
         for start in range(0, c * c, _CHUNK):
             pair = np.arange(start, min(start + _CHUNK, c * c))
-            hits += _deficient_minors(w, combos[pair // c], combos[pair % c], threshold)
+            hits += _deficient_minors(w, combos[pair // c], combos[pair % c])
         checked += c * c
     return checked, hits
 
 
-def _pattern_witness(p: int, w: np.ndarray, t, omega, threshold: float):
+def _pattern_witness(p: int, w: np.ndarray, t, omega):
     """Kernel vector for a feasible pattern, with its thresholded supports."""
     rows = sorted(set(range(p)) - set(omega))
     if rows:
@@ -346,7 +313,7 @@ def _pattern_witness(p: int, w: np.ndarray, t, omega, threshold: float):
         coeffs[0] = 1.0
     x = np.zeros(p, dtype=np.complex128)
     x[list(t)] = coeffs
-    return (x, *_supports(x, w @ x, threshold))
+    return (x, *_supports(x, w @ x))
 
 
 def tao_min_sum(
@@ -355,7 +322,6 @@ def tao_min_sum(
     samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
     force: bool = False,
-    threshold: float = RANK_TOL,
 ) -> dict:
     """Minimum of ||x||_0 + ||x_hat||_0 over nonzero scalar x of length p.
 
@@ -384,7 +350,7 @@ def tao_min_sum(
     violations = []
 
     if mode == "exhaustive":
-        checked, hits = _layer_pairs_exhaustive(p, w, threshold)
+        checked, hits = _layer_pairs_exhaustive(p, w)
     else:
         rng = np.random.default_rng(seed)
         s_arr = rng.integers(1, p, size=samples)
@@ -399,12 +365,12 @@ def tao_min_sum(
             perm_o = np.argsort(rng.random((m, p)), axis=1)
             supp_t = np.sort(perm_t[:, :s], axis=1)
             rows = np.sort(perm_o[:, t:], axis=1)
-            hits += _deficient_minors(w, supp_t, rows, threshold)
+            hits += _deficient_minors(w, supp_t, rows)
 
     min_sum = None
     witness = None
     for t, omega in hits:
-        x, sup, fsup = _pattern_witness(p, w, t, omega, threshold)
+        x, sup, fsup = _pattern_witness(p, w, t, omega)
         total = len(sup) + len(fsup)
         if min_sum is None or total < min_sum:
             min_sum = total
@@ -415,7 +381,7 @@ def tao_min_sum(
             }
         violations.append({"support": t, "fourier_support": omega})
 
-    sup, fsup = _delta_supports(p, threshold)
+    sup, fsup = _delta_supports(p)
     delta_sum = len(sup) + len(fsup)
     if min_sum is None or delta_sum < min_sum:
         min_sum = delta_sum
@@ -427,7 +393,7 @@ def tao_min_sum(
         "pairs_checked": int(checked),
         "min_sum": int(min_sum),
         "witness": witness,
-        "threshold": float(threshold),
+        "threshold": RANK_TOL,
     }
     if violations:
         report["violating_patterns"] = violations
@@ -440,7 +406,6 @@ def conjecture_audit(
     trials: int,
     seed: int = 0,
     rel_tol: float = SUPPORT_REL_TOL,
-    threshold: float = RANK_TOL,
 ) -> dict:
     """Brute-force search for violations of ||x||_0 + ||x_hat||_0 >= p + 1.
 
@@ -505,7 +470,7 @@ def conjecture_audit(
             sup = np.flatnonzero(x_supp[i]).tolist()
             fsup = np.flatnonzero(h_supp[i]).tolist()
             vec = ModuleVector(shape, p, [xb[i] for xb in x_blocks])
-            feasible = pattern_feasible_minor(p, sup, fsup, threshold)
+            feasible = pattern_feasible_minor(p, sup, fsup)
             vector_violations.append(
                 {
                     "trial": int(done + i),
@@ -524,7 +489,7 @@ def conjecture_audit(
         blk[0] = np.eye(n)
         delta_blocks.append(blk)
     delta = ModuleVector(shape, p, delta_blocks)
-    delta_sum = vector_sparsity(delta, rel_tol) + vector_sparsity(ncdft(delta), rel_tol)
+    delta_sum = sparsity(delta, rel_tol) + sparsity(ncdft(delta), rel_tol)
     min_sum = int(min(min_sum, delta_sum))
 
     patterns_checked = 0
@@ -538,10 +503,8 @@ def conjecture_audit(
                 for size_o in range(1, p - size_t + 1):
                     for omega in itertools.combinations(range(p), size_o):
                         patterns_checked += 1
-                        scalar = pattern_feasible_minor(p, t_set, omega, threshold)
-                        by_frames, _ = support_pair_feasible(
-                            std, fourier, t_set, omega, threshold
-                        )
+                        scalar = pattern_feasible_minor(p, t_set, omega)
+                        by_frames, _ = support_pair_feasible(std, fourier, t_set, omega)
                         if scalar != by_frames:
                             crosscheck_agreed = False
                         if scalar or by_frames:
@@ -562,7 +525,7 @@ def conjecture_audit(
         "trials": trials,
         "seed": int(seed),
         "rel_tol": float(rel_tol),
-        "threshold": float(threshold),
+        "threshold": RANK_TOL,
         "min_sum": int(min_sum),
         "delta_witness_sum": int(delta_sum),
         "vector_violations": vector_violations,

@@ -24,7 +24,6 @@ from .csmodule import ModuleVector, basis_vector, inner_product, module_norm, ra
 from .errors import InputError, NonParsevalFrameError
 from .frames import (
     PARSEVAL_TOL,
-    RANK_TOL,
     SUPPORT_REL_TOL,
     ModularFrame,
     _cross_grams,
@@ -86,7 +85,7 @@ class UncertaintyCertificate:
 
 
 def _require_parseval(frame: ModularFrame, name: str) -> None:
-    if not is_parseval(frame, tol=PARSEVAL_TOL):
+    if not is_parseval(frame):
         raise NonParsevalFrameError(
             f"{name} frame is not Parseval at tolerance {PARSEVAL_TOL:g}; "
             f"run parsevalize first"
@@ -241,7 +240,6 @@ def support_pair_feasible(
     omega: ModularFrame,
     support_t,
     support_omega,
-    threshold: float = RANK_TOL,
 ) -> tuple[bool, ModuleVector | None]:
     """Can a nonzero x have tau-support inside T and omega-support inside Omega?
 
@@ -250,7 +248,7 @@ def support_pair_feasible(
     (n outside T) and <x, omega_m> = 0 (m outside Omega) split by block and
     by row of X_b: each row must lie in the kernel of the stacked rows
     T_b[n], W_b[m].  A nonzero x exists iff some block's stack has rank
-    below d*n, with singular values at or below threshold times the largest
+    below d*n, with singular values at or below RANK_TOL times the largest
     one over all blocks counting as zero.  Returns the verdict and, when
     feasible, a unit-module-norm witness: the last right singular vector of
     that block's stack, placed in row 0 of X_b.
@@ -274,7 +272,7 @@ def support_pair_feasible(
     ]
     ref = max(sv[0] for _, sv, _ in svds)
     for b, (n, (_, sv, vh)) in enumerate(zip(shape.block_dims, svds)):
-        if _numeric_rank(sv, ref, threshold) < d * n:
+        if _numeric_rank(sv, ref) < d * n:
             mats = [np.zeros((m, d * m), dtype=np.complex128) for m in shape.block_dims]
             mats[b][0] = vh[-1]
             return True, ModuleVector._from_mats(shape, d, mats)

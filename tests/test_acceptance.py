@@ -32,9 +32,9 @@ from ncup import (
     random_element,
     random_frame,
     random_vector,
+    sparsity,
     support_pair_feasible,
     tao_min_sum,
-    vector_sparsity,
 )
 from ncup.csmodule import ModuleOperator, op_sub, vec_sub
 from ncup.ncft import fourier_frame, standard_frame
@@ -125,7 +125,7 @@ def test_criterion_03_donoho_stark_comb_equality():
     for d in (4, 9, 16):
         spacing = int(np.sqrt(d))
         comb = dirac_comb(C, d, spacing)
-        prod = vector_sparsity(comb) * vector_sparsity(ncdft(comb))
+        prod = sparsity(comb) * sparsity(ncdft(comb))
         results.append((d, prod))
     ok = all(prod == d for d, prod in results)
     report(3, ok, f"comb support products {results} equal d exactly")
@@ -305,7 +305,7 @@ def test_criterion_10_flattening_oracle():
             coeffs = analysis(frame, x)
             for n_idx, dense_c in enumerate(oracle_analysis(frame, x)):
                 gap = np.abs(
-                    embed_element(coeffs.coefficient(n_idx)) - dense_c
+                    embed_element(coeffs.entry(n_idx)) - dense_c
                 ).max()
                 worst = max(worst, gap)
             checked += 1

@@ -106,11 +106,6 @@ def test_is_positive_psd_boundary():
     assert not is_positive(elem(M2, [[-1, 0], [0, 1]]))
 
 
-def test_is_positive_tol_validation():
-    with pytest.raises(InputError):
-        is_positive(identity(M2), tol=-1.0)
-
-
 def test_is_zero_contract():
     assert is_zero(zero(M2), tol=0.0)
     assert not is_zero(identity(M2), tol=0.5)

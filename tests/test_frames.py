@@ -5,13 +5,13 @@ import pytest
 
 from ncup import (
     AlgebraShape,
-    AnalysisCoefficients,
     InputError,
     ModularFrame,
     ModuleVector,
     NotAFrameError,
     analysis,
     basis_vector,
+    certify,
     coherence,
     cross_gram_norms,
     frame_operator,
@@ -60,7 +60,7 @@ def test_analysis_standard_basis_gives_coordinates(shape, rng):
     x = random_vector(shape, d, rng)
     coeffs = analysis(frame, x)
     for i in range(d):
-        assert norm(sub(coeffs.coefficient(i), x.entry(i))) < 1e-14
+        assert norm(sub(coeffs.entry(i), x.entry(i))) < 1e-14
 
 
 def test_analysis_fourier_d2():
@@ -68,7 +68,7 @@ def test_analysis_fourier_d2():
     x = scalar_vector([1.0, 0.0])
     coeffs = analysis(frame, x)
     for m in range(2):
-        assert abs(coeffs.coefficient(m).blocks[0][0, 0] - 1 / np.sqrt(2)) < 1e-14
+        assert abs(coeffs.entry(m).blocks[0][0, 0] - 1 / np.sqrt(2)) < 1e-14
 
 
 def test_analysis_redundant_frame():
@@ -76,8 +76,8 @@ def test_analysis_redundant_frame():
     frame = ModularFrame.from_vectors([e0, e0])
     x = random_vector(M2, 2, np.random.default_rng(1))
     coeffs = analysis(frame, x)
-    assert norm(sub(coeffs.coefficient(0), x.entry(0))) < 1e-14
-    assert norm(sub(coeffs.coefficient(1), x.entry(0))) < 1e-14
+    assert norm(sub(coeffs.entry(0), x.entry(0))) < 1e-14
+    assert norm(sub(coeffs.entry(1), x.entry(0))) < 1e-14
 
 
 def test_analysis_shape_mismatch():
@@ -97,7 +97,7 @@ def test_synthesis_delta_sequence(shape):
     d = 2
     frame = standard_frame(shape, d)
     elems = [identity(shape) if n == 1 else scale(0.0, identity(shape)) for n in range(d)]
-    delta = AnalysisCoefficients.from_elements(elems)
+    delta = ModuleVector.from_entries(elems)
     out = synthesis(frame, delta)
     assert module_norm(vec_sub(out, frame.vector(1))) < 1e-14
 
@@ -106,17 +106,17 @@ def test_synthesis_adjointness(shape, rng):
     d = 3
     frame = random_frame(shape, d, 4, rng)
     x = random_vector(shape, d, rng)
-    a = AnalysisCoefficients.from_elements(
+    a = ModuleVector.from_entries(
         [random_element(shape, rng) for _ in range(4)]
     )
-    lhs = inner_product(analysis(frame, x).to_vector(), a.to_vector())
+    lhs = inner_product(analysis(frame, x), a)
     rhs = inner_product(x, synthesis(frame, a))
     assert norm(sub(lhs, rhs)) <= 1e-10 * (1 + norm(lhs))
 
 
 def test_synthesis_count_mismatch(shape):
     frame = standard_frame(shape, 2)
-    coeffs = AnalysisCoefficients.from_elements([identity(shape)] * 3)
+    coeffs = ModuleVector.from_entries([identity(shape)] * 3)
     with pytest.raises(InputError):
         synthesis(frame, coeffs)
 
@@ -162,6 +162,17 @@ def test_is_parseval_examples():
     assert not is_parseval(ModularFrame.from_vectors([e0, e0, e1]))
     scaled = [vec_scale(1 / np.sqrt(2), e0), vec_scale(1 / np.sqrt(2), e0), e1]
     assert is_parseval(ModularFrame.from_vectors(scaled), tol=1e-12)
+
+
+def test_is_parseval_default_matches_certify():
+    # S = (1 + 5e-9) I: within PARSEVAL_TOL of the identity, outside 1e-10
+    shape = AlgebraShape((1, 2))
+    std = standard_frame(shape, 3)
+    frame = ModularFrame(shape, 3, [np.sqrt(1 + 5e-9) * blk for blk in std.blocks])
+    assert is_parseval(frame)
+    assert not is_parseval(frame, tol=1e-10)
+    assert ModularFrame.from_dict(frame.to_dict()).to_dict()["parseval"] is True
+    assert certify(frame, frame, basis_vector(shape, 3, 0)).product_holds
 
 
 def test_parseval_residual_measured_once(monkeypatch, rng):
@@ -257,7 +268,7 @@ def test_support_examples():
     assert sparsity(coeffs) == 1
     comb = scalar_vector([1.0, 0.0, 1.0, 0.0])
     assert sparsity(analysis(std, comb)) == 2
-    near = AnalysisCoefficients.from_elements(
+    near = ModuleVector.from_entries(
         [identity(C), scale(1e-12, identity(C)), scale(0.0, identity(C))]
     )
     assert sparsity(near, rel_tol=1e-8) == 1
@@ -265,7 +276,7 @@ def test_support_examples():
 
 
 def test_support_of_zero_sequence(shape):
-    coeffs = AnalysisCoefficients.from_elements(
+    coeffs = ModuleVector.from_entries(
         [scale(0.0, identity(shape)) for _ in range(3)]
     )
     assert support(coeffs) == []
@@ -285,7 +296,7 @@ def test_analysis_isometry(shape, rng):
     frame = random_parseval_frame(shape, d, 6, rng)
     for _ in range(20):
         x = random_vector(shape, d, rng)
-        coeffs = analysis(frame, x).to_vector()
+        coeffs = analysis(frame, x)
         assert abs(module_norm(coeffs) - module_norm(x)) <= 1e-10
 
 

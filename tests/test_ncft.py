@@ -22,14 +22,14 @@ from ncup import (
     pattern_feasible_minor,
     random_element,
     random_vector,
+    sparsity,
     sub,
+    support,
     tao_min_sum,
-    vector_sparsity,
-    vector_support,
 )
 from ncup import cli, ncft
 from ncup.csmodule import vec_sub
-from ncup.ncft import RANK_TOL, PrimeDim, dft_matrix
+from ncup.ncft import dft_matrix
 
 from oracles import oracle_deficient_minors
 
@@ -43,13 +43,20 @@ def scalar_vector(values):
 
 def test_prime_dim_accepts_primes():
     for p in (2, 3, 5, 7, 11, 13):
-        assert PrimeDim(p).p == p
+        for given in (p, np.int64(p)):
+            assert tao_min_sum(given, mode="sampled", samples=20)["p"] == p
+            assert chebotarev_minor_nonsingular(given, [0], [p - 1])
 
 
 def test_prime_dim_rejects_composites():
-    for bad in (-1, 0, 1, 4, 6, 9, 12):
-        with pytest.raises(InputError):
-            PrimeDim(bad)
+    bad_values = [(-1, "not prime"), (0, "not prime"), (1, "not prime")]
+    bad_values += [(n, "not prime") for n in (4, 6, 9, 12)]
+    bad_values += [(v, "must be an integer") for v in ("seven", None, [5])]
+    for bad, message in bad_values:
+        with pytest.raises(InputError, match=message):
+            tao_min_sum(bad)
+        with pytest.raises(InputError, match=message):
+            chebotarev_minor_nonsingular(bad, [0], [0])
 
 
 def test_dft_matrix_is_unitary():
@@ -64,7 +71,7 @@ def test_ncdft_delta_is_flat(shape):
     for k in range(p):
         target = np.eye(shape.block_dims[0]) / np.sqrt(p)
         assert np.allclose(xhat.blocks[0][k], target, atol=1e-12)
-    assert vector_sparsity(xhat) == p
+    assert sparsity(xhat) == p
 
 
 def test_ncdft_comb_self_dual():
@@ -108,7 +115,7 @@ def test_ncdft_matches_fourier_frame_analysis(shape, rng):
     x = random_vector(shape, p, rng)
     coeffs = analysis(fourier_frame(shape, p), x)
     xhat = ncdft(x)
-    worst = max(norm(sub(coeffs.coefficient(k), xhat.entry(k))) for k in range(p))
+    worst = max(norm(sub(coeffs.entry(k), xhat.entry(k))) for k in range(p))
     assert worst < 1e-12
 
 
@@ -124,16 +131,16 @@ def test_cyclic_shift_covariance(shape, rng):
 
 def test_vector_support_relative_threshold():
     x = scalar_vector([1.0, 1e-12, 0.0])
-    assert vector_support(x) == [0]
-    assert vector_sparsity(x) == 1
-    assert vector_support(x, rel_tol=1e-13) == [0, 1]
+    assert support(x) == [0]
+    assert sparsity(x) == 1
+    assert support(x, rel_tol=1e-13) == [0, 1]
 
 
 def test_dirac_comb_requires_divisor():
     with pytest.raises(InputError):
         dirac_comb(C, 4, 3)
     comb = dirac_comb(C, 6, 3)
-    assert vector_support(comb) == [0, 3]
+    assert support(comb) == [0, 3]
 
 
 def test_chebotarev_examples():
@@ -173,13 +180,13 @@ def test_pattern_feasible_minor_examples():
 def test_donoho_stark_product_bound(shape, rng):
     for d in (4, 6, 8, 9):
         x = random_vector(shape, d, rng)
-        assert vector_sparsity(x) * vector_sparsity(ncdft(x)) >= d
+        assert sparsity(x) * sparsity(ncdft(x)) >= d
 
 
 def test_donoho_stark_comb_equality():
     for d, spacing in ((4, 2), (9, 3), (16, 4)):
         comb = dirac_comb(C, d, spacing)
-        prod = vector_sparsity(comb) * vector_sparsity(ncdft(comb))
+        prod = sparsity(comb) * sparsity(ncdft(comb))
         assert prod == d
 
 
@@ -196,8 +203,8 @@ def test_deficient_minors_match_per_minor_oracle(n):
     found = 0
     for s in range(1, n):
         cols, rows = layer_batch(n, s, s)
-        hits = ncft._deficient_minors(w, cols, rows, RANK_TOL)
-        assert hits == oracle_deficient_minors(w, cols, rows, RANK_TOL)
+        hits = ncft._deficient_minors(w, cols, rows)
+        assert hits == oracle_deficient_minors(w, cols, rows, ncft.RANK_TOL)
         found += len(hits)
     # composite lengths have singular minors, so the comparison is not vacuous
     assert (found > 0) == (n not in (5, 7))
@@ -210,17 +217,17 @@ def test_deficient_minors_match_oracle_on_tall_minors(n):
     for s in range(1, n):
         for r in range(s + 1, n):
             cols, rows = layer_batch(n, s, r)
-            hits = ncft._deficient_minors(w, cols, rows, RANK_TOL)
-            assert hits == oracle_deficient_minors(w, cols, rows, RANK_TOL)
+            hits = ncft._deficient_minors(w, cols, rows)
+            assert hits == oracle_deficient_minors(w, cols, rows, ncft.RANK_TOL)
 
 
 @pytest.mark.parametrize("n", [6, 8])
 def test_exhaustive_layers_match_per_minor_oracle(n):
     w = dft_matrix(n)
-    checked, hits = ncft._layer_pairs_exhaustive(n, w, RANK_TOL)
+    checked, hits = ncft._layer_pairs_exhaustive(n, w)
     expected = []
     for s in range(1, n):
-        expected += oracle_deficient_minors(w, *layer_batch(n, s, s), RANK_TOL)
+        expected += oracle_deficient_minors(w, *layer_batch(n, s, s), ncft.RANK_TOL)
     assert checked == comb(2 * n, n) - 2
     assert hits == expected
     assert hits
@@ -268,7 +275,7 @@ def test_each_symmetry_class_decomposed_once(monkeypatch):
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting)
-    assert ncft._deficient_minors(dft_matrix(p), cols, rows, RANK_TOL) == []
+    assert ncft._deficient_minors(dft_matrix(p), cols, rows) == []
     assert sum(decomposed) == orbits < len(cols)
 
 
@@ -351,8 +358,8 @@ def test_conjecture_crosscheck_is_live(monkeypatch, tmp_path):
     # test with itself.
     original = ncft.pattern_feasible_minor
 
-    def flipped(p, support_t, support_omega, threshold=ncft.RANK_TOL):
-        verdict = original(p, support_t, support_omega, threshold)
+    def flipped(p, support_t, support_omega):
+        verdict = original(p, support_t, support_omega)
         if list(support_t) == [0] and list(support_omega) == [0]:
             return not verdict
         return verdict
