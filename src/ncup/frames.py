@@ -66,10 +66,38 @@ RANK_TOL = 1e-10
 
 PARSEVALIZE_MAX_RETRIES = 50
 
+# Elements per batched product in _entry_norms, which bounds its temporary arrays.
+_NORM_CHUNK = 4096
+
 
 def _entry_norms(stacks) -> np.ndarray:
-    """C*-norms of stacked algebra elements, given one (..., n, n) stack per block."""
-    return np.max([np.linalg.svd(s, compute_uv=False)[..., 0] for s in stacks], axis=0)
+    """C*-norms of stacked algebra elements, given one (k, ..., n, n) stack per block.
+
+    The one norm kernel.  Each block b is scaled by 2^-e, the power of two
+    just above its largest |entry| (an exact scaling, subnormal entries
+    included), so the scaled block c has entries below 1 in modulus and
+    c c^H can neither overflow nor underflow; the norm is 2^e * sqrt of the
+    top eigvalsh eigenvalue of c c^H, and an element's norm is the largest
+    over its blocks.  Raises InputError on a non-finite entry.
+    """
+    return np.max([_block_norms(s) for s in stacks], axis=0)
+
+
+def _block_norms(s: np.ndarray) -> np.ndarray:
+    n = s.shape[-1]
+    out = np.empty(s.shape[:-2])
+    step = max(1, _NORM_CHUNK * len(s) // max(1, out.size))
+    for start in range(0, len(s), step):
+        part = out[start : start + step]
+        b = np.ascontiguousarray(s[start : start + step], dtype=np.complex128).reshape(-1, n, n)
+        peak = np.abs(b).max(axis=(1, 2))
+        if not np.isfinite(peak).all():
+            raise InputError("algebra elements must have finite entries")
+        exp = np.frexp(peak)[1]  # 0 for a zero block
+        c = np.ldexp(b.view(np.float64), -exp[:, None, None]).view(np.complex128)
+        top = np.linalg.eigvalsh(c @ c.conj().transpose(0, 2, 1))[:, -1]
+        part[...] = np.ldexp(np.sqrt(top), exp).reshape(part.shape)
+    return out
 
 
 class ModularFrame:

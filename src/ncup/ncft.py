@@ -11,9 +11,10 @@ that minor criterion: a nonzero x with supp(x) inside T and supp(x_hat)
 inside Omega exists iff the minor on rows (complement of Omega) and
 columns T is rank deficient.  Because the transform acts coordinatewise,
 the same criterion settles feasibility for algebra-valued x; the audit
-cross-checks that reduction with uncertainty.support_pair_feasible on the
-standard and Fourier frames over A, which decides each pattern from the
-frame matrices without the minor.  Every rank verdict goes through
+cross-checks that reduction with support_pair_feasible's block rank test
+on the standard and Fourier frames over A, which decides each pattern from
+the frame matrices without the minor.  Both tests run batched, once per
+(|T|, |Omega|) group of patterns.  Every rank verdict goes through
 frames._numeric_rank at RANK_TOL.
 
 The batch minor scan decides one minor per symmetry class.  With W the
@@ -30,6 +31,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 
 import numpy as np
 
@@ -46,7 +48,7 @@ from .frames import (
     _validate_indices,
     sparsity,
 )
-from .uncertainty import _check_rel_tol, support_pair_feasible
+from .uncertainty import _check_rel_tol, _deficient_blocks
 
 __all__ = [
     "dft_matrix",
@@ -65,7 +67,7 @@ __all__ = [
 EXHAUSTIVE_MAX_P = 7
 SAMPLED_MAX_P = 13
 DEFAULT_SAMPLES = 100_000
-PATTERN_SEARCH_MAX_P = 5
+PATTERN_SEARCH_MAX_P = 7
 
 _CHUNK = 32_768
 
@@ -82,10 +84,10 @@ def _is_prime(p: int) -> bool:
 
 
 def _as_prime(p) -> int:
-    """p as an int, certified prime by trial division."""
+    """p as an int, certified prime by trial division; non-integral p is refused."""
     try:
-        value = int(p)
-    except (TypeError, ValueError) as exc:
+        value = operator.index(p)
+    except TypeError as exc:
         raise InputError(f"prime dimension must be an integer, got {p!r}") from exc
     if not _is_prime(value):
         raise InputError(f"{value} is not prime")
@@ -261,19 +263,31 @@ def _class_keys(n: int, cols: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return ((dil_t[:, t_masks] << n) | dil_r[:, r_masks]).min(axis=0)
 
 
-def _deficient_minors(w: np.ndarray, cols: np.ndarray, rows: np.ndarray):
+def _deficient_minors(w: np.ndarray, cols: np.ndarray, rows: np.ndarray, known=None):
     """(T, Omega) for every rank-deficient minor w[rows[i], cols[i]] of a batch.
 
     cols is (m, s) and rows (m, r) with r >= s; Omega is the complement of
     the row set.  Only the first minor of each symmetry class is
     decomposed; the others take its verdict, and hits keep batch order.
+    known, a dict from class key to verdict, carries the classes decided by
+    earlier batches of the same shape: they are not decomposed again, and
+    the classes this batch decides are added to it.
     """
     n = len(w)
-    _, first, inverse = np.unique(
+    keys, first, inverse = np.unique(
         _class_keys(n, cols, rows), return_index=True, return_inverse=True
     )
-    sv = np.linalg.svd(w[rows[first, :, None], cols[first, None, :]], compute_uv=False)
-    deficient = _numeric_rank(sv, sv[:, :1]) < cols.shape[1]
+    new = np.ones(len(keys), dtype=bool)
+    if known:
+        new = np.array([key not in known for key in keys.tolist()], dtype=bool)
+    deficient = np.zeros(len(keys), dtype=bool)
+    if new.any():
+        pick = first[new]
+        sv = np.linalg.svd(w[rows[pick, :, None], cols[pick, None, :]], compute_uv=False)
+        deficient[new] = _numeric_rank(sv, sv[:, :1]) < cols.shape[1]
+    if known is not None:
+        deficient[~new] = [known[key] for key in keys[~new].tolist()]
+        known.update(zip(keys[new].tolist(), deficient[new].tolist()))
     everything = set(range(n))
     return [
         (cols[i].tolist(), sorted(everything - set(rows[i].tolist())))
@@ -287,18 +301,67 @@ def _layer_pairs_exhaustive(p: int, w: np.ndarray):
     Yields nothing for primes; a singular minor yields (T, Omega).  By
     monotonicity in Omega this layer decides all patterns with smaller
     support sums.  Runs in chunks so forced large-p scans stay bounded
-    in memory; pair i of a layer is (combos[i // C], combos[i % C]).
+    in memory; pair i of a layer is (combos[i // C], combos[i % C]).  The
+    class verdicts of a layer are kept across its chunks, so each class is
+    decomposed once.
     """
     checked = 0
     hits = []
     for s in range(1, p):
-        combos = np.array(list(itertools.combinations(range(p), s)))
+        combos = _combos(p, s)
         c = len(combos)
+        known = {}
         for start in range(0, c * c, _CHUNK):
             pair = np.arange(start, min(start + _CHUNK, c * c))
-            hits += _deficient_minors(w, combos[pair // c], combos[pair % c])
+            hits += _deficient_minors(w, combos[pair // c], combos[pair % c], known)
         checked += c * c
     return checked, hits
+
+
+def _combos(n: int, size: int) -> np.ndarray:
+    """Every size-subset of range(n) as a row, in lexicographic order."""
+    return np.array(list(itertools.combinations(range(n), size)), dtype=int).reshape(-1, size)
+
+
+def _complements(n: int, sets: np.ndarray) -> np.ndarray:
+    """Row i lists range(n) minus the indices in sets[i], ascending."""
+    keep = np.ones((len(sets), n), dtype=bool)
+    keep[np.arange(len(sets))[:, None], sets] = False
+    return np.nonzero(keep)[1].reshape(len(sets), -1)
+
+
+def _pattern_search(shape: AlgebraShape, p: int):
+    """Decide every support pattern (T, Omega), |T| + |Omega| <= p, |T| < p, two ways.
+
+    The scalar way is the DFT minor on rows outside Omega and columns T
+    (_deficient_minors); the frame way is support_pair_feasible's block
+    rank test on the standard and Fourier frames over A (_deficient_blocks).
+    Both run once per (|T|, |Omega|) group, over the group's patterns in
+    the order (T, Omega).  Returns the pattern count and, in the order
+    (|T|, T, |Omega|, Omega), (T, Omega, scalar verdict, frame verdict) for
+    every pattern that either way finds feasible.
+    """
+    w = dft_matrix(p)
+    std, fourier = standard_frame(shape, p), fourier_frame(shape, p)
+    checked = 0
+    scalar, by_frames = set(), set()
+    for size_t in range(1, p):
+        t_sets = _combos(p, size_t)
+        t_comps = _complements(p, t_sets)
+        for size_o in range(1, p - size_t + 1):
+            o_sets = _combos(p, size_o)
+            t_idx, o_idx = np.divmod(np.arange(len(t_sets) * len(o_sets)), len(o_sets))
+            rows = _complements(p, o_sets)[o_idx]
+            hits = _deficient_minors(w, t_sets[t_idx], rows)
+            scalar.update((tuple(t), tuple(o)) for t, o in hits)
+            feasible = _deficient_blocks(std, fourier, t_comps[t_idx], rows)
+            by_frames.update(
+                (tuple(t_sets[t_idx[i]].tolist()), tuple(o_sets[o_idx[i]].tolist()))
+                for i in np.flatnonzero(feasible.any(axis=1))
+            )
+            checked += len(t_idx)
+    flagged = sorted(scalar | by_frames, key=lambda to: (len(to[0]), to[0], len(to[1]), to[1]))
+    return checked, [(list(t), list(o), (t, o) in scalar, (t, o) in by_frames) for t, o in flagged]
 
 
 def _pattern_witness(p: int, w: np.ndarray, t, omega):
@@ -413,12 +476,13 @@ def conjecture_audit(
       random sparse draws: `trials` vectors with uniformly random support
       size and Gaussian algebra entries, thresholded support counting;
       spike witness: the vector with 1_A at index 0 must attain p + 1;
-      structured search (p <= 5): every support pattern with sum <= p is
+      structured search (p <= 7): every support pattern with sum <= p is
       tested by the scalar minor criterion (the transform acts on each
       scalar coordinate of A separately, so scalar infeasibility rules out
-      algebra-valued solutions) and cross-checked by support_pair_feasible
-      on the standard and Fourier frames over A, which decides the same
-      pattern for algebra-valued x from the frame matrices.
+      algebra-valued solutions) and cross-checked by support_pair_feasible's
+      rank test on the standard and Fourier frames over A, which decides
+      the same pattern for algebra-valued x from the frame matrices (see
+      _pattern_search).
 
     Any recorded violation is classified: "counterexample" if the scalar
     oracle confirms the support pattern is genuinely feasible, otherwise
@@ -492,25 +556,12 @@ def conjecture_audit(
     delta_sum = sparsity(delta, rel_tol) + sparsity(ncdft(delta), rel_tol)
     min_sum = int(min(min_sum, delta_sum))
 
-    patterns_checked = 0
-    pattern_violations = []
-    crosscheck_agreed = True
+    patterns_checked, flagged = 0, []
     pattern_search_performed = p <= PATTERN_SEARCH_MAX_P
     if pattern_search_performed:
-        std, fourier = standard_frame(shape, p), fourier_frame(shape, p)
-        for size_t in range(1, p):
-            for t_set in itertools.combinations(range(p), size_t):
-                for size_o in range(1, p - size_t + 1):
-                    for omega in itertools.combinations(range(p), size_o):
-                        patterns_checked += 1
-                        scalar = pattern_feasible_minor(p, t_set, omega)
-                        by_frames, _ = support_pair_feasible(std, fourier, t_set, omega)
-                        if scalar != by_frames:
-                            crosscheck_agreed = False
-                        if scalar or by_frames:
-                            pattern_violations.append(
-                                {"support": list(t_set), "fourier_support": list(omega)}
-                            )
+        patterns_checked, flagged = _pattern_search(shape, p)
+    pattern_violations = [{"support": t, "fourier_support": o} for t, o, _, _ in flagged]
+    crosscheck_agreed = all(scalar == by_frames for _, _, scalar, by_frames in flagged)
 
     holds = (
         min_sum >= p + 1

@@ -266,17 +266,47 @@ def support_pair_feasible(
     if not comp_t and not comp_o:
         return True, basis_vector(shape, d, 0)
 
-    svds = [
-        np.linalg.svd(np.vstack([t[_block_cols(comp_t, n)], w[_block_cols(comp_o, n)]]))
-        for n, t, w in zip(shape.block_dims, tau.mats, omega.mats)
+    comp_t, comp_o = np.array([comp_t], int), np.array([comp_o], int)
+    deficient = _deficient_blocks(tau, omega, comp_t, comp_o)[0]
+    if not deficient.any():
+        return False, None
+    b = int(np.argmax(deficient))
+    stack = _constraint_stack(tau.mats[b], omega.mats[b], shape.block_dims[b], comp_t, comp_o)
+    mats = [np.zeros((m, d * m), dtype=np.complex128) for m in shape.block_dims]
+    mats[b][0] = np.linalg.svd(stack[0])[2][-1]
+    return True, ModuleVector._from_mats(shape, d, mats)
+
+
+def _deficient_blocks(
+    tau: ModularFrame, omega: ModularFrame, comp_t: np.ndarray, comp_o: np.ndarray
+) -> np.ndarray:
+    """Per pattern and block, is that block's constraint stack rank deficient?
+
+    Pattern i excludes the tau indices comp_t[i] and the omega indices
+    comp_o[i] (arrays of shape (m, a) and (m, c), a + c >= 1).  One stacked
+    SVD per block decides all m patterns; the rank cutoff is RANK_TOL times
+    the pattern's largest singular value over all blocks.  Returns an (m, B)
+    mask; support_pair_feasible's verdict is its row's any().
+    """
+    dims = tau.shape.block_dims
+    svs = [
+        np.linalg.svd(_constraint_stack(t, w, n, comp_t, comp_o), compute_uv=False)
+        for n, t, w in zip(dims, tau.mats, omega.mats)
     ]
-    ref = max(sv[0] for _, sv, _ in svds)
-    for b, (n, (_, sv, vh)) in enumerate(zip(shape.block_dims, svds)):
-        if _numeric_rank(sv, ref) < d * n:
-            mats = [np.zeros((m, d * m), dtype=np.complex128) for m in shape.block_dims]
-            mats[b][0] = vh[-1]
-            return True, ModuleVector._from_mats(shape, d, mats)
-    return False, None
+    ref = np.max([sv[:, :1] for sv in svs], axis=0)
+    return np.stack([_numeric_rank(sv, ref) < tau.d * n for n, sv in zip(dims, svs)], axis=1)
+
+
+def _constraint_stack(t: np.ndarray, w: np.ndarray, n: int, comp_t, comp_o) -> np.ndarray:
+    """Row blocks comp_t[i] of t over row blocks comp_o[i] of w: (m, (a + c) n, d n)."""
+    m = len(comp_t)
+    return np.concatenate(
+        [
+            mat.reshape(-1, n, mat.shape[1])[idx].reshape(m, -1, mat.shape[1])
+            for mat, idx in ((t, comp_t), (w, comp_o))
+        ],
+        axis=1,
+    )
 
 
 def random_audit(

@@ -20,11 +20,25 @@ into one constraint matrix, with no use of the block structure.
 
 oracle_deficient_minors is the DFT-minor scan without symmetry reduction:
 one SVD per minor of the batch.
+
+oracle_pattern_search is the conjecture audit's structured search as one
+library call per pattern and test: pattern_feasible_minor for the scalar
+verdict and support_pair_feasible for the frame verdict.
 """
+
+import itertools
 
 import numpy as np
 
-from ncup import ModuleVector, basis_vector, module_norm
+from ncup import (
+    ModuleVector,
+    basis_vector,
+    fourier_frame,
+    module_norm,
+    pattern_feasible_minor,
+    standard_frame,
+    support_pair_feasible,
+)
 
 
 def embed_element(a) -> np.ndarray:
@@ -147,3 +161,25 @@ def oracle_deficient_minors(w, cols, rows, threshold=1e-10):
     bad = np.flatnonzero(np.count_nonzero(sv > threshold * sv[:, :1], axis=1) < cols.shape[1])
     everything = set(range(len(w)))
     return [(cols[i].tolist(), sorted(everything - set(rows[i].tolist()))) for i in bad]
+
+
+def oracle_pattern_search(shape, p):
+    """Pattern count and (T, Omega, scalar, frames) for every flagged pattern.
+
+    Loops over (|T|, T, |Omega|, Omega) with |T| < p and |T| + |Omega| <= p,
+    deciding each pattern by its own scalar minor test and its own
+    frame-level test on the standard and Fourier frames over A; a pattern
+    is flagged when either verdict says feasible.
+    """
+    std, fourier = standard_frame(shape, p), fourier_frame(shape, p)
+    checked, flagged = 0, []
+    for size_t in range(1, p):
+        for t_set in itertools.combinations(range(p), size_t):
+            for size_o in range(1, p - size_t + 1):
+                for omega in itertools.combinations(range(p), size_o):
+                    checked += 1
+                    scalar = pattern_feasible_minor(p, t_set, omega)
+                    by_frames, _ = support_pair_feasible(std, fourier, t_set, omega)
+                    if scalar or by_frames:
+                        flagged.append((list(t_set), list(omega), scalar, by_frames))
+    return checked, flagged

@@ -321,6 +321,8 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
         ("tao_p11_exhaustive_force.json", "tao --p 11 --mode exhaustive --force"),
         ("conjecture_m2_p5.json", "conjecture --algebra 2 --p 5 --trials 2000"),
         ("conjecture_c2_p5.json", "conjecture --algebra 1,1 --p 5 --trials 2000"),
+        ("conjecture_m2_p7.json", "conjecture --algebra 2 --p 7 --trials 2000"),
+        ("conjecture_c2_p7.json", "conjecture --algebra 1,1 --p 7 --trials 2000"),
     ],
 )
 def test_report_matches_golden(name, args):

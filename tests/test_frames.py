@@ -43,6 +43,7 @@ from oracles import (
     embed_operator,
     oracle_cross_gram_norms,
     oracle_frame_operator,
+    oracle_norm,
     oracle_parsevalize,
 )
 
@@ -281,6 +282,46 @@ def test_support_of_zero_sequence(shape):
     )
     assert support(coeffs) == []
     assert sparsity(coeffs) == 0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
+def test_entry_norms_reject_non_finite(shape, bad):
+    blocks = [np.ones((3, n, n), dtype=complex) for n in shape.block_dims]
+    blocks[-1][1, 0, -1] = bad
+    x = ModuleVector(shape, 3, blocks)
+    for call in (support, sparsity, lambda v: frames._entry_norms(v.blocks)):
+        with pytest.raises(InputError, match="finite"):
+            call(x)
+    frame = ModularFrame(shape, 1, [blk[:, None] for blk in blocks])
+    with pytest.raises(InputError):
+        cross_gram_norms(frame, standard_frame(shape, 1))
+
+
+@pytest.mark.parametrize("magnitude", [1e300, 1e-300])
+def test_entry_norms_match_svd_oracle_at_extreme_scales(shape, rng, magnitude):
+    x = vec_scale(magnitude, random_vector(shape, 6, rng))
+    expected = np.array([oracle_norm(e) for e in x.entries])
+    assert np.allclose(frames._entry_norms(x.blocks), expected, rtol=2e-15, atol=0.0)
+    assert support(x) == list(range(6))
+    root = np.sqrt(magnitude)  # cross inner products of size ~magnitude
+    tau = random_frame(shape, 2, 3, rng)
+    omega = random_frame(shape, 2, 4, rng)
+    tau, omega = (
+        ModularFrame(shape, 2, [root * blk for blk in f.blocks]) for f in (tau, omega)
+    )
+    assert np.allclose(
+        cross_gram_norms(tau, omega), oracle_cross_gram_norms(tau, omega), rtol=2e-15, atol=0.0
+    )
+
+
+def test_support_spans_the_whole_exponent_range(shape):
+    # 1e300 and 1e-300 in one vector: the tiny entry is still nonzero at
+    # rel_tol = 0, where an unscaled Gram product would underflow to zero.
+    x = ModuleVector.from_entries(
+        [scale(1e300, identity(shape)), scale(1e-300, identity(shape)), scale(0.0, identity(shape))]
+    )
+    assert support(x, rel_tol=0.0) == [0, 1]
+    assert support(x) == [0]
 
 
 def test_sparsity_scale_invariance(shape, rng):

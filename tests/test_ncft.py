@@ -31,7 +31,7 @@ from ncup import cli, ncft
 from ncup.csmodule import vec_sub
 from ncup.ncft import dft_matrix
 
-from oracles import oracle_deficient_minors
+from oracles import oracle_deficient_minors, oracle_pattern_search
 
 C = AlgebraShape((1,))
 M2 = AlgebraShape((2,))
@@ -51,7 +51,7 @@ def test_prime_dim_accepts_primes():
 def test_prime_dim_rejects_composites():
     bad_values = [(-1, "not prime"), (0, "not prime"), (1, "not prime")]
     bad_values += [(n, "not prime") for n in (4, 6, 9, 12)]
-    bad_values += [(v, "must be an integer") for v in ("seven", None, [5])]
+    bad_values += [(v, "must be an integer") for v in ("seven", None, [5], 7.9, 5.5, 7.0)]
     for bad, message in bad_values:
         with pytest.raises(InputError, match=message):
             tao_min_sum(bad)
@@ -222,7 +222,7 @@ def test_deficient_minors_match_oracle_on_tall_minors(n):
 
 
 @pytest.mark.parametrize("n", [6, 8])
-def test_exhaustive_layers_match_per_minor_oracle(n):
+def test_exhaustive_layers_match_per_minor_oracle(monkeypatch, n):
     w = dft_matrix(n)
     checked, hits = ncft._layer_pairs_exhaustive(n, w)
     expected = []
@@ -231,6 +231,9 @@ def test_exhaustive_layers_match_per_minor_oracle(n):
     assert checked == comb(2 * n, n) - 2
     assert hits == expected
     assert hits
+    # 64-pair chunks split classes over many chunks; the hits keep their order
+    monkeypatch.setattr(ncft, "_CHUNK", 64)
+    assert ncft._layer_pairs_exhaustive(n, w) == (checked, hits)
 
 
 @pytest.mark.parametrize("n", [7, 8, 9, 12, 13])
@@ -248,9 +251,8 @@ def test_class_key_is_invariant(n, rng):
             assert np.array_equal(moved, key)
 
 
-def test_each_symmetry_class_decomposed_once(monkeypatch):
-    p, s = 7, 3
-    cols, rows = layer_batch(p, s, s)
+def count_orbits(p, cols, rows):
+    """Classes of the (T, R) pairs of a batch under translations and joint dilation, p prime."""
     units = [(u, pow(u, -1, p)) for u in range(1, p)]
     seen, orbits = set(), 0
     for pair in zip(map(tuple, cols.tolist()), map(tuple, rows.tolist())):
@@ -267,6 +269,11 @@ def test_each_symmetry_class_decomposed_once(monkeypatch):
             for a in range(p)
             for b in range(p)
         )
+    return orbits
+
+
+def count_decomposed(monkeypatch):
+    """Record the number of matrices each np.linalg.svd call decomposes."""
     decomposed = []
     svd = np.linalg.svd
 
@@ -275,8 +282,38 @@ def test_each_symmetry_class_decomposed_once(monkeypatch):
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting)
+    return decomposed
+
+
+def test_each_symmetry_class_decomposed_once(monkeypatch):
+    p, s = 7, 3
+    cols, rows = layer_batch(p, s, s)
+    orbits = count_orbits(p, cols, rows)
+    decomposed = count_decomposed(monkeypatch)
     assert ncft._deficient_minors(dft_matrix(p), cols, rows) == []
     assert sum(decomposed) == orbits < len(cols)
+
+
+def test_exhaustive_scan_decides_each_class_once_across_chunks(monkeypatch):
+    # With 64-pair chunks every class of the middle layers spans many chunks;
+    # the per-layer verdict map still decomposes each class once.
+    p = 7
+    orbits = sum(count_orbits(p, *layer_batch(p, s, s)) for s in range(1, p))
+    monkeypatch.setattr(ncft, "_CHUNK", 64)
+    batches = []
+    scan = ncft._deficient_minors
+
+    def counting_batches(w, cols, rows, known=None):
+        batches.append(len(cols))
+        return scan(w, cols, rows, known)
+
+    monkeypatch.setattr(ncft, "_deficient_minors", counting_batches)
+    decomposed = count_decomposed(monkeypatch)
+    checked, hits = ncft._layer_pairs_exhaustive(p, dft_matrix(p))
+    assert checked == sum(batches) == comb(2 * p, p) - 2
+    assert max(batches) == 64 and len(batches) > 40
+    assert hits == []
+    assert sum(decomposed) == orbits
 
 
 def test_tao_min_sum_exhaustive_small_primes():
@@ -353,18 +390,25 @@ def test_conjecture_audit_deterministic():
 
 
 def test_conjecture_crosscheck_is_live(monkeypatch, tmp_path):
-    # Flip the scalar verdict for one pattern: the frame-level check must
-    # disagree with it, so the audit cannot pass by comparing the minor
-    # test with itself.
-    original = ncft.pattern_feasible_minor
+    # Flip the scalar verdict for one pattern inside the batched minor scan:
+    # the frame-level check must disagree with it, so the audit cannot pass
+    # by comparing the minor test with itself.
+    original = ncft._deficient_minors
+    target = ([0], [0])
 
-    def flipped(p, support_t, support_omega):
-        verdict = original(p, support_t, support_omega)
-        if list(support_t) == [0] and list(support_omega) == [0]:
-            return not verdict
-        return verdict
+    def flipped(w, cols, rows, known=None):
+        hits = original(w, cols, rows, known)
+        everything = list(range(len(w)))
+        in_batch = any(
+            c == target[0] and r == everything[1:] for c, r in zip(cols.tolist(), rows.tolist())
+        )
+        if not in_batch:
+            return hits
+        if target in hits:
+            return [hit for hit in hits if hit != target]
+        return [target] + hits
 
-    monkeypatch.setattr(ncft, "pattern_feasible_minor", flipped)
+    monkeypatch.setattr(ncft, "_deficient_minors", flipped)
     report = conjecture_audit(M2, 3, trials=50)
     assert report["reduction_crosscheck_agreed"] is False
     assert report["holds"] is False
@@ -375,8 +419,25 @@ def test_conjecture_crosscheck_is_live(monkeypatch, tmp_path):
     assert '"reduction_crosscheck_agreed":false' in out.read_text()
 
 
+@pytest.mark.parametrize(
+    "dims, n", [((2,), 7), ((1, 1), 5), ((1, 2), 6), ((1,), 4)]
+)
+def test_pattern_search_matches_per_pattern_loop(dims, n):
+    # Every pattern gets the same scalar and frame verdicts, in the same
+    # order, from the grouped search as from one call per pattern; the
+    # composite lengths have feasible patterns, so the comparison is not
+    # vacuous there.
+    shape = AlgebraShape(dims)
+    checked, flagged = ncft._pattern_search(shape, n)
+    assert (checked, flagged) == oracle_pattern_search(shape, n)
+    assert checked == sum(
+        comb(n, s) * comb(n, t) for s in range(1, n) for t in range(1, n - s + 1)
+    )
+    assert bool(flagged) == (n in (4, 6))
+
+
 def test_conjecture_audit_skips_pattern_search_large_p():
-    report = conjecture_audit(C, 7, trials=100, seed=0)
+    report = conjecture_audit(C, 11, trials=100, seed=0)
     assert not report["pattern_search_performed"]
     assert report["holds"]
 

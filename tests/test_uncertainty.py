@@ -9,6 +9,7 @@ from ncup import (
     NonParsevalFrameError,
     basis_vector,
     certify,
+    coherence,
     evaluate,
     module_norm,
     proof_chain_check,
@@ -20,7 +21,7 @@ from ncup import (
 from ncup import analysis, frames, support, uncertainty
 from ncup.csmodule import vec_scale
 from ncup.ncft import dirac_comb, fourier_frame, standard_frame
-from oracles import oracle_support_pair_feasible
+from oracles import oracle_cross_gram_norms, oracle_support_pair_feasible
 
 C = AlgebraShape((1,))
 M2 = AlgebraShape((2,))
@@ -287,3 +288,30 @@ def test_random_audit_validates_arguments():
         random_audit(C, d=2, n_tau=1, n_omega=2, trials=1)
     with pytest.raises(InputError):
         random_audit(C, d=2, n_tau=2, n_omega=2, trials=0)
+
+
+@pytest.mark.parametrize(
+    "dims, d, n_tau, n_omega",
+    [
+        ((1,), 3, 4, 5),
+        ((1, 1), 3, 4, 5),
+        ((2,), 3, 4, 5),
+        ((1, 2), 3, 4, 5),
+        ((4, 4, 8), 16, 24, 24),
+    ],
+)
+def test_mu_matches_dense_svd_oracle(dims, d, n_tau, n_omega):
+    # mu comes from the eigvalsh norm kernel; certify, coherence and audit
+    # reports must stay within 2e-15 relative of the dense SVD norms.
+    shape, seed = AlgebraShape(dims), 5
+    report = random_audit(shape, d, n_tau, n_omega, trials=3, seed=seed)
+    for t, record in enumerate(report["records"]):
+        rng = np.random.default_rng((seed, t))
+        tau = random_parseval_frame(shape, d, n_tau, rng)
+        omega = random_parseval_frame(shape, d, n_omega, rng)
+        mu = oracle_cross_gram_norms(tau, omega).max()
+        cert = certify(tau, omega, random_vector(shape, d, rng))
+        for value in (record["mu"], cert.mu, coherence(tau, omega)):
+            assert abs(value - mu) <= 2e-15 * mu
+        for value in (record["rhs"], cert.rhs):
+            assert abs(value - 1.0 / mu**2) <= 2e-15 / mu**2
