@@ -14,7 +14,6 @@ from .algebra import (
     add,
     identity,
     is_positive,
-    is_zero,
     mul,
     norm,
     random_element,

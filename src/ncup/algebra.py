@@ -4,7 +4,8 @@ An algebra here is always M_{n1}(C) + ... + M_{nB}(C) (outer direct sum),
 which covers every finite-dimensional C*-algebra up to isomorphism.  An
 element is stored as one complex matrix per block; the involution is the
 blockwise conjugate transpose, the norm is the largest singular value over
-all blocks, and positivity is decided from blockwise Hermitian spectra.
+all blocks (computed by the one norm kernel, _entry_norms), and positivity
+is decided from blockwise Hermitian spectra.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ __all__ = [
     "scale",
     "norm",
     "is_positive",
-    "is_zero",
     "identity",
     "zero",
     "random_element",
@@ -36,6 +36,9 @@ __all__ = [
 # roundoff from genuine negativity or asymmetry in is_positive, and from a
 # genuinely singular spectrum in csmodule.op_inv_sqrt.
 POSITIVITY_TOL = 1e-10
+
+# Elements per batched product in _entry_norms, which bounds its temporary arrays.
+_NORM_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -228,14 +231,37 @@ def scale(z: complex, a: AlgebraElement) -> AlgebraElement:
 
 def norm(a: AlgebraElement) -> float:
     """C*-norm: the largest singular value over all blocks."""
-    return float(max(np.linalg.norm(blk, 2) for blk in a.blocks))
+    return float(_entry_norms([blk[None] for blk in a.blocks])[0])
 
 
-def is_zero(a: AlgebraElement, tol: float = 0.0) -> bool:
-    """True iff norm(a) <= tol."""
-    if tol < 0:
-        raise InputError(f"tol must be nonnegative, got {tol}")
-    return norm(a) <= tol
+def _entry_norms(stacks) -> np.ndarray:
+    """C*-norms of stacked matrices, given one (k, ..., r, c) stack per block.
+
+    The one norm kernel.  Each matrix b is scaled by 2^-e, the power of two
+    just above its largest |entry| (an exact scaling, subnormal entries
+    included), so the scaled c has entries below 1 in modulus and c c^H can
+    neither overflow nor underflow; the norm is 2^e * sqrt of the top
+    eigvalsh eigenvalue of c c^H, and an element's norm is the largest over
+    its blocks.  Raises InputError on a non-finite entry.
+    """
+    return np.max([_block_norms(s) for s in stacks], axis=0)
+
+
+def _block_norms(s: np.ndarray) -> np.ndarray:
+    dims = s.shape[-2:]
+    out = np.empty(s.shape[:-2])
+    step = max(1, _NORM_CHUNK * len(s) // max(1, out.size))
+    for start in range(0, len(s), step):
+        part = out[start : start + step]
+        b = np.ascontiguousarray(s[start : start + step], dtype=np.complex128).reshape(-1, *dims)
+        peak = np.abs(b).max(axis=(1, 2))
+        if not np.isfinite(peak).all():
+            raise InputError("algebra elements must have finite entries")
+        exp = np.frexp(peak)[1]  # 0 for a zero block
+        c = np.ldexp(b.view(np.float64), -exp[:, None, None]).view(np.complex128)
+        top = np.linalg.eigvalsh(c @ c.conj().transpose(0, 2, 1))[:, -1]
+        part[...] = np.ldexp(np.sqrt(top), exp).reshape(part.shape)
+    return out
 
 
 def is_positive(a: AlgebraElement) -> bool:

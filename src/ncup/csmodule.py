@@ -29,6 +29,7 @@ from .algebra import (
     _decode_matrices,
     _element_payload,
     _encode_matrices,
+    _entry_norms,
     norm,
 )
 from .errors import InputError, SingularOperatorError
@@ -60,6 +61,14 @@ def _freeze(mat) -> np.ndarray:
     mat = np.ascontiguousarray(mat, dtype=np.complex128)
     mat.setflags(write=False)
     return mat
+
+
+def _module_rank(d) -> int:
+    """d as an int; raises InputError unless it is a positive module rank."""
+    d = int(d)
+    if d < 1:
+        raise InputError(f"module rank d must be positive, got {d}")
+    return d
 
 
 def _layout_axes(lead: tuple) -> tuple:
@@ -144,9 +153,7 @@ class ModuleVector:
     __slots__ = ("shape", "d", "mats")
 
     def __init__(self, shape: AlgebraShape, d: int, blocks) -> None:
-        d = int(d)
-        if d < 1:
-            raise InputError(f"module rank d must be positive, got {d}")
+        d = _module_rank(d)
         self.mats = _stacks_to_mats(shape, blocks, (d,))
         self.shape = shape
         self.d = d
@@ -279,8 +286,8 @@ def inner_product(x: ModuleVector, y: ModuleVector) -> AlgebraElement:
 
 
 def module_norm(x: ModuleVector) -> float:
-    """sqrt of the C*-norm of <x, x>."""
-    return float(np.sqrt(norm(inner_product(x, x))))
+    """sqrt of the C*-norm of <x, x>: the top singular value of X, over all blocks."""
+    return float(_entry_norms([m[None] for m in x.mats])[0])
 
 
 def cauchy_schwarz_gap(x: ModuleVector, y: ModuleVector) -> float:
@@ -343,6 +350,7 @@ def zero_vector(shape: AlgebraShape, d: int) -> ModuleVector:
 
 def random_vector(shape: AlgebraShape, d: int, rng: np.random.Generator) -> ModuleVector:
     """I.i.d. standard complex Gaussian entries in every matrix coordinate."""
+    d = _module_rank(d)
     blocks = []
     for n in shape.block_dims:
         blk = (
@@ -382,7 +390,7 @@ def op_identity(shape: AlgebraShape, d: int) -> ModuleOperator:
 
 def op_norm(m: ModuleOperator) -> float:
     """Operator norm on A^d: max over blocks of the spectral norm of the block matrix."""
-    return float(max(np.linalg.norm(mat, 2) for mat in m.mats))
+    return float(_entry_norms([mat[None] for mat in m.mats])[0])
 
 
 def op_inv_sqrt(m: ModuleOperator) -> ModuleOperator:

@@ -23,11 +23,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import AlgebraShape, _decode_matrices, _encode_matrices
+from .algebra import AlgebraShape, _decode_matrices, _encode_matrices, _entry_norms
 from .csmodule import (
     ModuleOperator,
     ModuleVector,
     _freeze,
+    _module_rank,
     _parse_vector,
     _stack_views,
     _stacks_to_mats,
@@ -53,7 +54,7 @@ __all__ = [
 ]
 
 # The one Parseval decision: a frame counts as Parseval when its frame
-# operator is within this of the identity.  is_parseval defaults to it,
+# operator is within this of the identity.  is_parseval decides at it,
 # files declare and re-verify the claim at it, certificates require it,
 # and parsevalize must reach it.
 PARSEVAL_TOL = 1e-8
@@ -66,49 +67,13 @@ RANK_TOL = 1e-10
 
 PARSEVALIZE_MAX_RETRIES = 50
 
-# Elements per batched product in _entry_norms, which bounds its temporary arrays.
-_NORM_CHUNK = 4096
-
-
-def _entry_norms(stacks) -> np.ndarray:
-    """C*-norms of stacked algebra elements, given one (k, ..., n, n) stack per block.
-
-    The one norm kernel.  Each block b is scaled by 2^-e, the power of two
-    just above its largest |entry| (an exact scaling, subnormal entries
-    included), so the scaled block c has entries below 1 in modulus and
-    c c^H can neither overflow nor underflow; the norm is 2^e * sqrt of the
-    top eigvalsh eigenvalue of c c^H, and an element's norm is the largest
-    over its blocks.  Raises InputError on a non-finite entry.
-    """
-    return np.max([_block_norms(s) for s in stacks], axis=0)
-
-
-def _block_norms(s: np.ndarray) -> np.ndarray:
-    n = s.shape[-1]
-    out = np.empty(s.shape[:-2])
-    step = max(1, _NORM_CHUNK * len(s) // max(1, out.size))
-    for start in range(0, len(s), step):
-        part = out[start : start + step]
-        b = np.ascontiguousarray(s[start : start + step], dtype=np.complex128).reshape(-1, n, n)
-        peak = np.abs(b).max(axis=(1, 2))
-        if not np.isfinite(peak).all():
-            raise InputError("algebra elements must have finite entries")
-        exp = np.frexp(peak)[1]  # 0 for a zero block
-        c = np.ldexp(b.view(np.float64), -exp[:, None, None]).view(np.complex128)
-        top = np.linalg.eigvalsh(c @ c.conj().transpose(0, 2, 1))[:, -1]
-        part[...] = np.ldexp(np.sqrt(top), exp).reshape(part.shape)
-    return out
-
-
 class ModularFrame:
     """Finite vector family in A^d, stored per block as an (N*n, d*n) matrix."""
 
     __slots__ = ("shape", "d", "count", "mats", "_residual")
 
     def __init__(self, shape: AlgebraShape, d: int, blocks) -> None:
-        d = int(d)
-        if d < 1:
-            raise InputError(f"module rank d must be positive, got {d}")
+        d = _module_rank(d)
         if len(blocks) != shape.num_blocks:
             raise InputError(
                 f"expected {shape.num_blocks} block stacks, got {len(blocks)}"
@@ -319,11 +284,9 @@ def _parseval_residual(frame: ModularFrame) -> float:
     return frame._residual
 
 
-def is_parseval(frame: ModularFrame, tol: float = PARSEVAL_TOL) -> bool:
-    """True iff the frame operator is the identity up to tol in operator norm."""
-    if tol < 0:
-        raise InputError(f"tol must be nonnegative, got {tol}")
-    return _parseval_residual(frame) <= tol
+def is_parseval(frame: ModularFrame) -> bool:
+    """True iff the frame operator is the identity up to PARSEVAL_TOL in operator norm."""
+    return _parseval_residual(frame) <= PARSEVAL_TOL
 
 
 def parsevalize(frame: ModularFrame) -> ModularFrame:
@@ -356,13 +319,17 @@ def parsevalize(frame: ModularFrame) -> ModularFrame:
     return fixed
 
 
-def _cross_grams(tau: ModularFrame, omega: ModularFrame) -> list[np.ndarray]:
-    """Per block, the (N, M, n, n) stack of cross inner products <tau_n, omega_m>."""
+def _check_frame_pair(tau: ModularFrame, omega: ModularFrame) -> None:
     if tau.shape != omega.shape or tau.d != omega.d:
         raise InputError(
             f"frames live in different modules: shape {tau.shape.block_dims} "
             f"d={tau.d} vs shape {omega.shape.block_dims} d={omega.d}"
         )
+
+
+def _cross_grams(tau: ModularFrame, omega: ModularFrame) -> list[np.ndarray]:
+    """Per block, the (N, M, n, n) stack of cross inner products <tau_n, omega_m>."""
+    _check_frame_pair(tau, omega)
     with np.errstate(over="ignore", invalid="ignore"):
         grams = [t @ w.conj().T for t, w in zip(tau.mats, omega.mats)]
     if not all(np.isfinite(g).all() for g in grams):

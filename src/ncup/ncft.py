@@ -35,14 +35,13 @@ import operator
 
 import numpy as np
 
-from .algebra import AlgebraShape
+from .algebra import AlgebraShape, _entry_norms
 from .csmodule import ModuleVector
 from .errors import InputError
 from .frames import (
     RANK_TOL,
     SUPPORT_REL_TOL,
     ModularFrame,
-    _entry_norms,
     _numeric_rank,
     _support_mask,
     _validate_indices,
@@ -547,12 +546,7 @@ def conjecture_audit(
             )
         done += m
 
-    delta_blocks = []
-    for n in shape.block_dims:
-        blk = np.zeros((p, n, n), dtype=np.complex128)
-        blk[0] = np.eye(n)
-        delta_blocks.append(blk)
-    delta = ModuleVector(shape, p, delta_blocks)
+    delta = dirac_comb(shape, p, p)
     delta_sum = sparsity(delta, rel_tol) + sparsity(ncdft(delta), rel_tol)
     min_sum = int(min(min_sum, delta_sum))
 

@@ -19,15 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraElement, norm
-from .csmodule import ModuleVector, basis_vector, inner_product, module_norm, random_vector
+from .algebra import _entry_norms
+from .csmodule import ModuleVector, basis_vector, module_norm, random_vector
 from .errors import InputError, NonParsevalFrameError
 from .frames import (
     PARSEVAL_TOL,
     SUPPORT_REL_TOL,
     ModularFrame,
+    _check_frame_pair,
     _cross_grams,
-    _entry_norms,
     _numeric_rank,
     _validate_indices,
     analysis,
@@ -162,25 +162,24 @@ def evaluate(
         slack=float(product_lhs - rhs),
     )
 
-    v0 = norm(inner_product(x, x))
-
-    sum_aa, sum_qq, gram_u, gram_w = [], [], [], []
-    for n, ct, co, g in zip(x.shape.block_dims, coeff_tau.mats, coeff_omega.mats, grams):
-        # a = tau-coefficients on T, u = omega-coefficients on Omega, as (n, |.| n)
-        a = ct[:, _block_cols(supp_t, n)]
-        u = co[:, _block_cols(supp_o, n)]
-        # row block k of w is w_k = (<tau_k, omega_m>)_{m in Omega}, k in T
-        w = g[np.ix_(supp_t, supp_o)].transpose(0, 2, 1, 3).reshape(len(supp_t) * n, -1)
-        q = u @ w.conj().T  # column block k of q is q_k = <u, w_k>
-        sum_aa.append(a @ a.conj().T)
-        sum_qq.append(q @ q.conj().T)
-        gram_u.append(u @ u.conj().T)
-        w_rows = w.reshape(len(supp_t), n, -1)
-        gram_w.append(w_rows @ w_rows.conj().transpose(0, 2, 1))
-
-    v1 = norm(AlgebraElement(x.shape, sum_aa))
-    v1x = norm(AlgebraElement(x.shape, sum_qq))
-    norm_g = norm(AlgebraElement(x.shape, gram_u))
+    norm_stacks, gram_w = [], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n, xm, ct, co, g in zip(
+            x.shape.block_dims, x.mats, coeff_tau.mats, coeff_omega.mats, grams
+        ):
+            # a = tau-coefficients on T, u = omega-coefficients on Omega, as (n, |.| n)
+            a = ct[:, _block_cols(supp_t, n)]
+            u = co[:, _block_cols(supp_o, n)]
+            # row block k of w is w_k = (<tau_k, omega_m>)_{m in Omega}, k in T
+            w = g[np.ix_(supp_t, supp_o)].transpose(0, 2, 1, 3).reshape(len(supp_t) * n, -1)
+            q = u @ w.conj().T  # column block k of q is q_k = <u, w_k>
+            # <x,x>, sum_T <x,tau_n><tau_n,x>, sum_T <u,w_n><w_n,u> and <u,u>
+            norm_stacks.append(np.stack([m @ m.conj().T for m in (xm, a, q, u)]))
+            w_rows = w.reshape(len(supp_t), n, -1)
+            gram_w.append(w_rows @ w_rows.conj().transpose(0, 2, 1))
+    if not all(np.isfinite(s).all() for s in norm_stacks):
+        raise InputError("Gram products overflow: the vector's entries are too large")
+    v0, v1, v1x, norm_g = _entry_norms(norm_stacks).tolist()
     v2 = float(_entry_norms(gram_w).sum() * norm_g)
     v3 = float((cross[np.ix_(supp_t, supp_o)] ** 2).sum() * norm_g)
     v4 = mu**2 * product_lhs * norm_g
@@ -253,11 +252,7 @@ def support_pair_feasible(
     feasible, a unit-module-norm witness: the last right singular vector of
     that block's stack, placed in row 0 of X_b.
     """
-    if tau.shape != omega.shape or tau.d != omega.d:
-        raise InputError(
-            f"frames live in different modules: shape {tau.shape.block_dims} "
-            f"d={tau.d} vs shape {omega.shape.block_dims} d={omega.d}"
-        )
+    _check_frame_pair(tau, omega)
     supp_t = _validate_indices(tau.count, support_t, "support")
     supp_o = _validate_indices(omega.count, support_omega, "fourier support")
     comp_t = sorted(set(range(tau.count)) - set(supp_t))

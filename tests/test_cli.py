@@ -182,6 +182,31 @@ def test_overflowing_frame_rejected(comb_files, tmp_path, command, omega, messag
     assert_single_error_line(proc.stderr, message)
 
 
+def test_certify_rejects_overflowing_vector(comb_files, tmp_path):
+    payload = json.loads(comb_files["x"].read_text())
+    for entry in payload["entries"]:
+        entry["blocks"][0][0][0] = [1e200, 0.0]
+    huge = tmp_path / "huge_x.json"
+    huge.write_text(json.dumps(payload))
+    proc = run_cli(
+        "certify",
+        "--frame-tau", str(comb_files["tau"]),
+        "--frame-omega", str(comb_files["omega"]),
+        "--vector", str(huge),
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert_single_error_line(proc.stderr, "Gram products overflow")
+
+
+@pytest.mark.parametrize("d", ["0", "-1"])
+def test_audit_rejects_nonpositive_d(d):
+    proc = run_cli("audit", "--algebra", "1", "--d", d, "--trials", "2")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert_single_error_line(proc.stderr, f"module rank d must be positive, got {int(d)}")
+
+
 def test_every_package_error_exits_2(monkeypatch, capsys):
     def singular(config):
         raise SingularOperatorError("operator is singular")

@@ -7,6 +7,7 @@ from ncup import (
     AlgebraShape,
     InputError,
     ModularFrame,
+    ModuleOperator,
     ModuleVector,
     NotAFrameError,
     analysis,
@@ -41,6 +42,7 @@ from ncup.ncft import fourier_frame, standard_frame
 from oracles import (
     embed_frame,
     embed_operator,
+    embed_vector,
     oracle_cross_gram_norms,
     oracle_frame_operator,
     oracle_norm,
@@ -141,7 +143,7 @@ def test_frame_operator_union_of_scaled_bases(shape):
     d = 2
     half = [vec_scale(1 / np.sqrt(2), v) for v in standard_frame(shape, d).vectors]
     frame = ModularFrame.from_vectors(half + half)
-    assert is_parseval(frame, tol=1e-12)
+    assert frames._parseval_residual(frame) <= 1e-12
 
 
 def test_frame_operator_matches_direct_sum(shape, rng):
@@ -162,7 +164,7 @@ def test_is_parseval_examples():
     assert is_parseval(ModularFrame.from_vectors([e0, e1]))
     assert not is_parseval(ModularFrame.from_vectors([e0, e0, e1]))
     scaled = [vec_scale(1 / np.sqrt(2), e0), vec_scale(1 / np.sqrt(2), e0), e1]
-    assert is_parseval(ModularFrame.from_vectors(scaled), tol=1e-12)
+    assert frames._parseval_residual(ModularFrame.from_vectors(scaled)) <= 1e-12
 
 
 def test_is_parseval_default_matches_certify():
@@ -171,7 +173,7 @@ def test_is_parseval_default_matches_certify():
     std = standard_frame(shape, 3)
     frame = ModularFrame(shape, 3, [np.sqrt(1 + 5e-9) * blk for blk in std.blocks])
     assert is_parseval(frame)
-    assert not is_parseval(frame, tol=1e-10)
+    assert not frames._parseval_residual(frame) <= 1e-10
     assert ModularFrame.from_dict(frame.to_dict()).to_dict()["parseval"] is True
     assert certify(frame, frame, basis_vector(shape, 3, 0)).product_holds
 
@@ -192,7 +194,7 @@ def test_parseval_residual_measured_once(monkeypatch, rng):
     assert payload["parseval"] is True and len(calls) == 2
     loaded = ModularFrame.from_dict(payload)
     assert len(calls) == 3  # the claim is verified on load
-    assert is_parseval(loaded, tol=1e-8) and len(calls) == 3
+    assert is_parseval(loaded) and len(calls) == 3
 
 
 def test_parseval_definition_equivalence(shape, rng):
@@ -207,7 +209,7 @@ def test_parseval_definition_equivalence(shape, rng):
             total = term if total is None else vec_add(total, term)
         defect = norm(sub(inner_product(x, x), inner_product(total, x)))
         close = defect <= 1e-8 * max(1.0, module_norm(x) ** 2)
-        assert close == expected == is_parseval(frame, tol=1e-8)
+        assert close == expected == is_parseval(frame)
 
 
 def test_parsevalize_fixed_point(shape, rng):
@@ -289,7 +291,9 @@ def test_entry_norms_reject_non_finite(shape, bad):
     blocks = [np.ones((3, n, n), dtype=complex) for n in shape.block_dims]
     blocks[-1][1, 0, -1] = bad
     x = ModuleVector(shape, 3, blocks)
-    for call in (support, sparsity, lambda v: frames._entry_norms(v.blocks)):
+    operator = ModuleOperator(shape, 3, [np.stack([blk] * 3) for blk in blocks])
+    calls = (support, sparsity, module_norm, lambda v: norm(v.entry(1)), lambda v: op_norm(operator))
+    for call in (*calls, lambda v: frames._entry_norms(v.blocks)):
         with pytest.raises(InputError, match="finite"):
             call(x)
     frame = ModularFrame(shape, 1, [blk[:, None] for blk in blocks])
@@ -312,6 +316,13 @@ def test_entry_norms_match_svd_oracle_at_extreme_scales(shape, rng, magnitude):
     assert np.allclose(
         cross_gram_norms(tau, omega), oracle_cross_gram_norms(tau, omega), rtol=2e-15, atol=0.0
     )
+    # norm, module_norm and op_norm share the kernel, so they also match a dense SVD
+    assert np.allclose([norm(e) for e in x.entries], expected, rtol=2e-15, atol=0.0)
+    dense = np.linalg.svd(embed_vector(x), compute_uv=False)[0]
+    assert abs(module_norm(x) - dense) <= 2e-15 * dense
+    op = ModuleOperator(shape, 3, [magnitude * blk for blk in random_frame(shape, 3, 3, rng).blocks])
+    dense = np.linalg.svd(embed_operator(op), compute_uv=False)[0]
+    assert abs(op_norm(op) - dense) <= 2e-15 * dense
 
 
 def test_support_spans_the_whole_exponent_range(shape):
@@ -343,7 +354,7 @@ def test_analysis_isometry(shape, rng):
 
 def test_random_parseval_frame_quality(shape, rng):
     frame = random_parseval_frame(shape, 3, 5, rng)
-    assert is_parseval(frame, tol=1e-10)
+    assert frames._parseval_residual(frame) <= 1e-10
     with pytest.raises(InputError):
         random_parseval_frame(shape, 3, 2, rng)
 

@@ -11,6 +11,7 @@ from ncup import (
     certify,
     coherence,
     evaluate,
+    inner_product,
     module_norm,
     proof_chain_check,
     random_audit,
@@ -21,7 +22,7 @@ from ncup import (
 from ncup import analysis, frames, support, uncertainty
 from ncup.csmodule import vec_scale
 from ncup.ncft import dirac_comb, fourier_frame, standard_frame
-from oracles import oracle_cross_gram_norms, oracle_support_pair_feasible
+from oracles import oracle_cross_gram_norms, oracle_norm, oracle_support_pair_feasible
 
 C = AlgebraShape((1,))
 M2 = AlgebraShape((2,))
@@ -301,8 +302,9 @@ def test_random_audit_validates_arguments():
     ],
 )
 def test_mu_matches_dense_svd_oracle(dims, d, n_tau, n_omega):
-    # mu comes from the eigvalsh norm kernel; certify, coherence and audit
-    # reports must stay within 2e-15 relative of the dense SVD norms.
+    # mu and the chain norms come from the eigvalsh norm kernel; certify,
+    # coherence and audit reports must stay within 2e-15 relative of the
+    # dense SVD norms.
     shape, seed = AlgebraShape(dims), 5
     report = random_audit(shape, d, n_tau, n_omega, trials=3, seed=seed)
     for t, record in enumerate(report["records"]):
@@ -310,7 +312,11 @@ def test_mu_matches_dense_svd_oracle(dims, d, n_tau, n_omega):
         tau = random_parseval_frame(shape, d, n_tau, rng)
         omega = random_parseval_frame(shape, d, n_omega, rng)
         mu = oracle_cross_gram_norms(tau, omega).max()
-        cert = certify(tau, omega, random_vector(shape, d, rng))
+        x = random_vector(shape, d, rng)
+        cert, chain = evaluate(tau, omega, x)
+        v0 = oracle_norm(inner_product(x, x))
+        assert chain[0][0] == "parseval_support_identity"
+        assert abs(chain[0][1] - v0) <= 2e-15 * v0
         for value in (record["mu"], cert.mu, coherence(tau, omega)):
             assert abs(value - mu) <= 2e-15 * mu
         for value in (record["rhs"], cert.rhs):
