@@ -14,8 +14,14 @@ the same criterion settles feasibility for algebra-valued x; the audit
 cross-checks that reduction with support_pair_feasible's block rank test
 on the standard and Fourier frames over A, which decides each pattern from
 the frame matrices without the minor.  Both tests run batched, once per
-(|T|, |Omega|) group of patterns.  Every rank verdict goes through
-frames._numeric_rank at RANK_TOL.
+(|T|, |Omega|) group of patterns.
+
+A DFT-minor verdict is first sought exactly, by elimination mod a prime
+ell = 1 (mod n) (_certified_nonsingular): with zeta = e^(2 pi i/n) and g of
+order n in F_ell, zeta^-1 -> g is a ring map from Z[zeta] onto F_ell, so a
+minor of full rank mod ell has full rank over C.  Only the minors it
+cannot certify fall back to the SVD and frames._numeric_rank at RANK_TOL,
+which also decides every frame-side rank verdict.
 
 The batch minor scan decides one minor per symmetry class.  With W the
 DFT matrix of length n, translating the column set T by a multiplies row k
@@ -71,23 +77,44 @@ PATTERN_SEARCH_MAX_P = 7
 _CHUNK = 32_768
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
+# Miller-Rabin with these bases is exact for every n < 2^64.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# Moduli below 2^31 keep every product of two residues below 2^62, inside int64.
+_MODULUS_BOUND = 1 << 31
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test for 0 <= n < 2^64."""
+    if n < 2:
         return False
-    q = 2
-    while q * q <= p:
-        if p % q == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        q += 1
     return True
 
 
 def _as_prime(p) -> int:
-    """p as an int, certified prime by trial division; non-integral p is refused."""
+    """p as an int, certified prime by Miller-Rabin; non-integral p is refused."""
     try:
         value = operator.index(p)
     except TypeError as exc:
         raise InputError(f"prime dimension must be an integer, got {p!r}") from exc
+    if value >= 1 << 64:
+        raise InputError(f"prime dimension {value} is too large")
     if not _is_prime(value):
         raise InputError(f"{value} is not prime")
     return value
@@ -177,9 +204,11 @@ def cyclic_shift(x: ModuleVector, steps: int) -> ModuleVector:
 def chebotarev_minor_nonsingular(p, rows, cols) -> bool:
     """True iff the square DFT minor on (rows, cols) is nonsingular.
 
-    Nonsingular means full numeric rank, i.e. the pattern (T = cols,
-    Omega = complement of rows) is infeasible.  For prime p this holds for
-    every square minor.
+    Nonsingular means the pattern (T = cols, Omega = complement of rows) is
+    infeasible.  For prime p this holds for every square minor.  The
+    verdict is the exact certificate mod ell when it decides the minor, a
+    proof of nonsingularity; otherwise it is pattern_feasible_minor's
+    numeric rank.
     """
     p = _as_prime(p)
     rows = _validate_indices(p, rows, "rows")
@@ -190,6 +219,8 @@ def chebotarev_minor_nonsingular(p, rows, cols) -> bool:
         )
     if not rows:
         raise InputError("minor must have at least one row and column")
+    if _certified_nonsingular(p, np.array([cols]), np.array([rows]))[0]:
+        return True
     return not pattern_feasible_minor(p, cols, sorted(set(range(p)) - set(rows)))
 
 
@@ -262,31 +293,100 @@ def _class_keys(n: int, cols: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return ((dil_t[:, t_masks] << n) | dil_r[:, r_masks]).min(axis=0)
 
 
+@functools.lru_cache(maxsize=None)
+def _modular_dft(n: int):
+    """(ell, table): the largest prime ell = 1 (mod n) below 2^31, and
+    table[e] = g^e mod ell for e < n, where g has order exactly n in F_ell.
+
+    None if no such prime exists.  g is then a root of the n-th cyclotomic
+    polynomial mod ell, so zeta^-1 -> g, zeta = e^(2 pi i/n), is a ring map
+    from Z[zeta] onto F_ell; it sends the scaled DFT entry
+    sqrt(n) W[k, j] = zeta^(-jk) to table[jk mod n].  Built on first use.
+    """
+    for ell in range((_MODULUS_BOUND - 2) // n * n + 1, n, -n):
+        if not _is_prime(ell):
+            continue
+        for x in itertools.count(2):
+            g = pow(x, (ell - 1) // n, ell)
+            table = [1]
+            while len(table) < n:
+                table.append(table[-1] * g % ell)
+            if 1 not in table[1:]:  # no smaller power of g is 1, so g has order n
+                table = np.array(table, dtype=np.int64)
+                table.setflags(write=False)  # shared by every caller through the cache
+                return ell, table
+    return None
+
+
+def _certified_nonsingular(n: int, cols: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Mask of the minors W[rows[i], cols[i]] proved to have full column rank.
+
+    cols is (m, s) and rows (m, r) with r >= s.  The leading square block,
+    rows[i, :s] by cols[i], is mapped into F_ell by _modular_dft(n) and
+    eliminated fraction-free without pivoting,
+    a <- (a[0, 0] a[1:, 1:] - a[1:, :1] a[:1, 1:]) mod ell, which keeps
+    the determinant nonzero iff the pivot a[0, 0] is.  If every pivot is
+    nonzero, the block's determinant in Z[zeta] has a nonzero image mod ell,
+    so the block is nonsingular over C and the minor has full column rank.
+    A zero pivot proves nothing; that minor is left undecided (False).
+    """
+    field = _modular_dft(n)
+    if field is None:
+        return np.zeros(len(cols), dtype=bool)
+    ell, table = field
+    s = cols.shape[1]
+    a = table[rows[:, :s, None] * cols[:, None, :] % n]
+    certified = np.ones(len(cols), dtype=bool)
+    for _ in range(s):
+        certified &= a[:, 0, 0] != 0
+        a = (a[:, :1, :1] * a[:, 1:, 1:] - a[:, 1:, :1] * a[:, :1, 1:]) % ell
+    return certified
+
+
+class _ClassVerdicts(dict):
+    """Class key -> rank deficient?, for every class one scan has decided.
+
+    A class key fixes |T| and |R|, so batches of every shape can share one
+    map.  float_fallbacks counts the classes whose verdict came from the
+    SVD because the certificate could not decide them.
+    """
+
+    float_fallbacks = 0
+
+
+def _exact_summary(n: int, known: _ClassVerdicts) -> dict:
+    """The report's "exact" entry: the certificate's modulus and fallback count."""
+    return {"modulus": _modular_dft(n)[0], "float_fallbacks": known.float_fallbacks}
+
+
 def _deficient_minors(w: np.ndarray, cols: np.ndarray, rows: np.ndarray, known=None):
     """(T, Omega) for every rank-deficient minor w[rows[i], cols[i]] of a batch.
 
     cols is (m, s) and rows (m, r) with r >= s; Omega is the complement of
-    the row set.  Only the first minor of each symmetry class is
-    decomposed; the others take its verdict, and hits keep batch order.
-    known, a dict from class key to verdict, carries the classes decided by
-    earlier batches of the same shape: they are not decomposed again, and
-    the classes this batch decides are added to it.
+    the row set.  Only the first minor of each symmetry class is decided;
+    the others take its verdict, and hits keep batch order.  A class is
+    decided by _certified_nonsingular if it can, else by the SVD.  known, a
+    _ClassVerdicts, carries the classes decided by earlier batches: they
+    are not decided again, and the classes this batch decides are added to
+    it.
     """
     n = len(w)
     keys, first, inverse = np.unique(
         _class_keys(n, cols, rows), return_index=True, return_inverse=True
     )
-    new = np.ones(len(keys), dtype=bool)
-    if known:
-        new = np.array([key not in known for key in keys.tolist()], dtype=bool)
+    if known is None:
+        known = _ClassVerdicts()
+    new = np.array([key not in known for key in keys.tolist()], dtype=bool)
     deficient = np.zeros(len(keys), dtype=bool)
-    if new.any():
-        pick = first[new]
+    deficient[~new] = [known[key] for key in keys[~new].tolist()]
+    fresh = np.flatnonzero(new)
+    fallback = fresh[~_certified_nonsingular(n, cols[first[fresh]], rows[first[fresh]])]
+    if len(fallback):
+        pick = first[fallback]
         sv = np.linalg.svd(w[rows[pick, :, None], cols[pick, None, :]], compute_uv=False)
-        deficient[new] = _numeric_rank(sv, sv[:, :1]) < cols.shape[1]
-    if known is not None:
-        deficient[~new] = [known[key] for key in keys[~new].tolist()]
-        known.update(zip(keys[new].tolist(), deficient[new].tolist()))
+        deficient[fallback] = _numeric_rank(sv, sv[:, :1]) < cols.shape[1]
+        known.float_fallbacks += len(fallback)
+    known.update(zip(keys[fresh].tolist(), deficient[fresh].tolist()))
     everything = set(range(n))
     return [
         (cols[i].tolist(), sorted(everything - set(rows[i].tolist())))
@@ -294,22 +394,23 @@ def _deficient_minors(w: np.ndarray, cols: np.ndarray, rows: np.ndarray, known=N
     ]
 
 
-def _layer_pairs_exhaustive(p: int, w: np.ndarray):
+def _layer_pairs_exhaustive(p: int, w: np.ndarray, known=None):
     """Scan every square minor in the layer |T| + |Omega| = p.
 
     Yields nothing for primes; a singular minor yields (T, Omega).  By
     monotonicity in Omega this layer decides all patterns with smaller
     support sums.  Runs in chunks so forced large-p scans stay bounded
     in memory; pair i of a layer is (combos[i // C], combos[i % C]).  The
-    class verdicts of a layer are kept across its chunks, so each class is
-    decomposed once.
+    class verdicts (known, a _ClassVerdicts) are kept across chunks, so
+    each class is decided once.
     """
+    if known is None:
+        known = _ClassVerdicts()
     checked = 0
     hits = []
     for s in range(1, p):
         combos = _combos(p, s)
         c = len(combos)
-        known = {}
         for start in range(0, c * c, _CHUNK):
             pair = np.arange(start, min(start + _CHUNK, c * c))
             hits += _deficient_minors(w, combos[pair // c], combos[pair % c], known)
@@ -329,7 +430,7 @@ def _complements(n: int, sets: np.ndarray) -> np.ndarray:
     return np.nonzero(keep)[1].reshape(len(sets), -1)
 
 
-def _pattern_search(shape: AlgebraShape, p: int):
+def _pattern_search(shape: AlgebraShape, p: int, known=None):
     """Decide every support pattern (T, Omega), |T| + |Omega| <= p, |T| < p, two ways.
 
     The scalar way is the DFT minor on rows outside Omega and columns T
@@ -338,7 +439,8 @@ def _pattern_search(shape: AlgebraShape, p: int):
     Both run once per (|T|, |Omega|) group, over the group's patterns in
     the order (T, Omega).  Returns the pattern count and, in the order
     (|T|, T, |Omega|, Omega), (T, Omega, scalar verdict, frame verdict) for
-    every pattern that either way finds feasible.
+    every pattern that either way finds feasible.  known, a _ClassVerdicts,
+    collects the scalar verdicts.
     """
     w = dft_matrix(p)
     std, fourier = standard_frame(shape, p), fourier_frame(shape, p)
@@ -351,7 +453,7 @@ def _pattern_search(shape: AlgebraShape, p: int):
             o_sets = _combos(p, size_o)
             t_idx, o_idx = np.divmod(np.arange(len(t_sets) * len(o_sets)), len(o_sets))
             rows = _complements(p, o_sets)[o_idx]
-            hits = _deficient_minors(w, t_sets[t_idx], rows)
+            hits = _deficient_minors(w, t_sets[t_idx], rows, known)
             scalar.update((tuple(t), tuple(o)) for t, o in hits)
             feasible = _deficient_blocks(std, fourier, t_comps[t_idx], rows)
             by_frames.update(
@@ -410,9 +512,10 @@ def tao_min_sum(
 
     w = dft_matrix(p)
     violations = []
+    known = _ClassVerdicts()
 
     if mode == "exhaustive":
-        checked, hits = _layer_pairs_exhaustive(p, w)
+        checked, hits = _layer_pairs_exhaustive(p, w, known)
     else:
         rng = np.random.default_rng(seed)
         s_arr = rng.integers(1, p, size=samples)
@@ -427,7 +530,7 @@ def tao_min_sum(
             perm_o = np.argsort(rng.random((m, p)), axis=1)
             supp_t = np.sort(perm_t[:, :s], axis=1)
             rows = np.sort(perm_o[:, t:], axis=1)
-            hits += _deficient_minors(w, supp_t, rows)
+            hits += _deficient_minors(w, supp_t, rows, known)
 
     min_sum = None
     witness = None
@@ -456,6 +559,7 @@ def tao_min_sum(
         "min_sum": int(min_sum),
         "witness": witness,
         "threshold": RANK_TOL,
+        "exact": _exact_summary(p, known),
     }
     if violations:
         report["violating_patterns"] = violations
@@ -552,8 +656,9 @@ def conjecture_audit(
 
     patterns_checked, flagged = 0, []
     pattern_search_performed = p <= PATTERN_SEARCH_MAX_P
+    known = _ClassVerdicts()
     if pattern_search_performed:
-        patterns_checked, flagged = _pattern_search(shape, p)
+        patterns_checked, flagged = _pattern_search(shape, p, known)
     pattern_violations = [{"support": t, "fourier_support": o} for t, o, _, _ in flagged]
     crosscheck_agreed = all(scalar == by_frames for _, _, scalar, by_frames in flagged)
 
@@ -564,7 +669,7 @@ def conjecture_audit(
         and not pattern_violations
         and crosscheck_agreed
     )
-    return {
+    report = {
         "algebra": shape.to_list(),
         "p": int(p),
         "trials": trials,
@@ -580,3 +685,6 @@ def conjecture_audit(
         "pattern_search_performed": bool(pattern_search_performed),
         "holds": bool(holds),
     }
+    if pattern_search_performed:
+        report["exact"] = _exact_summary(p, known)
+    return report

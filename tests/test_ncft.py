@@ -59,6 +59,18 @@ def test_prime_dim_rejects_composites():
             chebotarev_minor_nonsingular(bad, [0], [0])
 
 
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(3000) if ncft._is_prime(n)] == [
+        n for n in range(2, 3000) if prime_factors(n) == [n]
+    ]
+    # strong pseudoprimes to the first few prime bases, and two primes near 2^31
+    for n in (2047, 1373653, 25326001, 3215031751, 3825123056546413051):
+        assert not ncft._is_prime(n)
+    assert ncft._is_prime(2**31 - 1) and ncft._is_prime(2147483053)
+    with pytest.raises(InputError, match="too large"):
+        tao_min_sum(2**64 + 13)
+
+
 def test_dft_matrix_is_unitary():
     for d in (2, 3, 4, 5, 8):
         w = dft_matrix(d)
@@ -162,6 +174,22 @@ def test_chebotarev_all_minors_p5():
         for rows in combinations(range(5), s):
             for cols in combinations(range(5), s):
                 assert chebotarev_minor_nonsingular(5, rows, cols)
+
+
+def test_chebotarev_minor_is_certified_exactly(monkeypatch):
+    # At prime p the certificate decides every minor; the float rank test
+    # is reached only when the certificate leaves a minor undecided.
+    def no_float(*args):
+        raise AssertionError("float fallback used")
+
+    monkeypatch.setattr(ncft, "pattern_feasible_minor", no_float)
+    assert chebotarev_minor_nonsingular(13, [0, 4, 5, 9], [1, 2, 3, 12])
+    assert chebotarev_minor_nonsingular(7, list(range(7)), list(range(7)))
+    monkeypatch.setattr(ncft, "_certified_nonsingular", decide_nothing)
+    with pytest.raises(AssertionError, match="float fallback"):
+        chebotarev_minor_nonsingular(13, [0, 4], [1, 2])
+    monkeypatch.setattr(ncft, "pattern_feasible_minor", pattern_feasible_minor)
+    assert chebotarev_minor_nonsingular(13, [0, 4, 5, 9], [1, 2, 3, 12])
 
 
 def test_chebotarev_fails_at_composite_length():
@@ -272,26 +300,41 @@ def count_orbits(p, cols, rows):
     return orbits
 
 
-def count_decomposed(monkeypatch):
-    """Record the number of matrices each np.linalg.svd call decomposes."""
-    decomposed = []
-    svd = np.linalg.svd
+def count_decided(monkeypatch):
+    """Record the representatives each certificate call certifies and each SVD call decomposes.
 
-    def counting(a, *args, **kwargs):
-        decomposed.append(a.shape[0] if a.ndim == 3 else 1)
+    Every representative the certificate leaves undecided goes to the SVD,
+    so the sum is the number of representatives decided.
+    """
+    decided = []
+    certify, svd = ncft._certified_nonsingular, np.linalg.svd
+
+    def counting_certificate(n, cols, rows):
+        certified = certify(n, cols, rows)
+        decided.append(int(certified.sum()))
+        return certified
+
+    def counting_svd(a, *args, **kwargs):
+        decided.append(a.shape[0] if a.ndim == 3 else 1)
         return svd(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counting)
-    return decomposed
+    monkeypatch.setattr(ncft, "_certified_nonsingular", counting_certificate)
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    return decided
+
+
+def decide_nothing(n, cols, rows):
+    """A certificate that certifies no minor, leaving every class to the SVD."""
+    return np.zeros(len(cols), dtype=bool)
 
 
 def test_each_symmetry_class_decomposed_once(monkeypatch):
     p, s = 7, 3
     cols, rows = layer_batch(p, s, s)
     orbits = count_orbits(p, cols, rows)
-    decomposed = count_decomposed(monkeypatch)
+    decided = count_decided(monkeypatch)
     assert ncft._deficient_minors(dft_matrix(p), cols, rows) == []
-    assert sum(decomposed) == orbits < len(cols)
+    assert sum(decided) == orbits < len(cols)
 
 
 def test_exhaustive_scan_decides_each_class_once_across_chunks(monkeypatch):
@@ -308,12 +351,108 @@ def test_exhaustive_scan_decides_each_class_once_across_chunks(monkeypatch):
         return scan(w, cols, rows, known)
 
     monkeypatch.setattr(ncft, "_deficient_minors", counting_batches)
-    decomposed = count_decomposed(monkeypatch)
+    decided = count_decided(monkeypatch)
     checked, hits = ncft._layer_pairs_exhaustive(p, dft_matrix(p))
     assert checked == sum(batches) == comb(2 * p, p) - 2
     assert max(batches) == 64 and len(batches) > 40
     assert hits == []
-    assert sum(decomposed) == orbits
+    assert sum(decided) == orbits
+
+
+def prime_factors(n):
+    """Distinct prime factors of n, by trial division."""
+    factors, q = [], 2
+    while q * q <= n:
+        if n % q == 0:
+            factors.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    return factors + [n] * (n > 1)
+
+
+@pytest.mark.parametrize("n", range(2, 20))
+def test_modular_dft_field(n):
+    ell, table = ncft._modular_dft(n)
+    assert prime_factors(ell) == [ell]
+    assert ell % n == 1 and ell < 2**31
+    g = int(table[1])
+    assert table.tolist() == [pow(g, e, ell) for e in range(n)]
+    assert pow(g, n, ell) == 1
+    assert all(pow(g, n // q, ell) != 1 for q in prime_factors(n))
+
+
+@pytest.mark.parametrize("n, tall", [(4, True), (6, True), (8, True), (9, True), (10, False)])
+def test_certificate_never_certifies_a_deficient_minor(n, tall):
+    # Composite lengths have singular minors; none of them may be certified,
+    # and the certificate still decides most of the nonsingular ones.  At
+    # n = 10 only the square minors are checked: the tall ones would take
+    # the per-minor oracle several seconds.
+    w = dft_matrix(n)
+    everything = set(range(n))
+    minors = certified = deficient = 0
+    for s in range(1, n):
+        for r in range(s, n if tall else s + 1):
+            cols, rows = layer_batch(n, s, r)
+            bad = oracle_deficient_minors(w, cols, rows)
+            if bad:
+                bad_cols = np.array([t for t, _ in bad])
+                bad_rows = np.array([sorted(everything - set(o)) for _, o in bad])
+                assert not ncft._certified_nonsingular(n, bad_cols, bad_rows).any()
+            certified += int(ncft._certified_nonsingular(n, cols, rows).sum())
+            deficient += len(bad)
+            minors += len(cols)
+    assert deficient > 0
+    assert certified > 0.9 * (minors - deficient)
+
+
+def test_certificate_decides_every_prime_minor():
+    for p in (2, 3, 5, 7):
+        for s in range(1, p):
+            for r in range(s, p):
+                cols, rows = layer_batch(p, s, r)
+                assert ncft._certified_nonsingular(p, cols, rows).all()
+
+
+def test_float_fallback_is_live(monkeypatch):
+    # With a certificate that decides nothing, every class goes to the SVD:
+    # the hits and the reports (without "exact") do not change, and
+    # float_fallbacks counts every class, so the fallback is not dead code.
+    scans = [lambda n=n: ncft._layer_pairs_exhaustive(n, dft_matrix(n)) for n in (6, 8)]
+    reports = [
+        lambda: tao_min_sum(7),
+        lambda: conjecture_audit(M2, 5, trials=200, seed=1),
+        lambda: tao_min_sum(11, mode="sampled", samples=2000, seed=9),
+    ]
+    certified_scans = [scan() for scan in scans]
+    certified_reports = [report() for report in reports]
+    offered = []
+
+    def nothing(n, cols, rows):
+        offered.append(len(cols))
+        return decide_nothing(n, cols, rows)
+
+    monkeypatch.setattr(ncft, "_certified_nonsingular", nothing)
+    assert [scan() for scan in scans] == certified_scans
+    assert all(hits for _, hits in certified_scans)
+    tao_classes = sum(count_orbits(7, *layer_batch(7, s, s)) for s in range(1, 7))
+    conjecture_classes = sum(
+        count_orbits(5, *layer_batch(5, size_t, 5 - size_o))
+        for size_t in range(1, 5)
+        for size_o in range(1, 6 - size_t)
+    )
+    for report, before, classes in zip(
+        reports, certified_reports, [tao_classes, conjecture_classes, None]
+    ):
+        offered.clear()
+        after = report()
+        exact_before, exact_after = before.pop("exact"), after.pop("exact")
+        assert after == before
+        assert exact_before == {"modulus": exact_after["modulus"], "float_fallbacks": 0}
+        # each class is offered to the certificate once; the sampled draws
+        # have no independent class count
+        assert exact_after["float_fallbacks"] == sum(offered) > 0
+        assert classes is None or sum(offered) == classes
 
 
 def test_tao_min_sum_exhaustive_small_primes():
