@@ -29,7 +29,6 @@ from .csmodule import (
     cauchy_schwarz_gap,
     inner_product,
     module_norm,
-    module_scale,
     op_adjoint,
     op_apply,
     op_compose,
@@ -37,7 +36,6 @@ from .csmodule import (
     op_inv_sqrt,
     op_norm,
     random_vector,
-    zero_vector,
 )
 from .errors import (
     GenerationError,
@@ -64,7 +62,6 @@ from .frames import (
 from .ncft import (
     chebotarev_minor_nonsingular,
     conjecture_audit,
-    cyclic_shift,
     dft_matrix,
     dirac_comb,
     fourier_frame,

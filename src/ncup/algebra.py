@@ -10,7 +10,6 @@ is decided from blockwise Hermitian spectra.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,27 +98,6 @@ class AlgebraElement:
 
     def __repr__(self) -> str:
         return f"AlgebraElement(shape={self.shape.block_dims}, norm={norm(self):.6g})"
-
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return add(self, other)
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return sub(self, other)
-
-    def __neg__(self) -> "AlgebraElement":
-        return scale(-1.0, self)
-
-    def __mul__(self, other):
-        if isinstance(other, AlgebraElement):
-            return mul(self, other)
-        if isinstance(other, numbers.Complex):
-            return scale(other, self)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, numbers.Complex):
-            return scale(other, self)
-        return NotImplemented
 
     def to_dict(self) -> dict:
         """JSON payload: {"shape": [n1, ...], "blocks": [[[[re, im], ...]]]}."""

@@ -15,11 +15,9 @@ counterexample), 2 invalid input.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 from . import __version__
 from .algebra import AlgebraShape
@@ -29,29 +27,7 @@ from .frames import PARSEVAL_TOL, RANK_TOL, SUPPORT_REL_TOL, ModularFrame, coher
 from .ncft import DEFAULT_SAMPLES, conjecture_audit, tao_min_sum
 from .uncertainty import CHAIN_TOL, SLACK_TOL, evaluate, random_audit
 
-__all__ = ["RunConfig", "run", "main"]
-
-
-@dataclass
-class RunConfig:
-    """Everything one invocation needs; fully determines the report."""
-
-    command: str
-    algebra: str | None = None
-    frame_tau: str | None = None
-    frame_omega: str | None = None
-    vector: str | None = None
-    out: str | None = None
-    seed: int = 0
-    trials: int = 100
-    rel_tol: float = SUPPORT_REL_TOL
-    mode: str = "exhaustive"
-    p: int | None = None
-    d: int | None = None
-    n_tau: int | None = None
-    n_omega: int | None = None
-    samples: int = DEFAULT_SAMPLES
-    force: bool = False
+__all__ = ["build_parser", "main"]
 
 
 def _canonical(obj) -> str:
@@ -80,21 +56,11 @@ def _load_json(path: str):
         ) from exc
 
 
-def _load_frame(path: str | None, flag: str) -> ModularFrame:
-    if path is None:
-        raise InputError(f"{flag} is required for this command")
+def _load_frame(path: str) -> ModularFrame:
     return ModularFrame.from_dict(_load_json(path), where=path)
 
 
-def _load_vector(path: str | None) -> ModuleVector:
-    if path is None:
-        raise InputError("--vector is required for this command")
-    return ModuleVector.from_dict(_load_json(path), where=path)
-
-
-def _parse_algebra(text: str | None) -> AlgebraShape:
-    if text is None:
-        raise InputError("--algebra is required for this command")
+def _parse_algebra(text: str) -> AlgebraShape:
     try:
         dims = tuple(int(tok) for tok in text.split(","))
     except ValueError as exc:
@@ -104,17 +70,11 @@ def _parse_algebra(text: str | None) -> AlgebraShape:
     return AlgebraShape(dims)
 
 
-def _require_p(config: RunConfig) -> int:
-    if config.p is None:
-        raise InputError("--p is required for this command")
-    return config.p
-
-
-def _cmd_certify(config: RunConfig):
-    tau = _load_frame(config.frame_tau, "--frame-tau")
-    omega = _load_frame(config.frame_omega, "--frame-omega")
-    x = _load_vector(config.vector)
-    cert, chain = evaluate(tau, omega, x, rel_tol=config.rel_tol)
+def _cmd_certify(args):
+    tau = _load_frame(args.frame_tau)
+    omega = _load_frame(args.frame_omega)
+    x = ModuleVector.from_dict(_load_json(args.vector), where=args.vector)
+    cert, chain = evaluate(tau, omega, x, rel_tol=args.rel_tol)
     chain_rows = [
         [name, float(lhs), float(rhs), bool(holds)] for name, lhs, rhs, holds in chain
     ]
@@ -126,7 +86,7 @@ def _cmd_certify(config: RunConfig):
     report = _report(
         "certify",
         {
-            "rel_tol": config.rel_tol,
+            "rel_tol": args.rel_tol,
             "parseval_tol": PARSEVAL_TOL,
             "slack_tol": SLACK_TOL,
             "chain_tol": CHAIN_TOL,
@@ -141,9 +101,9 @@ def _cmd_certify(config: RunConfig):
     return (0 if holds else 1), _canonical(report) + "\n"
 
 
-def _cmd_coherence(config: RunConfig):
-    tau = _load_frame(config.frame_tau, "--frame-tau")
-    omega = _load_frame(config.frame_omega, "--frame-omega")
+def _cmd_coherence(args):
+    tau = _load_frame(args.frame_tau)
+    omega = _load_frame(args.frame_omega)
     mu = coherence(tau, omega)
     if not math.isfinite(mu * mu):
         raise InputError(
@@ -157,8 +117,8 @@ def _cmd_coherence(config: RunConfig):
     return 0, _canonical(report) + "\n"
 
 
-def _cmd_parsevalize(config: RunConfig):
-    frame = _load_frame(config.frame_tau, "--frame-tau")
+def _cmd_parsevalize(args):
+    frame = _load_frame(args.frame_tau)
     try:
         fixed = parsevalize(frame)
     except NonParsevalFrameError as exc:
@@ -171,25 +131,20 @@ def _cmd_parsevalize(config: RunConfig):
     return 0, _canonical(fixed.to_dict()) + "\n"
 
 
-def _cmd_audit(config: RunConfig):
-    shape = _parse_algebra(config.algebra)
-    if config.d is None:
-        raise InputError("--d is required for this command")
-    n_tau = config.n_tau if config.n_tau is not None else config.d + 2
-    n_omega = config.n_omega if config.n_omega is not None else config.d + 2
+def _cmd_audit(args):
     result = random_audit(
-        shape,
-        config.d,
-        n_tau,
-        n_omega,
-        config.trials,
-        seed=config.seed,
-        rel_tol=config.rel_tol,
+        _parse_algebra(args.algebra),
+        args.d,
+        args.d + 2 if args.n_tau is None else args.n_tau,
+        args.d + 2 if args.n_omega is None else args.n_omega,
+        args.trials,
+        seed=args.seed,
+        rel_tol=args.rel_tol,
     )
     summary = {k: v for k, v in result.items() if k != "records"}
     summary_line = _report(
         "audit",
-        {"rel_tol": config.rel_tol, "slack_tol": SLACK_TOL, "parseval_tol": PARSEVAL_TOL},
+        {"rel_tol": args.rel_tol, "slack_tol": SLACK_TOL, "parseval_tol": PARSEVAL_TOL},
         {"summary": summary},
     )
     lines = [_canonical(r) for r in result["records"]]
@@ -198,53 +153,36 @@ def _cmd_audit(config: RunConfig):
     return code, "\n".join(lines) + "\n"
 
 
-def _cmd_tao(config: RunConfig):
-    p = _require_p(config)
+def _cmd_tao(args):
     result = tao_min_sum(
-        p,
-        mode=config.mode,
-        samples=config.samples,
-        seed=config.seed,
-        force=config.force,
+        args.p,
+        mode=args.mode,
+        samples=args.samples,
+        seed=args.seed,
+        force=args.force,
     )
-    holds = result["min_sum"] >= p + 1
+    holds = result["min_sum"] >= args.p + 1
     report = _report(
         "tao",
         {"threshold": RANK_TOL},
-        {**result, "holds": bool(holds), "seed": config.seed},
+        {**result, "holds": bool(holds), "seed": args.seed},
     )
     return (0 if holds else 1), _canonical(report) + "\n"
 
 
-def _cmd_conjecture(config: RunConfig):
-    shape = _parse_algebra(config.algebra)
-    p = _require_p(config)
+def _cmd_conjecture(args):
     result = conjecture_audit(
-        shape, p, config.trials, seed=config.seed, rel_tol=config.rel_tol
+        _parse_algebra(args.algebra), args.p, args.trials, seed=args.seed, rel_tol=args.rel_tol
     )
-    report = _report("conjecture", {"threshold": RANK_TOL, "rel_tol": config.rel_tol}, result)
+    report = _report("conjecture", {"threshold": RANK_TOL, "rel_tol": args.rel_tol}, result)
     return (0 if result["holds"] else 1), _canonical(report) + "\n"
 
 
-_HANDLERS = {
-    "certify": _cmd_certify,
-    "coherence": _cmd_coherence,
-    "parsevalize": _cmd_parsevalize,
-    "audit": _cmd_audit,
-    "tao": _cmd_tao,
-    "conjecture": _cmd_conjecture,
-}
-
-
-def _validate_config(config: RunConfig) -> None:
-    if config.command not in _HANDLERS:
-        raise InputError(f"unknown command {config.command!r}")
-    if not 0.0 < config.rel_tol < 1.0:
-        raise InputError(f"--rel-tol must lie strictly between 0 and 1, got {config.rel_tol}")
-    if not 0 <= config.seed < 2**64:
-        raise InputError(f"--seed must fit in 64 bits, got {config.seed}")
-    if config.trials < 1:
-        raise InputError(f"--trials must be positive, got {config.trials}")
+def _seed(text: str) -> int:
+    seed = int(text)
+    if not 0 <= seed < 2**64:
+        raise argparse.ArgumentTypeError(f"must fit in 64 bits, got {seed}")
+    return seed
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -256,18 +194,6 @@ def _emit(text: str, out: str | None) -> None:
                 fh.write(text)
         except OSError as exc:
             raise InputError(f"{out}: cannot write report: {exc}") from exc
-
-
-def run(config: RunConfig) -> int:
-    """Execute one configured command; returns the process exit code."""
-    try:
-        _validate_config(config)
-        code, text = _HANDLERS[config.command](config)
-        _emit(text, config.out)
-        return code
-    except NcupError as exc:
-        print(f"ncup: error: {exc}", file=sys.stderr)
-        return 2
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -283,9 +209,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, rel_tol=True):
+    def common(sp, handler, seed=False, rel_tol=False):
+        sp.set_defaults(handler=handler)
         sp.add_argument("--out", default=None, help="write the report to this path instead of stdout")
-        sp.add_argument("--seed", type=int, default=0, help="seed for all randomness (default 0)")
+        if seed:
+            sp.add_argument("--seed", type=_seed, default=0, help="seed for all randomness (default 0)")
         if rel_tol:
             sp.add_argument(
                 "--rel-tol", dest="rel_tol", type=float, default=SUPPORT_REL_TOL,
@@ -296,16 +224,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--frame-tau", required=True, help="JSON file with the first Parseval frame")
     sp.add_argument("--frame-omega", required=True, help="JSON file with the second Parseval frame")
     sp.add_argument("--vector", required=True, help="JSON file with the test vector")
-    common(sp)
+    common(sp, _cmd_certify, rel_tol=True)
 
     sp = sub.add_parser("coherence", help="largest cross inner-product norm of a frame pair")
     sp.add_argument("--frame-tau", required=True)
     sp.add_argument("--frame-omega", required=True)
-    common(sp)
+    common(sp, _cmd_coherence)
 
     sp = sub.add_parser("parsevalize", help="write the canonical Parseval companion of a frame")
     sp.add_argument("--frame-tau", required=True, help="JSON file with the input frame")
-    common(sp)
+    common(sp, _cmd_parsevalize)
 
     sp = sub.add_parser("audit", help="certify many random Parseval pairs (JSON lines report)")
     sp.add_argument("--algebra", required=True, help="block dimensions, e.g. 1,2 for C+M2")
@@ -313,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n-tau", dest="n_tau", type=int, default=None, help="first frame size (default d+2)")
     sp.add_argument("--n-omega", dest="n_omega", type=int, default=None, help="second frame size (default d+2)")
     sp.add_argument("--trials", type=int, default=100)
-    common(sp)
+    common(sp, _cmd_audit, seed=True, rel_tol=True)
 
     sp = sub.add_parser("tao", help="minimum support sum under the length-p transform")
     sp.add_argument("--p", type=int, required=True, help="prime length")
@@ -322,22 +250,27 @@ def build_parser() -> argparse.ArgumentParser:
         "--samples", type=int, default=DEFAULT_SAMPLES, help="support pairs to draw in sampled mode"
     )
     sp.add_argument("--force", action="store_true", help="allow exhaustive mode beyond p=7")
-    common(sp, rel_tol=False)
+    common(sp, _cmd_tao, seed=True)
 
     sp = sub.add_parser("conjecture", help="audit the additive bound for algebra-valued vectors")
     sp.add_argument("--algebra", required=True, help="block dimensions, e.g. 1,2 for C+M2")
     sp.add_argument("--p", type=int, required=True, help="prime length")
     sp.add_argument("--trials", type=int, default=10_000)
-    common(sp)
+    common(sp, _cmd_conjecture, seed=True, rel_tol=True)
 
     return parser
 
 
 def main(argv=None) -> int:
-    ns = build_parser().parse_args(argv)
-    names = {f.name for f in dataclasses.fields(RunConfig)}
-    kwargs = {k: v for k, v in vars(ns).items() if k in names and v is not None}
-    return run(RunConfig(**kwargs))
+    """Run one command line; returns the process exit code."""
+    args = build_parser().parse_args(argv)
+    try:
+        code, text = args.handler(args)
+        _emit(text, args.out)
+        return code
+    except NcupError as exc:
+        print(f"ncup: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

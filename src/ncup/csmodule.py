@@ -40,17 +40,11 @@ __all__ = [
     "inner_product",
     "module_norm",
     "cauchy_schwarz_gap",
-    "vec_add",
-    "vec_sub",
-    "vec_scale",
-    "module_scale",
     "basis_vector",
-    "zero_vector",
     "random_vector",
     "op_apply",
     "op_adjoint",
     "op_compose",
-    "op_sub",
     "op_identity",
     "op_norm",
     "op_inv_sqrt",
@@ -223,9 +217,7 @@ class ModuleOperator:
     __slots__ = ("shape", "d", "mats")
 
     def __init__(self, shape: AlgebraShape, d: int, blocks) -> None:
-        d = int(d)
-        if d < 1:
-            raise InputError(f"operator size d must be positive, got {d}")
+        d = _module_rank(d)
         self.mats = _stacks_to_mats(shape, blocks, (d, d))
         self.shape = shape
         self.d = d
@@ -307,29 +299,6 @@ def cauchy_schwarz_gap(x: ModuleVector, y: ModuleVector) -> float:
     return worst
 
 
-def vec_add(x: ModuleVector, y: ModuleVector) -> ModuleVector:
-    _check_same_module(x, y)
-    return ModuleVector._from_mats(x.shape, x.d, [a + b for a, b in zip(x.mats, y.mats)])
-
-
-def vec_sub(x: ModuleVector, y: ModuleVector) -> ModuleVector:
-    _check_same_module(x, y)
-    return ModuleVector._from_mats(x.shape, x.d, [a - b for a, b in zip(x.mats, y.mats)])
-
-
-def vec_scale(z: complex, x: ModuleVector) -> ModuleVector:
-    return ModuleVector._from_mats(x.shape, x.d, [complex(z) * m for m in x.mats])
-
-
-def module_scale(a: AlgebraElement, x: ModuleVector) -> ModuleVector:
-    """Left module action, (a . x)_i = a x_i."""
-    if a.shape != x.shape:
-        raise InputError(
-            f"shape mismatch: {a.shape.block_dims} vs {x.shape.block_dims}"
-        )
-    return ModuleVector._from_mats(x.shape, x.d, [ab @ m for ab, m in zip(a.blocks, x.mats)])
-
-
 def basis_vector(shape: AlgebraShape, d: int, k: int) -> ModuleVector:
     """e_k, the vector with the algebra unit in slot k and zero elsewhere."""
     if not 0 <= k < d:
@@ -340,12 +309,6 @@ def basis_vector(shape: AlgebraShape, d: int, k: int) -> ModuleVector:
         mat[:, k * n : (k + 1) * n] = np.eye(n)
         mats.append(mat)
     return ModuleVector._from_mats(shape, d, mats)
-
-
-def zero_vector(shape: AlgebraShape, d: int) -> ModuleVector:
-    return ModuleVector._from_mats(
-        shape, d, [np.zeros((n, d * n), dtype=np.complex128) for n in shape.block_dims]
-    )
 
 
 def random_vector(shape: AlgebraShape, d: int, rng: np.random.Generator) -> ModuleVector:
@@ -375,11 +338,6 @@ def op_compose(a: ModuleOperator, b: ModuleOperator) -> ModuleOperator:
     """Matrix product (A B)_ij = sum_k A_ik B_kj."""
     _check_same_module(a, b)
     return ModuleOperator._from_mats(a.shape, a.d, [x @ y for x, y in zip(a.mats, b.mats)])
-
-
-def op_sub(a: ModuleOperator, b: ModuleOperator) -> ModuleOperator:
-    _check_same_module(a, b)
-    return ModuleOperator._from_mats(a.shape, a.d, [x - y for x, y in zip(a.mats, b.mats)])
 
 
 def op_identity(shape: AlgebraShape, d: int) -> ModuleOperator:

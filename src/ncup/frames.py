@@ -27,6 +27,7 @@ from .algebra import AlgebraShape, _decode_matrices, _encode_matrices, _entry_no
 from .csmodule import (
     ModuleOperator,
     ModuleVector,
+    _check_same_module,
     _freeze,
     _module_rank,
     _parse_vector,
@@ -209,14 +210,6 @@ class ModularFrame:
         return frame
 
 
-def _check_frame_vector(frame: ModularFrame, x: ModuleVector) -> None:
-    if frame.shape != x.shape or frame.d != x.d:
-        raise InputError(
-            f"vector lives in shape {x.shape.block_dims} d={x.d}, frame in "
-            f"shape {frame.shape.block_dims} d={frame.d}"
-        )
-
-
 def _validate_indices(count: int, indices, name: str) -> list[int]:
     """Sorted copy of distinct indices into range(count)."""
     out = []
@@ -232,7 +225,7 @@ def _validate_indices(count: int, indices, name: str) -> list[int]:
 
 def analysis(frame: ModularFrame, x: ModuleVector) -> ModuleVector:
     """Coefficient vector (<x, tau_n>)_n in A^N."""
-    _check_frame_vector(frame, x)
+    _check_same_module(frame, x)
     return ModuleVector._from_mats(
         frame.shape, frame.count, [xm @ t.conj().T for xm, t in zip(x.mats, frame.mats)]
     )
@@ -319,17 +312,9 @@ def parsevalize(frame: ModularFrame) -> ModularFrame:
     return fixed
 
 
-def _check_frame_pair(tau: ModularFrame, omega: ModularFrame) -> None:
-    if tau.shape != omega.shape or tau.d != omega.d:
-        raise InputError(
-            f"frames live in different modules: shape {tau.shape.block_dims} "
-            f"d={tau.d} vs shape {omega.shape.block_dims} d={omega.d}"
-        )
-
-
 def _cross_grams(tau: ModularFrame, omega: ModularFrame) -> list[np.ndarray]:
     """Per block, the (N, M, n, n) stack of cross inner products <tau_n, omega_m>."""
-    _check_frame_pair(tau, omega)
+    _check_same_module(tau, omega)
     with np.errstate(over="ignore", invalid="ignore"):
         grams = [t @ w.conj().T for t, w in zip(tau.mats, omega.mats)]
     if not all(np.isfinite(g).all() for g in grams):
@@ -366,10 +351,14 @@ def _numeric_rank(sv: np.ndarray, ref):
     return np.count_nonzero(sv > RANK_TOL * ref, axis=-1)
 
 
+def _check_rel_tol(rel_tol: float) -> None:
+    if not 0 <= rel_tol < 1:
+        raise InputError(f"rel_tol must lie in [0, 1), got {rel_tol}")
+
+
 def support(x: ModuleVector, rel_tol: float = SUPPORT_REL_TOL) -> list[int]:
-    """Indices whose entry norm exceeds rel_tol times the largest one."""
-    if rel_tol < 0:
-        raise InputError(f"rel_tol must be nonnegative, got {rel_tol}")
+    """Indices whose entry norm exceeds rel_tol times the largest one, 0 <= rel_tol < 1."""
+    _check_rel_tol(rel_tol)
     return np.flatnonzero(_support_mask(_entry_norms(x.blocks), rel_tol)).tolist()
 
 

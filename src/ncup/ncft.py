@@ -42,18 +42,19 @@ import operator
 import numpy as np
 
 from .algebra import AlgebraShape, _entry_norms
-from .csmodule import ModuleVector
+from .csmodule import ModuleVector, _module_rank
 from .errors import InputError
 from .frames import (
     RANK_TOL,
     SUPPORT_REL_TOL,
     ModularFrame,
+    _check_rel_tol,
     _numeric_rank,
     _support_mask,
     _validate_indices,
     sparsity,
 )
-from .uncertainty import _check_rel_tol, _deficient_blocks
+from .uncertainty import _deficient_blocks
 
 __all__ = [
     "dft_matrix",
@@ -62,7 +63,6 @@ __all__ = [
     "standard_frame",
     "fourier_frame",
     "dirac_comb",
-    "cyclic_shift",
     "chebotarev_minor_nonsingular",
     "pattern_feasible_minor",
     "tao_min_sum",
@@ -127,11 +127,13 @@ def _check_sampled_cap(p: int) -> None:
 
 def dft_matrix(d: int) -> np.ndarray:
     """Unitary DFT matrix, entry (k, j) = e^(-2 pi i jk/d)/sqrt(d)."""
-    d = int(d)
-    if d < 1:
-        raise InputError(f"dimension must be positive, got {d}")
-    grid = np.outer(np.arange(d), np.arange(d))
-    return np.exp(-2j * np.pi * grid / d) / np.sqrt(d)
+    d = _module_rank(d)
+    return _dft_entries(d, np.arange(d), np.arange(d))
+
+
+def _dft_entries(n: int, rows, cols) -> np.ndarray:
+    """The minor W[rows, cols] of the length-n DFT matrix, built from its indices."""
+    return np.exp(-2j * np.pi * np.outer(rows, cols) / n) / np.sqrt(n)
 
 
 def ncdft(x: ModuleVector) -> ModuleVector:
@@ -155,9 +157,7 @@ def _transform(w: np.ndarray, x: ModuleVector) -> ModuleVector:
 
 def standard_frame(shape: AlgebraShape, d: int) -> ModularFrame:
     """The basis frame {e_0, ..., e_(d-1)} of A^d."""
-    d = int(d)
-    if d < 1:
-        raise InputError(f"dimension must be positive, got {d}")
+    d = _module_rank(d)
     mats = [np.eye(d * n, dtype=np.complex128) for n in shape.block_dims]
     return ModularFrame._from_mats(shape, d, d, mats)
 
@@ -179,9 +179,7 @@ def dirac_comb(shape: AlgebraShape, d: int, spacing: int) -> ModuleVector:
     spacing must divide d.  At d = spacing**2 the comb is a fixed point of
     the DFT and makes the product uncertainty bound tight.
     """
-    d, spacing = int(d), int(spacing)
-    if d < 1:
-        raise InputError(f"dimension must be positive, got {d}")
+    d, spacing = _module_rank(d), int(spacing)
     if spacing < 1 or d % spacing != 0:
         raise InputError(f"spacing {spacing} must be a positive divisor of d={d}")
     blocks = []
@@ -192,23 +190,11 @@ def dirac_comb(shape: AlgebraShape, d: int, spacing: int) -> ModuleVector:
     return ModuleVector(shape, d, blocks)
 
 
-def cyclic_shift(x: ModuleVector, steps: int) -> ModuleVector:
-    """Entries rotated by steps positions (index j maps to j + steps mod d)."""
-    return ModuleVector._from_mats(
-        x.shape,
-        x.d,
-        [np.roll(m, int(steps) * n, axis=1) for n, m in zip(x.shape.block_dims, x.mats)],
-    )
-
-
 def chebotarev_minor_nonsingular(p, rows, cols) -> bool:
     """True iff the square DFT minor on (rows, cols) is nonsingular.
 
     Nonsingular means the pattern (T = cols, Omega = complement of rows) is
-    infeasible.  For prime p this holds for every square minor.  The
-    verdict is the exact certificate mod ell when it decides the minor, a
-    proof of nonsingularity; otherwise it is pattern_feasible_minor's
-    numeric rank.
+    infeasible.  For prime p this holds for every square minor.
     """
     p = _as_prime(p)
     rows = _validate_indices(p, rows, "rows")
@@ -219,16 +205,16 @@ def chebotarev_minor_nonsingular(p, rows, cols) -> bool:
         )
     if not rows:
         raise InputError("minor must have at least one row and column")
-    if _certified_nonsingular(p, np.array([cols]), np.array([rows]))[0]:
-        return True
-    return not pattern_feasible_minor(p, cols, sorted(set(range(p)) - set(rows)))
+    return not _minor_deficient(p, rows, cols)
 
 
 def pattern_feasible_minor(p: int, support_t, support_omega) -> bool:
     """Does a nonzero x exist with supp(x) in T and supp(x_hat) in Omega?
 
     Works for any length p (prime or not).  Feasibility is equivalent to
-    rank deficiency of the DFT minor on rows outside Omega and columns T.
+    rank deficiency of the DFT minor on rows outside Omega and columns T;
+    a minor with fewer rows than columns is deficient, and any other is
+    decided by _minor_deficient.
     """
     p = int(p)
     t = _validate_indices(p, support_t, "support")
@@ -236,10 +222,20 @@ def pattern_feasible_minor(p: int, support_t, support_omega) -> bool:
     if not t:
         return False
     rows = sorted(set(range(p)) - set(om))
-    if not rows:
-        return True
-    sv = np.linalg.svd(dft_matrix(p)[np.ix_(rows, t)], compute_uv=False)
-    return bool(_numeric_rank(sv, sv[0]) < len(t))
+    return len(rows) < len(t) or _minor_deficient(p, rows, t)
+
+
+def _minor_deficient(n: int, rows: list[int], cols: list[int]) -> bool:
+    """Is the length-n DFT minor W[rows, cols], len(rows) >= len(cols) >= 1, rank deficient?
+
+    The exact certificate mod ell decides it when it can (a proof of full
+    rank); otherwise the numeric rank of that minor alone does, without
+    building the n x n matrix.
+    """
+    if _certified_nonsingular(n, np.array([cols]), np.array([rows]))[0]:
+        return False
+    sv = np.linalg.svd(_dft_entries(n, rows, cols), compute_uv=False)
+    return bool(_numeric_rank(sv, sv[0]) < len(cols))
 
 
 def _delta_supports(p: int) -> tuple[list[int], list[int]]:

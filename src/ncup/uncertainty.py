@@ -20,13 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import _entry_norms
-from .csmodule import ModuleVector, basis_vector, module_norm, random_vector
+from .csmodule import ModuleVector, _check_same_module, basis_vector, module_norm, random_vector
 from .errors import InputError, NonParsevalFrameError
 from .frames import (
     PARSEVAL_TOL,
     SUPPORT_REL_TOL,
     ModularFrame,
-    _check_frame_pair,
+    _check_rel_tol,
     _cross_grams,
     _numeric_rank,
     _validate_indices,
@@ -95,11 +95,6 @@ def _require_parseval(frame: ModularFrame, name: str) -> None:
 def _require_nonzero(x: ModuleVector) -> None:
     if module_norm(x) <= ZERO_VECTOR_TOL:
         raise InputError("x is numerically zero; the bound excludes x = 0")
-
-
-def _check_rel_tol(rel_tol: float) -> None:
-    if not 0 <= rel_tol < 1:
-        raise InputError(f"rel_tol must lie in [0, 1), got {rel_tol}")
 
 
 def evaluate(
@@ -252,7 +247,7 @@ def support_pair_feasible(
     feasible, a unit-module-norm witness: the last right singular vector of
     that block's stack, placed in row 0 of X_b.
     """
-    _check_frame_pair(tau, omega)
+    _check_same_module(tau, omega)
     supp_t = _validate_indices(tau.count, support_t, "support")
     supp_o = _validate_indices(omega.count, support_omega, "fourier support")
     comp_t = sorted(set(range(tau.count)) - set(supp_t))

@@ -21,9 +21,13 @@ into one constraint matrix, with no use of the block structure.
 oracle_deficient_minors is the DFT-minor scan without symmetry reduction:
 one SVD per minor of the batch.
 
-oracle_pattern_search is the conjecture audit's structured search as one
-library call per pattern and test: pattern_feasible_minor for the scalar
-verdict and support_pair_feasible for the frame verdict.
+oracle_pattern_search is the conjecture audit's structured search one
+pattern at a time: an SVD of the pattern's DFT minor for the scalar verdict
+and a support_pair_feasible call for the frame verdict.
+
+The module arithmetic at the end (vector sums, scaling, the left module
+action, operator differences, cyclic shifts) is what the tests need beyond
+the library's own API; it works entrywise on the public `blocks` stacks.
 """
 
 import itertools
@@ -31,11 +35,12 @@ import itertools
 import numpy as np
 
 from ncup import (
+    ModuleOperator,
     ModuleVector,
     basis_vector,
+    dft_matrix,
     fourier_frame,
     module_norm,
-    pattern_feasible_minor,
     standard_frame,
     support_pair_feasible,
 )
@@ -171,6 +176,7 @@ def oracle_pattern_search(shape, p):
     frame-level test on the standard and Fourier frames over A; a pattern
     is flagged when either verdict says feasible.
     """
+    w = dft_matrix(p)
     std, fourier = standard_frame(shape, p), fourier_frame(shape, p)
     checked, flagged = 0, []
     for size_t in range(1, p):
@@ -178,8 +184,47 @@ def oracle_pattern_search(shape, p):
             for size_o in range(1, p - size_t + 1):
                 for omega in itertools.combinations(range(p), size_o):
                     checked += 1
-                    scalar = pattern_feasible_minor(p, t_set, omega)
+                    rows = sorted(set(range(p)) - set(omega))
+                    scalar = bool(oracle_deficient_minors(w, np.array([t_set]), np.array([rows])))
                     by_frames, _ = support_pair_feasible(std, fourier, t_set, omega)
                     if scalar or by_frames:
                         flagged.append((list(t_set), list(omega), scalar, by_frames))
     return checked, flagged
+
+
+def _same_module(x, y) -> None:
+    assert (x.shape, x.d) == (y.shape, y.d), "module mismatch"
+
+
+def vec_add(x, y):
+    _same_module(x, y)
+    return ModuleVector(x.shape, x.d, [a + b for a, b in zip(x.blocks, y.blocks)])
+
+
+def vec_sub(x, y):
+    _same_module(x, y)
+    return ModuleVector(x.shape, x.d, [a - b for a, b in zip(x.blocks, y.blocks)])
+
+
+def vec_scale(z, x):
+    return ModuleVector(x.shape, x.d, [complex(z) * b for b in x.blocks])
+
+
+def module_scale(a, x):
+    """Left module action, (a . x)_i = a x_i."""
+    assert a.shape == x.shape, "shape mismatch"
+    return ModuleVector(x.shape, x.d, [ab @ b for ab, b in zip(a.blocks, x.blocks)])
+
+
+def zero_vector(shape, d):
+    return ModuleVector(shape, d, [np.zeros((d, n, n)) for n in shape.block_dims])
+
+
+def op_sub(a, b):
+    _same_module(a, b)
+    return ModuleOperator(a.shape, a.d, [x - y for x, y in zip(a.blocks, b.blocks)])
+
+
+def cyclic_shift(x, steps):
+    """Entries rotated by steps positions (index j maps to j + steps mod d)."""
+    return ModuleVector(x.shape, x.d, [np.roll(b, int(steps), axis=0) for b in x.blocks])

@@ -36,10 +36,10 @@ from ncup import (
     support_pair_feasible,
     tao_min_sum,
 )
-from ncup.csmodule import ModuleOperator, op_sub, vec_sub
+from ncup.csmodule import ModuleOperator
 from ncup.ncft import fourier_frame, standard_frame
 from oracles import oracle_analysis, oracle_inner_product, oracle_op_apply
-from oracles import embed_element
+from oracles import embed_element, op_sub, vec_sub
 
 C = AlgebraShape((1,))
 

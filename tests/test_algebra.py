@@ -116,8 +116,8 @@ def test_is_positive_psd_boundary():
 def test_scale_and_neg():
     a = random_element(CM2, np.random.default_rng(0))
     assert abs(norm(scale(2.0, a)) - 2 * norm(a)) < 1e-12
-    assert norm(add(a, -a)) == 0.0
-    assert norm(sub(2.0 * a, a * 2.0)) == 0.0
+    assert norm(add(a, scale(-1.0, a))) == 0.0
+    assert norm(sub(scale(2.0, a), add(a, a))) == 0.0
 
 
 def test_cstar_identity_random(shape, rng):

@@ -8,8 +8,9 @@ import sys
 import pytest
 
 from ncup import AlgebraShape, ModularFrame, SingularOperatorError, basis_vector, cli, module_norm
-from ncup.csmodule import vec_sub
 from ncup.ncft import dirac_comb, fourier_frame, standard_frame
+
+from oracles import vec_sub
 
 C = AlgebraShape((1,))
 
@@ -208,11 +209,11 @@ def test_audit_rejects_nonpositive_d(d):
 
 
 def test_every_package_error_exits_2(monkeypatch, capsys):
-    def singular(config):
+    def singular(args):
         raise SingularOperatorError("operator is singular")
 
-    monkeypatch.setitem(cli._HANDLERS, "tao", singular)
-    assert cli.run(cli.RunConfig(command="tao", p=7)) == 2
+    monkeypatch.setattr(cli, "_cmd_tao", singular)
+    assert cli.main(["tao", "--p", "7"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "ncup: error: operator is singular" in captured.err
@@ -229,6 +230,55 @@ def test_certify_rejects_bad_rel_tol(comb_files):
     )
     assert proc.returncode == 2
     assert "rel-tol" in proc.stderr or "rel_tol" in proc.stderr
+
+
+def test_certify_accepts_zero_rel_tol(comb_files):
+    proc = run_cli(
+        "certify",
+        "--frame-tau", str(comb_files["tau"]),
+        "--frame-omega", str(comb_files["omega"]),
+        "--vector", str(comb_files["x"]),
+        "--rel-tol", "0",
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["tolerances"]["rel_tol"] == 0.0
+    assert report["certificate"]["s_tau"] == 2
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("certify", "--seed"),
+        ("coherence", "--seed"),
+        ("parsevalize", "--seed"),
+        ("coherence", "--rel-tol"),
+        ("parsevalize", "--rel-tol"),
+        ("tao", "--rel-tol"),
+    ],
+)
+def test_flag_the_command_does_not_read_is_rejected(comb_files, command, flag):
+    frames = ["--frame-tau", str(comb_files["tau"]), "--frame-omega", str(comb_files["omega"])]
+    args = {
+        "certify": [*frames, "--vector", str(comb_files["x"])],
+        "coherence": frames,
+        "parsevalize": frames[:2],
+        "tao": ["--p", "7"],
+    }[command]
+    proc = run_cli(command, *args, flag, "1")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert f"unrecognized arguments: {flag} 1" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_seed_outside_64_bits_is_rejected(seed):
+    proc = run_cli("tao", "--p", "7", "--seed", seed)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "--seed: must fit in 64 bits" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_coherence_command(comb_files):

@@ -8,13 +8,14 @@ from ncup import (
     ModuleOperator,
     ModuleVector,
     SingularOperatorError,
+    add,
     basis_vector,
     cauchy_schwarz_gap,
     identity,
     inner_product,
     is_positive,
     module_norm,
-    module_scale,
+    mul,
     norm,
     op_adjoint,
     op_apply,
@@ -27,11 +28,18 @@ from ncup import (
     scale,
     star,
     sub,
+)
+from oracles import (
+    embed_element,
+    module_scale,
+    op_sub,
+    oracle_inner_product,
+    oracle_op_apply,
+    vec_add,
+    vec_scale,
+    vec_sub,
     zero_vector,
 )
-from ncup.csmodule import vec_add, vec_scale, vec_sub
-
-from oracles import embed_element, oracle_inner_product, oracle_op_apply
 
 C = AlgebraShape((1,))
 M2 = AlgebraShape((2,))
@@ -81,11 +89,11 @@ def test_inner_product_axioms(shape, rng):
         a = random_element(shape, rng)
         # additivity
         lhs = inner_product(vec_add(x, y), z)
-        rhs = inner_product(x, z) + inner_product(y, z)
+        rhs = add(inner_product(x, z), inner_product(y, z))
         assert norm(sub(lhs, rhs)) <= 1e-10 * (1 + norm(lhs))
         # left A-linearity
         lhs = inner_product(module_scale(a, x), y)
-        rhs = a * inner_product(x, y)
+        rhs = mul(a, inner_product(x, y))
         assert norm(sub(lhs, rhs)) <= 1e-10 * (1 + norm(lhs))
         # conjugate symmetry
         assert norm(sub(inner_product(x, y), star(inner_product(y, x)))) <= 1e-10
@@ -192,8 +200,6 @@ def test_op_inv_sqrt_identity():
 
 
 def _op_sub_identity(p, shape, d):
-    from ncup.csmodule import op_sub
-
     return op_sub(p, op_identity(shape, d))
 
 

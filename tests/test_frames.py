@@ -36,17 +36,21 @@ from ncup import (
     synthesis,
 )
 from ncup import frames
-from ncup.csmodule import module_scale, op_sub, vec_add, vec_scale, vec_sub
 from ncup.ncft import fourier_frame, standard_frame
 
 from oracles import (
     embed_frame,
     embed_operator,
     embed_vector,
+    module_scale,
+    op_sub,
     oracle_cross_gram_norms,
     oracle_frame_operator,
     oracle_norm,
     oracle_parsevalize,
+    vec_add,
+    vec_scale,
+    vec_sub,
 )
 
 C = AlgebraShape((1,))
@@ -276,6 +280,16 @@ def test_support_examples():
     )
     assert sparsity(near, rel_tol=1e-8) == 1
     assert support(near, rel_tol=1e-8) == [0]
+
+
+def test_support_rejects_rel_tol_outside_unit_interval(shape, rng):
+    x = random_vector(shape, 4, rng)
+    for bad in (1.0, 5.0, -0.1, float("nan")):
+        with pytest.raises(InputError, match="rel_tol"):
+            support(x, rel_tol=bad)
+        with pytest.raises(InputError, match="rel_tol"):
+            sparsity(x, rel_tol=bad)
+    assert support(x, rel_tol=0.0) == [0, 1, 2, 3]
 
 
 def test_support_of_zero_sequence(shape):

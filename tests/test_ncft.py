@@ -12,7 +12,6 @@ from ncup import (
     basis_vector,
     chebotarev_minor_nonsingular,
     conjecture_audit,
-    cyclic_shift,
     dirac_comb,
     fourier_frame,
     module_norm,
@@ -28,10 +27,9 @@ from ncup import (
     tao_min_sum,
 )
 from ncup import cli, ncft
-from ncup.csmodule import vec_sub
 from ncup.ncft import dft_matrix
 
-from oracles import oracle_deficient_minors, oracle_pattern_search
+from oracles import cyclic_shift, oracle_deficient_minors, oracle_pattern_search, vec_sub
 
 C = AlgebraShape((1,))
 M2 = AlgebraShape((2,))
@@ -178,18 +176,60 @@ def test_chebotarev_all_minors_p5():
 
 def test_chebotarev_minor_is_certified_exactly(monkeypatch):
     # At prime p the certificate decides every minor; the float rank test
-    # is reached only when the certificate leaves a minor undecided.
-    def no_float(*args):
+    # (pattern_feasible_minor's SVD) is reached only when the certificate
+    # leaves a minor undecided.
+    svd = np.linalg.svd
+
+    def no_float(*args, **kwargs):
         raise AssertionError("float fallback used")
 
-    monkeypatch.setattr(ncft, "pattern_feasible_minor", no_float)
+    monkeypatch.setattr(np.linalg, "svd", no_float)
     assert chebotarev_minor_nonsingular(13, [0, 4, 5, 9], [1, 2, 3, 12])
     assert chebotarev_minor_nonsingular(7, list(range(7)), list(range(7)))
+    assert not pattern_feasible_minor(13, [1, 2, 3, 12], [1, 2, 3, 6, 7, 8, 10, 11, 12])
     monkeypatch.setattr(ncft, "_certified_nonsingular", decide_nothing)
     with pytest.raises(AssertionError, match="float fallback"):
         chebotarev_minor_nonsingular(13, [0, 4], [1, 2])
-    monkeypatch.setattr(ncft, "pattern_feasible_minor", pattern_feasible_minor)
+    monkeypatch.setattr(np.linalg, "svd", svd)
     assert chebotarev_minor_nonsingular(13, [0, 4, 5, 9], [1, 2, 3, 12])
+
+
+def test_pattern_feasible_minor_builds_only_its_minor(monkeypatch):
+    # One 1x1 minor at p = 2003 is decided without building the 2003x2003 matrix.
+    def no_matrix(*args):
+        raise AssertionError("dft_matrix built")
+
+    monkeypatch.setattr(ncft, "dft_matrix", no_matrix)
+    assert not pattern_feasible_minor(2003, [0], [1])
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_pattern_feasible_minor_matches_oracle(n):
+    # Every pattern with |T| + |Omega| <= n against one SVD per minor; the
+    # wide minors beyond that sum are feasible without any rank test.
+    w = dft_matrix(n)
+    for s in range(1, n + 1):
+        for t in combinations(range(n), s):
+            for size_o in range(1, n + 1):
+                for omega in combinations(range(n), size_o):
+                    rows = sorted(set(range(n)) - set(omega))
+                    if len(rows) < s:
+                        assert pattern_feasible_minor(n, t, omega)
+                        continue
+                    expected = bool(oracle_deficient_minors(w, np.array([t]), np.array([rows])))
+                    assert pattern_feasible_minor(n, t, omega) == expected
+
+
+def test_dft_minor_entries_equal_matrix_entries():
+    # pattern_feasible_minor builds its minor from the indices; the entries
+    # are bitwise those of dft_matrix, so its verdicts cannot drift from it.
+    for n in range(2, 40):
+        w = dft_matrix(n)
+        rng = np.random.default_rng(n)
+        for _ in range(10):
+            rows = np.sort(rng.choice(n, rng.integers(1, n + 1), replace=False))
+            cols = np.sort(rng.choice(n, rng.integers(1, n + 1), replace=False))
+            assert np.array_equal(ncft._dft_entries(n, rows, cols), w[np.ix_(rows, cols)])
 
 
 def test_chebotarev_fails_at_composite_length():

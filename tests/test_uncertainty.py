@@ -20,9 +20,8 @@ from ncup import (
     support_pair_feasible,
 )
 from ncup import analysis, frames, support, uncertainty
-from ncup.csmodule import vec_scale
 from ncup.ncft import dirac_comb, fourier_frame, standard_frame
-from oracles import oracle_cross_gram_norms, oracle_norm, oracle_support_pair_feasible
+from oracles import oracle_cross_gram_norms, oracle_norm, oracle_support_pair_feasible, vec_scale
 
 C = AlgebraShape((1,))
 M2 = AlgebraShape((2,))
