@@ -154,18 +154,18 @@ def _cmd_audit(args):
 
 
 def _cmd_tao(args):
-    result = tao_min_sum(
-        args.p,
-        mode=args.mode,
-        samples=args.samples,
-        seed=args.seed,
-        force=args.force,
-    )
+    # A flag left out is None and takes tao_min_sum's default; one the mode never reads is refused.
+    given = {k: v for k in ("samples", "seed", "force") if (v := getattr(args, k)) is not None}
+    unread = {"exhaustive": ("samples", "seed"), "sampled": ("force",)}[args.mode]
+    unread = [k for k in given if k in unread]
+    if unread:
+        raise InputError(f"--{unread[0]} is not read in {args.mode} mode")
+    result = tao_min_sum(args.p, mode=args.mode, **given)
     holds = result["min_sum"] >= args.p + 1
     report = _report(
         "tao",
         {"threshold": RANK_TOL},
-        {**result, "holds": bool(holds), "seed": args.seed},
+        {**result, "holds": bool(holds), "seed": given.get("seed", 0)},
     )
     return (0 if holds else 1), _canonical(report) + "\n"
 
@@ -246,11 +246,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("tao", help="minimum support sum under the length-p transform")
     sp.add_argument("--p", type=int, required=True, help="prime length")
     sp.add_argument("--mode", choices=["exhaustive", "sampled"], default="exhaustive")
-    sp.add_argument(
-        "--samples", type=int, default=DEFAULT_SAMPLES, help="support pairs to draw in sampled mode"
-    )
-    sp.add_argument("--force", action="store_true", help="allow exhaustive mode beyond p=7")
+    sp.add_argument("--samples", type=int, help=f"pairs to draw in sampled mode (default {DEFAULT_SAMPLES})")
+    sp.add_argument("--force", action="store_true", default=None, help="allow exhaustive mode beyond p=7")
     common(sp, _cmd_tao, seed=True)
+    sp.set_defaults(seed=None)  # read in sampled mode only
 
     sp = sub.add_parser("conjecture", help="audit the additive bound for algebra-valued vectors")
     sp.add_argument("--algebra", required=True, help="block dimensions, e.g. 1,2 for C+M2")

@@ -29,7 +29,9 @@ of W[R, T] by the unit scalar e^(-2 pi i ka/n), translating the row set R
 by b multiplies column j by e^(-2 pi i jb/n), and for a unit u mod n
 W[u^-1 k, u j] = W[k, j], so (T, R) -> (uT, u^-1 R) only permutes rows and
 columns.  None of these moves the singular values, so every minor in a
-class gets the verdict of the class's first member.
+class gets the verdict of the class's first member.  The exhaustive scan
+decides only pairs of necklaces (sets minimal among their rotations), one
+batch per layer, and expands each deficient pair to all of its translates.
 """
 
 from __future__ import annotations
@@ -73,9 +75,6 @@ EXHAUSTIVE_MAX_P = 7
 SAMPLED_MAX_P = 13
 DEFAULT_SAMPLES = 100_000
 PATTERN_SEARCH_MAX_P = 7
-
-_CHUNK = 32_768
-
 
 # Miller-Rabin with these bases is exact for every n < 2^64.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -128,12 +127,12 @@ def _check_sampled_cap(p: int) -> None:
 def dft_matrix(d: int) -> np.ndarray:
     """Unitary DFT matrix, entry (k, j) = e^(-2 pi i jk/d)/sqrt(d)."""
     d = _module_rank(d)
-    return _dft_entries(d, np.arange(d), np.arange(d))
+    return _dft_entries(d, np.arange(d)[:, None], np.arange(d))
 
 
-def _dft_entries(n: int, rows, cols) -> np.ndarray:
-    """The minor W[rows, cols] of the length-n DFT matrix, built from its indices."""
-    return np.exp(-2j * np.pi * np.outer(rows, cols) / n) / np.sqrt(n)
+def _dft_entries(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Entries W[rows, cols] of the length-n DFT matrix, with rows and cols broadcast."""
+    return np.exp(-2j * np.pi * (rows * cols) / n) / np.sqrt(n)
 
 
 def ncdft(x: ModuleVector) -> ModuleVector:
@@ -205,7 +204,7 @@ def chebotarev_minor_nonsingular(p, rows, cols) -> bool:
         )
     if not rows:
         raise InputError("minor must have at least one row and column")
-    return not _minor_deficient(p, rows, cols)
+    return not _rank_deficient(p, np.array([cols]), np.array([rows]))[0][0]
 
 
 def pattern_feasible_minor(p: int, support_t, support_omega) -> bool:
@@ -214,7 +213,7 @@ def pattern_feasible_minor(p: int, support_t, support_omega) -> bool:
     Works for any length p (prime or not).  Feasibility is equivalent to
     rank deficiency of the DFT minor on rows outside Omega and columns T;
     a minor with fewer rows than columns is deficient, and any other is
-    decided by _minor_deficient.
+    decided by _rank_deficient.
     """
     p = int(p)
     t = _validate_indices(p, support_t, "support")
@@ -222,20 +221,24 @@ def pattern_feasible_minor(p: int, support_t, support_omega) -> bool:
     if not t:
         return False
     rows = sorted(set(range(p)) - set(om))
-    return len(rows) < len(t) or _minor_deficient(p, rows, t)
+    return len(rows) < len(t) or bool(_rank_deficient(p, np.array([t]), np.array([rows]))[0][0])
 
 
-def _minor_deficient(n: int, rows: list[int], cols: list[int]) -> bool:
-    """Is the length-n DFT minor W[rows, cols], len(rows) >= len(cols) >= 1, rank deficient?
+def _rank_deficient(n: int, cols: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, int]:
+    """Mask of the rank-deficient length-n DFT minors W[rows[i], cols[i]], and the SVD count.
 
-    The exact certificate mod ell decides it when it can (a proof of full
-    rank); otherwise the numeric rank of that minor alone does, without
-    building the n x n matrix.
+    cols is (m, s) and rows (m, r) with r >= s >= 1.  The exact certificate
+    mod ell decides every minor it can (a proof of full rank); the numeric
+    rank decides the rest, from an SVD of just those minors, built from
+    their indices without the n x n matrix.
     """
-    if _certified_nonsingular(n, np.array([cols]), np.array([rows]))[0]:
-        return False
-    sv = np.linalg.svd(_dft_entries(n, rows, cols), compute_uv=False)
-    return bool(_numeric_rank(sv, sv[0]) < len(cols))
+    undecided = np.flatnonzero(~_certified_nonsingular(n, cols, rows))
+    deficient = np.zeros(len(cols), dtype=bool)
+    if len(undecided):
+        minors = _dft_entries(n, rows[undecided, :, None], cols[undecided, None, :])
+        sv = np.linalg.svd(minors, compute_uv=False)
+        deficient[undecided] = _numeric_rank(sv, sv[:, :1]) < cols.shape[1]
+    return deficient, len(undecided)
 
 
 def _delta_supports(p: int) -> tuple[list[int], list[int]]:
@@ -259,7 +262,8 @@ def _class_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
 
     Row i of the first table maps a mask m to the smallest rotation of u*m,
     and row i of the second to the smallest rotation of u^-1*m, where u is
-    the i-th unit mod n.  Built on first use; 2^n columns, 8192 at p = 13.
+    the i-th unit mod n; row 0 (u = 1) maps m to its smallest rotation.
+    Built on first use; 2^n columns, 8192 at p = 13.
     """
     units = [u for u in range(n) if math.gcd(u, n) == 1]
     masks = np.arange(1 << n, dtype=np.int64)
@@ -297,20 +301,25 @@ def _modular_dft(n: int):
     None if no such prime exists.  g is then a root of the n-th cyclotomic
     polynomial mod ell, so zeta^-1 -> g, zeta = e^(2 pi i/n), is a ring map
     from Z[zeta] onto F_ell; it sends the scaled DFT entry
-    sqrt(n) W[k, j] = zeta^(-jk) to table[jk mod n].  Built on first use.
+    sqrt(n) W[k, j] = zeta^(-jk) to table[jk mod n].  g is the first
+    x^((ell-1)/n), x = 2, 3, ..., of order exactly n: g^n = 1, so its order
+    is n iff g^(n/q) != 1 for every prime q dividing n.  Built on first use.
     """
+    divisors = {d for q in range(1, math.isqrt(n) + 1) if n % q == 0 for d in (q, n // q)}
+    primes = [q for q in divisors if _is_prime(q)]
     for ell in range((_MODULUS_BOUND - 2) // n * n + 1, n, -n):
         if not _is_prime(ell):
             continue
         for x in itertools.count(2):
             g = pow(x, (ell - 1) // n, ell)
-            table = [1]
-            while len(table) < n:
-                table.append(table[-1] * g % ell)
-            if 1 not in table[1:]:  # no smaller power of g is 1, so g has order n
-                table = np.array(table, dtype=np.int64)
-                table.setflags(write=False)  # shared by every caller through the cache
-                return ell, table
+            if all(pow(g, n // q, ell) != 1 for q in primes):
+                break
+        table = np.ones(1, dtype=np.int64)
+        while len(table) < n:  # doubling: table[e + k] = table[e] g^k for k = len(table)
+            table = np.concatenate([table, table * pow(g, len(table), ell) % ell])
+        table = table[:n]
+        table.setflags(write=False)  # shared by every caller through the cache
+        return ell, table
     return None
 
 
@@ -339,79 +348,67 @@ def _certified_nonsingular(n: int, cols: np.ndarray, rows: np.ndarray) -> np.nda
     return certified
 
 
-class _ClassVerdicts(dict):
-    """Class key -> rank deficient?, for every class one scan has decided.
-
-    A class key fixes |T| and |R|, so batches of every shape can share one
-    map.  float_fallbacks counts the classes whose verdict came from the
-    SVD because the certificate could not decide them.
-    """
-
-    float_fallbacks = 0
-
-
-def _exact_summary(n: int, known: _ClassVerdicts) -> dict:
+def _exact_summary(n: int, float_fallbacks: int) -> dict:
     """The report's "exact" entry: the certificate's modulus and fallback count."""
-    return {"modulus": _modular_dft(n)[0], "float_fallbacks": known.float_fallbacks}
+    return {"modulus": _modular_dft(n)[0], "float_fallbacks": float_fallbacks}
 
 
-def _deficient_minors(w: np.ndarray, cols: np.ndarray, rows: np.ndarray, known=None):
-    """(T, Omega) for every rank-deficient minor w[rows[i], cols[i]] of a batch.
+def _deficient_minors(n: int, cols: np.ndarray, rows: np.ndarray):
+    """(T, Omega) for every rank-deficient length-n DFT minor W[rows[i], cols[i]] of a batch.
 
     cols is (m, s) and rows (m, r) with r >= s; Omega is the complement of
-    the row set.  Only the first minor of each symmetry class is decided;
-    the others take its verdict, and hits keep batch order.  A class is
-    decided by _certified_nonsingular if it can, else by the SVD.  known, a
-    _ClassVerdicts, carries the classes decided by earlier batches: they
-    are not decided again, and the classes this batch decides are added to
-    it.
+    the row set.  Only the first minor of each symmetry class is decided,
+    by _rank_deficient; the others take its verdict, and hits keep batch
+    order.  A class key fixes |T| and |R|, and every scan makes one batch
+    per (|T|, |R|), so no class is split over two batches.  Returns the
+    hits and the number of classes the SVD fallback decided.
     """
-    n = len(w)
-    keys, first, inverse = np.unique(
+    _, first, inverse = np.unique(
         _class_keys(n, cols, rows), return_index=True, return_inverse=True
     )
-    if known is None:
-        known = _ClassVerdicts()
-    new = np.array([key not in known for key in keys.tolist()], dtype=bool)
-    deficient = np.zeros(len(keys), dtype=bool)
-    deficient[~new] = [known[key] for key in keys[~new].tolist()]
-    fresh = np.flatnonzero(new)
-    fallback = fresh[~_certified_nonsingular(n, cols[first[fresh]], rows[first[fresh]])]
-    if len(fallback):
-        pick = first[fallback]
-        sv = np.linalg.svd(w[rows[pick, :, None], cols[pick, None, :]], compute_uv=False)
-        deficient[fallback] = _numeric_rank(sv, sv[:, :1]) < cols.shape[1]
-        known.float_fallbacks += len(fallback)
-    known.update(zip(keys[fresh].tolist(), deficient[fresh].tolist()))
+    deficient, fallbacks = _rank_deficient(n, cols[first], rows[first])
     everything = set(range(n))
-    return [
+    hits = [
         (cols[i].tolist(), sorted(everything - set(rows[i].tolist())))
         for i in np.flatnonzero(deficient[inverse])
     ]
+    return hits, fallbacks
 
 
-def _layer_pairs_exhaustive(p: int, w: np.ndarray, known=None):
+def _layer_pairs_exhaustive(p: int):
     """Scan every square minor in the layer |T| + |Omega| = p.
 
     Yields nothing for primes; a singular minor yields (T, Omega).  By
     monotonicity in Omega this layer decides all patterns with smaller
-    support sums.  Runs in chunks so forced large-p scans stay bounded
-    in memory; pair i of a layer is (combos[i // C], combos[i % C]).  The
-    class verdicts (known, a _ClassVerdicts) are kept across chunks, so
-    each class is decided once.
+    support sums.  Translating T or R keeps the rank, so each size s is
+    decided in one batch over the pairs of necklaces (the size-s sets
+    minimal among their rotations), and every deficient pair is expanded
+    to all of its translates, each once, in the order (T, R) of a scan
+    over every pair.  Returns the pair count, sum of C(p, s)^2, the hits
+    and the number of classes the SVD fallback decided.
     """
-    if known is None:
-        known = _ClassVerdicts()
-    checked = 0
-    hits = []
+    rot_min = _class_tables(p)[0][0]
+    everything = set(range(p))
+    checked, hits, fallbacks = 0, [], 0
     for s in range(1, p):
         combos = _combos(p, s)
-        c = len(combos)
-        for start in range(0, c * c, _CHUNK):
-            pair = np.arange(start, min(start + _CHUNK, c * c))
-            hits += _deficient_minors(w, combos[pair // c], combos[pair % c], known)
-        checked += c * c
-    return checked, hits
+        masks = (1 << combos).sum(axis=1)
+        necklaces = combos[rot_min[masks] == masks]
+        t_idx, r_idx = np.divmod(np.arange(len(necklaces) ** 2), len(necklaces))
+        found, decided = _deficient_minors(p, necklaces[t_idx], necklaces[r_idx])
+        fallbacks += decided
+        orbit = set()
+        for t, omega in found:
+            r = everything - set(omega)
+            orbit.update(itertools.product(_translates(p, t), _translates(p, r)))
+        hits += [(list(t), sorted(everything - set(r))) for t, r in sorted(orbit)]
+        checked += len(combos) ** 2
+    return checked, hits, fallbacks
+
+
+def _translates(n: int, indices) -> set[tuple[int, ...]]:
+    """Every translate of an index set mod n, each once, as a sorted tuple."""
+    return {tuple(sorted((j + a) % n for j in indices)) for a in range(n)}
 
 
 def _combos(n: int, size: int) -> np.ndarray:
@@ -426,7 +423,7 @@ def _complements(n: int, sets: np.ndarray) -> np.ndarray:
     return np.nonzero(keep)[1].reshape(len(sets), -1)
 
 
-def _pattern_search(shape: AlgebraShape, p: int, known=None):
+def _pattern_search(shape: AlgebraShape, p: int):
     """Decide every support pattern (T, Omega), |T| + |Omega| <= p, |T| < p, two ways.
 
     The scalar way is the DFT minor on rows outside Omega and columns T
@@ -435,12 +432,11 @@ def _pattern_search(shape: AlgebraShape, p: int, known=None):
     Both run once per (|T|, |Omega|) group, over the group's patterns in
     the order (T, Omega).  Returns the pattern count and, in the order
     (|T|, T, |Omega|, Omega), (T, Omega, scalar verdict, frame verdict) for
-    every pattern that either way finds feasible.  known, a _ClassVerdicts,
-    collects the scalar verdicts.
+    every pattern that either way finds feasible, and the number of classes
+    the scalar way's SVD fallback decided.
     """
-    w = dft_matrix(p)
     std, fourier = standard_frame(shape, p), fourier_frame(shape, p)
-    checked = 0
+    checked = fallbacks = 0
     scalar, by_frames = set(), set()
     for size_t in range(1, p):
         t_sets = _combos(p, size_t)
@@ -449,7 +445,8 @@ def _pattern_search(shape: AlgebraShape, p: int, known=None):
             o_sets = _combos(p, size_o)
             t_idx, o_idx = np.divmod(np.arange(len(t_sets) * len(o_sets)), len(o_sets))
             rows = _complements(p, o_sets)[o_idx]
-            hits = _deficient_minors(w, t_sets[t_idx], rows, known)
+            hits, decided = _deficient_minors(p, t_sets[t_idx], rows)
+            fallbacks += decided
             scalar.update((tuple(t), tuple(o)) for t, o in hits)
             feasible = _deficient_blocks(std, fourier, t_comps[t_idx], rows)
             by_frames.update(
@@ -458,7 +455,8 @@ def _pattern_search(shape: AlgebraShape, p: int, known=None):
             )
             checked += len(t_idx)
     flagged = sorted(scalar | by_frames, key=lambda to: (len(to[0]), to[0], len(to[1]), to[1]))
-    return checked, [(list(t), list(o), (t, o) in scalar, (t, o) in by_frames) for t, o in flagged]
+    flagged = [(list(t), list(o), (t, o) in scalar, (t, o) in by_frames) for t, o in flagged]
+    return checked, flagged, fallbacks
 
 
 def _pattern_witness(p: int, w: np.ndarray, t, omega):
@@ -485,8 +483,9 @@ def tao_min_sum(
 ) -> dict:
     """Minimum of ||x||_0 + ||x_hat||_0 over nonzero scalar x of length p.
 
-    Exhaustive mode scans every square DFT minor in the critical layer
-    |T| + |Omega| = p, which settles all smaller support sums as well;
+    Exhaustive mode decides every square DFT minor in the critical layer
+    |T| + |Omega| = p, which settles all smaller support sums as well, from
+    one batch per layer over the necklace pairs (see _layer_pairs_exhaustive);
     sampled mode draws random support pairs with |T| + |Omega| <= p and
     tests each by the same minor criterion.  For prime p all minors are
     nonsingular, so the minimum is p + 1, attained by the spike at 0.
@@ -508,16 +507,15 @@ def tao_min_sum(
 
     w = dft_matrix(p)
     violations = []
-    known = _ClassVerdicts()
 
     if mode == "exhaustive":
-        checked, hits = _layer_pairs_exhaustive(p, w, known)
+        checked, hits, fallbacks = _layer_pairs_exhaustive(p)
     else:
         rng = np.random.default_rng(seed)
         s_arr = rng.integers(1, p, size=samples)
         t_arr = rng.integers(1, p - s_arr + 1)
         checked = int(samples)
-        hits = []
+        hits, fallbacks = [], 0
         # one group per (s, t) in sorted order; t < p, so s * p + t sorts like (s, t)
         codes, sizes = np.unique(s_arr * p + t_arr, return_counts=True)
         for code, m in zip(codes.tolist(), sizes.tolist()):
@@ -526,7 +524,9 @@ def tao_min_sum(
             perm_o = np.argsort(rng.random((m, p)), axis=1)
             supp_t = np.sort(perm_t[:, :s], axis=1)
             rows = np.sort(perm_o[:, t:], axis=1)
-            hits += _deficient_minors(w, supp_t, rows, known)
+            found, decided = _deficient_minors(p, supp_t, rows)
+            hits += found
+            fallbacks += decided
 
     min_sum = None
     witness = None
@@ -555,7 +555,7 @@ def tao_min_sum(
         "min_sum": int(min_sum),
         "witness": witness,
         "threshold": RANK_TOL,
-        "exact": _exact_summary(p, known),
+        "exact": _exact_summary(p, fallbacks),
     }
     if violations:
         report["violating_patterns"] = violations
@@ -650,11 +650,10 @@ def conjecture_audit(
     delta_sum = sparsity(delta, rel_tol) + sparsity(ncdft(delta), rel_tol)
     min_sum = int(min(min_sum, delta_sum))
 
-    patterns_checked, flagged = 0, []
+    patterns_checked, flagged, fallbacks = 0, [], 0
     pattern_search_performed = p <= PATTERN_SEARCH_MAX_P
-    known = _ClassVerdicts()
     if pattern_search_performed:
-        patterns_checked, flagged = _pattern_search(shape, p, known)
+        patterns_checked, flagged, fallbacks = _pattern_search(shape, p)
     pattern_violations = [{"support": t, "fourier_support": o} for t, o, _, _ in flagged]
     crosscheck_agreed = all(scalar == by_frames for _, _, scalar, by_frames in flagged)
 
@@ -682,5 +681,5 @@ def conjecture_audit(
         "holds": bool(holds),
     }
     if pattern_search_performed:
-        report["exact"] = _exact_summary(p, known)
+        report["exact"] = _exact_summary(p, fallbacks)
     return report

@@ -25,6 +25,10 @@ oracle_pattern_search is the conjecture audit's structured search one
 pattern at a time: an SVD of the pattern's DFT minor for the scalar verdict
 and a support_pair_feasible call for the frame verdict.
 
+oracle_modular_dft is the certificate's field found the direct way: it
+lists every power of each candidate g and keeps the first g whose powers
+below n are all different from 1.
+
 The module arithmetic at the end (vector sums, scaling, the left module
 action, operator differences, cyclic shifts) is what the tests need beyond
 the library's own API; it works entrywise on the public `blocks` stacks.
@@ -44,6 +48,7 @@ from ncup import (
     standard_frame,
     support_pair_feasible,
 )
+from ncup.ncft import _is_prime
 
 
 def embed_element(a) -> np.ndarray:
@@ -166,6 +171,22 @@ def oracle_deficient_minors(w, cols, rows, threshold=1e-10):
     bad = np.flatnonzero(np.count_nonzero(sv > threshold * sv[:, :1], axis=1) < cols.shape[1])
     everything = set(range(len(w)))
     return [(cols[i].tolist(), sorted(everything - set(rows[i].tolist()))) for i in bad]
+
+
+def oracle_modular_dft(n):
+    """(ell, [g^e mod ell for e < n]): the largest prime ell = 1 (mod n) below 2^31
+    and the first x^((ell-1)/n), x = 2, 3, ..., of order exactly n."""
+    for ell in range((2**31 - 2) // n * n + 1, n, -n):
+        if not _is_prime(ell):
+            continue
+        for x in itertools.count(2):
+            g = pow(x, (ell - 1) // n, ell)
+            table = [1]
+            while len(table) < n:
+                table.append(table[-1] * g % ell)
+            if 1 not in table[1:]:
+                return ell, table
+    return None
 
 
 def oracle_pattern_search(shape, p):

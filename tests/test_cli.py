@@ -370,6 +370,21 @@ def test_tao_refuses_large_exhaustive():
     assert "force" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "mode, flag",
+    [
+        ("exhaustive", ["--samples", "500"]),
+        ("exhaustive", ["--seed", "0"]),
+        ("sampled", ["--force"]),
+    ],
+)
+def test_tao_rejects_flag_its_mode_does_not_read(mode, flag):
+    proc = run_cli("tao", "--p", "7", "--mode", mode, *flag)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"ncup: error: {flag[0]} is not read in {mode} mode\n"
+
+
 def test_conjecture_command():
     proc = run_cli(
         "conjecture",
@@ -394,6 +409,7 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
         ("tao_p11_sampled_seed3.json", "tao --p 11 --mode sampled --samples 20000 --seed 3"),
         ("tao_p13_sampled_seed77.json", "tao --p 13 --mode sampled --seed 77"),
         ("tao_p11_exhaustive_force.json", "tao --p 11 --mode exhaustive --force"),
+        ("tao_p13_exhaustive_force.json", "tao --p 13 --mode exhaustive --force"),
         ("conjecture_m2_p5.json", "conjecture --algebra 2 --p 5 --trials 2000"),
         ("conjecture_c2_p5.json", "conjecture --algebra 1,1 --p 5 --trials 2000"),
         ("conjecture_m2_p7.json", "conjecture --algebra 2 --p 7 --trials 2000"),

@@ -29,7 +29,13 @@ from ncup import (
 from ncup import cli, ncft
 from ncup.ncft import dft_matrix
 
-from oracles import cyclic_shift, oracle_deficient_minors, oracle_pattern_search, vec_sub
+from oracles import (
+    cyclic_shift,
+    oracle_deficient_minors,
+    oracle_modular_dft,
+    oracle_pattern_search,
+    vec_sub,
+)
 
 C = AlgebraShape((1,))
 M2 = AlgebraShape((2,))
@@ -176,7 +182,7 @@ def test_chebotarev_all_minors_p5():
 
 def test_chebotarev_minor_is_certified_exactly(monkeypatch):
     # At prime p the certificate decides every minor; the float rank test
-    # (pattern_feasible_minor's SVD) is reached only when the certificate
+    # (_rank_deficient's SVD) is reached only when the certificate
     # leaves a minor undecided.
     svd = np.linalg.svd
 
@@ -221,7 +227,7 @@ def test_pattern_feasible_minor_matches_oracle(n):
 
 
 def test_dft_minor_entries_equal_matrix_entries():
-    # pattern_feasible_minor builds its minor from the indices; the entries
+    # The float fallback builds its minors from the indices; the entries
     # are bitwise those of dft_matrix, so its verdicts cannot drift from it.
     for n in range(2, 40):
         w = dft_matrix(n)
@@ -229,7 +235,7 @@ def test_dft_minor_entries_equal_matrix_entries():
         for _ in range(10):
             rows = np.sort(rng.choice(n, rng.integers(1, n + 1), replace=False))
             cols = np.sort(rng.choice(n, rng.integers(1, n + 1), replace=False))
-            assert np.array_equal(ncft._dft_entries(n, rows, cols), w[np.ix_(rows, cols)])
+            assert np.array_equal(ncft._dft_entries(n, rows[:, None], cols), w[np.ix_(rows, cols)])
 
 
 def test_chebotarev_fails_at_composite_length():
@@ -271,7 +277,7 @@ def test_deficient_minors_match_per_minor_oracle(n):
     found = 0
     for s in range(1, n):
         cols, rows = layer_batch(n, s, s)
-        hits = ncft._deficient_minors(w, cols, rows)
+        hits, _ = ncft._deficient_minors(n, cols, rows)
         assert hits == oracle_deficient_minors(w, cols, rows, ncft.RANK_TOL)
         found += len(hits)
     # composite lengths have singular minors, so the comparison is not vacuous
@@ -285,23 +291,23 @@ def test_deficient_minors_match_oracle_on_tall_minors(n):
     for s in range(1, n):
         for r in range(s + 1, n):
             cols, rows = layer_batch(n, s, r)
-            hits = ncft._deficient_minors(w, cols, rows)
+            hits, _ = ncft._deficient_minors(n, cols, rows)
             assert hits == oracle_deficient_minors(w, cols, rows, ncft.RANK_TOL)
 
 
-@pytest.mark.parametrize("n", [6, 8])
-def test_exhaustive_layers_match_per_minor_oracle(monkeypatch, n):
+@pytest.mark.parametrize("n", [6, 8, 9])
+def test_exhaustive_layers_match_per_minor_oracle(n):
+    # The scan decides necklace pairs only and expands each deficient one to
+    # its translates; a periodic necklace such as {0, 3, 6} at n = 9 has
+    # fewer than n translates, and each must be listed once.
     w = dft_matrix(n)
-    checked, hits = ncft._layer_pairs_exhaustive(n, w)
+    checked, hits, _ = ncft._layer_pairs_exhaustive(n)
     expected = []
     for s in range(1, n):
         expected += oracle_deficient_minors(w, *layer_batch(n, s, s), ncft.RANK_TOL)
     assert checked == comb(2 * n, n) - 2
     assert hits == expected
     assert hits
-    # 64-pair chunks split classes over many chunks; the hits keep their order
-    monkeypatch.setattr(ncft, "_CHUNK", 64)
-    assert ncft._layer_pairs_exhaustive(n, w) == (checked, hits)
 
 
 @pytest.mark.parametrize("n", [7, 8, 9, 12, 13])
@@ -373,28 +379,29 @@ def test_each_symmetry_class_decomposed_once(monkeypatch):
     cols, rows = layer_batch(p, s, s)
     orbits = count_orbits(p, cols, rows)
     decided = count_decided(monkeypatch)
-    assert ncft._deficient_minors(dft_matrix(p), cols, rows) == []
+    hits, _ = ncft._deficient_minors(p, cols, rows)
+    assert hits == []
     assert sum(decided) == orbits < len(cols)
 
 
-def test_exhaustive_scan_decides_each_class_once_across_chunks(monkeypatch):
-    # With 64-pair chunks every class of the middle layers spans many chunks;
-    # the per-layer verdict map still decomposes each class once.
+def test_exhaustive_scan_decides_each_class_once(monkeypatch):
+    # One batch per layer, over the necklace pairs only, and still every
+    # class of every pair (T, R) is decided exactly once.
     p = 7
     orbits = sum(count_orbits(p, *layer_batch(p, s, s)) for s in range(1, p))
-    monkeypatch.setattr(ncft, "_CHUNK", 64)
     batches = []
     scan = ncft._deficient_minors
 
-    def counting_batches(w, cols, rows, known=None):
+    def counting_batches(n, cols, rows):
         batches.append(len(cols))
-        return scan(w, cols, rows, known)
+        return scan(n, cols, rows)
 
     monkeypatch.setattr(ncft, "_deficient_minors", counting_batches)
     decided = count_decided(monkeypatch)
-    checked, hits = ncft._layer_pairs_exhaustive(p, dft_matrix(p))
-    assert checked == sum(batches) == comb(2 * p, p) - 2
-    assert max(batches) == 64 and len(batches) > 40
+    checked, hits, _ = ncft._layer_pairs_exhaustive(p)
+    assert len(batches) == p - 1
+    assert batches == [(comb(p, s) // p) ** 2 for s in range(1, p)]  # necklace pairs only
+    assert checked == comb(2 * p, p) - 2
     assert hits == []
     assert sum(decided) == orbits
 
@@ -411,7 +418,7 @@ def prime_factors(n):
     return factors + [n] * (n > 1)
 
 
-@pytest.mark.parametrize("n", range(2, 20))
+@pytest.mark.parametrize("n", [*range(2, 40), 1009])
 def test_modular_dft_field(n):
     ell, table = ncft._modular_dft(n)
     assert prime_factors(ell) == [ell]
@@ -420,6 +427,8 @@ def test_modular_dft_field(n):
     assert table.tolist() == [pow(g, e, ell) for e in range(n)]
     assert pow(g, n, ell) == 1
     assert all(pow(g, n // q, ell) != 1 for q in prime_factors(n))
+    # the same field as the construction that lists every power of each candidate g
+    assert (ell, table.tolist()) == oracle_modular_dft(n)
 
 
 @pytest.mark.parametrize("n, tall", [(4, True), (6, True), (8, True), (9, True), (10, False)])
@@ -458,7 +467,7 @@ def test_float_fallback_is_live(monkeypatch):
     # With a certificate that decides nothing, every class goes to the SVD:
     # the hits and the reports (without "exact") do not change, and
     # float_fallbacks counts every class, so the fallback is not dead code.
-    scans = [lambda n=n: ncft._layer_pairs_exhaustive(n, dft_matrix(n)) for n in (6, 8)]
+    scans = [lambda n=n: ncft._layer_pairs_exhaustive(n)[:2] for n in (6, 8)]
     reports = [
         lambda: tao_min_sum(7),
         lambda: conjecture_audit(M2, 5, trials=200, seed=1),
@@ -575,17 +584,17 @@ def test_conjecture_crosscheck_is_live(monkeypatch, tmp_path):
     original = ncft._deficient_minors
     target = ([0], [0])
 
-    def flipped(w, cols, rows, known=None):
-        hits = original(w, cols, rows, known)
-        everything = list(range(len(w)))
+    def flipped(n, cols, rows):
+        hits, fallbacks = original(n, cols, rows)
+        everything = list(range(n))
         in_batch = any(
             c == target[0] and r == everything[1:] for c, r in zip(cols.tolist(), rows.tolist())
         )
         if not in_batch:
-            return hits
+            return hits, fallbacks
         if target in hits:
-            return [hit for hit in hits if hit != target]
-        return [target] + hits
+            return [hit for hit in hits if hit != target], fallbacks
+        return [target] + hits, fallbacks
 
     monkeypatch.setattr(ncft, "_deficient_minors", flipped)
     report = conjecture_audit(M2, 3, trials=50)
@@ -607,7 +616,7 @@ def test_pattern_search_matches_per_pattern_loop(dims, n):
     # composite lengths have feasible patterns, so the comparison is not
     # vacuous there.
     shape = AlgebraShape(dims)
-    checked, flagged = ncft._pattern_search(shape, n)
+    checked, flagged, _ = ncft._pattern_search(shape, n)
     assert (checked, flagged) == oracle_pattern_search(shape, n)
     assert checked == sum(
         comb(n, s) * comb(n, t) for s in range(1, n) for t in range(1, n - s + 1)
