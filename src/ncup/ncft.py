@@ -220,8 +220,8 @@ def pattern_feasible_minor(p: int, support_t, support_omega) -> bool:
     om = _validate_indices(p, support_omega, "fourier support")
     if not t:
         return False
-    rows = sorted(set(range(p)) - set(om))
-    return len(rows) < len(t) or bool(_rank_deficient(p, np.array([t]), np.array([rows]))[0][0])
+    rows = np.delete(np.arange(p), om)
+    return len(rows) < len(t) or bool(_rank_deficient(p, np.array([t]), rows[None])[0][0])
 
 
 def _rank_deficient(n: int, cols: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, int]:

@@ -19,8 +19,11 @@ from ncup import (
     sub,
 )
 
+from ncup.algebra import _entry_norms
+
 from oracles import embed_element, oracle_min_eig, oracle_norm
 
+C = AlgebraShape((1,))
 M2 = AlgebraShape((2,))
 CC = AlgebraShape((1, 1))
 CM2 = AlgebraShape((1, 2))
@@ -75,7 +78,8 @@ def test_shape_mismatch_rejected():
 
 
 def test_norm_identity():
-    assert norm(identity(M2)) == 1.0
+    for shape in (C, M2, CM2):
+        assert norm(identity(shape)) == 1.0
 
 
 def assert_norm_matches_oracle_at_all_scales(a, rng):
@@ -97,6 +101,66 @@ def test_norm_max_over_blocks():
     assert abs(norm(a) - 3.0) < 1e-14
     assert abs(norm(a) - oracle_norm(a)) < 1e-14
     assert_norm_matches_oracle_at_all_scales(a, np.random.default_rng(4))
+
+
+def hard_small_matrices(rng, n):
+    """n x n matrices (n = 1 or 2) that stress the closed-form norm kernel."""
+    u = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    rank_one = np.outer(rng.standard_normal(n) + 1j, rng.standard_normal(n) - 2j)
+    flip = np.eye(n)[::-1]
+    mats = [
+        u,  # equal singular values
+        np.eye(n),
+        3.7 * np.eye(n),
+        np.exp(2j * np.pi * np.outer(range(n), range(n)) / n) / np.sqrt(n),
+        rank_one,
+        np.zeros((n, n)),
+        np.diag(rng.standard_normal(n) + 1j * rng.standard_normal(n)),
+        np.diag([2.5 - 1j] * n),
+        flip * (rng.standard_normal(n) + 1j * rng.standard_normal(n)),
+        flip * (1 + 1j),
+        rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)),
+        5e-324 * np.arange(1, n * n + 1).reshape(n, n),
+    ]
+    return [m * scale for m in mats for scale in (1.0, 1e300, 1e-300)]
+
+
+@pytest.mark.parametrize("shape", [C, M2], ids=["C", "M2"])
+def test_closed_form_norms_match_svd_oracle(shape, rng):
+    (n,) = shape.block_dims
+    mats = hard_small_matrices(rng, n)
+    mixed = np.stack(mats)  # entries from 5e-324 to 1e300 in one stack
+    if n == 2:
+        mats.append(np.array([[1e300, 5e-324], [1e-300, 0.0]]))
+    expected = np.array([oracle_norm(AlgebraElement(shape, [m])) for m in mats])
+    got = np.array([norm(AlgebraElement(shape, [m])) for m in mats])
+    assert np.all(np.abs(got - expected) <= 2e-15 * expected)
+    assert np.array_equal(_entry_norms([mixed]), got[: len(mixed)])
+
+
+@pytest.mark.parametrize("rows", [1, 2])
+def test_closed_form_norms_of_rectangular_stacks(rows, rng):
+    for cols in (1, 3, 8):
+        stack = rng.standard_normal((50, rows, cols)) + 1j * rng.standard_normal((50, rows, cols))
+        stack[1] = 0.0
+        stack[2] = np.outer(np.ones(rows), stack[2, 0])  # rank one
+        stack[3] *= 1e300
+        stack[4] *= 1e-300
+        stack[5] = 5e-324
+        expected = np.linalg.svd(stack, compute_uv=False)[:, 0]
+        assert np.all(np.abs(_entry_norms([stack]) - expected) <= 2e-15 * expected)
+
+
+def test_only_three_or_more_rows_reach_eigvalsh(monkeypatch, rng):
+    def no_eigvalsh(*args, **kwargs):
+        raise AssertionError("eigvalsh called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+    for dims in [(1, 1), (1, 4), (2, 2), (2, 6)]:
+        _entry_norms([rng.standard_normal((5, *dims)) + 0j])
+    assert norm(random_element(CM2, rng)) > 0
+    with pytest.raises(AssertionError, match="eigvalsh called"):
+        _entry_norms([rng.standard_normal((5, 3, 3)) + 0j])
 
 
 def test_is_positive_identity():

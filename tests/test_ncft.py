@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations
 from math import comb, gcd
 
@@ -207,6 +208,26 @@ def test_pattern_feasible_minor_builds_only_its_minor(monkeypatch):
 
     monkeypatch.setattr(ncft, "dft_matrix", no_matrix)
     assert not pattern_feasible_minor(2003, [0], [1])
+
+
+def test_pattern_feasible_minor_at_large_length():
+    # At p = 1000003 the rows outside Omega are built as one array, without
+    # Python sets or lists of p entries.
+    p = 1000003
+    ncft._modular_dft(p)  # the table is built once per length, outside the measurement
+    tracemalloc.start()
+    try:
+        feasible = pattern_feasible_minor(p, [0], [1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not feasible
+    assert peak < 20 * 2**20
+    # The minor on rows {0, 2, 3, ...} has full column rank iff some
+    # square block of it is nonsingular; its leading block is row 0.
+    assert feasible == (not chebotarev_minor_nonsingular(p, [0], [0]))
+    assert not pattern_feasible_minor(p, [0, 7, 11], [])
+    assert not pattern_feasible_minor(p, [], [1])
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
