@@ -10,6 +10,7 @@ is decided from blockwise Hermitian spectra.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,14 @@ POSITIVITY_TOL = 1e-10
 _NORM_CHUNK = 4096
 
 
+def _as_int(value, what: str) -> int:
+    """value as an int by operator.index: a float or a string is refused, never truncated."""
+    try:
+        return operator.index(value)
+    except TypeError as exc:
+        raise InputError(f"{what} must be an integer, got {value!r}") from exc
+
+
 @dataclass(frozen=True)
 class AlgebraShape:
     """Block dimensions (n1, ..., nB); block i holds an ni x ni matrix."""
@@ -48,8 +57,8 @@ class AlgebraShape:
 
     def __post_init__(self) -> None:
         try:
-            dims = tuple(int(n) for n in self.block_dims)
-        except (TypeError, ValueError) as exc:
+            dims = tuple(operator.index(n) for n in self.block_dims)
+        except TypeError as exc:
             raise InputError(
                 f"block dimensions must be integers, got {self.block_dims!r}"
             ) from exc
@@ -282,10 +291,9 @@ def zero(shape: AlgebraShape) -> AlgebraElement:
     return AlgebraElement(shape, [np.zeros((n, n), dtype=np.complex128) for n in shape.block_dims])
 
 
-def random_element(shape: AlgebraShape, rng: np.random.Generator, scale: float = 1.0) -> AlgebraElement:
+def random_element(shape: AlgebraShape, rng: np.random.Generator) -> AlgebraElement:
     """I.i.d. standard complex Gaussian entries in every matrix coordinate."""
-    blocks = []
-    for n in shape.block_dims:
-        blk = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
-        blocks.append(scale * blk)
-    return AlgebraElement(shape, blocks)
+    return AlgebraElement(shape, [
+        (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
+        for n in shape.block_dims
+    ])

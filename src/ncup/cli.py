@@ -9,7 +9,7 @@ byte-identical reports.
 
 Exit codes: 0 all checks hold, 1 a mathematical check failed (the report
 says whether it looks like an implementation defect or a genuine
-counterexample), 2 invalid input.
+counterexample), 2 invalid input, or input too large to fit in memory.
 """
 
 from __future__ import annotations
@@ -269,6 +269,9 @@ def main(argv=None) -> int:
         return code
     except NcupError as exc:
         print(f"ncup: error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"ncup: error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -26,6 +26,7 @@ from .algebra import (
     POSITIVITY_TOL,
     AlgebraElement,
     AlgebraShape,
+    _as_int,
     _decode_matrices,
     _element_payload,
     _encode_matrices,
@@ -59,7 +60,7 @@ def _freeze(mat) -> np.ndarray:
 
 def _module_rank(d) -> int:
     """d as an int; raises InputError unless it is a positive module rank."""
-    d = int(d)
+    d = _as_int(d, "module rank d")
     if d < 1:
         raise InputError(f"module rank d must be positive, got {d}")
     return d
@@ -130,17 +131,6 @@ def _parse_vector(payload, where: str) -> tuple[AlgebraShape, list]:
     return shape, entries
 
 
-def _vector_payload(shape: AlgebraShape, encoded: list, d: int) -> dict:
-    """Vector JSON payload from each block's encoded (d, n, n) entry stack."""
-    return {
-        "shape": shape.to_list(),
-        "entries": [
-            {"shape": shape.to_list(), "blocks": [blk[i] for blk in encoded]}
-            for i in range(d)
-        ],
-    }
-
-
 class ModuleVector:
     """Element of A^d, stored per algebra block as an (n, d*n) matrix."""
 
@@ -197,7 +187,13 @@ class ModuleVector:
 
     def to_dict(self) -> dict:
         encoded = [_encode_matrices(blk) for blk in self.blocks]
-        return _vector_payload(self.shape, encoded, self.d)
+        return {
+            "shape": self.shape.to_list(),
+            "entries": [
+                {"shape": self.shape.to_list(), "blocks": [blk[i] for blk in encoded]}
+                for i in range(self.d)
+            ],
+        }
 
     @classmethod
     def from_dict(cls, payload, where: str = "module vector") -> "ModuleVector":

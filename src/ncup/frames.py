@@ -14,6 +14,9 @@ Coefficients are module vectors, so they share the one vector layout, the
 C T, the frame operator T^H T, the Parseval normalization T S^(-1/2), and
 the cross Gram of two frames T W^H.
 
+In a JSON file a frame is a list of vector payloads, each read and written
+by the vector codec (ModuleVector.from_dict and to_dict).
+
 The support of any module vector, coefficients or not, is decided by a
 relative threshold: an entry counts as nonzero when its C*-norm exceeds
 rel_tol times the largest entry norm of the vector.
@@ -23,17 +26,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import AlgebraShape, _decode_matrices, _encode_matrices, _entry_norms
+from .algebra import AlgebraShape, _entry_norms
 from .csmodule import (
     ModuleOperator,
     ModuleVector,
     _check_same_module,
     _freeze,
     _module_rank,
-    _parse_vector,
     _stack_views,
     _stacks_to_mats,
-    _vector_payload,
     op_inv_sqrt,
     random_vector,
 )
@@ -144,14 +145,10 @@ class ModularFrame:
         )
 
     def to_dict(self) -> dict:
-        encoded = [_encode_matrices(blk) for blk in self.blocks]
         return {
             "algebra": self.shape.to_list(),
             "d": int(self.d),
-            "vectors": [
-                _vector_payload(self.shape, [blk[k] for blk in encoded], self.d)
-                for k in range(self.count)
-            ],
+            "vectors": [v.to_dict() for v in self.vectors],
             "parseval": bool(is_parseval(self)),
         }
 
@@ -159,6 +156,8 @@ class ModularFrame:
     def from_dict(cls, payload, where: str = "frame") -> "ModularFrame":
         """Rebuild a frame from its JSON payload.
 
+        Each item of "vectors" is a vector payload, decoded in file order by
+        ModuleVector.from_dict, so an error names the first faulty vector.
         The stored "parseval" flag is advisory; when it claims True the
         frame operator is re-verified and a false claim is rejected.
         """
@@ -177,28 +176,18 @@ class ModularFrame:
         raw = payload["vectors"]
         if not isinstance(raw, list) or not raw:
             raise InputError(f"{where}: 'vectors' must be a nonempty list")
-        entries = []
+        vectors = []
         for i, item in enumerate(raw):
-            v_shape, v_entries = _parse_vector(item, f"{where}: vector {i}")
-            if v_shape != shape:
+            v = ModuleVector.from_dict(item, f"{where}: vector {i}")
+            if v.shape != shape:
                 raise InputError(
-                    f"{where}: vector {i} has shape {v_shape.to_list()}, "
+                    f"{where}: vector {i} has shape {v.shape.to_list()}, "
                     f"expected {shape.to_list()}"
                 )
-            if len(v_entries) != d:
-                raise InputError(
-                    f"{where}: vector {i} has {len(v_entries)} entries, expected d={d}"
-                )
-            entries.extend(v_entries)
-        blocks = [
-            _decode_matrices(
-                [e[b] for e in entries],
-                n,
-                lambda j, b=b: f"{where}: vector {j // d}: entry {j % d}: block {b}",
-            ).reshape(len(raw), d, n, n)
-            for b, n in enumerate(shape.block_dims)
-        ]
-        frame = cls(shape, d, blocks)
+            if v.d != d:
+                raise InputError(f"{where}: vector {i} has {v.d} entries, expected d={d}")
+            vectors.append(v)
+        frame = cls.from_vectors(vectors)
         claimed = payload["parseval"]
         if not isinstance(claimed, bool):
             raise InputError(f"{where}: 'parseval' must be a boolean")
@@ -210,17 +199,18 @@ class ModularFrame:
         return frame
 
 
-def _validate_indices(count: int, indices, name: str) -> list[int]:
-    """Sorted copy of distinct indices into range(count)."""
-    out = []
-    for i in indices:
-        j = int(i)
-        if not 0 <= j < count:
-            raise InputError(f"{name} index {j} out of range 0..{count - 1}")
-        out.append(j)
-    if len(set(out)) != len(out):
+def _validate_indices(count: int, indices, name: str) -> np.ndarray:
+    """Sorted array of distinct integer indices into range(count)."""
+    arr = np.asarray(indices)
+    if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
+        raise InputError(f"{name} indices must be a flat sequence of integers")
+    outside = (arr < 0) | (arr >= count)
+    if outside.any():
+        raise InputError(f"{name} index {arr[outside][0]} out of range 0..{count - 1}")
+    out = np.sort(arr).astype(np.int64)
+    if (out[1:] == out[:-1]).any():
         raise InputError(f"{name} contains repeated indices")
-    return sorted(out)
+    return out
 
 
 def analysis(frame: ModularFrame, x: ModuleVector) -> ModuleVector:

@@ -39,11 +39,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 
 import numpy as np
 
-from .algebra import AlgebraShape, _entry_norms
+from .algebra import AlgebraShape, _as_int, _entry_norms
 from .csmodule import ModuleVector, _module_rank
 from .errors import InputError
 from .frames import (
@@ -108,10 +107,7 @@ def _is_prime(n: int) -> bool:
 
 def _as_prime(p) -> int:
     """p as an int, certified prime by Miller-Rabin; non-integral p is refused."""
-    try:
-        value = operator.index(p)
-    except TypeError as exc:
-        raise InputError(f"prime dimension must be an integer, got {p!r}") from exc
+    value = _as_int(p, "prime dimension")
     if value >= 1 << 64:
         raise InputError(f"prime dimension {value} is too large")
     if not _is_prime(value):
@@ -178,7 +174,7 @@ def dirac_comb(shape: AlgebraShape, d: int, spacing: int) -> ModuleVector:
     spacing must divide d.  At d = spacing**2 the comb is a fixed point of
     the DFT and makes the product uncertainty bound tight.
     """
-    d, spacing = _module_rank(d), int(spacing)
+    d, spacing = _module_rank(d), _as_int(spacing, "spacing")
     if spacing < 1 or d % spacing != 0:
         raise InputError(f"spacing {spacing} must be a positive divisor of d={d}")
     blocks = []
@@ -202,9 +198,9 @@ def chebotarev_minor_nonsingular(p, rows, cols) -> bool:
         raise InputError(
             f"minor must be square, got {len(rows)} rows and {len(cols)} columns"
         )
-    if not rows:
+    if not len(rows):
         raise InputError("minor must have at least one row and column")
-    return not _rank_deficient(p, np.array([cols]), np.array([rows]))[0][0]
+    return not _rank_deficient(p, cols[None], rows[None])[0][0]
 
 
 def pattern_feasible_minor(p: int, support_t, support_omega) -> bool:
@@ -215,13 +211,13 @@ def pattern_feasible_minor(p: int, support_t, support_omega) -> bool:
     a minor with fewer rows than columns is deficient, and any other is
     decided by _rank_deficient.
     """
-    p = int(p)
+    p = _as_int(p, "length")
     t = _validate_indices(p, support_t, "support")
     om = _validate_indices(p, support_omega, "fourier support")
-    if not t:
+    if not len(t):
         return False
     rows = np.delete(np.arange(p), om)
-    return len(rows) < len(t) or bool(_rank_deficient(p, np.array([t]), rows[None])[0][0])
+    return len(rows) < len(t) or bool(_rank_deficient(p, t[None], rows[None])[0][0])
 
 
 def _rank_deficient(n: int, cols: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, int]:
@@ -502,7 +498,7 @@ def tao_min_sum(
             f"exhaustive mode at p={p} scans ~C(2p,p) minors; pass force=True "
             f"to run it anyway or use mode='sampled'"
         )
-    if mode == "sampled" and samples < 1:
+    if mode == "sampled" and _as_int(samples, "samples") < 1:
         raise InputError(f"samples must be positive, got {samples}")
 
     w = dft_matrix(p)
@@ -588,7 +584,7 @@ def conjecture_audit(
     "implementation-defect" (a thresholding artifact).
     """
     p = _as_prime(p)
-    trials = int(trials)
+    trials = _as_int(trials, "trials")
     if trials < 1:
         raise InputError(f"trials must be positive, got {trials}")
     _check_sampled_cap(p)

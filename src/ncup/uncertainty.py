@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import _entry_norms
+from .algebra import _as_int, _entry_norms
 from .csmodule import ModuleVector, _check_same_module, basis_vector, module_norm, random_vector
 from .errors import InputError, NonParsevalFrameError
 from .frames import (
@@ -250,13 +250,12 @@ def support_pair_feasible(
     _check_same_module(tau, omega)
     supp_t = _validate_indices(tau.count, support_t, "support")
     supp_o = _validate_indices(omega.count, support_omega, "fourier support")
-    comp_t = sorted(set(range(tau.count)) - set(supp_t))
-    comp_o = sorted(set(range(omega.count)) - set(supp_o))
+    comp_t = np.setdiff1d(np.arange(tau.count), supp_t)[None]
+    comp_o = np.setdiff1d(np.arange(omega.count), supp_o)[None]
     shape, d = tau.shape, tau.d
-    if not comp_t and not comp_o:
+    if not comp_t.size and not comp_o.size:
         return True, basis_vector(shape, d, 0)
 
-    comp_t, comp_o = np.array([comp_t], int), np.array([comp_o], int)
     deficient = _deficient_blocks(tau, omega, comp_t, comp_o)[0]
     if not deficient.any():
         return False, None
@@ -315,7 +314,7 @@ def random_audit(
     report counts violations (the bound guarantees zero), tracks the
     minimum slack and the tightest trial, and keeps one record per trial.
     """
-    trials = int(trials)
+    trials = _as_int(trials, "trials")
     if trials < 1:
         raise InputError(f"trials must be positive, got {trials}")
     _check_rel_tol(rel_tol)

@@ -42,6 +42,11 @@ def test_shape_validation():
         AlgebraShape((0,))
     with pytest.raises(InputError):
         AlgebraShape((2, -1))
+    for dims in ((1.7, 2), ("1",), (2.0,)):
+        with pytest.raises(InputError, match="block dimensions must be integers"):
+            AlgebraShape(dims)
+    dims = AlgebraShape((np.int64(1), 2)).block_dims
+    assert dims == (1, 2) and all(type(n) is int for n in dims)
 
 
 def test_element_block_conformance():

@@ -220,6 +220,23 @@ def test_every_package_error_exits_2(monkeypatch, capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("conjecture", "--algebra", "10000000", "--p", "3", "--trials", "1"),
+        ("audit", "--algebra", "10000000", "--d", "1", "--trials", "1"),
+    ],
+    ids=["conjecture", "audit"],
+)
+def test_memory_exhaustion_exits_2(argv):
+    # A 10^7 x 10^7 block asks for more than 2^47 bytes, which fails at once
+    # under any overcommit policy without touching memory.
+    proc = run_cli(*argv)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert_single_error_line(proc.stderr, "out of memory: Unable to allocate")
+
+
 def test_certify_rejects_bad_rel_tol(comb_files):
     proc = run_cli(
         "certify",

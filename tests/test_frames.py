@@ -420,6 +420,53 @@ def test_frame_json_errors_carry_location():
             ModularFrame.from_dict(payload, where="frame.json")
 
 
+def _standard_payload():
+    return json.loads(json.dumps(standard_frame(C, 2).to_dict()))
+
+
+def _set_vector(item):
+    def fault(payload):
+        payload["vectors"][1] = item
+    return fault
+
+
+def _mix_entry_shapes(payload):
+    payload["vectors"][1]["entries"][1] = identity(M2).to_dict()
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        (_set_vector(basis_vector(M2, 2, 0).to_dict()), "vector 1 has shape [2], expected [1]"),
+        (_set_vector(basis_vector(C, 3, 0).to_dict()), "vector 1 has 3 entries, expected d=2"),
+        (_set_vector([1.0, 0.0]), "vector 1: expected an object, got list"),
+        (_mix_entry_shapes, "vector 1: entry 1 has shape (2,), expected (1,)"),
+        (lambda p: p.update(algebra=[1.5]), "'algebra' must be a list of integers"),
+        (lambda p: p.update(vectors=[]), "'vectors' must be a nonempty list"),
+        (lambda p: p.update(parseval="yes"), "'parseval' must be a boolean"),
+    ],
+    ids=["shape", "entry-count", "non-object", "mixed-entries", "algebra", "empty", "parseval"],
+)
+def test_frame_json_error_lines(fault, message):
+    payload = _standard_payload()
+    fault(payload)
+    with pytest.raises(InputError) as info:
+        ModularFrame.from_dict(payload, where="frame.json")
+    assert str(info.value) == f"frame.json: {message}"
+
+
+def test_frame_json_names_the_first_faulty_vector():
+    # Vectors are decoded in file order, so of two faults the earlier one is reported.
+    payload = _standard_payload()
+    payload["vectors"][0]["entries"][0]["blocks"][0][0][0] = [float("nan"), 0.0]
+    payload["vectors"][1] = basis_vector(M2, 2, 0).to_dict()
+    with pytest.raises(InputError) as info:
+        ModularFrame.from_dict(payload, where="frame.json")
+    assert str(info.value) == (
+        "frame.json: vector 0: entry 0: block 0: non-finite value (NaN or Infinity)"
+    )
+
+
 def test_block_views_are_read_only(rng):
     shape = AlgebraShape((1, 2))
     frame = random_frame(shape, 2, 3, rng)

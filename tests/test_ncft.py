@@ -20,6 +20,7 @@ from ncup import (
     ncdft_inverse,
     norm,
     pattern_feasible_minor,
+    random_audit,
     random_element,
     random_vector,
     sparsity,
@@ -228,6 +229,56 @@ def test_pattern_feasible_minor_at_large_length():
     assert feasible == (not chebotarev_minor_nonsingular(p, [0], [0]))
     assert not pattern_feasible_minor(p, [0, 7, 11], [])
     assert not pattern_feasible_minor(p, [], [1])
+
+
+def test_pattern_feasible_minor_with_a_large_omega():
+    # Omega is every row but {2, 7}: the indices are checked as one array, so
+    # the call costs a sort of p entries, not a Python loop over them.
+    p = 1000003
+    omega = np.delete(np.arange(p), [2, 7])
+    for given in (omega, omega.tolist()):
+        assert not pattern_feasible_minor(p, [0, 1], given)
+    assert chebotarev_minor_nonsingular(p, [2, 7], [0, 1])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: dft_matrix(3.9), "module rank d must be an integer, got 3.9"),
+        (lambda: random_vector(C, 2.5, np.random.default_rng(0)), "module rank d must be an integer, got 2.5"),
+        (lambda: pattern_feasible_minor(5.9, [0], [1]), "length must be an integer, got 5.9"),
+        (lambda: pattern_feasible_minor(5, [0.7], [1.9]), "support indices must be a flat sequence of integers"),
+        (lambda: pattern_feasible_minor(5, [0], [True]), "fourier support indices must be a flat sequence of integers"),
+        (lambda: pattern_feasible_minor(5, [[0, 1]], [1]), "support indices must be a flat sequence of integers"),
+        (lambda: chebotarev_minor_nonsingular(5, [0.5], ["3"]), "rows indices must be a flat sequence of integers"),
+        (lambda: chebotarev_minor_nonsingular(5, [0], ["3"]), "cols indices must be a flat sequence of integers"),
+        (lambda: dirac_comb(C, 4, 2.0), "spacing must be an integer, got 2.0"),
+        (lambda: tao_min_sum(5, mode="sampled", samples=2.5), "samples must be an integer, got 2.5"),
+        (lambda: conjecture_audit(C, 5, 2.5), "trials must be an integer, got 2.5"),
+        (lambda: random_audit(C, 2, 3, 3, 2.5), "trials must be an integer, got 2.5"),
+    ],
+    ids=[
+        "dft-size", "vector-rank", "length", "float-indices", "bool-indices", "2d-indices",
+        "float-rows", "string-cols", "spacing", "samples", "conjecture-trials", "audit-trials",
+    ],
+)
+def test_sizes_and_indices_are_never_truncated(call, message):
+    with pytest.raises(InputError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_numpy_integers_are_sizes_and_indices():
+    assert dft_matrix(np.int64(3)).shape == (3, 3)
+    t, omega = np.array([0], dtype=np.uint8), np.array([1, 2, 3, 4])
+    assert pattern_feasible_minor(np.int32(5), t, omega) == pattern_feasible_minor(5, [0], [1, 2, 3, 4])
+    assert chebotarev_minor_nonsingular(5, (3, 1), range(2))
+    with pytest.raises(InputError) as info:
+        pattern_feasible_minor(5, [0, 5], [])
+    assert str(info.value) == "support index 5 out of range 0..4"
+    with pytest.raises(InputError) as info:
+        pattern_feasible_minor(5, [3], [1, 4, 1])
+    assert str(info.value) == "fourier support contains repeated indices"
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
