@@ -10,7 +10,9 @@ is decided from blockwise Hermitian spectra.
 
 from __future__ import annotations
 
+import math
 import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,7 +180,10 @@ def _decode_matrices(raws: list, n: int, locate) -> np.ndarray:
 def _shape_from_payload(raw, where: str) -> AlgebraShape:
     if not isinstance(raw, list) or not all(isinstance(n, int) for n in raw):
         raise InputError(f"{where}: 'shape' must be a list of integers")
-    return AlgebraShape(tuple(raw))
+    try:
+        return AlgebraShape(tuple(raw))
+    except InputError as exc:
+        raise InputError(f"{where}: {exc}") from exc
 
 
 def _check_same_shape(a: AlgebraElement, b: AlgebraElement) -> None:
@@ -291,9 +296,21 @@ def zero(shape: AlgebraShape) -> AlgebraElement:
     return AlgebraElement(shape, [np.zeros((n, n), dtype=np.complex128) for n in shape.block_dims])
 
 
+def _complex_gaussian(rng: np.random.Generator, size: tuple) -> np.ndarray:
+    """I.i.d. standard complex Gaussian array: a real draw, then an imaginary one.
+
+    The size is checked in Python integers first: numpy refuses an array
+    larger than the address space (sys.maxsize bytes) with ValueError, not
+    MemoryError.  A complex128 entry takes 16 bytes.
+    """
+    if math.prod(size) * 16 > sys.maxsize:
+        raise MemoryError(
+            f"Unable to allocate a complex array of shape {size}: "
+            "it is larger than the address space"
+        )
+    return (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / np.sqrt(2.0)
+
+
 def random_element(shape: AlgebraShape, rng: np.random.Generator) -> AlgebraElement:
     """I.i.d. standard complex Gaussian entries in every matrix coordinate."""
-    return AlgebraElement(shape, [
-        (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
-        for n in shape.block_dims
-    ])
+    return AlgebraElement(shape, [_complex_gaussian(rng, (n, n)) for n in shape.block_dims])

@@ -15,6 +15,7 @@ counterexample), 2 invalid input, or input too large to fit in memory.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -261,8 +262,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command line; returns the process exit code."""
+    """Run one command line; returns the process exit code.
+
+    The command runs with the cyclic garbage collector paused.  What it
+    builds (parsed JSON, arrays, reports) holds no reference cycles, so
+    reference counting frees all of it, and the collector's passes over
+    those large trees would free nothing.  The caller's setting is restored
+    on every exit.
+    """
     args = build_parser().parse_args(argv)
+    collector_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         code, text = args.handler(args)
         _emit(text, args.out)
@@ -273,6 +283,9 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"ncup: error: out of memory: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if collector_was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -27,6 +27,7 @@ from .algebra import (
     AlgebraElement,
     AlgebraShape,
     _as_int,
+    _complex_gaussian,
     _decode_matrices,
     _element_payload,
     _encode_matrices,
@@ -310,13 +311,7 @@ def basis_vector(shape: AlgebraShape, d: int, k: int) -> ModuleVector:
 def random_vector(shape: AlgebraShape, d: int, rng: np.random.Generator) -> ModuleVector:
     """I.i.d. standard complex Gaussian entries in every matrix coordinate."""
     d = _module_rank(d)
-    blocks = []
-    for n in shape.block_dims:
-        blk = (
-            rng.standard_normal((d, n, n)) + 1j * rng.standard_normal((d, n, n))
-        ) / np.sqrt(2.0)
-        blocks.append(blk)
-    return ModuleVector(shape, d, blocks)
+    return ModuleVector(shape, d, [_complex_gaussian(rng, (d, n, n)) for n in shape.block_dims])
 
 
 def op_apply(m: ModuleOperator, x: ModuleVector) -> ModuleVector:

@@ -169,7 +169,10 @@ class ModularFrame:
         algebra = payload["algebra"]
         if not isinstance(algebra, list) or not all(isinstance(n, int) for n in algebra):
             raise InputError(f"{where}: 'algebra' must be a list of integers")
-        shape = AlgebraShape(tuple(algebra))
+        try:
+            shape = AlgebraShape(tuple(algebra))
+        except InputError as exc:
+            raise InputError(f"{where}: {exc}") from exc
         d = payload["d"]
         if not isinstance(d, int) or d < 1:
             raise InputError(f"{where}: 'd' must be a positive integer")

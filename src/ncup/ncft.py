@@ -42,7 +42,7 @@ import math
 
 import numpy as np
 
-from .algebra import AlgebraShape, _as_int, _entry_norms
+from .algebra import AlgebraShape, _as_int, _complex_gaussian, _entry_norms
 from .csmodule import ModuleVector, _module_rank
 from .errors import InputError
 from .frames import (
@@ -294,16 +294,21 @@ def _modular_dft(n: int):
     """(ell, table): the largest prime ell = 1 (mod n) below 2^31, and
     table[e] = g^e mod ell for e < n, where g has order exactly n in F_ell.
 
-    None if no such prime exists.  g is then a root of the n-th cyclotomic
-    polynomial mod ell, so zeta^-1 -> g, zeta = e^(2 pi i/n), is a ring map
+    None if no such prime exists; for n above 2^31 - 2 there is no candidate
+    ell at all, and None is returned before the divisors of n are sought.
+    g is then a root of the n-th cyclotomic polynomial mod ell, so
+    zeta^-1 -> g, zeta = e^(2 pi i/n), is a ring map
     from Z[zeta] onto F_ell; it sends the scaled DFT entry
     sqrt(n) W[k, j] = zeta^(-jk) to table[jk mod n].  g is the first
     x^((ell-1)/n), x = 2, 3, ..., of order exactly n: g^n = 1, so its order
     is n iff g^(n/q) != 1 for every prime q dividing n.  Built on first use.
     """
+    candidates = range((_MODULUS_BOUND - 2) // n * n + 1, n, -n)
+    if not candidates:
+        return None
     divisors = {d for q in range(1, math.isqrt(n) + 1) if n % q == 0 for d in (q, n // q)}
     primes = [q for q in divisors if _is_prime(q)]
-    for ell in range((_MODULUS_BOUND - 2) // n * n + 1, n, -n):
+    for ell in candidates:
         if not _is_prime(ell):
             continue
         for x in itertools.count(2):
@@ -603,13 +608,10 @@ def conjecture_audit(
         perm = np.argsort(rng.random((m, p)), axis=1)
         mask = np.zeros((m, p), dtype=bool)
         mask[np.arange(m)[:, None], perm] = np.arange(p)[None, :] < sizes[:, None]
-        x_blocks = []
-        for n in shape.block_dims:
-            g = (
-                rng.standard_normal((m, p, n, n))
-                + 1j * rng.standard_normal((m, p, n, n))
-            ) / np.sqrt(2.0)
-            x_blocks.append(g * mask[:, :, None, None])
+        x_blocks = [
+            _complex_gaussian(rng, (m, p, n, n)) * mask[:, :, None, None]
+            for n in shape.block_dims
+        ]
         # x_hat_k = sum_j w[k, j] x_j for every trial at once: one GEMM per block
         h_blocks = [
             (w @ xb.transpose(1, 0, 2, 3).reshape(p, -1))

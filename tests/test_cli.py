@@ -1,5 +1,6 @@
 """End-to-end checks of the command line entry point via subprocess."""
 
+import gc
 import json
 import pathlib
 import subprocess
@@ -225,16 +226,120 @@ def test_every_package_error_exits_2(monkeypatch, capsys):
     [
         ("conjecture", "--algebra", "10000000", "--p", "3", "--trials", "1"),
         ("audit", "--algebra", "10000000", "--d", "1", "--trials", "1"),
+        ("conjecture", "--algebra", "1000000000", "--p", "3", "--trials", "1"),
+        ("audit", "--algebra", "3000000000", "--d", "1", "--trials", "1"),
+        ("conjecture", "--algebra", "300000000", "--p", "13", "--trials", "20000"),
     ],
-    ids=["conjecture", "audit"],
+    ids=["conjecture", "audit", "conjecture-beyond-address-space",
+         "audit-beyond-address-space", "conjecture-chunk-beyond-address-space"],
 )
 def test_memory_exhaustion_exits_2(argv):
     # A 10^7 x 10^7 block asks for more than 2^47 bytes, which fails at once
-    # under any overcommit policy without touching memory.
+    # under any overcommit policy without touching memory.  The larger blocks
+    # ask for more than 2^63 bytes, which numpy would refuse with ValueError;
+    # the draw checks the size first and raises MemoryError instead.
     proc = run_cli(*argv)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert_single_error_line(proc.stderr, "out of memory: Unable to allocate")
+
+
+def _zero_algebra(path):
+    payload = json.loads(path.read_text())
+    payload["algebra"] = [0]
+    return payload
+
+
+def _negative_entry_shapes(path):
+    payload = json.loads(path.read_text())
+    payload["shape"] = [-1]
+    for entry in payload["entries"]:
+        entry["shape"] = [-1]
+    return payload
+
+
+@pytest.mark.parametrize(
+    "command, target, fault, message",
+    [
+        ("coherence", "tau", _zero_algebra, "block dimensions must be positive, got (0,)"),
+        ("certify", "x", _negative_entry_shapes, "entry 0: block dimensions must be positive, got (-1,)"),
+    ],
+    ids=["frame-algebra", "vector-shape"],
+)
+def test_bad_block_dimension_names_the_file(comb_files, command, target, fault, message):
+    path = comb_files[target]
+    path.write_text(json.dumps(fault(path)))
+    args = ["--frame-tau", str(comb_files["tau"]), "--frame-omega", str(comb_files["omega"])]
+    if command == "certify":
+        args += ["--vector", str(comb_files["x"])]
+    proc = run_cli(command, *args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert_single_error_line(proc.stderr, f"ncup: error: {path}: {message}")
+
+
+def _cyclic_garbage(run):
+    """Objects the cyclic collector finds after run(), the collector paused throughout."""
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        run()
+        return gc.collect()
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["certify", "coherence", "parsevalize", "audit", "tao-exhaustive", "tao-sampled", "conjecture"],
+)
+def test_commands_build_no_reference_cycles(comb_files, tmp_path, capsys, command):
+    # cli.main pauses the cyclic collector because reference counting alone
+    # frees what a command builds.  A command may leave no cyclic garbage
+    # beyond what parsing its argv leaves (the argparse parser).
+    frames = ["--frame-tau", str(comb_files["tau"]), "--frame-omega", str(comb_files["omega"])]
+    argv = {
+        "certify": ["certify", *frames, "--vector", str(comb_files["x"])],
+        "coherence": ["coherence", *frames],
+        "parsevalize": ["parsevalize", *frames[:2], "--out", str(tmp_path / "p.json")],
+        "audit": ["audit", "--algebra", "1,2", "--d", "2", "--trials", "5"],
+        "tao-exhaustive": ["tao", "--p", "5"],
+        "tao-sampled": ["tao", "--p", "7", "--mode", "sampled", "--samples", "200"],
+        "conjecture": ["conjecture", "--algebra", "2", "--p", "3", "--trials", "50"],
+    }[command]
+
+    def run():
+        assert cli.main(argv) == 0
+
+    assert _cyclic_garbage(run) == _cyclic_garbage(lambda: cli.build_parser().parse_args(argv))
+    capsys.readouterr()  # keeps the reports out of the log under -s
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("p, code", [("5", 0), ("4", 2)], ids=["exit-0", "exit-2"])
+def test_main_pauses_the_collector_and_restores_it(monkeypatch, capsys, enabled, p, code):
+    seen = []
+
+    def recording(args, real=cli._cmd_tao):
+        seen.append(gc.isenabled())
+        return real(args)
+
+    monkeypatch.setattr(cli, "_cmd_tao", recording)
+    was_enabled = gc.isenabled()
+    try:
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+        assert cli.main(["tao", "--p", p]) == code
+        assert gc.isenabled() == enabled
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert seen == [False]
+    assert capsys.readouterr().err == ("ncup: error: 4 is not prime\n" if code else "")
 
 
 def test_certify_rejects_bad_rel_tol(comb_files):

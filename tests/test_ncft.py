@@ -231,6 +231,16 @@ def test_pattern_feasible_minor_at_large_length():
     assert not pattern_feasible_minor(p, [], [1])
 
 
+def test_no_modular_field_beyond_the_modulus_bound():
+    # No ell = 1 (mod n) lies below 2^31 for n = 2^61 - 1, so _modular_dft
+    # answers None before its O(sqrt(n)) divisor search, and the float rank
+    # test decides the minor.
+    p = 2**61 - 1
+    assert ncft._modular_dft(p) is None
+    assert chebotarev_minor_nonsingular(p, [0], [1])
+    assert chebotarev_minor_nonsingular(10**14 + 31, [0], [1])
+
+
 def test_pattern_feasible_minor_with_a_large_omega():
     # Omega is every row but {2, 7}: the indices are checked as one array, so
     # the call costs a sort of p entries, not a Python loop over them.
