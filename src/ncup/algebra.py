@@ -296,18 +296,23 @@ def zero(shape: AlgebraShape) -> AlgebraElement:
     return AlgebraElement(shape, [np.zeros((n, n), dtype=np.complex128) for n in shape.block_dims])
 
 
-def _complex_gaussian(rng: np.random.Generator, size: tuple) -> np.ndarray:
-    """I.i.d. standard complex Gaussian array: a real draw, then an imaginary one.
+def _check_addressable(size: tuple, dtype) -> None:
+    """Raise MemoryError if an array of this shape and dtype cannot be addressed.
 
-    The size is checked in Python integers first: numpy refuses an array
-    larger than the address space (sys.maxsize bytes) with ValueError, not
-    MemoryError.  A complex128 entry takes 16 bytes.
+    The byte count is taken in Python integers, before numpy sees the size:
+    numpy refuses an array larger than the address space (sys.maxsize bytes),
+    or a dimension beyond int64, with ValueError, not MemoryError.
     """
-    if math.prod(size) * 16 > sys.maxsize:
+    if math.prod(size) * np.dtype(dtype).itemsize > sys.maxsize:
         raise MemoryError(
-            f"Unable to allocate a complex array of shape {size}: "
-            "it is larger than the address space"
+            f"Unable to allocate an array with shape {size} and data type "
+            f"{np.dtype(dtype)}: it is larger than the address space"
         )
+
+
+def _complex_gaussian(rng: np.random.Generator, size: tuple) -> np.ndarray:
+    """I.i.d. standard complex Gaussian array: a real draw, then an imaginary one."""
+    _check_addressable(size, np.complex128)
     return (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / np.sqrt(2.0)
 
 

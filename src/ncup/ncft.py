@@ -42,7 +42,7 @@ import math
 
 import numpy as np
 
-from .algebra import AlgebraShape, _as_int, _complex_gaussian, _entry_norms
+from .algebra import AlgebraShape, _as_int, _check_addressable, _complex_gaussian, _entry_norms
 from .csmodule import ModuleVector, _module_rank
 from .errors import InputError
 from .frames import (
@@ -412,9 +412,12 @@ def _translates(n: int, indices) -> set[tuple[int, ...]]:
     return {tuple(sorted((j + a) % n for j in indices)) for a in range(n)}
 
 
+@functools.lru_cache(maxsize=None)
 def _combos(n: int, size: int) -> np.ndarray:
-    """Every size-subset of range(n) as a row, in lexicographic order."""
-    return np.array(list(itertools.combinations(range(n), size)), dtype=int).reshape(-1, size)
+    """Every size-subset of range(n) as a row, in lexicographic order.  Built on first use."""
+    table = np.array(list(itertools.combinations(range(n), size)), dtype=int).reshape(-1, size)
+    table.setflags(write=False)  # shared by every caller through the cache
+    return table
 
 
 def _complements(n: int, sets: np.ndarray) -> np.ndarray:
@@ -486,10 +489,15 @@ def tao_min_sum(
 
     Exhaustive mode decides every square DFT minor in the critical layer
     |T| + |Omega| = p, which settles all smaller support sums as well, from
-    one batch per layer over the necklace pairs (see _layer_pairs_exhaustive);
-    sampled mode draws random support pairs with |T| + |Omega| <= p and
-    tests each by the same minor criterion.  For prime p all minors are
-    nonsingular, so the minimum is p + 1, attained by the spike at 0.
+    one batch per layer over the necklace pairs (see _layer_pairs_exhaustive).
+    Sampled mode tests `samples` random support pairs by the same minor
+    criterion.  Each pair draws s = |T| uniform on [1, p - 1], then
+    t = |Omega| uniform on [1, p - s], then T uniform among the s-subsets
+    and the row set R uniform among the (p - t)-subsets, so Omega, the
+    complement of R, is a uniform t-subset; T and R are rows of _combos
+    picked by one uniform index each.  For prime p all minors are
+    nonsingular, so the minimum is p + 1, attained by the spike at 0, and
+    the report does not depend on which pairs a seed draws.
 
     Exhaustive mode is capped at p <= 7 unless force=True (the minor count
     grows like C(2p, p)); sampled mode is capped at p <= 13.
@@ -512,6 +520,7 @@ def tao_min_sum(
     if mode == "exhaustive":
         checked, hits, fallbacks = _layer_pairs_exhaustive(p)
     else:
+        _check_addressable((samples,), np.int64)
         rng = np.random.default_rng(seed)
         s_arr = rng.integers(1, p, size=samples)
         t_arr = rng.integers(1, p - s_arr + 1)
@@ -521,11 +530,10 @@ def tao_min_sum(
         codes, sizes = np.unique(s_arr * p + t_arr, return_counts=True)
         for code, m in zip(codes.tolist(), sizes.tolist()):
             s, t = divmod(code, p)
-            perm_t = np.argsort(rng.random((m, p)), axis=1)
-            perm_o = np.argsort(rng.random((m, p)), axis=1)
-            supp_t = np.sort(perm_t[:, :s], axis=1)
-            rows = np.sort(perm_o[:, t:], axis=1)
-            found, decided = _deficient_minors(p, supp_t, rows)
+            t_sets, r_sets = _combos(p, s), _combos(p, p - t)
+            cols = t_sets[rng.integers(len(t_sets), size=m)]
+            rows = r_sets[rng.integers(len(r_sets), size=m)]
+            found, decided = _deficient_minors(p, cols, rows)
             hits += found
             fallbacks += decided
 

@@ -229,15 +229,19 @@ def test_every_package_error_exits_2(monkeypatch, capsys):
         ("conjecture", "--algebra", "1000000000", "--p", "3", "--trials", "1"),
         ("audit", "--algebra", "3000000000", "--d", "1", "--trials", "1"),
         ("conjecture", "--algebra", "300000000", "--p", "13", "--trials", "20000"),
+        ("tao", "--p", "13", "--mode", "sampled", "--samples", "4611686018427387904"),
+        ("tao", "--p", "13", "--mode", "sampled", "--samples", "100000000000000000000"),
     ],
     ids=["conjecture", "audit", "conjecture-beyond-address-space",
-         "audit-beyond-address-space", "conjecture-chunk-beyond-address-space"],
+         "audit-beyond-address-space", "conjecture-chunk-beyond-address-space",
+         "tao-samples-beyond-address-space", "tao-samples-beyond-int64"],
 )
 def test_memory_exhaustion_exits_2(argv):
     # A 10^7 x 10^7 block asks for more than 2^47 bytes, which fails at once
-    # under any overcommit policy without touching memory.  The larger blocks
-    # ask for more than 2^63 bytes, which numpy would refuse with ValueError;
-    # the draw checks the size first and raises MemoryError instead.
+    # under any overcommit policy without touching memory.  The larger blocks,
+    # and 2^62 or 10^20 sampled tao pairs, ask for more than 2^63 bytes, which
+    # numpy would refuse with ValueError; the draw checks the size first and
+    # raises MemoryError instead.
     proc = run_cli(*argv)
     assert proc.returncode == 2
     assert proc.stdout == ""

@@ -617,6 +617,82 @@ def test_tao_min_sum_sampled():
     assert report == again
 
 
+def within_chi_square_bound(observed, expected):
+    """Pearson's statistic over all cells is at most df + 6 sqrt(2 df).
+
+    That is six standard deviations above the mean under the null law, a
+    fixed bound that a correct draw at a fixed seed passes with room, and a
+    draw that misses or favours a cell fails by far.
+    """
+    observed, expected = np.asarray(observed, float), np.asarray(expected, float)
+    df = len(observed) - 1
+    return ((observed - expected) ** 2 / expected).sum() <= df + 6 * np.sqrt(2 * df)
+
+
+def test_sampled_draw_law(monkeypatch):
+    # s = |T| is uniform on [1, p - 1], then t = |Omega| uniform on
+    # [1, p - s]; T is a uniform s-subset and the row set R a uniform
+    # (p - t)-subset.  Every batch offered to the minor decider is recorded.
+    p, samples = 7, 20_000
+    decide, offered = ncft._deficient_minors, []
+
+    def record(n, cols, rows):
+        offered.append((cols.copy(), rows.copy()))
+        return decide(n, cols, rows)
+
+    monkeypatch.setattr(ncft, "_deficient_minors", record)
+    report = tao_min_sum(p, mode="sampled", samples=samples, seed=5)
+
+    groups = np.zeros((p, p), dtype=int)
+    drawn = {"T": {}, "R": {}}
+    for cols, rows in offered:
+        s, t = cols.shape[1], p - rows.shape[1]
+        assert 1 <= s <= p - 1 and 1 <= t <= p - s
+        groups[s, t] += len(cols)
+        for side, sets in (("T", cols), ("R", rows)):
+            assert (np.diff(sets, axis=1) > 0).all()
+            assert sets.min() >= 0 and sets.max() < p
+            counts = drawn[side].setdefault(sets.shape[1], {})
+            for row in map(tuple, sets.tolist()):
+                counts[row] = counts.get(row, 0) + 1
+    assert groups.sum() == report["pairs_checked"] == samples
+
+    cells = [(s, t) for s in range(1, p) for t in range(1, p - s + 1)]
+    assert within_chi_square_bound(
+        [groups[s, t] for s, t in cells],
+        [samples / (p - 1) / (p - s) for s, t in cells],
+    )
+    for side in ("T", "R"):
+        for size, counts in drawn[side].items():
+            subsets = list(combinations(range(p), size))
+            assert set(counts) <= set(subsets)
+            total = sum(counts.values())
+            assert within_chi_square_bound(
+                [counts.get(subset, 0) for subset in subsets],
+                [total / len(subsets)] * len(subsets),
+            )
+
+
+@pytest.mark.parametrize("n, size", [(5, 1), (5, 2), (7, 3), (13, 6), (13, 13)])
+def test_combos_table_is_shared_read_only_and_lexicographic(n, size):
+    table = ncft._combos(n, size)
+    assert ncft._combos(n, size) is table
+    assert not table.flags.writeable
+    assert table.shape == (comb(n, size), size)
+    assert [tuple(row) for row in table.tolist()] == list(combinations(range(n), size))
+
+
+@pytest.mark.parametrize("p", [11, 13])
+def test_sampled_tao_needs_no_float_fallback(p):
+    # The exact certificate decides every class the default draws offer,
+    # so each sampled verdict is a proof (see the README's numerical contract).
+    for seed in (0, 3, 77):
+        report = tao_min_sum(p, mode="sampled", seed=seed)
+        assert report["exact"]["float_fallbacks"] == 0
+        assert "violating_patterns" not in report
+        assert report["min_sum"] == p + 1
+
+
 def test_tao_min_sum_guard_rails():
     with pytest.raises(InputError):
         tao_min_sum(11, mode="exhaustive")
