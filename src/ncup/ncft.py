@@ -29,9 +29,15 @@ of W[R, T] by the unit scalar e^(-2 pi i ka/n), translating the row set R
 by b multiplies column j by e^(-2 pi i jb/n), and for a unit u mod n
 W[u^-1 k, u j] = W[k, j], so (T, R) -> (uT, u^-1 R) only permutes rows and
 columns.  None of these moves the singular values, so every minor in a
-class gets the verdict of the class's first member.  The exhaustive scan
-decides only pairs of necklaces (sets minimal among their rotations), one
-batch per layer, and expands each deficient pair to all of its translates.
+class gets the verdict of the class's first member.  A batch is two index
+tables and one index array per side, pair i being the column set
+t_table[t_idx[i]] and the row set r_table[r_idx[i]]; pairs are keyed from
+the tables' subset masks, and only class representatives and hits are
+built as index rows.  The key is found T-first: its T half is minimized
+first, since the R half is below 2^n, and only a T that several units
+minimize needs the minimum over every unit.  The exhaustive scan decides
+only pairs of necklaces (sets minimal among their rotations), one batch
+per layer, and expands each deficient pair to all of its translates.
 """
 
 from __future__ import annotations
@@ -80,6 +86,9 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # Moduli below 2^31 keep every product of two residues below 2^62, inside int64.
 _MODULUS_BOUND = 1 << 31
+
+# Longest length whose powers g^e mod ell _modular_dft tabulates (8 MiB of int64).
+_TABLE_MAX_ENTRIES = 1 << 20
 
 
 def _is_prime(n: int) -> bool:
@@ -253,13 +262,16 @@ def _supports(x: np.ndarray, xh: np.ndarray) -> tuple[list[int], list[int]]:
 
 
 @functools.lru_cache(maxsize=None)
-def _class_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+def _class_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Class-key lookup tables for index subsets of Z/n, held as n-bit masks.
 
     Row i of the first table maps a mask m to the smallest rotation of u*m,
     and row i of the second to the smallest rotation of u^-1*m, where u is
     the i-th unit mod n; row 0 (u = 1) maps m to its smallest rotation.
-    Built on first use; 2^n columns, 8192 at p = 13.
+    The third maps m to the minimum over units of the first table's column
+    m, and the fourth to the row of the one unit that reaches it, or -1
+    where two or more units tie.  Built on first use; 2^n columns, 8192 at
+    p = 13.
     """
     units = [u for u in range(n) if math.gcd(u, n) == 1]
     masks = np.arange(1 << n, dtype=np.int64)
@@ -270,29 +282,40 @@ def _class_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     bits = (masks[:, None] >> np.arange(n)) & 1
     dilated = np.stack([rot_min[bits @ (1 << (u * np.arange(n) % n))] for u in units])
     inverse = [units.index(pow(u, -1, n)) for u in units]
-    tables = dilated, dilated[inverse]
+    t_min = dilated.min(axis=0)
+    ties = (dilated == t_min).sum(axis=0)
+    t_unit = np.where(ties == 1, dilated.argmin(axis=0), -1)
+    tables = dilated, dilated[inverse], t_min, t_unit
     for table in tables:
         table.setflags(write=False)  # shared by every caller through the cache
     return tables
 
 
-def _class_keys(n: int, cols: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """One integer per (T, R) pair, equal exactly on pairs in one symmetry class.
+def _class_keys(n: int, t_masks: np.ndarray, r_masks: np.ndarray) -> np.ndarray:
+    """One integer per (T, R) mask pair, equal exactly on pairs in one symmetry class.
 
     The key is the minimum over units u of (rotation-minimal u*T,
-    rotation-minimal u^-1*R), which is constant under translating T,
-    translating R and the joint dilation (uT, u^-1 R).
+    rotation-minimal u^-1*R), packed as (T half << n) | R half, which is
+    constant under translating T, translating R and the joint dilation
+    (uT, u^-1 R).  The R half is below 2^n, so the minimum is reached at a
+    unit that minimizes the T half: it is found T-first.  Where one unit
+    alone does, the key is that T minimum and the R half at that unit; only
+    a T that ties over several units takes the minimum over all units.
     """
-    dil_t, dil_r = _class_tables(n)
-    t_masks = (1 << cols).sum(axis=1)
-    r_masks = (1 << rows).sum(axis=1)
-    return ((dil_t[:, t_masks] << n) | dil_r[:, r_masks]).min(axis=0)
+    dil_t, dil_r, t_min, t_unit = _class_tables(n)
+    unit = t_unit[t_masks]
+    keys = (t_min[t_masks] << n) | dil_r[unit, r_masks]  # unit -1 (a tie) is replaced below
+    tied = np.flatnonzero(unit < 0)
+    keys[tied] = ((dil_t[:, t_masks[tied]] << n) | dil_r[:, r_masks[tied]]).min(axis=0)
+    return keys
 
 
 @functools.lru_cache(maxsize=None)
 def _modular_dft(n: int):
     """(ell, table): the largest prime ell = 1 (mod n) below 2^31, and
     table[e] = g^e mod ell for e < n, where g has order exactly n in F_ell.
+    Above _TABLE_MAX_ENTRIES the table is a _PowerMap, which computes the
+    same values for just the exponents it is indexed with.
 
     None if no such prime exists; for n above 2^31 - 2 there is no candidate
     ell at all, and None is returned before the divisors of n are sought.
@@ -315,6 +338,8 @@ def _modular_dft(n: int):
             g = pow(x, (ell - 1) // n, ell)
             if all(pow(g, n // q, ell) != 1 for q in primes):
                 break
+        if n > _TABLE_MAX_ENTRIES:
+            return ell, _PowerMap(g, ell)
         table = np.ones(1, dtype=np.int64)
         while len(table) < n:  # doubling: table[e + k] = table[e] g^k for k = len(table)
             table = np.concatenate([table, table * pow(g, len(table), ell) % ell])
@@ -322,6 +347,28 @@ def _modular_dft(n: int):
         table.setflags(write=False)  # shared by every caller through the cache
         return ell, table
     return None
+
+
+class _PowerMap:
+    """g^e mod ell for an array of exponents e, read as power_map[e] like a table.
+
+    Computed by square-and-multiply over the bits of e, vectorized; every
+    factor is below ell < 2^31, so each product stays below 2^62.
+    """
+
+    def __init__(self, g: int, ell: int):
+        self.g, self.ell = g, ell
+
+    def __getitem__(self, exponents) -> np.ndarray:
+        e = np.asarray(exponents, dtype=np.int64)
+        powers = np.ones(e.shape, dtype=np.int64)
+        square = self.g
+        while e.any():
+            odd = (e & 1).astype(bool)
+            powers[odd] = powers[odd] * square % self.ell
+            square = square * square % self.ell
+            e = e >> 1
+        return powers
 
 
 def _certified_nonsingular(n: int, cols: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -354,23 +401,27 @@ def _exact_summary(n: int, float_fallbacks: int) -> dict:
     return {"modulus": _modular_dft(n)[0], "float_fallbacks": float_fallbacks}
 
 
-def _deficient_minors(n: int, cols: np.ndarray, rows: np.ndarray):
-    """(T, Omega) for every rank-deficient length-n DFT minor W[rows[i], cols[i]] of a batch.
+def _deficient_minors(
+    n: int, t_table: np.ndarray, t_idx: np.ndarray, r_table: np.ndarray, r_idx: np.ndarray
+):
+    """(T, Omega) for every rank-deficient length-n DFT minor of a batch.
 
-    cols is (m, s) and rows (m, r) with r >= s; Omega is the complement of
-    the row set.  Only the first minor of each symmetry class is decided,
-    by _rank_deficient; the others take its verdict, and hits keep batch
-    order.  A class key fixes |T| and |R|, and every scan makes one batch
-    per (|T|, |R|), so no class is split over two batches.  Returns the
-    hits and the number of classes the SVD fallback decided.
+    Pair i of the batch is the column set T = t_table[t_idx[i]] and the
+    row set R = r_table[r_idx[i]], with |R| >= |T|; Omega is the complement
+    of R.  Pairs are keyed by their subset masks (_class_keys), so no
+    per-pair index rows are built: only the first pair of each symmetry
+    class becomes a minor, decided by _rank_deficient, and the others take
+    its verdict; hits keep batch order.  A class key fixes |T| and |R|, and
+    every scan makes one batch per (|T|, |R|), so no class is split over
+    two batches.  Returns the hits and the number of classes the SVD
+    fallback decided.
     """
-    _, first, inverse = np.unique(
-        _class_keys(n, cols, rows), return_index=True, return_inverse=True
-    )
-    deficient, fallbacks = _rank_deficient(n, cols[first], rows[first])
+    keys = _class_keys(n, _masks(n, t_table)[t_idx], _masks(n, r_table)[r_idx])
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    deficient, fallbacks = _rank_deficient(n, t_table[t_idx[first]], r_table[r_idx[first]])
     everything = set(range(n))
     hits = [
-        (cols[i].tolist(), sorted(everything - set(rows[i].tolist())))
+        (t_table[t_idx[i]].tolist(), sorted(everything - set(r_table[r_idx[i]].tolist())))
         for i in np.flatnonzero(deficient[inverse])
     ]
     return hits, fallbacks
@@ -392,11 +443,10 @@ def _layer_pairs_exhaustive(p: int):
     everything = set(range(p))
     checked, hits, fallbacks = 0, [], 0
     for s in range(1, p):
-        combos = _combos(p, s)
-        masks = (1 << combos).sum(axis=1)
+        combos, masks = _combos(p, s), _combo_masks(p, s)
         necklaces = combos[rot_min[masks] == masks]
         t_idx, r_idx = np.divmod(np.arange(len(necklaces) ** 2), len(necklaces))
-        found, decided = _deficient_minors(p, necklaces[t_idx], necklaces[r_idx])
+        found, decided = _deficient_minors(p, necklaces, t_idx, necklaces, r_idx)
         fallbacks += decided
         orbit = set()
         for t, omega in found:
@@ -418,6 +468,22 @@ def _combos(n: int, size: int) -> np.ndarray:
     table = np.array(list(itertools.combinations(range(n), size)), dtype=int).reshape(-1, size)
     table.setflags(write=False)  # shared by every caller through the cache
     return table
+
+
+@functools.lru_cache(maxsize=None)
+def _combo_masks(n: int, size: int) -> np.ndarray:
+    """The n-bit mask of each row of _combos(n, size).  Built on first use."""
+    masks = (1 << _combos(n, size)).sum(axis=1)
+    masks.setflags(write=False)  # shared by every caller through the cache
+    return masks
+
+
+def _masks(n: int, table: np.ndarray) -> np.ndarray:
+    """The n-bit mask of each row of an index table, from the cache for a _combos table."""
+    size = table.shape[1]
+    if table is _combos(n, size):
+        return _combo_masks(n, size)
+    return (1 << table).sum(axis=1)
 
 
 def _complements(n: int, sets: np.ndarray) -> np.ndarray:
@@ -448,11 +514,11 @@ def _pattern_search(shape: AlgebraShape, p: int):
         for size_o in range(1, p - size_t + 1):
             o_sets = _combos(p, size_o)
             t_idx, o_idx = np.divmod(np.arange(len(t_sets) * len(o_sets)), len(o_sets))
-            rows = _complements(p, o_sets)[o_idx]
-            hits, decided = _deficient_minors(p, t_sets[t_idx], rows)
+            r_sets = _complements(p, o_sets)
+            hits, decided = _deficient_minors(p, t_sets, t_idx, r_sets, o_idx)
             fallbacks += decided
             scalar.update((tuple(t), tuple(o)) for t, o in hits)
-            feasible = _deficient_blocks(std, fourier, t_comps[t_idx], rows)
+            feasible = _deficient_blocks(std, fourier, t_comps[t_idx], r_sets[o_idx])
             by_frames.update(
                 (tuple(t_sets[t_idx[i]].tolist()), tuple(o_sets[o_idx[i]].tolist()))
                 for i in np.flatnonzero(feasible.any(axis=1))
@@ -531,9 +597,9 @@ def tao_min_sum(
         for code, m in zip(codes.tolist(), sizes.tolist()):
             s, t = divmod(code, p)
             t_sets, r_sets = _combos(p, s), _combos(p, p - t)
-            cols = t_sets[rng.integers(len(t_sets), size=m)]
-            rows = r_sets[rng.integers(len(r_sets), size=m)]
-            found, decided = _deficient_minors(p, cols, rows)
+            t_idx = rng.integers(len(t_sets), size=m)
+            r_idx = rng.integers(len(r_sets), size=m)
+            found, decided = _deficient_minors(p, t_sets, t_idx, r_sets, r_idx)
             hits += found
             fallbacks += decided
 

@@ -25,6 +25,10 @@ oracle_pattern_search is the conjecture audit's structured search one
 pattern at a time: an SVD of the pattern's DFT minor for the scalar verdict
 and a support_pair_feasible call for the frame verdict.
 
+oracle_class_keys is the DFT-minor scan's class key by its definition, the
+minimum over every unit u of (rotation-minimal uT, rotation-minimal u^-1 R),
+from dilation tables built here bit by bit (oracle_dilation_table).
+
 oracle_modular_dft is the certificate's field found the direct way: it
 lists every power of each candidate g and keeps the first g whose powers
 below n are all different from 1.
@@ -171,6 +175,28 @@ def oracle_deficient_minors(w, cols, rows, threshold=1e-10):
     bad = np.flatnonzero(np.count_nonzero(sv > threshold * sv[:, :1], axis=1) < cols.shape[1])
     everything = set(range(len(w)))
     return [(cols[i].tolist(), sorted(everything - set(rows[i].tolist()))) for i in bad]
+
+
+def oracle_dilation_table(n):
+    """Row i maps an n-bit mask m to the smallest rotation of u*m, u the i-th unit mod n."""
+    masks = np.arange(1 << n, dtype=np.int64)
+    full = (1 << n) - 1
+    rows = []
+    for u in range(1, n):
+        if np.gcd(u, n) != 1:
+            continue
+        dilated = sum(((masks >> j) & 1) << (u * j % n) for j in range(n))
+        rotations = [((dilated << a) | (dilated >> (n - a))) & full for a in range(n)]
+        rows.append(np.min(rotations, axis=0))
+    return np.array(rows)
+
+
+def oracle_class_keys(n, t_masks, r_masks):
+    """min over units u of (rotation-minimal uT << n) | rotation-minimal u^-1 R, per mask pair."""
+    table = oracle_dilation_table(n)
+    units = [u for u in range(1, n) if np.gcd(u, n) == 1]
+    inverse = [units.index(pow(u, -1, n)) for u in units]
+    return ((table[:, t_masks] << n) | table[inverse][:, r_masks]).min(axis=0)
 
 
 def oracle_modular_dft(n):

@@ -33,7 +33,9 @@ from ncup.ncft import dft_matrix
 
 from oracles import (
     cyclic_shift,
+    oracle_class_keys,
     oracle_deficient_minors,
+    oracle_dilation_table,
     oracle_modular_dft,
     oracle_pattern_search,
     vec_sub,
@@ -353,13 +355,24 @@ def layer_batch(n, s, r):
     return np.repeat(cols, len(rows), axis=0), np.tile(rows, (len(cols), 1))
 
 
+def decide_batch(n, cols, rows):
+    """_deficient_minors on the batch of pairs (cols[i], rows[i]), each array its own table."""
+    pairs = np.arange(len(cols))
+    return ncft._deficient_minors(n, cols, pairs, rows, pairs)
+
+
+def subset_masks(sets):
+    """The bit mask of each row of an index array."""
+    return (1 << sets).sum(axis=1)
+
+
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9, 10])
 def test_deficient_minors_match_per_minor_oracle(n):
     w = dft_matrix(n)
     found = 0
     for s in range(1, n):
         cols, rows = layer_batch(n, s, s)
-        hits, _ = ncft._deficient_minors(n, cols, rows)
+        hits, _ = decide_batch(n, cols, rows)
         assert hits == oracle_deficient_minors(w, cols, rows, ncft.RANK_TOL)
         found += len(hits)
     # composite lengths have singular minors, so the comparison is not vacuous
@@ -373,7 +386,7 @@ def test_deficient_minors_match_oracle_on_tall_minors(n):
     for s in range(1, n):
         for r in range(s + 1, n):
             cols, rows = layer_batch(n, s, r)
-            hits, _ = ncft._deficient_minors(n, cols, rows)
+            hits, _ = decide_batch(n, cols, rows)
             assert hits == oracle_deficient_minors(w, cols, rows, ncft.RANK_TOL)
 
 
@@ -397,14 +410,47 @@ def test_class_key_is_invariant(n, rng):
     s, r = 3, 5
     cols = np.sort(np.argsort(rng.random((40, n)), axis=1)[:, :s], axis=1)
     rows = np.sort(np.argsort(rng.random((40, n)), axis=1)[:, :r], axis=1)
-    key = ncft._class_keys(n, cols, rows)
+    def class_keys(n, cols, rows):
+        return ncft._class_keys(n, subset_masks(cols), subset_masks(rows))
+
+    key = class_keys(n, cols, rows)
     for a in range(n):
-        assert np.array_equal(ncft._class_keys(n, (cols + a) % n, rows), key)
-        assert np.array_equal(ncft._class_keys(n, cols, (rows + a) % n), key)
+        assert np.array_equal(class_keys(n, (cols + a) % n, rows), key)
+        assert np.array_equal(class_keys(n, cols, (rows + a) % n), key)
     for u in range(1, n):
         if gcd(u, n) == 1:
-            moved = ncft._class_keys(n, u * cols % n, pow(u, -1, n) * rows % n)
+            moved = class_keys(n, u * cols % n, pow(u, -1, n) * rows % n)
             assert np.array_equal(moved, key)
+
+
+@pytest.mark.parametrize("n", [6, 7, 8, 9, 13])
+def test_t_first_class_key_matches_all_units_key(n, rng):
+    # Every (T, R) mask pair up to n = 9, and 100,000 random pairs at n = 13.
+    if n < 13:
+        t_masks, r_masks = np.divmod(np.arange(1 << 2 * n), 1 << n)
+    else:
+        t_masks, r_masks = rng.integers(1 << n, size=(2, 100_000))
+    keys = ncft._class_keys(n, t_masks, r_masks)
+    assert np.array_equal(keys, oracle_class_keys(n, t_masks, r_masks))
+    # A T takes the all-units minimum exactly when more than one unit minimizes its half.
+    table = oracle_dilation_table(n)
+    _, _, t_min, t_unit = ncft._class_tables(n)
+    assert np.array_equal(t_min, table.min(axis=0))
+    assert np.array_equal(t_unit < 0, (table == t_min).sum(axis=0) > 1)
+
+
+def test_exhaustive_scan_memory():
+    # The scan keys pairs from subset masks and builds index rows only for
+    # class representatives, so no (pairs, |T|) array or (units, pairs) key
+    # matrix is held; the lookup tables are built by the first call.
+    ncft._layer_pairs_exhaustive(13)
+    tracemalloc.start()
+    try:
+        ncft._layer_pairs_exhaustive(13)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
 
 
 def count_orbits(p, cols, rows):
@@ -461,7 +507,7 @@ def test_each_symmetry_class_decomposed_once(monkeypatch):
     cols, rows = layer_batch(p, s, s)
     orbits = count_orbits(p, cols, rows)
     decided = count_decided(monkeypatch)
-    hits, _ = ncft._deficient_minors(p, cols, rows)
+    hits, _ = decide_batch(p, cols, rows)
     assert hits == []
     assert sum(decided) == orbits < len(cols)
 
@@ -474,9 +520,10 @@ def test_exhaustive_scan_decides_each_class_once(monkeypatch):
     batches = []
     scan = ncft._deficient_minors
 
-    def counting_batches(n, cols, rows):
+    def counting_batches(n, t_table, t_idx, r_table, r_idx):
+        cols = t_table[t_idx]
         batches.append(len(cols))
-        return scan(n, cols, rows)
+        return scan(n, t_table, t_idx, r_table, r_idx)
 
     monkeypatch.setattr(ncft, "_deficient_minors", counting_batches)
     decided = count_decided(monkeypatch)
@@ -511,6 +558,50 @@ def test_modular_dft_field(n):
     assert all(pow(g, n // q, ell) != 1 for q in prime_factors(n))
     # the same field as the construction that lists every power of each candidate g
     assert (ell, table.tolist()) == oracle_modular_dft(n)
+
+
+def test_modular_dft_builds_no_table_above_the_cap():
+    # A table at n = 2^31 - 2 would hold 16 GiB; the powers are computed
+    # for the exponents asked for instead.
+    n = 2**31 - 2
+    tracemalloc.start()
+    try:
+        ell, powers = ncft._modular_dft(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert not isinstance(powers, np.ndarray)
+    assert ell == 2**31 - 1
+    g = int(powers[1])
+    assert pow(g, n, ell) == 1
+    assert all(pow(g, n // q, ell) != 1 for q in prime_factors(n))
+    exponents = np.array([[0, 1, 2], [12345, n // 7, n - 1]])
+    assert powers[exponents].tolist() == [[pow(g, int(e), ell) for e in row] for row in exponents]
+
+
+@pytest.mark.parametrize("n", [2, 13, 1009])
+def test_power_map_equals_the_table(n):
+    ell, table = ncft._modular_dft(n)
+    powers = ncft._PowerMap(int(table[1]), ell)
+    assert np.array_equal(powers[np.arange(n)], table)
+    exponents = np.arange(n)[:, None] * np.arange(n) % n
+    assert np.array_equal(powers[exponents], table[exponents])
+
+
+def test_chebotarev_minor_at_a_length_above_the_table_cap():
+    # ell = 2p + 1 = 2,000,000,579 is prime, so p = 1,000,000,289 has a
+    # modulus, and the 2x2 minor is certified without an 8 GB table.
+    p = 1_000_000_289
+    tracemalloc.start()
+    try:
+        nonsingular = chebotarev_minor_nonsingular(p, [0, 1], [0, 1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert nonsingular
+    assert peak < 2**20
+    assert ncft._modular_dft(p)[0] == 2 * p + 1
 
 
 @pytest.mark.parametrize("n, tall", [(4, True), (6, True), (8, True), (9, True), (10, False)])
@@ -636,9 +727,10 @@ def test_sampled_draw_law(monkeypatch):
     p, samples = 7, 20_000
     decide, offered = ncft._deficient_minors, []
 
-    def record(n, cols, rows):
+    def record(n, t_table, t_idx, r_table, r_idx):
+        cols, rows = t_table[t_idx], r_table[r_idx]
         offered.append((cols.copy(), rows.copy()))
-        return decide(n, cols, rows)
+        return decide(n, t_table, t_idx, r_table, r_idx)
 
     monkeypatch.setattr(ncft, "_deficient_minors", record)
     report = tao_min_sum(p, mode="sampled", samples=samples, seed=5)
@@ -742,8 +834,9 @@ def test_conjecture_crosscheck_is_live(monkeypatch, tmp_path):
     original = ncft._deficient_minors
     target = ([0], [0])
 
-    def flipped(n, cols, rows):
-        hits, fallbacks = original(n, cols, rows)
+    def flipped(n, t_table, t_idx, r_table, r_idx):
+        cols, rows = t_table[t_idx], r_table[r_idx]
+        hits, fallbacks = original(n, t_table, t_idx, r_table, r_idx)
         everything = list(range(n))
         in_batch = any(
             c == target[0] and r == everything[1:] for c, r in zip(cols.tolist(), rows.tolist())
