@@ -37,7 +37,12 @@ built as index rows.  The key is found T-first: its T half is minimized
 first, since the R half is below 2^n, and only a T that several units
 minimize needs the minimum over every unit.  The exhaustive scan decides
 only pairs of necklaces (sets minimal among their rotations), one batch
-per layer, and expands each deficient pair to all of its translates.
+per layer, and expands each deficient pair to all of its translates.  The
+sampled scan decides each drawn pair (T, R) through its leading square
+block (T, R[:|T|]), one batch per |T| over the pairs of every |Omega|: a
+nonsingular square block gives the tall minor full column rank, and at a
+prime length every square block is nonsingular.  A size whose batch finds
+a deficient block is re-decided in full, one batch per (|T|, |Omega|).
 """
 
 from __future__ import annotations
@@ -217,16 +222,26 @@ def pattern_feasible_minor(p: int, support_t, support_omega) -> bool:
 
     Works for any length p (prime or not).  Feasibility is equivalent to
     rank deficiency of the DFT minor on rows outside Omega and columns T;
-    a minor with fewer rows than columns is deficient, and any other is
-    decided by _rank_deficient.
+    a minor with fewer rows than columns is deficient.  Any other is first
+    offered to the certificate through its leading square block, and the
+    full row set is built only for a minor the certificate leaves to
+    _rank_deficient.
     """
     p = _as_int(p, "length")
     t = _validate_indices(p, support_t, "support")
     om = _validate_indices(p, support_omega, "fourier support")
     if not len(t):
         return False
+    if p - len(om) < len(t):
+        return True
+    # Row j outside Omega (om sorted) is j plus the count of Omega entries at
+    # or below it, so the leading |T| rows need no n-entry array.
+    lead = np.arange(len(t))
+    lead += np.searchsorted(om - np.arange(len(om)), lead, side="right")
+    if _certified_nonsingular(p, t[None], lead[None])[0]:
+        return False
     rows = np.delete(np.arange(p), om)
-    return len(rows) < len(t) or bool(_rank_deficient(p, t[None], rows[None])[0][0])
+    return bool(_rank_deficient(p, t[None], rows[None])[0][0])
 
 
 def _rank_deficient(n: int, cols: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, int]:
@@ -388,11 +403,15 @@ def _certified_nonsingular(n: int, cols: np.ndarray, rows: np.ndarray) -> np.nda
         return np.zeros(len(cols), dtype=bool)
     ell, table = field
     s = cols.shape[1]
-    a = table[rows[:, :s, None] * cols[:, None, :] % n]
+    # x - x // m * m is x % m, also for negative x; numpy vectorizes int64
+    # floor division by a scalar, but not %.
+    e = rows[:, :s, None] * cols[:, None, :]
+    a = table[e - e // n * n]
     certified = np.ones(len(cols), dtype=bool)
     for _ in range(s):
         certified &= a[:, 0, 0] != 0
-        a = (a[:, :1, :1] * a[:, 1:, 1:] - a[:, 1:, :1] * a[:, :1, 1:]) % ell
+        a = a[:, :1, :1] * a[:, 1:, 1:] - a[:, 1:, :1] * a[:, :1, 1:]
+        a -= a // ell * ell
     return certified
 
 
@@ -411,18 +430,21 @@ def _deficient_minors(
     of R.  Pairs are keyed by their subset masks (_class_keys), so no
     per-pair index rows are built: only the first pair of each symmetry
     class becomes a minor, decided by _rank_deficient, and the others take
-    its verdict; hits keep batch order.  A class key fixes |T| and |R|, and
-    every scan makes one batch per (|T|, |R|), so no class is split over
-    two batches.  Returns the hits and the number of classes the SVD
+    its verdict; hits keep batch order.  A class key fixes |T| and |R|, so
+    a batch decides each of its classes once.  Pairs are matched to their
+    class only when some class is deficient, which never happens at a
+    prime length.  Returns the hits and the number of classes the SVD
     fallback decided.
     """
     keys = _class_keys(n, _masks(n, t_table)[t_idx], _masks(n, r_table)[r_idx])
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    classes, first = np.unique(keys, return_index=True)
     deficient, fallbacks = _rank_deficient(n, t_table[t_idx[first]], r_table[r_idx[first]])
+    if not deficient.any():
+        return [], fallbacks
     everything = set(range(n))
     hits = [
         (t_table[t_idx[i]].tolist(), sorted(everything - set(r_table[r_idx[i]].tolist())))
-        for i in np.flatnonzero(deficient[inverse])
+        for i in np.flatnonzero(deficient[np.searchsorted(classes, keys)])
     ]
     return hits, fallbacks
 
@@ -457,6 +479,53 @@ def _layer_pairs_exhaustive(p: int):
     return checked, hits, fallbacks
 
 
+def _sampled_pairs(n: int, samples: int, seed: int):
+    """Decide `samples` random length-n support pairs (the sampled law of tao_min_sum).
+
+    The sizes are drawn first, then each (|T|, |Omega|) = (s, t) group's
+    pairs in sorted (s, t) order (_draw_group).  Every pair is offered
+    through its leading square block W[R[:s], T]: a tall minor with a
+    nonsingular square block has full column rank, and at a prime length
+    every square block is nonsingular.  The square blocks of all groups of
+    one s form one batch, decided as soon as its last group is drawn; the
+    key is taken over every t at once, since translating R does not
+    translate its prefix.  Only a size whose batch finds a deficient block
+    is re-decided in full, one _deficient_minors batch per (s, t) group, so
+    the hits are those of the full minors, in draw order.  Returns the hits
+    and the number of classes the SVD fallback decided, square batches and
+    re-decided groups alike.
+    """
+    rng = np.random.default_rng(seed)
+    s_arr = rng.integers(1, n, size=samples)
+    t_arr = rng.integers(1, n - s_arr + 1)
+    # one group per (s, t) in sorted order; t < n, so s * n + t sorts like (s, t)
+    codes, sizes = np.unique(s_arr * n + t_arr, return_counts=True)
+    hits, fallbacks = [], 0
+    s_codes, t_codes = np.divmod(codes, n)
+    groups = zip(s_codes.tolist(), t_codes.tolist(), sizes.tolist())
+    for s, same_s in itertools.groupby(groups, key=lambda group: group[0]):
+        drawn = [(t, *_draw_group(rng, n, s, t, m)) for _, t, m in same_s]
+        square = _combos(n, s)
+        columns = np.concatenate([t_idx for _, t_idx, _ in drawn])
+        lead = np.concatenate([_leading_rows(n, n - t, s)[r_idx] for t, _, r_idx in drawn])
+        found, decided = _deficient_minors(n, square, columns, square, lead)
+        fallbacks += decided
+        if not found:
+            continue
+        for t, t_idx, r_idx in drawn:
+            found, decided = _deficient_minors(n, square, t_idx, _combos(n, n - t), r_idx)
+            hits += found
+            fallbacks += decided
+    return hits, fallbacks
+
+
+def _draw_group(rng, n: int, s: int, t: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """m uniform pairs with |T| = s and |Omega| = t: rows of _combos(n, s) and _combos(n, n - t)."""
+    t_idx = rng.integers(len(_combos(n, s)), size=m)
+    r_idx = rng.integers(len(_combos(n, n - t)), size=m)
+    return t_idx, r_idx
+
+
 def _translates(n: int, indices) -> set[tuple[int, ...]]:
     """Every translate of an index set mod n, each once, as a sorted tuple."""
     return {tuple(sorted((j + a) % n for j in indices)) for a in range(n)}
@@ -476,6 +545,24 @@ def _combo_masks(n: int, size: int) -> np.ndarray:
     masks = (1 << _combos(n, size)).sum(axis=1)
     masks.setflags(write=False)  # shared by every caller through the cache
     return masks
+
+
+@functools.lru_cache(maxsize=None)
+def _leading_rows(n: int, size: int, s: int) -> np.ndarray:
+    """Row of _combos(n, s) that holds the first s entries of each row of _combos(n, size).
+
+    The lexicographic rank of c_0 < ... < c_(s-1) among the s-subsets is
+    the sum over i of C(n - 1 - c_(i-1), s - i) - C(n - c_i, s - i), with
+    c_(-1) = -1: the subsets that agree before position i and are smaller
+    at it.  Built on first use.
+    """
+    prefix = _combos(n, size)[:, :s]
+    previous = np.hstack([np.full((len(prefix), 1), -1), prefix[:, :-1]])
+    binom = np.array([[math.comb(m, k) for k in range(s + 1)] for m in range(n + 1)])
+    k = s - np.arange(s)
+    rows = (binom[n - 1 - previous, k] - binom[n - prefix, k]).sum(axis=1)
+    rows.setflags(write=False)  # shared by every caller through the cache
+    return rows
 
 
 def _masks(n: int, table: np.ndarray) -> np.ndarray:
@@ -561,7 +648,10 @@ def tao_min_sum(
     t = |Omega| uniform on [1, p - s], then T uniform among the s-subsets
     and the row set R uniform among the (p - t)-subsets, so Omega, the
     complement of R, is a uniform t-subset; T and R are rows of _combos
-    picked by one uniform index each.  For prime p all minors are
+    picked by one uniform index each.  Each pair is decided through its
+    leading square block, one batch per s (see _sampled_pairs), and
+    float_fallbacks counts the square classes the SVD decided, plus any
+    full classes of a size re-decided in full.  For prime p all minors are
     nonsingular, so the minimum is p + 1, attained by the spike at 0, and
     the report does not depend on which pairs a seed draws.
 
@@ -587,21 +677,8 @@ def tao_min_sum(
         checked, hits, fallbacks = _layer_pairs_exhaustive(p)
     else:
         _check_addressable((samples,), np.int64)
-        rng = np.random.default_rng(seed)
-        s_arr = rng.integers(1, p, size=samples)
-        t_arr = rng.integers(1, p - s_arr + 1)
         checked = int(samples)
-        hits, fallbacks = [], 0
-        # one group per (s, t) in sorted order; t < p, so s * p + t sorts like (s, t)
-        codes, sizes = np.unique(s_arr * p + t_arr, return_counts=True)
-        for code, m in zip(codes.tolist(), sizes.tolist()):
-            s, t = divmod(code, p)
-            t_sets, r_sets = _combos(p, s), _combos(p, p - t)
-            t_idx = rng.integers(len(t_sets), size=m)
-            r_idx = rng.integers(len(r_sets), size=m)
-            found, decided = _deficient_minors(p, t_sets, t_idx, r_sets, r_idx)
-            hits += found
-            fallbacks += decided
+        hits, fallbacks = _sampled_pairs(p, samples, seed)
 
     min_sum = None
     witness = None

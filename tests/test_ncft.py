@@ -233,6 +233,42 @@ def test_pattern_feasible_minor_at_large_length():
     assert not pattern_feasible_minor(p, [], [1])
 
 
+def test_pattern_feasible_minor_builds_no_length_n_array():
+    # The certificate reads the leading |T| rows outside Omega, so a minor
+    # it decides is decided without the n - |Omega| rows.
+    n = 2_000_003
+    ncft._modular_dft(n)  # the field is found once per length, outside the measurement
+    tracemalloc.start()
+    try:
+        verdicts = [
+            pattern_feasible_minor(n, [0], [1]),
+            pattern_feasible_minor(n, [0, 5, 9], [0, 1, 2, 3]),
+            pattern_feasible_minor(n, [1, 2], list(range(0, 100, 2))),
+        ]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdicts == [False] * 3
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_pattern_feasible_minor_matches_oracle_on_random_patterns(n, rng):
+    # Composite lengths have minors the certificate leaves undecided, which
+    # take the full row set; every pattern has |T| + |Omega| <= n.
+    w = dft_matrix(n)
+    verdicts = []
+    for _ in range(2000):
+        s = int(rng.integers(1, n))
+        t = np.sort(rng.choice(n, s, replace=False))
+        omega = np.sort(rng.choice(n, rng.integers(1, n - s + 1), replace=False))
+        rows = np.setdiff1d(np.arange(n), omega)
+        expected = bool(oracle_deficient_minors(w, t[None], rows[None]))
+        assert pattern_feasible_minor(n, t, omega) == expected
+        verdicts.append(expected)
+    assert any(verdicts) and not all(verdicts)
+
+
 def test_no_modular_field_beyond_the_modulus_bound():
     # No ell = 1 (mod n) lies below 2^31 for n = 2^61 - 1, so _modular_dft
     # answers None before its O(sqrt(n)) divisor search, and the float rank
@@ -720,20 +756,29 @@ def within_chi_square_bound(observed, expected):
     return ((observed - expected) ** 2 / expected).sum() <= df + 6 * np.sqrt(2 * df)
 
 
+def record_draws(monkeypatch):
+    """Record (s, t, t_idx, r_idx) for every group the sampled scan draws, in draw order."""
+    draw, drawn = ncft._draw_group, []
+
+    def record(rng, n, s, t, m):
+        t_idx, r_idx = draw(rng, n, s, t, m)
+        drawn.append((s, t, t_idx, r_idx))
+        return t_idx, r_idx
+
+    monkeypatch.setattr(ncft, "_draw_group", record)
+    return drawn
+
+
 def test_sampled_draw_law(monkeypatch):
     # s = |T| is uniform on [1, p - 1], then t = |Omega| uniform on
     # [1, p - s]; T is a uniform s-subset and the row set R a uniform
-    # (p - t)-subset.  Every batch offered to the minor decider is recorded.
+    # (p - t)-subset.  Every group drawn is recorded.
     p, samples = 7, 20_000
-    decide, offered = ncft._deficient_minors, []
-
-    def record(n, t_table, t_idx, r_table, r_idx):
-        cols, rows = t_table[t_idx], r_table[r_idx]
-        offered.append((cols.copy(), rows.copy()))
-        return decide(n, t_table, t_idx, r_table, r_idx)
-
-    monkeypatch.setattr(ncft, "_deficient_minors", record)
+    drawn = record_draws(monkeypatch)
     report = tao_min_sum(p, mode="sampled", samples=samples, seed=5)
+    offered = [
+        (ncft._combos(p, s)[t_idx], ncft._combos(p, p - t)[r_idx]) for s, t, t_idx, r_idx in drawn
+    ]
 
     groups = np.zeros((p, p), dtype=int)
     drawn = {"T": {}, "R": {}}
@@ -763,6 +808,65 @@ def test_sampled_draw_law(monkeypatch):
                 [counts.get(subset, 0) for subset in subsets],
                 [total / len(subsets)] * len(subsets),
             )
+
+
+@pytest.mark.parametrize("n", [8, 9, 12])
+def test_sampled_scan_is_exact_at_composite_lengths(monkeypatch, n):
+    # Composite lengths have singular square blocks, so square batches find
+    # hits and their sizes are re-decided in full.  The hits are the pairs
+    # whose full minor is deficient, in draw order, as one batch per (s, t)
+    # group finds them, although some singular blocks sit in minors of
+    # full column rank.
+    drawn = record_draws(monkeypatch)
+    hits, _ = ncft._sampled_pairs(n, 3000, 5)
+    w = dft_matrix(n)
+    expected, per_group, square_hits = [], [], 0
+    for s, t, t_idx, r_idx in drawn:
+        t_table, r_table = ncft._combos(n, s), ncft._combos(n, n - t)
+        cols, rows = t_table[t_idx], r_table[r_idx]
+        expected += oracle_deficient_minors(w, cols, rows, ncft.RANK_TOL)
+        per_group += ncft._deficient_minors(n, t_table, t_idx, r_table, r_idx)[0]
+        square_hits += len(oracle_deficient_minors(w, cols, rows[:, :s], ncft.RANK_TOL))
+    assert hits == expected == per_group
+    assert 0 < len(hits) < square_hits
+
+
+def test_sampled_scan_decides_each_square_class_once(monkeypatch):
+    # One batch per |T| over the square blocks (T, R[:s]) of every |Omega|:
+    # each square class among the draws is decided once, fewer than the
+    # classes of the full pairs (T, R).
+    p = 11
+    drawn = record_draws(monkeypatch)
+    batches = []
+    scan = ncft._deficient_minors
+
+    def counting_batches(n, t_table, t_idx, r_table, r_idx):
+        batches.append(t_table.shape[1])
+        return scan(n, t_table, t_idx, r_table, r_idx)
+
+    monkeypatch.setattr(ncft, "_deficient_minors", counting_batches)
+    decided = count_decided(monkeypatch)
+    report = tao_min_sum(p, mode="sampled", samples=2000, seed=9)
+    by_size, full_classes = {}, 0
+    for s, t, t_idx, r_idx in drawn:
+        cols, rows = ncft._combos(p, s)[t_idx], ncft._combos(p, p - t)[r_idx]
+        by_size.setdefault(s, []).append((cols, rows[:, :s]))
+        full_classes += count_orbits(p, cols, rows)
+    square_classes = sum(
+        count_orbits(p, np.vstack([c for c, _ in pairs]), np.vstack([r for _, r in pairs]))
+        for pairs in by_size.values()
+    )
+    assert batches == list(range(1, p))
+    assert sum(decided) == square_classes < full_classes
+    assert "violating_patterns" not in report
+
+
+@pytest.mark.parametrize("n, size, s", [(5, 3, 1), (7, 4, 2), (11, 7, 4), (13, 9, 9), (13, 12, 6)])
+def test_leading_rows_are_shared_read_only_prefixes(n, size, s):
+    rows = ncft._leading_rows(n, size, s)
+    assert ncft._leading_rows(n, size, s) is rows
+    assert not rows.flags.writeable
+    assert np.array_equal(ncft._combos(n, s)[rows], ncft._combos(n, size)[:, :s])
 
 
 @pytest.mark.parametrize("n, size", [(5, 1), (5, 2), (7, 3), (13, 6), (13, 13)])
