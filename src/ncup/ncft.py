@@ -13,8 +13,8 @@ columns T is rank deficient.  Because the transform acts coordinatewise,
 the same criterion settles feasibility for algebra-valued x; the audit
 cross-checks that reduction with support_pair_feasible's block rank test
 on the standard and Fourier frames over A, which decides each pattern from
-the frame matrices without the minor.  Both tests run batched, once per
-(|T|, |Omega|) group of patterns.
+the frame matrices without the minor.  Both tests run batched, on one
+pattern per symmetry class of each (|T|, |Omega|) group (_pattern_search).
 
 A DFT-minor verdict is first sought exactly, by elimination mod a prime
 ell = 1 (mod n) (_certified_nonsingular): with zeta = e^(2 pi i/n) and g of
@@ -29,13 +29,14 @@ of W[R, T] by the unit scalar e^(-2 pi i ka/n), translating the row set R
 by b multiplies column j by e^(-2 pi i jb/n), and for a unit u mod n
 W[u^-1 k, u j] = W[k, j], so (T, R) -> (uT, u^-1 R) only permutes rows and
 columns.  None of these moves the singular values, so every minor in a
-class gets the verdict of the class's first member.  A batch is two index
-tables and one index array per side, pair i being the column set
-t_table[t_idx[i]] and the row set r_table[r_idx[i]]; pairs are keyed from
-the tables' subset masks, and only class representatives and hits are
-built as index rows.  The key is found T-first: its T half is minimized
-first, since the R half is below 2^n, and only a T that several units
-minimize needs the minimum over every unit.  The exhaustive scan decides
+class gets the verdict of one member: the pair that the class key
+encodes.  A batch is two index tables and one index array per side, pair
+i being the column set t_table[t_idx[i]] and the row set
+r_table[r_idx[i]]; pairs are keyed from the tables' subset masks, and only
+class representatives and hits are built as index rows.  The key is found
+T-first with table lookups only: its T half is minimized first, since the
+R half is below 2^n, and the R half is then minimized over the stabilizer
+of T from that stabilizer's own table.  The exhaustive scan decides
 only pairs of necklaces (sets minimal among their rotations), one batch
 per layer, and expands each deficient pair to all of its translates.  The
 sampled scan decides each drawn pair (T, R) through its leading square
@@ -84,7 +85,7 @@ __all__ = [
 EXHAUSTIVE_MAX_P = 7
 SAMPLED_MAX_P = 13
 DEFAULT_SAMPLES = 100_000
-PATTERN_SEARCH_MAX_P = 7
+PATTERN_SEARCH_MAX_P = 11
 
 # Miller-Rabin with these bases is exact for every n < 2^64.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -277,16 +278,19 @@ def _supports(x: np.ndarray, xh: np.ndarray) -> tuple[list[int], list[int]]:
 
 
 @functools.lru_cache(maxsize=None)
-def _class_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _class_tables(n: int) -> tuple[np.ndarray, ...]:
     """Class-key lookup tables for index subsets of Z/n, held as n-bit masks.
 
-    Row i of the first table maps a mask m to the smallest rotation of u*m,
-    and row i of the second to the smallest rotation of u^-1*m, where u is
-    the i-th unit mod n; row 0 (u = 1) maps m to its smallest rotation.
-    The third maps m to the minimum over units of the first table's column
-    m, and the fourth to the row of the one unit that reaches it, or -1
-    where two or more units tie.  Built on first use; 2^n columns, 8192 at
-    p = 13.
+    Row i of `dilated` maps a mask m to the smallest rotation of u*m, where
+    u is the i-th unit mod n; row 0 (u = 1) maps m to its smallest rotation.
+    The units that minimize a T mask's column form a coset u0 Stab(T), with
+    Stab(T) = {h : hT is a translate of T} a subgroup of the units: `t_min`
+    maps T to that minimum, `t_unit` to the row of u0^-1 for the first such
+    u0, and `t_stab` to the index of Stab(T) among the distinct
+    stabilizers.  Row k of `stab_min` maps m to the minimum of dilated[h, m]
+    over h in the k-th stabilizer.  Built on first use, one unit or one
+    stabilizer at a time; 2^n columns, 8192 at p = 13, where 6 stabilizers
+    occur.
     """
     units = [u for u in range(n) if math.gcd(u, n) == 1]
     masks = np.arange(1 << n, dtype=np.int64)
@@ -294,13 +298,23 @@ def _class_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
     rot_min = masks.copy()
     for a in range(1, n):
         rot_min = np.minimum(rot_min, ((masks << a) | (masks >> (n - a))) & full)
-    bits = (masks[:, None] >> np.arange(n)) & 1
-    dilated = np.stack([rot_min[bits @ (1 << (u * np.arange(n) % n))] for u in units])
-    inverse = [units.index(pow(u, -1, n)) for u in units]
-    t_min = dilated.min(axis=0)
-    ties = (dilated == t_min).sum(axis=0)
-    t_unit = np.where(ties == 1, dilated.argmin(axis=0), -1)
-    tables = dilated, dilated[inverse], t_min, t_unit
+    dilated = np.empty((len(units), 1 << n), dtype=np.int64)
+    stab = np.zeros_like(masks)  # bit i set iff the i-th unit is in Stab(m)
+    for i, u in enumerate(units):
+        image = np.zeros_like(masks)
+        for j in range(n):
+            image |= ((masks >> j) & 1) << (u * j % n)
+        dilated[i] = rot_min[image]
+        stab |= (dilated[i] == rot_min).astype(np.int64) << i
+    inverse = np.array([units.index(pow(u, -1, n)) for u in units])
+    subgroups, t_stab = np.unique(stab, return_inverse=True)
+    stab_min = np.stack(
+        [
+            functools.reduce(np.minimum, (dilated[i] for i in range(len(units)) if group >> i & 1))
+            for group in subgroups.tolist()
+        ]
+    )
+    tables = dilated, dilated.min(axis=0), inverse[dilated.argmin(axis=0)], t_stab, stab_min
     for table in tables:
         table.setflags(write=False)  # shared by every caller through the cache
     return tables
@@ -312,17 +326,15 @@ def _class_keys(n: int, t_masks: np.ndarray, r_masks: np.ndarray) -> np.ndarray:
     The key is the minimum over units u of (rotation-minimal u*T,
     rotation-minimal u^-1*R), packed as (T half << n) | R half, which is
     constant under translating T, translating R and the joint dilation
-    (uT, u^-1 R).  The R half is below 2^n, so the minimum is reached at a
-    unit that minimizes the T half: it is found T-first.  Where one unit
-    alone does, the key is that T minimum and the R half at that unit; only
-    a T that ties over several units takes the minimum over all units.
+    (uT, u^-1 R).  The R half is below 2^n, so the minimum is reached only
+    at the units u0 Stab(T) that minimize the T half, and it is found
+    T-first: the R half is the minimum over h in Stab(T) of the
+    rotation-minimal h^-1 u0^-1 R, read from the stabilizer's table at the
+    rotation-minimal u0^-1 R (Stab(T) is a group, so h^-1 runs over it as
+    h does).  Every pair takes the same lookups, however many units tie.
     """
-    dil_t, dil_r, t_min, t_unit = _class_tables(n)
-    unit = t_unit[t_masks]
-    keys = (t_min[t_masks] << n) | dil_r[unit, r_masks]  # unit -1 (a tie) is replaced below
-    tied = np.flatnonzero(unit < 0)
-    keys[tied] = ((dil_t[:, t_masks[tied]] << n) | dil_r[:, r_masks[tied]]).min(axis=0)
-    return keys
+    dilated, t_min, t_unit, t_stab, stab_min = _class_tables(n)
+    return (t_min[t_masks] << n) | stab_min[t_stab[t_masks], dilated[t_unit[t_masks], r_masks]]
 
 
 @functools.lru_cache(maxsize=None)
@@ -420,33 +432,66 @@ def _exact_summary(n: int, float_fallbacks: int) -> dict:
     return {"modulus": _modular_dft(n)[0], "float_fallbacks": float_fallbacks}
 
 
+class _ClassBatch:
+    """A batch of length-n (T, R) pairs, keyed once by symmetry class.
+
+    Pair i is the column set T = t_table[t_idx[i]] and the row set
+    R = r_table[r_idx[i]], with |R| >= |T|; Omega is the complement of R.
+    Pairs are keyed by their subset masks (_class_keys), so no per-pair
+    index rows are built.  A key fixes |T| and |R|, and it encodes a member
+    of its class: the rotation-minimal u*T and u^-1*R at a minimizing unit
+    u.  Row c of cols and rows is that pair for the c-th smallest key, so a
+    decider that sees only singular values decides each class once, from
+    cols and rows.  Pairs are matched to their class (members) only when
+    some class is flagged, which never happens at a prime length.
+    """
+
+    def __init__(self, n: int, t_table, t_idx, r_table, r_idx):
+        self.n, self.t_table, self.t_idx = n, t_table, t_idx
+        self.r_table, self.r_idx = r_table, r_idx
+        self.keys = _class_keys(n, _masks(n, t_table)[t_idx], _masks(n, r_table)[r_idx])
+        # Sorted distinct keys by one sort: np.unique without return values
+        # takes numpy's hash path, which is slower and imports numpy.ma.
+        ordered = np.sort(self.keys)
+        self.classes = ordered[np.diff(ordered, prepend=-1) > 0]
+        self.cols = _mask_rows(n, self.classes >> n, t_table.shape[1])
+        self.rows = _mask_rows(n, self.classes & ((1 << n) - 1), r_table.shape[1])
+
+    def members(self, flagged: np.ndarray) -> list:
+        """(T, Omega) of every pair whose class is flagged, in batch order."""
+        if not flagged.any():
+            return []
+        everything = set(range(self.n))
+        t_sets, r_sets = self.t_table[self.t_idx], self.r_table[self.r_idx]
+        return [
+            (t_sets[i].tolist(), sorted(everything - set(r_sets[i].tolist())))
+            for i in np.flatnonzero(flagged[np.searchsorted(self.classes, self.keys)])
+        ]
+
+    def deficient_minors(self):
+        """(T, Omega) for every pair whose DFT minor is rank deficient, by _rank_deficient.
+
+        Returns the hits and the number of classes the SVD fallback decided.
+        """
+        deficient, fallbacks = _rank_deficient(self.n, self.cols, self.rows)
+        return self.members(deficient), fallbacks
+
+
+def _mask_rows(n: int, masks: np.ndarray, size: int) -> np.ndarray:
+    """Row i lists the set bits of masks[i], ascending; every mask has `size` of its n bits set."""
+    return np.nonzero((masks[:, None] >> np.arange(n)) & 1)[1].reshape(len(masks), size)
+
+
 def _deficient_minors(
     n: int, t_table: np.ndarray, t_idx: np.ndarray, r_table: np.ndarray, r_idx: np.ndarray
 ):
-    """(T, Omega) for every rank-deficient length-n DFT minor of a batch.
+    """(T, Omega) for every rank-deficient length-n DFT minor of a batch, in batch order.
 
-    Pair i of the batch is the column set T = t_table[t_idx[i]] and the
-    row set R = r_table[r_idx[i]], with |R| >= |T|; Omega is the complement
-    of R.  Pairs are keyed by their subset masks (_class_keys), so no
-    per-pair index rows are built: only the first pair of each symmetry
-    class becomes a minor, decided by _rank_deficient, and the others take
-    its verdict; hits keep batch order.  A class key fixes |T| and |R|, so
-    a batch decides each of its classes once.  Pairs are matched to their
-    class only when some class is deficient, which never happens at a
-    prime length.  Returns the hits and the number of classes the SVD
-    fallback decided.
+    The batch is pair i = (t_table[t_idx[i]], r_table[r_idx[i]]), decided
+    once per symmetry class (_ClassBatch).  Returns the hits and the number
+    of classes the SVD fallback decided.
     """
-    keys = _class_keys(n, _masks(n, t_table)[t_idx], _masks(n, r_table)[r_idx])
-    classes, first = np.unique(keys, return_index=True)
-    deficient, fallbacks = _rank_deficient(n, t_table[t_idx[first]], r_table[r_idx[first]])
-    if not deficient.any():
-        return [], fallbacks
-    everything = set(range(n))
-    hits = [
-        (t_table[t_idx[i]].tolist(), sorted(everything - set(r_table[r_idx[i]].tolist())))
-        for i in np.flatnonzero(deficient[np.searchsorted(classes, keys)])
-    ]
-    return hits, fallbacks
+    return _ClassBatch(n, t_table, t_idx, r_table, r_idx).deficient_minors()
 
 
 def _layer_pairs_exhaustive(p: int):
@@ -584,32 +629,36 @@ def _pattern_search(shape: AlgebraShape, p: int):
     """Decide every support pattern (T, Omega), |T| + |Omega| <= p, |T| < p, two ways.
 
     The scalar way is the DFT minor on rows outside Omega and columns T
-    (_deficient_minors); the frame way is support_pair_feasible's block
-    rank test on the standard and Fourier frames over A (_deficient_blocks).
-    Both run once per (|T|, |Omega|) group, over the group's patterns in
-    the order (T, Omega).  Returns the pattern count and, in the order
-    (|T|, T, |Omega|, Omega), (T, Omega, scalar verdict, frame verdict) for
-    every pattern that either way finds feasible, and the number of classes
-    the scalar way's SVD fallback decided.
+    (_ClassBatch.deficient_minors); the frame way is support_pair_feasible's
+    block rank test on the standard and Fourier frames over A
+    (_deficient_blocks).  Each (|T|, |Omega|) group of patterns, in the
+    order (T, Omega), is keyed once (_ClassBatch), and both ways decide
+    only the pair each class key encodes.  That is sound for the frame way
+    too: its constraint stack is the rows e_j (x) I_n, j outside T, over the
+    rows conj(W[k]) (x) I_n, k in R (the Fourier frame is
+    kron(conj W, I_n)).  Translating T or R and the joint dilation
+    (uT, u^-1 R) change that stack only by row permutations, unit-modulus
+    row and column scalings and a column permutation, all unitary and
+    tensored with I_n, so no block's singular values move.  Returns the
+    pattern count and, in the order (|T|, T, |Omega|, Omega),
+    (T, Omega, scalar verdict, frame verdict) for every pattern that either
+    way finds feasible, and the number of classes the scalar way's SVD
+    fallback decided.
     """
     std, fourier = standard_frame(shape, p), fourier_frame(shape, p)
     checked = fallbacks = 0
     scalar, by_frames = set(), set()
     for size_t in range(1, p):
         t_sets = _combos(p, size_t)
-        t_comps = _complements(p, t_sets)
         for size_o in range(1, p - size_t + 1):
-            o_sets = _combos(p, size_o)
-            t_idx, o_idx = np.divmod(np.arange(len(t_sets) * len(o_sets)), len(o_sets))
-            r_sets = _complements(p, o_sets)
-            hits, decided = _deficient_minors(p, t_sets, t_idx, r_sets, o_idx)
+            r_sets = _complements(p, _combos(p, size_o))
+            t_idx, o_idx = np.divmod(np.arange(len(t_sets) * len(r_sets)), len(r_sets))
+            batch = _ClassBatch(p, t_sets, t_idx, r_sets, o_idx)
+            hits, decided = batch.deficient_minors()
             fallbacks += decided
+            feasible = _deficient_blocks(std, fourier, _complements(p, batch.cols), batch.rows)
             scalar.update((tuple(t), tuple(o)) for t, o in hits)
-            feasible = _deficient_blocks(std, fourier, t_comps[t_idx], r_sets[o_idx])
-            by_frames.update(
-                (tuple(t_sets[t_idx[i]].tolist()), tuple(o_sets[o_idx[i]].tolist()))
-                for i in np.flatnonzero(feasible.any(axis=1))
-            )
+            by_frames.update((tuple(t), tuple(o)) for t, o in batch.members(feasible.any(axis=1)))
             checked += len(t_idx)
     flagged = sorted(scalar | by_frames, key=lambda to: (len(to[0]), to[0], len(to[1]), to[1]))
     flagged = [(list(t), list(o), (t, o) in scalar, (t, o) in by_frames) for t, o in flagged]
@@ -727,7 +776,7 @@ def conjecture_audit(
       random sparse draws: `trials` vectors with uniformly random support
       size and Gaussian algebra entries, thresholded support counting;
       spike witness: the vector with 1_A at index 0 must attain p + 1;
-      structured search (p <= 7): every support pattern with sum <= p is
+      structured search (p <= 11): every support pattern with sum <= p is
       tested by the scalar minor criterion (the transform acts on each
       scalar coordinate of A separately, so scalar infeasibility rules out
       algebra-valued solutions) and cross-checked by support_pair_feasible's

@@ -24,12 +24,14 @@ from ncup import (
     random_element,
     random_vector,
     sparsity,
+    standard_frame,
     sub,
     support,
     tao_min_sum,
 )
 from ncup import cli, ncft
 from ncup.ncft import dft_matrix
+from ncup.uncertainty import _constraint_stack
 
 from oracles import (
     cyclic_shift,
@@ -461,18 +463,39 @@ def test_class_key_is_invariant(n, rng):
 
 @pytest.mark.parametrize("n", [6, 7, 8, 9, 13])
 def test_t_first_class_key_matches_all_units_key(n, rng):
-    # Every (T, R) mask pair up to n = 9, and 100,000 random pairs at n = 13.
+    # Every (T, R) mask pair up to n = 9; at n = 13, 100,000 uniform mask
+    # pairs and 100,000 pairs whose set sizes are uniform on [0, n], which
+    # reach the small and large T that many units minimize.
     if n < 13:
         t_masks, r_masks = np.divmod(np.arange(1 << 2 * n), 1 << n)
     else:
-        t_masks, r_masks = rng.integers(1 << n, size=(2, 100_000))
+        uniform = rng.integers(1 << n, size=(2, 100_000))
+        sizes = rng.integers(n + 1, size=(2, 100_000, 1))
+        ranks = np.argsort(rng.random((2, 100_000, n)), axis=2)
+        by_size = ((ranks < sizes) << np.arange(n)).sum(axis=2)
+        t_masks, r_masks = np.hstack([uniform, by_size])
     keys = ncft._class_keys(n, t_masks, r_masks)
     assert np.array_equal(keys, oracle_class_keys(n, t_masks, r_masks))
-    # A T takes the all-units minimum exactly when more than one unit minimizes its half.
+    # The units minimizing T's half are a coset u0 Stab(T); t_unit is the
+    # row of u0^-1, and T's stabilizer table is the minimum over Stab(T).
     table = oracle_dilation_table(n)
-    _, _, t_min, t_unit = ncft._class_tables(n)
+    dilated, t_min, t_unit, t_stab, stab_min = ncft._class_tables(n)
+    assert np.array_equal(dilated, table)
     assert np.array_equal(t_min, table.min(axis=0))
-    assert np.array_equal(t_unit < 0, (table == t_min).sum(axis=0) > 1)
+    units = [u for u in range(1, n) if gcd(u, n) == 1]
+    stabilizers = {}
+    for m in range(1 << n):
+        stab = frozenset(units[i] for i in np.flatnonzero(table[:, m] == table[0, m]))
+        minimizers = {units[i] for i in np.flatnonzero(table[:, m] == t_min[m])}
+        u0 = pow(units[t_unit[m]], -1, n)
+        assert table[units.index(u0), m] == t_min[m]
+        assert minimizers == {u0 * h % n for h in stab}
+        assert stabilizers.setdefault(stab, t_stab[m]) == t_stab[m]
+    assert len(set(stabilizers.values())) == len(stabilizers) == len(stab_min)
+    for stab, k in stabilizers.items():
+        assert np.array_equal(stab_min[k], table[[units.index(h) for h in stab]].min(axis=0))
+    if n == 13:
+        assert len(stab_min) == 6  # one per subgroup of the cyclic units of order 12
 
 
 def test_exhaustive_scan_memory():
@@ -935,13 +958,13 @@ def test_conjecture_crosscheck_is_live(monkeypatch, tmp_path):
     # Flip the scalar verdict for one pattern inside the batched minor scan:
     # the frame-level check must disagree with it, so the audit cannot pass
     # by comparing the minor test with itself.
-    original = ncft._deficient_minors
+    original = ncft._ClassBatch.deficient_minors
     target = ([0], [0])
 
-    def flipped(n, t_table, t_idx, r_table, r_idx):
-        cols, rows = t_table[t_idx], r_table[r_idx]
-        hits, fallbacks = original(n, t_table, t_idx, r_table, r_idx)
-        everything = list(range(n))
+    def flipped(batch):
+        cols, rows = batch.t_table[batch.t_idx], batch.r_table[batch.r_idx]
+        hits, fallbacks = original(batch)
+        everything = list(range(batch.n))
         in_batch = any(
             c == target[0] and r == everything[1:] for c, r in zip(cols.tolist(), rows.tolist())
         )
@@ -951,7 +974,7 @@ def test_conjecture_crosscheck_is_live(monkeypatch, tmp_path):
             return [hit for hit in hits if hit != target], fallbacks
         return [target] + hits, fallbacks
 
-    monkeypatch.setattr(ncft, "_deficient_minors", flipped)
+    monkeypatch.setattr(ncft._ClassBatch, "deficient_minors", flipped)
     report = conjecture_audit(M2, 3, trials=50)
     assert report["reduction_crosscheck_agreed"] is False
     assert report["holds"] is False
@@ -979,8 +1002,66 @@ def test_pattern_search_matches_per_pattern_loop(dims, n):
     assert bool(flagged) == (n in (4, 6))
 
 
+def pattern_groups(n):
+    """(t_sets, t_idx, r_sets, r_idx) of every (|T|, |Omega|) group the pattern search scans."""
+    for s in range(1, n):
+        t_sets = ncft._combos(n, s)
+        for o in range(1, n - s + 1):
+            r_sets = ncft._complements(n, ncft._combos(n, o))
+            t_idx, r_idx = np.divmod(np.arange(len(t_sets) * len(r_sets)), len(r_sets))
+            yield t_sets, t_idx, r_sets, r_idx
+
+
+@pytest.mark.parametrize("dims", [(2,), (1, 1)])
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_frame_side_singular_values_are_class_invariant(dims, n):
+    # The pattern search decides the frame side from the pair each class
+    # key encodes.  That pair has its own key, and every member of the
+    # class has its constraint stacks' singular values, block by block.
+    shape = AlgebraShape(dims)
+    std, fourier = standard_frame(shape, n), fourier_frame(shape, n)
+
+    def singular_values(comp_t, comp_o):
+        return [
+            np.linalg.svd(_constraint_stack(t, w, b, comp_t, comp_o), compute_uv=False)
+            for b, t, w in zip(dims, std.mats, fourier.mats)
+        ]
+
+    for t_sets, t_idx, r_sets, r_idx in pattern_groups(n):
+        batch = ncft._ClassBatch(n, t_sets, t_idx, r_sets, r_idx)
+        own_keys = ncft._class_keys(n, subset_masks(batch.cols), subset_masks(batch.rows))
+        assert np.array_equal(own_keys, batch.classes)
+        members = singular_values(ncft._complements(n, t_sets)[t_idx], r_sets[r_idx])
+        representatives = singular_values(ncft._complements(n, batch.cols), batch.rows)
+        of_class = np.searchsorted(batch.classes, batch.keys)
+        for member, representative in zip(members, representatives):
+            assert np.abs(member - representative[of_class]).max() <= 1e-12
+
+
+def test_pattern_search_decides_frames_once_per_class(monkeypatch):
+    # 575 patterns at p = 5 and 9,653 at p = 7 fall into 13 and 61 classes;
+    # the frame side decomposes one pattern of each.
+    seen = []
+    blocks = ncft._deficient_blocks
+
+    def counting_blocks(tau, omega, comp_t, comp_o):
+        seen.append(len(comp_t))
+        return blocks(tau, omega, comp_t, comp_o)
+
+    monkeypatch.setattr(ncft, "_deficient_blocks", counting_blocks)
+    for p, classes in ((5, 13), (7, 61)):
+        seen.clear()
+        checked, flagged, _ = ncft._pattern_search(M2, p)
+        orbits = sum(
+            count_orbits(p, t_sets[t_idx], r_sets[r_idx])
+            for t_sets, t_idx, r_sets, r_idx in pattern_groups(p)
+        )
+        assert sum(seen) == orbits == classes < checked
+        assert flagged == []
+
+
 def test_conjecture_audit_skips_pattern_search_large_p():
-    report = conjecture_audit(C, 11, trials=100, seed=0)
+    report = conjecture_audit(C, 13, trials=100, seed=0)
     assert not report["pattern_search_performed"]
     assert report["holds"]
 
