@@ -10,6 +10,7 @@ is decided from blockwise Hermitian spectra.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import sys
@@ -39,8 +40,16 @@ __all__ = [
 # genuinely singular spectrum in csmodule.op_inv_sqrt.
 POSITIVITY_TOL = 1e-10
 
-# Elements per batched product in _entry_norms, which bounds its temporary arrays.
+# Matrices per chunk of _entry_norms, which bounds its temporary arrays (an 8x8
+# chunk holds 262,144 entries).  The norm of a two-row matrix with four or more
+# columns can depend on its chunk in the last bit (numpy's complex product of
+# the rows rounds differently in a large batch), so a new value can move it.
 _NORM_CHUNK = 4096
+
+# Batch size, in matrices per matrix entry, from which _entry_norms takes the
+# maxima and short sums of one- and two-row matrices as elementwise passes over
+# the entries: below it, the extra numpy calls cost more than the reductions save.
+_ENTRYWISE_BATCH = 32
 
 
 def _as_int(value, what: str) -> int:
@@ -247,27 +256,50 @@ def _entry_norms(stacks) -> np.ndarray:
 
 
 def _block_norms(s: np.ndarray) -> np.ndarray:
-    dims = s.shape[-2:]
+    dims = rows, cols = s.shape[-2:]
     out = np.empty(s.shape[:-2])
     step = max(1, _NORM_CHUNK * len(s) // max(1, out.size))
     for start in range(0, len(s), step):
         part = out[start : start + step]
         b = np.ascontiguousarray(s[start : start + step], dtype=np.complex128).reshape(-1, *dims)
-        peak = np.abs(b).max(axis=(1, 2))
+        # numpy's reductions over a matrix's axes pay per matrix, so over a
+        # large batch they become passes over the entry columns.
+        entrywise = rows <= 2 and len(b) >= _ENTRYWISE_BATCH * rows * cols
+        mod = np.abs(b)
+        peak = _fold(np.maximum, mod.reshape(len(b), -1)) if entrywise else mod.max(axis=(1, 2))
         if not np.isfinite(peak).all():
             raise InputError("algebra elements must have finite entries")
         exp = np.frexp(peak)[1]  # 0 for a zero block
         c = np.ldexp(b.view(np.float64), -exp[:, None, None]).view(np.complex128)
-        if dims[0] == 1:
-            top = (c.real**2 + c.imag**2).sum(axis=(1, 2))
-        elif dims[0] == 2:
-            g00, g11 = (c.real**2 + c.imag**2).sum(axis=2).T
-            g10 = np.abs((c[:, 1] * c[:, 0].conj()).sum(axis=1))
+        if rows == 1:
+            top = _sums(c.real**2 + c.imag**2, entrywise)[0]
+        elif rows == 2:
+            g00, g11 = _sums(c.real**2 + c.imag**2, entrywise)
+            g10 = np.abs(_sums(c[:, 1] * c[:, 0].conj(), entrywise))
             top = (g00 + g11) / 2 + np.hypot((g00 - g11) / 2, g10)
         else:
             top = np.linalg.eigvalsh(c @ c.conj().transpose(0, 2, 1))[:, -1]
         part[...] = np.ldexp(np.sqrt(top), exp).reshape(part.shape)
     return out
+
+
+def _fold(op, a: np.ndarray) -> np.ndarray:
+    """op folded left to right along a's last axis, one elementwise pass per index.
+
+    The other axes come out reversed, as in a.T.
+    """
+    return functools.reduce(op, a.T)
+
+
+def _sums(a: np.ndarray, entrywise: bool) -> np.ndarray:
+    """a.sum(axis=-1).T, bit for bit.
+
+    numpy adds fewer than 8 float64 parts (4 complex terms) left to right
+    and more pairwise; only the left-to-right sums run entrywise.
+    """
+    if entrywise and a.shape[-1] * a.itemsize < 64:
+        return _fold(np.add, a)
+    return a.sum(axis=-1).T
 
 
 def is_positive(a: AlgebraElement) -> bool:

@@ -33,6 +33,10 @@ oracle_modular_dft is the certificate's field found the direct way: it
 lists every power of each candidate g and keeps the first g whose powers
 below n are all different from 1.
 
+reference_block_norms is the norm kernel with a reduction over each
+matrix's axes (max, then sum), kept as the bit-for-bit reference for
+algebra._entry_norms, whose one- and two-row paths run entrywise.
+
 The module arithmetic at the end (vector sums, scaling, the left module
 action, operator differences, cyclic shifts) is what the tests need beyond
 the library's own API; it works entrywise on the public `blocks` stacks.
@@ -52,6 +56,8 @@ from ncup import (
     standard_frame,
     support_pair_feasible,
 )
+from ncup.algebra import _NORM_CHUNK
+from ncup.errors import InputError
 from ncup.ncft import _is_prime
 
 
@@ -118,6 +124,30 @@ def oracle_parsevalize(frame) -> np.ndarray:
 
 def oracle_norm(a) -> float:
     return float(np.linalg.svd(embed_element(a), compute_uv=False)[0])
+
+
+def reference_block_norms(s: np.ndarray) -> np.ndarray:
+    dims = s.shape[-2:]
+    out = np.empty(s.shape[:-2])
+    step = max(1, _NORM_CHUNK * len(s) // max(1, out.size))
+    for start in range(0, len(s), step):
+        part = out[start : start + step]
+        b = np.ascontiguousarray(s[start : start + step], dtype=np.complex128).reshape(-1, *dims)
+        peak = np.abs(b).max(axis=(1, 2))
+        if not np.isfinite(peak).all():
+            raise InputError("algebra elements must have finite entries")
+        exp = np.frexp(peak)[1]  # 0 for a zero block
+        c = np.ldexp(b.view(np.float64), -exp[:, None, None]).view(np.complex128)
+        if dims[0] == 1:
+            top = (c.real**2 + c.imag**2).sum(axis=(1, 2))
+        elif dims[0] == 2:
+            g00, g11 = (c.real**2 + c.imag**2).sum(axis=2).T
+            g10 = np.abs((c[:, 1] * c[:, 0].conj()).sum(axis=1))
+            top = (g00 + g11) / 2 + np.hypot((g00 - g11) / 2, g10)
+        else:
+            top = np.linalg.eigvalsh(c @ c.conj().transpose(0, 2, 1))[:, -1]
+        part[...] = np.ldexp(np.sqrt(top), exp).reshape(part.shape)
+    return out
 
 
 def oracle_min_eig(a) -> float:

@@ -21,7 +21,7 @@ from ncup import (
 
 from ncup.algebra import _entry_norms
 
-from oracles import embed_element, oracle_min_eig, oracle_norm
+from oracles import embed_element, oracle_min_eig, oracle_norm, reference_block_norms
 
 C = AlgebraShape((1,))
 M2 = AlgebraShape((2,))
@@ -166,6 +166,55 @@ def test_only_three_or_more_rows_reach_eigvalsh(monkeypatch, rng):
     assert norm(random_element(CM2, rng)) > 0
     with pytest.raises(AssertionError, match="eigvalsh called"):
         _entry_norms([rng.standard_normal((5, 3, 3)) + 0j])
+
+
+def hard_stack(rng, lead, rows, cols):
+    """Gaussian matrices at scales 1, 1e300 and 1e-300, with subnormal and zero ones."""
+    k = int(np.prod(lead))
+    stack = rng.standard_normal((k, rows, cols)) + 1j * rng.standard_normal((k, rows, cols))
+    stack *= rng.choice([1.0, 1e300, 1e-300], size=k)[:, None, None]
+    kind = rng.integers(0, 6, size=k)
+    stack[kind == 0] = 5e-324 * rng.integers(0, 4, size=(np.sum(kind == 0), rows, cols))
+    stack[kind == 1] = 0.0
+    return stack.reshape(*lead, rows, cols)
+
+
+def assert_same_bits(stack):
+    got = _entry_norms([stack])
+    assert np.array_equal(got.view(np.uint64), reference_block_norms(stack).view(np.uint64))
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 4])
+def test_entry_norms_equal_reference_kernel_bit_for_bit(rows):
+    rng = np.random.default_rng(rows)
+    for cols in range(1, 10):
+        for k in (1, 7, 4096, 4097, 20000):
+            for lead in ((k,), (k // 5, 5)) if k >= 5 else ((k,),):
+                assert_same_bits(hard_stack(rng, lead, rows, cols))
+
+
+def test_entry_norms_equal_reference_kernel_on_audit_shapes():
+    rng = np.random.default_rng(19)
+    # conjecture's (trials, p, n, n) stacks, a share of the entries zeroed
+    for n in (1, 2, 3):
+        stack = hard_stack(rng, (20000, 5), n, n)
+        stack *= (rng.random((20000, 5)) < 0.6)[:, :, None, None]
+        assert_same_bits(stack)
+    # module_norm's single (n, d*n) matrix, where the sums stay pairwise
+    for n, d in ((1, 8), (1, 9), (1, 16), (2, 4), (2, 8), (2, 9), (3, 8)):
+        for _ in range(20):
+            assert_same_bits(hard_stack(rng, (1,), n, d * n))
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (1, 8), (1, 20), (3, 3)])
+def test_norm_in_a_batch_equals_its_norm_alone(dims, rng):
+    # Two-row matrices with four or more columns are left out: there numpy's
+    # complex product of the rows can round differently in a large batch.
+    for k in (100, 4096, 20000):
+        stack = rng.standard_normal((k, *dims)) + 1j * rng.standard_normal((k, *dims))
+        batch = _entry_norms([stack])
+        for i in np.linspace(0, k - 1, 40).astype(int):
+            assert batch[i] == _entry_norms([stack[i : i + 1]])[0]
 
 
 def test_is_positive_identity():
