@@ -96,6 +96,11 @@ _MODULUS_BOUND = 1 << 31
 # Longest length whose powers g^e mod ell _modular_dft tabulates (8 MiB of int64).
 _TABLE_MAX_ENTRIES = 1 << 20
 
+# Matrix entries per chunk of conjecture_audit's random trials, counted over
+# the dense (trials, p, n, n) stacks of all blocks, which bounds the chunk's
+# temporary arrays (1,024 trials of M2 at p = 5).
+_TRIAL_CHUNK = 20_480
+
 
 def _is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test for 0 <= n < 2^64."""
@@ -625,6 +630,58 @@ def _complements(n: int, sets: np.ndarray) -> np.ndarray:
     return np.nonzero(keep)[1].reshape(len(sets), -1)
 
 
+@functools.lru_cache(maxsize=None)
+def _subsets(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(table, offsets, counts): every nonempty subset of range(n) as a bool row.
+
+    Rows are grouped by size and lexicographic within a size: row
+    offsets[s] + i is the i-th row of _combos(n, s), and counts[s] is
+    C(n, s).  Built on first use; 8,191 rows at n = 13.
+    """
+    counts = np.array([math.comb(n, s) for s in range(n + 1)])
+    offsets = np.cumsum(counts) - counts - 1
+    table = np.zeros(((1 << n) - 1, n), dtype=bool)
+    for s in range(1, n + 1):
+        table[offsets[s] + np.arange(counts[s])[:, None], _combos(n, s)] = True
+    for array in (table, offsets, counts):
+        array.setflags(write=False)  # shared by every caller through the cache
+    return table, offsets, counts
+
+
+def _draw_supports(rng, p: int, m: int) -> np.ndarray:
+    """(m, p) mask of m random supports in range(p).
+
+    Each draws its size uniform on [1, p], then its subset uniform among
+    those of that size, as a uniform rank into that size's rows of
+    _subsets(p).
+    """
+    table, offsets, counts = _subsets(p)
+    sizes = rng.integers(1, p + 1, size=m)
+    return table[offsets[sizes] + rng.integers(counts[sizes])]
+
+
+def _draw_trials(rng, shape: AlgebraShape, p: int, m: int):
+    """m random sparse vectors of A^p: their dense blocks and their (m, p) entry norms.
+
+    The supports come from _draw_supports.  Gaussians are drawn for the
+    supported entries only, a (K, n, n) stack per block in block order, K
+    the total support size, and scattered into zeroed (m, p, n, n) stacks.
+    The norms are taken from the drawn entries alone; every other entry is
+    0 and has norm 0.
+    """
+    supported = np.flatnonzero(_draw_supports(rng, p, m))
+    x_blocks = []
+    for n in shape.block_dims:
+        _check_addressable((m, p, n, n), np.complex128)
+        x_blocks.append(np.zeros((m, p, n, n), dtype=np.complex128))
+    drawn = [_complex_gaussian(rng, (len(supported), n, n)) for n in shape.block_dims]
+    for xb, entries in zip(x_blocks, drawn):
+        xb.reshape(m * p, *entries.shape[1:])[supported] = entries
+    norms = np.zeros((m, p))
+    norms.reshape(-1)[supported] = _entry_norms(drawn)
+    return x_blocks, norms
+
+
 def _pattern_search(shape: AlgebraShape, p: int):
     """Decide every support pattern (T, Omega), |T| + |Omega| <= p, |T| < p, two ways.
 
@@ -773,8 +830,12 @@ def conjecture_audit(
     """Brute-force search for violations of ||x||_0 + ||x_hat||_0 >= p + 1.
 
     Three layers of evidence over A^p:
-      random sparse draws: `trials` vectors with uniformly random support
-      size and Gaussian algebra entries, thresholded support counting;
+      random sparse draws: `trials` vectors, each with a support size
+      uniform on [1, p], a support uniform among the subsets of that size
+      and i.i.d. complex Gaussian algebra entries on the support (drawn
+      there only, see _draw_trials), thresholded support counting; the
+      trials run in chunks of about _TRIAL_CHUNK matrix entries, at least
+      one trial each, and a violation names its trial's global index;
       spike witness: the vector with 1_A at index 0 must attain p + 1;
       structured search (p <= 11): every support pattern with sum <= p is
       tested by the scalar minor criterion (the transform acts on each
@@ -800,18 +861,10 @@ def conjecture_audit(
     min_sum = None
     vector_violations = []
 
-    chunk = 20_000
-    done = 0
-    while done < trials:
+    chunk = max(1, _TRIAL_CHUNK // (p * shape.dim))
+    for done in range(0, trials, chunk):
         m = min(chunk, trials - done)
-        sizes = rng.integers(1, p + 1, size=m)
-        perm = np.argsort(rng.random((m, p)), axis=1)
-        mask = np.zeros((m, p), dtype=bool)
-        mask[np.arange(m)[:, None], perm] = np.arange(p)[None, :] < sizes[:, None]
-        x_blocks = [
-            _complex_gaussian(rng, (m, p, n, n)) * mask[:, :, None, None]
-            for n in shape.block_dims
-        ]
+        x_blocks, x_norms = _draw_trials(rng, shape, p, m)
         # x_hat_k = sum_j w[k, j] x_j for every trial at once: one GEMM per block
         h_blocks = [
             (w @ xb.transpose(1, 0, 2, 3).reshape(p, -1))
@@ -819,7 +872,7 @@ def conjecture_audit(
             .transpose(1, 0, 2, 3)
             for n, xb in zip(shape.block_dims, x_blocks)
         ]
-        x_supp = _support_mask(_entry_norms(x_blocks), rel_tol)
+        x_supp = _support_mask(x_norms, rel_tol)
         h_supp = _support_mask(_entry_norms(h_blocks), rel_tol)
         sums = x_supp.sum(axis=1) + h_supp.sum(axis=1)
         batch_min = int(sums.min())
@@ -842,7 +895,6 @@ def conjecture_audit(
                     "vector": vec.to_dict(),
                 }
             )
-        done += m
 
     delta = dirac_comb(shape, p, p)
     delta_sum = sparsity(delta, rel_tol) + sparsity(ncdft(delta), rel_tol)

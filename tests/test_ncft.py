@@ -954,6 +954,147 @@ def test_conjecture_audit_deterministic():
     assert a == b
 
 
+def trial_chunk(shape, p):
+    """Trials per chunk of conjecture_audit's random layer."""
+    return max(1, ncft._TRIAL_CHUNK // (p * shape.dim))
+
+
+def record_trials(monkeypatch):
+    """Record (mask, x_blocks, x_norms) for every chunk the random layer draws, in draw order."""
+    draw_supports, draw_trials, drawn, masks = ncft._draw_supports, ncft._draw_trials, [], []
+
+    def record_supports(rng, p, m):
+        masks.append(draw_supports(rng, p, m))
+        return masks[-1]
+
+    def record(rng, shape, p, m):
+        x_blocks, norms = draw_trials(rng, shape, p, m)
+        drawn.append((masks[-1], x_blocks, norms))
+        return x_blocks, norms
+
+    monkeypatch.setattr(ncft, "_draw_supports", record_supports)
+    monkeypatch.setattr(ncft, "_draw_trials", record)
+    return drawn
+
+
+def test_conjecture_draw_law(monkeypatch):
+    # The size is uniform on [1, p], then the support uniform among the
+    # subsets of that size.  Gaussians are drawn, block by block, for the
+    # supported entries only, and every other entry is exactly 0.
+    p, trials, shape = 5, 20_000, AlgebraShape((1, 2))
+    drawn = record_trials(monkeypatch)
+    gaussian, draws = ncft._complex_gaussian, []
+
+    def record_gaussian(rng, size):
+        draws.append(size)
+        return gaussian(rng, size)
+
+    monkeypatch.setattr(ncft, "_complex_gaussian", record_gaussian)
+    report = conjecture_audit(shape, p, trials=trials, seed=5)
+    assert report["holds"]
+    masks = np.concatenate([mask for mask, _, _ in drawn])
+    assert masks.shape == (trials, p)
+    assert draws == [(mask.sum(), n, n) for mask, _, _ in drawn for n in shape.block_dims]
+    for mask, x_blocks, norms in drawn:
+        for xb in x_blocks:
+            assert (xb[~mask] == 0).all()
+            assert (xb[mask] != 0).all()
+        assert (norms[~mask] == 0).all()
+
+    sizes = masks.sum(axis=1)
+    assert within_chi_square_bound(
+        [np.count_nonzero(sizes == s) for s in range(1, p + 1)], [trials / p] * p
+    )
+    codes = (masks << np.arange(p)).sum(axis=1)
+    for s in range(1, p):  # a size-p support is the whole range
+        subsets = list(combinations(range(p), s))
+        observed = [np.count_nonzero(codes == sum(1 << j for j in subset)) for subset in subsets]
+        total = np.count_nonzero(sizes == s)
+        assert sum(observed) == total
+        assert within_chi_square_bound(observed, [total / len(subsets)] * len(subsets))
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1, "2 chunks + 1"])
+def test_conjecture_draws_exactly_trials_vectors(monkeypatch, extra):
+    p = 5
+    chunk = trial_chunk(C, p)
+    trials = 2 * chunk + 1 if extra == "2 chunks + 1" else chunk + extra
+    drawn = record_trials(monkeypatch)
+    report = conjecture_audit(C, p, trials=trials, seed=3)
+    assert report["trials"] == trials
+    assert [len(mask) for mask, _, _ in drawn] == [chunk] * (trials // chunk) + (
+        [trials % chunk] if trials % chunk else []
+    )
+
+
+def test_subset_table_rows_are_combos_by_size():
+    p = 7
+    table, offsets, counts = ncft._subsets(p)
+    assert table.shape == (2**p - 1, p) and not table.flags.writeable
+    for s in range(1, p + 1):
+        rows = table[offsets[s] : offsets[s] + counts[s]]
+        assert counts[s] == comb(p, s)
+        assert rows.tolist() == [
+            [j in combo for j in range(p)] for combo in ncft._combos(p, s).tolist()
+        ]
+
+
+@pytest.mark.parametrize("dims", [(1,), (2,), (3,), (1, 2)], ids=["C", "M2", "M3", "C+M2"])
+def test_drawn_entry_norms_equal_dense_norms_bit_for_bit(dims):
+    # The x-side norms come from the drawn entries alone; scattered among
+    # zeros they are the norms of the dense stack, bit for bit.
+    shape, rng = AlgebraShape(dims), np.random.default_rng(23)
+    for p in (2, 5, 13):
+        for m in (1, 7, trial_chunk(shape, p)):
+            x_blocks, norms = ncft._draw_trials(rng, shape, p, m)
+            dense = ncft._entry_norms(x_blocks)
+            assert norms.view(np.uint64).tolist() == dense.view(np.uint64).tolist()
+
+
+def test_conjecture_violation_names_its_global_trial(monkeypatch):
+    # Clear the Fourier support of one trial in the second chunk: its
+    # recorded trial is the global index, and its vector is the drawn x.
+    p, j = 5, 17
+    chunk = trial_chunk(M2, p)
+    drawn = record_trials(monkeypatch)
+    threshold, calls = ncft._support_mask, []
+
+    def clear_one(norms, rel_tol):
+        supp = threshold(norms, rel_tol)
+        calls.append(norms.shape)
+        if len(calls) == 4:  # (x side, Fourier side) per chunk: chunk 1's Fourier side
+            supp[j] = False
+        return supp
+
+    monkeypatch.setattr(ncft, "_support_mask", clear_one)
+    report = conjecture_audit(M2, p, trials=2 * chunk + 1, seed=31)
+    assert calls == [(chunk, p)] * 4 + [(1, p)] * 2
+    assert not report["holds"]
+    [violation] = report["vector_violations"]
+    mask, x_blocks, _ = drawn[1]
+    assert violation["trial"] == chunk + j
+    assert violation["support"] == np.flatnonzero(mask[j]).tolist()
+    assert violation["fourier_support"] == []
+    assert violation["sum"] == mask[j].sum()
+    assert violation["classification"] == "implementation-defect"
+    vec = ModuleVector.from_dict(violation["vector"])
+    assert (vec.blocks[0] == x_blocks[0][j]).all()
+    assert np.flatnonzero(np.any(vec.blocks[0] != 0, axis=(1, 2))).tolist() == violation["support"]
+
+
+def test_conjecture_random_layer_memory():
+    # The random layer streams chunks of about _TRIAL_CHUNK matrix entries;
+    # drawing all 10,000 trials at once peaked near 10 MiB.
+    conjecture_audit(M2, 5, trials=10, seed=31)  # the cached tables are built outside the measurement
+    tracemalloc.start()
+    try:
+        conjecture_audit(M2, 5, trials=10_000, seed=31)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
 def test_conjecture_crosscheck_is_live(monkeypatch, tmp_path):
     # Flip the scalar verdict for one pattern inside the batched minor scan:
     # the frame-level check must disagree with it, so the audit cannot pass
