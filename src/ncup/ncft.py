@@ -13,8 +13,7 @@ columns T is rank deficient.  Because the transform acts coordinatewise,
 the same criterion settles feasibility for algebra-valued x; the audit
 cross-checks that reduction with support_pair_feasible's block rank test
 on the standard and Fourier frames over A, which decides each pattern from
-the frame matrices without the minor.  Both tests run batched, on one
-pattern per symmetry class of each (|T|, |Omega|) group (_pattern_search).
+the frame matrices without the minor.
 
 A DFT-minor verdict is first sought exactly, by elimination mod a prime
 ell = 1 (mod n) (_certified_nonsingular): with zeta = e^(2 pi i/n) and g of
@@ -23,8 +22,8 @@ minor of full rank mod ell has full rank over C.  Only the minors it
 cannot certify fall back to the SVD and frames._numeric_rank at RANK_TOL,
 which also decides every frame-side rank verdict.
 
-The batch minor scan decides one minor per symmetry class.  With W the
-DFT matrix of length n, translating the column set T by a multiplies row k
+The minor scans decide one minor per symmetry class.  With W the DFT
+matrix of length n, translating the column set T by a multiplies row k
 of W[R, T] by the unit scalar e^(-2 pi i ka/n), translating the row set R
 by b multiplies column j by e^(-2 pi i jb/n), and for a unit u mod n
 W[u^-1 k, u j] = W[k, j], so (T, R) -> (uT, u^-1 R) only permutes rows and
@@ -36,9 +35,14 @@ r_table[r_idx[i]]; pairs are keyed from the tables' subset masks, and only
 class representatives and hits are built as index rows.  The key is found
 T-first with table lookups only: its T half is minimized first, since the
 R half is below 2^n, and the R half is then minimized over the stabilizer
-of T from that stabilizer's own table.  The exhaustive scan decides
-only pairs of necklaces (sets minimal among their rotations), one batch
-per layer, and expands each deficient pair to all of its translates.  The
+of T from that stabilizer's own table.
+
+Both exhaustive searches are one scan (_necklace_scan): tao's critical
+layer over the groups (|T|, |R|) = (s, s), and conjecture's structured
+search over the groups (|T|, p - |Omega|) with the frames as a second
+decider.  Each group is one batch over the pairs of necklaces (sets
+minimal among their rotations), since every pair translates to one, and
+each flagged necklace pair is expanded to all of its translates.  The
 sampled scan decides each drawn pair (T, R) through its leading square
 block (T, R[:|T|]), one batch per |T| over the pairs of every |Omega|: a
 nonsingular square block gives the tall minor full column rank, and at a
@@ -463,15 +467,11 @@ class _ClassBatch:
         self.rows = _mask_rows(n, self.classes & ((1 << n) - 1), r_table.shape[1])
 
     def members(self, flagged: np.ndarray) -> list:
-        """(T, Omega) of every pair whose class is flagged, in batch order."""
+        """(T, R) of every pair whose class is flagged, in batch order, as lists."""
         if not flagged.any():
             return []
-        everything = set(range(self.n))
-        t_sets, r_sets = self.t_table[self.t_idx], self.r_table[self.r_idx]
-        return [
-            (t_sets[i].tolist(), sorted(everything - set(r_sets[i].tolist())))
-            for i in np.flatnonzero(flagged[np.searchsorted(self.classes, self.keys)])
-        ]
+        i = np.flatnonzero(flagged[np.searchsorted(self.classes, self.keys)])
+        return list(zip(self.t_table[self.t_idx[i]].tolist(), self.r_table[self.r_idx[i]].tolist()))
 
     def deficient_minors(self):
         """(T, Omega) for every pair whose DFT minor is rank deficient, by _rank_deficient.
@@ -479,7 +479,7 @@ class _ClassBatch:
         Returns the hits and the number of classes the SVD fallback decided.
         """
         deficient, fallbacks = _rank_deficient(self.n, self.cols, self.rows)
-        return self.members(deficient), fallbacks
+        return _patterns(self.n, self.members(deficient)), fallbacks
 
 
 def _mask_rows(n: int, masks: np.ndarray, size: int) -> np.ndarray:
@@ -487,45 +487,56 @@ def _mask_rows(n: int, masks: np.ndarray, size: int) -> np.ndarray:
     return np.nonzero((masks[:, None] >> np.arange(n)) & 1)[1].reshape(len(masks), size)
 
 
-def _deficient_minors(
-    n: int, t_table: np.ndarray, t_idx: np.ndarray, r_table: np.ndarray, r_idx: np.ndarray
-):
-    """(T, Omega) for every rank-deficient length-n DFT minor of a batch, in batch order.
+def _patterns(n: int, pairs) -> list:
+    """(T, Omega) of each length-n pair (T, R): Omega is the complement of the row set R."""
+    everything = set(range(n))
+    return [(list(t), sorted(everything - set(r))) for t, r in pairs]
 
-    The batch is pair i = (t_table[t_idx[i]], r_table[r_idx[i]]), decided
-    once per symmetry class (_ClassBatch).  Returns the hits and the number
-    of classes the SVD fallback decided.
+
+def _necklace_scan(n: int, groups, frames=None):
+    """Decide every length-n pair (T, R) of each (|T|, |R|) group, one class at a time.
+
+    Translating T or R keeps every decider's verdict, so each group is one
+    _ClassBatch over the pairs of necklaces (sets whose mask is the
+    smallest of its rotations): every pair translates to exactly one.  The
+    classes are decided by the DFT minor (_rank_deficient) and, if frames
+    is (tau, omega), by the block rank test on those frames
+    (_deficient_blocks).  Each necklace pair a decider flags is expanded
+    to all of its translates, each listed once, in the (T, R) order of a
+    scan over every pair of the group.  Returns the pair count, one hit
+    list of (T, Omega) per decider (the minor's first) and the number of
+    classes the minor's SVD fallback decided.
     """
-    return _ClassBatch(n, t_table, t_idx, r_table, r_idx).deficient_minors()
+    is_necklace = _class_tables(n)[0][0] == np.arange(1 << n)
+    checked, fallbacks = 0, 0
+    hits = [[], []] if frames else [[]]  # one list per decider
+    for size_t, size_r in groups:
+        t_sets, r_sets = (_combos(n, k)[is_necklace[_combo_masks(n, k)]] for k in (size_t, size_r))
+        t_idx, r_idx = np.divmod(np.arange(len(t_sets) * len(r_sets)), len(r_sets))
+        batch = _ClassBatch(n, t_sets, t_idx, r_sets, r_idx)
+        deficient, decided = _rank_deficient(n, batch.cols, batch.rows)
+        verdicts = [deficient]
+        if frames:
+            comp_t = _complements(n, batch.cols)
+            verdicts.append(_deficient_blocks(*frames, comp_t, batch.rows).any(axis=1))
+        for found, flagged in zip(hits, verdicts):
+            orbit = set()
+            for t, r in batch.members(flagged):
+                orbit.update(itertools.product(_translates(n, t), _translates(n, r)))
+            found += _patterns(n, sorted(orbit))
+        fallbacks += decided
+        checked += math.comb(n, size_t) * math.comb(n, size_r)
+    return checked, hits, fallbacks
 
 
 def _layer_pairs_exhaustive(p: int):
-    """Scan every square minor in the layer |T| + |Omega| = p.
+    """The necklace scan of every square minor in the layer |T| + |Omega| = p.
 
-    Yields nothing for primes; a singular minor yields (T, Omega).  By
-    monotonicity in Omega this layer decides all patterns with smaller
-    support sums.  Translating T or R keeps the rank, so each size s is
-    decided in one batch over the pairs of necklaces (the size-s sets
-    minimal among their rotations), and every deficient pair is expanded
-    to all of its translates, each once, in the order (T, R) of a scan
-    over every pair.  Returns the pair count, sum of C(p, s)^2, the hits
-    and the number of classes the SVD fallback decided.
+    Finds no (T, Omega) for primes.  By monotonicity in Omega this layer
+    decides all patterns with smaller support sums.  Returns the pair count,
+    sum of C(p, s)^2, the hits and the SVD fallback's class count.
     """
-    rot_min = _class_tables(p)[0][0]
-    everything = set(range(p))
-    checked, hits, fallbacks = 0, [], 0
-    for s in range(1, p):
-        combos, masks = _combos(p, s), _combo_masks(p, s)
-        necklaces = combos[rot_min[masks] == masks]
-        t_idx, r_idx = np.divmod(np.arange(len(necklaces) ** 2), len(necklaces))
-        found, decided = _deficient_minors(p, necklaces, t_idx, necklaces, r_idx)
-        fallbacks += decided
-        orbit = set()
-        for t, omega in found:
-            r = everything - set(omega)
-            orbit.update(itertools.product(_translates(p, t), _translates(p, r)))
-        hits += [(list(t), sorted(everything - set(r))) for t, r in sorted(orbit)]
-        checked += len(combos) ** 2
+    checked, (hits,), fallbacks = _necklace_scan(p, [(s, s) for s in range(1, p)])
     return checked, hits, fallbacks
 
 
@@ -540,7 +551,7 @@ def _sampled_pairs(n: int, samples: int, seed: int):
     one s form one batch, decided as soon as its last group is drawn; the
     key is taken over every t at once, since translating R does not
     translate its prefix.  Only a size whose batch finds a deficient block
-    is re-decided in full, one _deficient_minors batch per (s, t) group, so
+    is re-decided in full, one _ClassBatch per (s, t) group, so
     the hits are those of the full minors, in draw order.  Returns the hits
     and the number of classes the SVD fallback decided, square batches and
     re-decided groups alike.
@@ -558,12 +569,13 @@ def _sampled_pairs(n: int, samples: int, seed: int):
         square = _combos(n, s)
         columns = np.concatenate([t_idx for _, t_idx, _ in drawn])
         lead = np.concatenate([_leading_rows(n, n - t, s)[r_idx] for t, _, r_idx in drawn])
-        found, decided = _deficient_minors(n, square, columns, square, lead)
+        found, decided = _ClassBatch(n, square, columns, square, lead).deficient_minors()
         fallbacks += decided
         if not found:
             continue
         for t, t_idx, r_idx in drawn:
-            found, decided = _deficient_minors(n, square, t_idx, _combos(n, n - t), r_idx)
+            batch = _ClassBatch(n, square, t_idx, _combos(n, n - t), r_idx)
+            found, decided = batch.deficient_minors()
             hits += found
             fallbacks += decided
     return hits, fallbacks
@@ -685,38 +697,25 @@ def _draw_trials(rng, shape: AlgebraShape, p: int, m: int):
 def _pattern_search(shape: AlgebraShape, p: int):
     """Decide every support pattern (T, Omega), |T| + |Omega| <= p, |T| < p, two ways.
 
-    The scalar way is the DFT minor on rows outside Omega and columns T
-    (_ClassBatch.deficient_minors); the frame way is support_pair_feasible's
-    block rank test on the standard and Fourier frames over A
-    (_deficient_blocks).  Each (|T|, |Omega|) group of patterns, in the
-    order (T, Omega), is keyed once (_ClassBatch), and both ways decide
-    only the pair each class key encodes.  That is sound for the frame way
-    too: its constraint stack is the rows e_j (x) I_n, j outside T, over the
-    rows conj(W[k]) (x) I_n, k in R (the Fourier frame is
-    kron(conj W, I_n)).  Translating T or R and the joint dilation
-    (uT, u^-1 R) change that stack only by row permutations, unit-modulus
-    row and column scalings and a column permutation, all unitary and
-    tensored with I_n, so no block's singular values move.  Returns the
-    pattern count and, in the order (|T|, T, |Omega|, Omega),
-    (T, Omega, scalar verdict, frame verdict) for every pattern that either
-    way finds feasible, and the number of classes the scalar way's SVD
-    fallback decided.
+    One _necklace_scan over the groups (|T|, |R|) = (|T|, p - |Omega|), R
+    the complement of Omega.  The scalar way is the DFT minor on rows R and
+    columns T; the frame way is support_pair_feasible's block rank test on
+    the standard and Fourier frames over A (_deficient_blocks).  Deciding
+    one pair per class is sound for the frame way too: its constraint stack
+    is the rows e_j (x) I_n, j outside T, over the rows conj(W[k]) (x) I_n,
+    k in R (the Fourier frame is kron(conj W, I_n)).  Translating T or R
+    and the joint dilation (uT, u^-1 R) change that stack only by row
+    permutations, unit-modulus row and column scalings and a column
+    permutation, all unitary and tensored with I_n, so no block's singular
+    values move.  Returns the pattern count and, in the order
+    (|T|, T, |Omega|, Omega), (T, Omega, scalar verdict, frame verdict) for
+    every pattern that either way finds feasible, and the number of classes
+    the scalar way's SVD fallback decided.
     """
-    std, fourier = standard_frame(shape, p), fourier_frame(shape, p)
-    checked = fallbacks = 0
-    scalar, by_frames = set(), set()
-    for size_t in range(1, p):
-        t_sets = _combos(p, size_t)
-        for size_o in range(1, p - size_t + 1):
-            r_sets = _complements(p, _combos(p, size_o))
-            t_idx, o_idx = np.divmod(np.arange(len(t_sets) * len(r_sets)), len(r_sets))
-            batch = _ClassBatch(p, t_sets, t_idx, r_sets, o_idx)
-            hits, decided = batch.deficient_minors()
-            fallbacks += decided
-            feasible = _deficient_blocks(std, fourier, _complements(p, batch.cols), batch.rows)
-            scalar.update((tuple(t), tuple(o)) for t, o in hits)
-            by_frames.update((tuple(t), tuple(o)) for t, o in batch.members(feasible.any(axis=1)))
-            checked += len(t_idx)
+    frames = standard_frame(shape, p), fourier_frame(shape, p)
+    groups = [(size_t, p - size_o) for size_t in range(1, p) for size_o in range(1, p - size_t + 1)]
+    checked, hits, fallbacks = _necklace_scan(p, groups, frames)
+    scalar, by_frames = ({(tuple(t), tuple(o)) for t, o in found} for found in hits)
     flagged = sorted(scalar | by_frames, key=lambda to: (len(to[0]), to[0], len(to[1]), to[1]))
     flagged = [(list(t), list(o), (t, o) in scalar, (t, o) in by_frames) for t, o in flagged]
     return checked, flagged, fallbacks
@@ -747,8 +746,8 @@ def tao_min_sum(
     """Minimum of ||x||_0 + ||x_hat||_0 over nonzero scalar x of length p.
 
     Exhaustive mode decides every square DFT minor in the critical layer
-    |T| + |Omega| = p, which settles all smaller support sums as well, from
-    one batch per layer over the necklace pairs (see _layer_pairs_exhaustive).
+    |T| + |Omega| = p, which settles all smaller support sums as well, by
+    the necklace scan over the groups (|T|, |R|) = (s, s) (_necklace_scan).
     Sampled mode tests `samples` random support pairs by the same minor
     criterion.  Each pair draws s = |T| uniform on [1, p - 1], then
     t = |Omega| uniform on [1, p - s], then T uniform among the s-subsets
@@ -865,15 +864,14 @@ def conjecture_audit(
     for done in range(0, trials, chunk):
         m = min(chunk, trials - done)
         x_blocks, x_norms = _draw_trials(rng, shape, p, m)
-        # x_hat_k = sum_j w[k, j] x_j for every trial at once: one GEMM per block
+        # x_hat_k = sum_j w[k, j] x_j for every trial at once: one GEMM per block,
+        # kept as its contiguous (p, m, n, n) output; the (p, m) norms are transposed
         h_blocks = [
-            (w @ xb.transpose(1, 0, 2, 3).reshape(p, -1))
-            .reshape(p, m, n, n)
-            .transpose(1, 0, 2, 3)
+            (w @ xb.transpose(1, 0, 2, 3).reshape(p, -1)).reshape(p, m, n, n)
             for n, xb in zip(shape.block_dims, x_blocks)
         ]
         x_supp = _support_mask(x_norms, rel_tol)
-        h_supp = _support_mask(_entry_norms(h_blocks), rel_tol)
+        h_supp = _support_mask(_entry_norms(h_blocks).T, rel_tol)
         sums = x_supp.sum(axis=1) + h_supp.sum(axis=1)
         batch_min = int(sums.min())
         if min_sum is None or batch_min < min_sum:

@@ -394,9 +394,22 @@ def layer_batch(n, s, r):
 
 
 def decide_batch(n, cols, rows):
-    """_deficient_minors on the batch of pairs (cols[i], rows[i]), each array its own table."""
+    """_ClassBatch.deficient_minors on the pairs (cols[i], rows[i]), each array its own table."""
     pairs = np.arange(len(cols))
-    return ncft._deficient_minors(n, cols, pairs, rows, pairs)
+    return ncft._ClassBatch(n, cols, pairs, rows, pairs).deficient_minors()
+
+
+def spy_batches(monkeypatch):
+    """Record (|T|, |R|, pair count) of every _ClassBatch the scans build."""
+    batches = []
+
+    class CountingBatch(ncft._ClassBatch):
+        def __init__(self, n, t_table, t_idx, r_table, r_idx):
+            batches.append((t_table.shape[1], r_table.shape[1], len(t_idx)))
+            super().__init__(n, t_table, t_idx, r_table, r_idx)
+
+    monkeypatch.setattr(ncft, "_ClassBatch", CountingBatch)
+    return batches
 
 
 def subset_masks(sets):
@@ -576,17 +589,10 @@ def test_exhaustive_scan_decides_each_class_once(monkeypatch):
     # class of every pair (T, R) is decided exactly once.
     p = 7
     orbits = sum(count_orbits(p, *layer_batch(p, s, s)) for s in range(1, p))
-    batches = []
-    scan = ncft._deficient_minors
-
-    def counting_batches(n, t_table, t_idx, r_table, r_idx):
-        cols = t_table[t_idx]
-        batches.append(len(cols))
-        return scan(n, t_table, t_idx, r_table, r_idx)
-
-    monkeypatch.setattr(ncft, "_deficient_minors", counting_batches)
+    spied = spy_batches(monkeypatch)
     decided = count_decided(monkeypatch)
     checked, hits, _ = ncft._layer_pairs_exhaustive(p)
+    batches = [pairs for _, _, pairs in spied]
     assert len(batches) == p - 1
     assert batches == [(comb(p, s) // p) ** 2 for s in range(1, p)]  # necklace pairs only
     assert checked == comb(2 * p, p) - 2
@@ -848,7 +854,7 @@ def test_sampled_scan_is_exact_at_composite_lengths(monkeypatch, n):
         t_table, r_table = ncft._combos(n, s), ncft._combos(n, n - t)
         cols, rows = t_table[t_idx], r_table[r_idx]
         expected += oracle_deficient_minors(w, cols, rows, ncft.RANK_TOL)
-        per_group += ncft._deficient_minors(n, t_table, t_idx, r_table, r_idx)[0]
+        per_group += ncft._ClassBatch(n, t_table, t_idx, r_table, r_idx).deficient_minors()[0]
         square_hits += len(oracle_deficient_minors(w, cols, rows[:, :s], ncft.RANK_TOL))
     assert hits == expected == per_group
     assert 0 < len(hits) < square_hits
@@ -860,16 +866,10 @@ def test_sampled_scan_decides_each_square_class_once(monkeypatch):
     # classes of the full pairs (T, R).
     p = 11
     drawn = record_draws(monkeypatch)
-    batches = []
-    scan = ncft._deficient_minors
-
-    def counting_batches(n, t_table, t_idx, r_table, r_idx):
-        batches.append(t_table.shape[1])
-        return scan(n, t_table, t_idx, r_table, r_idx)
-
-    monkeypatch.setattr(ncft, "_deficient_minors", counting_batches)
+    spied = spy_batches(monkeypatch)
     decided = count_decided(monkeypatch)
     report = tao_min_sum(p, mode="sampled", samples=2000, seed=9)
+    batches = [size_t for size_t, _, _ in spied]
     by_size, full_classes = {}, 0
     for s, t, t_idx, r_idx in drawn:
         cols, rows = ncft._combos(p, s)[t_idx], ncft._combos(p, p - t)[r_idx]
@@ -1039,16 +1039,29 @@ def test_subset_table_rows_are_combos_by_size():
         ]
 
 
-@pytest.mark.parametrize("dims", [(1,), (2,), (3,), (1, 2)], ids=["C", "M2", "M3", "C+M2"])
+@pytest.mark.parametrize(
+    "dims", [(1,), (2,), (3,), (1, 2), (4, 4, 8)], ids=["C", "M2", "M3", "C+M2", "448"]
+)
 def test_drawn_entry_norms_equal_dense_norms_bit_for_bit(dims):
     # The x-side norms come from the drawn entries alone; scattered among
-    # zeros they are the norms of the dense stack, bit for bit.
+    # zeros they are the norms of the dense stack, bit for bit.  The
+    # Fourier-side norms are taken on each block's contiguous (p, m, n, n)
+    # GEMM output and transposed; they are the norms of its (m, p, n, n)
+    # view, bit for bit.
     shape, rng = AlgebraShape(dims), np.random.default_rng(23)
     for p in (2, 5, 13):
+        w = dft_matrix(p)
         for m in (1, 7, trial_chunk(shape, p)):
             x_blocks, norms = ncft._draw_trials(rng, shape, p, m)
             dense = ncft._entry_norms(x_blocks)
             assert norms.view(np.uint64).tolist() == dense.view(np.uint64).tolist()
+            h_blocks = [
+                (w @ xb.transpose(1, 0, 2, 3).reshape(p, -1)).reshape(p, m, n, n)
+                for n, xb in zip(dims, x_blocks)
+            ]
+            contiguous = ncft._entry_norms(h_blocks).T
+            view = ncft._entry_norms([hb.transpose(1, 0, 2, 3) for hb in h_blocks])
+            assert contiguous.view(np.uint64).tolist() == view.view(np.uint64).tolist()
 
 
 def test_conjecture_violation_names_its_global_trial(monkeypatch):
@@ -1096,26 +1109,21 @@ def test_conjecture_random_layer_memory():
 
 
 def test_conjecture_crosscheck_is_live(monkeypatch, tmp_path):
-    # Flip the scalar verdict for one pattern inside the batched minor scan:
-    # the frame-level check must disagree with it, so the audit cannot pass
-    # by comparing the minor test with itself.
-    original = ncft._ClassBatch.deficient_minors
+    # Flip the scalar verdict for one pattern where the necklace scan lists
+    # the minor's hits, after expansion to translates: the frame-level check
+    # must disagree with it, so the audit cannot pass by comparing the minor
+    # test with itself.  R = {1, 2} is not a necklace, so the flip cannot
+    # act on the decided classes.
+    original = ncft._necklace_scan
     target = ([0], [0])
 
-    def flipped(batch):
-        cols, rows = batch.t_table[batch.t_idx], batch.r_table[batch.r_idx]
-        hits, fallbacks = original(batch)
-        everything = list(range(batch.n))
-        in_batch = any(
-            c == target[0] and r == everything[1:] for c, r in zip(cols.tolist(), rows.tolist())
-        )
-        if not in_batch:
-            return hits, fallbacks
-        if target in hits:
-            return [hit for hit in hits if hit != target], fallbacks
-        return [target] + hits, fallbacks
+    def flipped(n, groups, frames=None):
+        checked, (hits, *others), fallbacks = original(n, groups, frames)
+        if (1, n - 1) in groups:  # the group of T = {0}, R = {1, ..., n - 1}
+            hits = [hit for hit in hits if hit != target] if target in hits else [target] + hits
+        return checked, [hits, *others], fallbacks
 
-    monkeypatch.setattr(ncft._ClassBatch, "deficient_minors", flipped)
+    monkeypatch.setattr(ncft, "_necklace_scan", flipped)
     report = conjecture_audit(M2, 3, trials=50)
     assert report["reduction_crosscheck_agreed"] is False
     assert report["holds"] is False
@@ -1177,6 +1185,32 @@ def test_frame_side_singular_values_are_class_invariant(dims, n):
         of_class = np.searchsorted(batch.classes, batch.keys)
         for member, representative in zip(members, representatives):
             assert np.abs(member - representative[of_class]).max() <= 1e-12
+
+
+def test_pattern_search_keys_only_necklace_pairs(monkeypatch):
+    # Each (|T|, |R|) group is one batch over its necklace pairs, as in the
+    # square layer: N(p, |T|) N(p, |R|) pairs, with N(p, k) = C(p, k) / p
+    # necklaces of size k at a prime p, and still every pattern is counted.
+    p = 7
+    batches = spy_batches(monkeypatch)
+    checked, flagged, _ = ncft._pattern_search(M2, p)
+    groups = [(s, p - o) for s in range(1, p) for o in range(1, p - s + 1)]
+    assert batches == [(s, r, comb(p, s) // p * (comb(p, r) // p)) for s, r in groups]
+    assert checked == sum(comb(p, s) * comb(p, r) for s, r in groups) == 9653
+    assert flagged == []
+
+
+def test_pattern_search_memory():
+    # Keying every pattern of a group held (patterns,) key and index arrays:
+    # an 18 MiB peak at p = 11.  Necklace pairs need a fraction of that.
+    ncft._pattern_search(M2, 11)  # the cached tables are built outside the measurement
+    tracemalloc.start()
+    try:
+        ncft._pattern_search(M2, 11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
 
 
 def test_pattern_search_decides_frames_once_per_class(monkeypatch):
