@@ -143,7 +143,7 @@ def _element_payload(payload, where: str) -> tuple[AlgebraShape, list]:
     for key in ("shape", "blocks"):
         if key not in payload:
             raise InputError(f"{where}: missing key {key!r}")
-    shape = _shape_from_payload(payload["shape"], where)
+    shape = _shape_from_payload(payload["shape"], where, "shape")
     raw = payload["blocks"]
     if not isinstance(raw, list) or len(raw) != shape.num_blocks:
         raise InputError(f"{where}: 'blocks' must be a list of {shape.num_blocks} blocks")
@@ -186,9 +186,15 @@ def _decode_matrices(raws: list, n: int, locate) -> np.ndarray:
     return arr.view(np.complex128)[..., 0]
 
 
-def _shape_from_payload(raw, where: str) -> AlgebraShape:
-    if not isinstance(raw, list) or not all(isinstance(n, int) for n in raw):
-        raise InputError(f"{where}: 'shape' must be a list of integers")
+def _json_int(value) -> bool:
+    """Is a decoded JSON value an integer?  Python's bool is an int, but true is not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _shape_from_payload(raw, where: str, key: str) -> AlgebraShape:
+    """The shape a JSON list of block dimensions names; key is its name in the payload."""
+    if not isinstance(raw, list) or not all(map(_json_int, raw)):
+        raise InputError(f"{where}: {key!r} must be a list of integers")
     try:
         return AlgebraShape(tuple(raw))
     except InputError as exc:

@@ -51,6 +51,10 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise InputError(f"{path}: cannot read file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text: {exc.reason}") from exc
+    except RecursionError as exc:
+        raise InputError(f"{path}: JSON nested too deeply to read") from exc
     except json.JSONDecodeError as exc:
         raise InputError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"

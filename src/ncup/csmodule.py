@@ -32,6 +32,7 @@ from .algebra import (
     _element_payload,
     _encode_matrices,
     _entry_norms,
+    _json_int,
     norm,
 )
 from .errors import InputError, SingularOperatorError
@@ -124,7 +125,7 @@ def _parse_vector(payload, where: str) -> tuple[AlgebraShape, list]:
             )
         entries.append(blocks)
     declared = payload["shape"]
-    if declared != shape.to_list():
+    if declared != shape.to_list() or not all(map(_json_int, declared)):
         raise InputError(
             f"{where}: declared shape {declared} does not match entries "
             f"{shape.to_list()}"

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import AlgebraShape, _entry_norms
+from .algebra import AlgebraShape, _entry_norms, _json_int, _shape_from_payload
 from .csmodule import (
     ModuleOperator,
     ModuleVector,
@@ -166,15 +166,9 @@ class ModularFrame:
         for key in ("algebra", "d", "vectors", "parseval"):
             if key not in payload:
                 raise InputError(f"{where}: missing key {key!r}")
-        algebra = payload["algebra"]
-        if not isinstance(algebra, list) or not all(isinstance(n, int) for n in algebra):
-            raise InputError(f"{where}: 'algebra' must be a list of integers")
-        try:
-            shape = AlgebraShape(tuple(algebra))
-        except InputError as exc:
-            raise InputError(f"{where}: {exc}") from exc
+        shape = _shape_from_payload(payload["algebra"], where, "algebra")
         d = payload["d"]
-        if not isinstance(d, int) or d < 1:
+        if not _json_int(d) or d < 1:
             raise InputError(f"{where}: 'd' must be a positive integer")
         raw = payload["vectors"]
         if not isinstance(raw, list) or not raw:

@@ -29,13 +29,12 @@ by b multiplies column j by e^(-2 pi i jb/n), and for a unit u mod n
 W[u^-1 k, u j] = W[k, j], so (T, R) -> (uT, u^-1 R) only permutes rows and
 columns.  None of these moves the singular values, so every minor in a
 class gets the verdict of one member: the pair that the class key
-encodes.  A batch is two index tables and one index array per side, pair
-i being the column set t_table[t_idx[i]] and the row set
-r_table[r_idx[i]]; pairs are keyed from the tables' subset masks, and only
-class representatives and hits are built as index rows.  The key is found
-T-first with table lookups only: its T half is minimized first, since the
-R half is below 2^n, and the R half is then minimized over the stabilizer
-of T from that stabilizer's own table.
+encodes.  Every set travels as its n-bit mask, from draw to decision: a
+batch is one array of T masks and one of R masks, pairs are keyed from
+those masks, and only class representatives and hits are built as index
+rows (_mask_rows).  The key is found T-first with table lookups only: its
+T half is minimized first, since the R half is below 2^n, and the R half
+is then minimized over the stabilizer of T from that stabilizer's own table.
 
 Both exhaustive searches are one scan (_necklace_scan): tao's critical
 layer over the groups (|T|, |R|) = (s, s), and conjecture's structured
@@ -44,7 +43,8 @@ decider.  Each group is one batch over the pairs of necklaces (sets
 minimal among their rotations), since every pair translates to one, and
 each flagged necklace pair is expanded to all of its translates.  The
 sampled scan decides each drawn pair (T, R) through its leading square
-block (T, R[:|T|]), one batch per |T| over the pairs of every |Omega|: a
+block (T, R[:|T|]), whose row mask is the lowest |T| set bits of R's
+(_lowest_bits), one batch per |T| over the pairs of every |Omega|: a
 nonsingular square block gives the tall minor full column rank, and at a
 prime length every square block is nonsingular.  A size whose batch finds
 a deficient block is re-decided in full, one batch per (|T|, |Omega|).
@@ -444,34 +444,34 @@ def _exact_summary(n: int, float_fallbacks: int) -> dict:
 class _ClassBatch:
     """A batch of length-n (T, R) pairs, keyed once by symmetry class.
 
-    Pair i is the column set T = t_table[t_idx[i]] and the row set
-    R = r_table[r_idx[i]], with |R| >= |T|; Omega is the complement of R.
-    Pairs are keyed by their subset masks (_class_keys), so no per-pair
-    index rows are built.  A key fixes |T| and |R|, and it encodes a member
-    of its class: the rotation-minimal u*T and u^-1*R at a minimizing unit
-    u.  Row c of cols and rows is that pair for the c-th smallest key, so a
-    decider that sees only singular values decides each class once, from
-    cols and rows.  Pairs are matched to their class (members) only when
-    some class is flagged, which never happens at a prime length.
+    Pair i is the column set T with n-bit mask t_masks[i] and the row set R
+    with mask r_masks[i]; all T share one size, all R one size |R| >= |T|,
+    and Omega is the complement of R.  Pairs are keyed by their masks
+    (_class_keys), with no per-pair index rows.  A key fixes |T| and |R|,
+    and it encodes a member of its class: the rotation-minimal u*T and
+    u^-1*R at a minimizing unit u.  Row c of cols and rows is that pair for
+    the c-th smallest key, so a decider that sees only singular values
+    decides each class once, from cols and rows.  Pairs are matched to their
+    class (members) only when some class is flagged, never at a prime length.
     """
 
-    def __init__(self, n: int, t_table, t_idx, r_table, r_idx):
-        self.n, self.t_table, self.t_idx = n, t_table, t_idx
-        self.r_table, self.r_idx = r_table, r_idx
-        self.keys = _class_keys(n, _masks(n, t_table)[t_idx], _masks(n, r_table)[r_idx])
+    def __init__(self, n: int, t_masks: np.ndarray, r_masks: np.ndarray):
+        self.n, self.t_masks, self.r_masks = n, t_masks, r_masks
+        self.keys = _class_keys(n, t_masks, r_masks)
         # Sorted distinct keys by one sort: np.unique without return values
         # takes numpy's hash path, which is slower and imports numpy.ma.
         ordered = np.sort(self.keys)
         self.classes = ordered[np.diff(ordered, prepend=-1) > 0]
-        self.cols = _mask_rows(n, self.classes >> n, t_table.shape[1])
-        self.rows = _mask_rows(n, self.classes & ((1 << n) - 1), r_table.shape[1])
+        self.cols = _mask_rows(n, self.classes >> n)
+        self.rows = _mask_rows(n, self.classes & ((1 << n) - 1))
 
     def members(self, flagged: np.ndarray) -> list:
         """(T, R) of every pair whose class is flagged, in batch order, as lists."""
         if not flagged.any():
             return []
         i = np.flatnonzero(flagged[np.searchsorted(self.classes, self.keys)])
-        return list(zip(self.t_table[self.t_idx[i]].tolist(), self.r_table[self.r_idx[i]].tolist()))
+        t_rows, r_rows = _mask_rows(self.n, self.t_masks[i]), _mask_rows(self.n, self.r_masks[i])
+        return list(zip(t_rows.tolist(), r_rows.tolist()))
 
     def deficient_minors(self):
         """(T, Omega) for every pair whose DFT minor is rank deficient, by _rank_deficient.
@@ -482,9 +482,17 @@ class _ClassBatch:
         return _patterns(self.n, self.members(deficient)), fallbacks
 
 
-def _mask_rows(n: int, masks: np.ndarray, size: int) -> np.ndarray:
-    """Row i lists the set bits of masks[i], ascending; every mask has `size` of its n bits set."""
-    return np.nonzero((masks[:, None] >> np.arange(n)) & 1)[1].reshape(len(masks), size)
+def _mask_rows(n: int, masks: np.ndarray) -> np.ndarray:
+    """Row i lists the set bits of the n-bit masks[i], ascending; every mask has as many set."""
+    return np.nonzero((masks[:, None] >> np.arange(n)) & 1)[1].reshape(len(masks), -1)
+
+
+def _lowest_bits(masks: np.ndarray, s: int) -> np.ndarray:
+    """The lowest s set bits of each mask, each having at least s, in s elementwise passes."""
+    rest = masks
+    for _ in range(s):
+        rest = rest & (rest - 1)  # clears the lowest set bit
+    return masks ^ rest
 
 
 def _patterns(n: int, pairs) -> list:
@@ -511,13 +519,13 @@ def _necklace_scan(n: int, groups, frames=None):
     checked, fallbacks = 0, 0
     hits = [[], []] if frames else [[]]  # one list per decider
     for size_t, size_r in groups:
-        t_sets, r_sets = (_combos(n, k)[is_necklace[_combo_masks(n, k)]] for k in (size_t, size_r))
-        t_idx, r_idx = np.divmod(np.arange(len(t_sets) * len(r_sets)), len(r_sets))
-        batch = _ClassBatch(n, t_sets, t_idx, r_sets, r_idx)
+        t_sets, r_sets = _combo_masks(n, size_t), _combo_masks(n, size_r)
+        t_sets, r_sets = t_sets[is_necklace[t_sets]], r_sets[is_necklace[r_sets]]
+        batch = _ClassBatch(n, np.repeat(t_sets, len(r_sets)), np.tile(r_sets, len(t_sets)))
         deficient, decided = _rank_deficient(n, batch.cols, batch.rows)
         verdicts = [deficient]
         if frames:
-            comp_t = _complements(n, batch.cols)
+            comp_t = _mask_rows(n, ((1 << n) - 1) ^ (batch.classes >> n))
             verdicts.append(_deficient_blocks(*frames, comp_t, batch.rows).any(axis=1))
         for found, flagged in zip(hits, verdicts):
             orbit = set()
@@ -544,8 +552,9 @@ def _sampled_pairs(n: int, samples: int, seed: int):
     """Decide `samples` random length-n support pairs (the sampled law of tao_min_sum).
 
     The sizes are drawn first, then each (|T|, |Omega|) = (s, t) group's
-    pairs in sorted (s, t) order (_draw_group).  Every pair is offered
-    through its leading square block W[R[:s], T]: a tall minor with a
+    pairs in sorted (s, t) order (_draw_group), as masks.  Every pair is
+    offered through its leading square block W[R[:s], T], whose row mask
+    is the lowest s set bits of R's (_lowest_bits): a tall minor with a
     nonsingular square block has full column rank, and at a prime length
     every square block is nonsingular.  The square blocks of all groups of
     one s form one batch, decided as soon as its last group is drawn; the
@@ -565,27 +574,24 @@ def _sampled_pairs(n: int, samples: int, seed: int):
     s_codes, t_codes = np.divmod(codes, n)
     groups = zip(s_codes.tolist(), t_codes.tolist(), sizes.tolist())
     for s, same_s in itertools.groupby(groups, key=lambda group: group[0]):
-        drawn = [(t, *_draw_group(rng, n, s, t, m)) for _, t, m in same_s]
-        square = _combos(n, s)
-        columns = np.concatenate([t_idx for _, t_idx, _ in drawn])
-        lead = np.concatenate([_leading_rows(n, n - t, s)[r_idx] for t, _, r_idx in drawn])
-        found, decided = _ClassBatch(n, square, columns, square, lead).deficient_minors()
+        drawn = [_draw_group(rng, n, s, t, m) for _, t, m in same_s]
+        columns, rows = (np.concatenate(side) for side in zip(*drawn))
+        found, decided = _ClassBatch(n, columns, _lowest_bits(rows, s)).deficient_minors()
         fallbacks += decided
         if not found:
             continue
-        for t, t_idx, r_idx in drawn:
-            batch = _ClassBatch(n, square, t_idx, _combos(n, n - t), r_idx)
-            found, decided = batch.deficient_minors()
+        for t_masks, r_masks in drawn:
+            found, decided = _ClassBatch(n, t_masks, r_masks).deficient_minors()
             hits += found
             fallbacks += decided
     return hits, fallbacks
 
 
 def _draw_group(rng, n: int, s: int, t: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """m uniform pairs with |T| = s and |Omega| = t: rows of _combos(n, s) and _combos(n, n - t)."""
-    t_idx = rng.integers(len(_combos(n, s)), size=m)
-    r_idx = rng.integers(len(_combos(n, n - t)), size=m)
-    return t_idx, r_idx
+    """m uniform pairs with |T| = s and |Omega| = t: entries of _combo_masks(n, s), (n, n - t)."""
+    t_masks = _combo_masks(n, s)[rng.integers(math.comb(n, s), size=m)]
+    r_masks = _combo_masks(n, n - t)[rng.integers(math.comb(n, n - t), size=m)]
+    return t_masks, r_masks
 
 
 def _translates(n: int, indices) -> set[tuple[int, ...]]:
@@ -607,39 +613,6 @@ def _combo_masks(n: int, size: int) -> np.ndarray:
     masks = (1 << _combos(n, size)).sum(axis=1)
     masks.setflags(write=False)  # shared by every caller through the cache
     return masks
-
-
-@functools.lru_cache(maxsize=None)
-def _leading_rows(n: int, size: int, s: int) -> np.ndarray:
-    """Row of _combos(n, s) that holds the first s entries of each row of _combos(n, size).
-
-    The lexicographic rank of c_0 < ... < c_(s-1) among the s-subsets is
-    the sum over i of C(n - 1 - c_(i-1), s - i) - C(n - c_i, s - i), with
-    c_(-1) = -1: the subsets that agree before position i and are smaller
-    at it.  Built on first use.
-    """
-    prefix = _combos(n, size)[:, :s]
-    previous = np.hstack([np.full((len(prefix), 1), -1), prefix[:, :-1]])
-    binom = np.array([[math.comb(m, k) for k in range(s + 1)] for m in range(n + 1)])
-    k = s - np.arange(s)
-    rows = (binom[n - 1 - previous, k] - binom[n - prefix, k]).sum(axis=1)
-    rows.setflags(write=False)  # shared by every caller through the cache
-    return rows
-
-
-def _masks(n: int, table: np.ndarray) -> np.ndarray:
-    """The n-bit mask of each row of an index table, from the cache for a _combos table."""
-    size = table.shape[1]
-    if table is _combos(n, size):
-        return _combo_masks(n, size)
-    return (1 << table).sum(axis=1)
-
-
-def _complements(n: int, sets: np.ndarray) -> np.ndarray:
-    """Row i lists range(n) minus the indices in sets[i], ascending."""
-    keep = np.ones((len(sets), n), dtype=bool)
-    keep[np.arange(len(sets))[:, None], sets] = False
-    return np.nonzero(keep)[1].reshape(len(sets), -1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -752,9 +725,9 @@ def tao_min_sum(
     criterion.  Each pair draws s = |T| uniform on [1, p - 1], then
     t = |Omega| uniform on [1, p - s], then T uniform among the s-subsets
     and the row set R uniform among the (p - t)-subsets, so Omega, the
-    complement of R, is a uniform t-subset; T and R are rows of _combos
-    picked by one uniform index each.  Each pair is decided through its
-    leading square block, one batch per s (see _sampled_pairs), and
+    complement of R, is a uniform t-subset; T and R are masks picked from
+    _combo_masks by one uniform index each.  Each pair is decided through
+    its leading square block, one batch per s (see _sampled_pairs), and
     float_fallbacks counts the square classes the SVD decided, plus any
     full classes of a size re-decided in full.  For prime p all minors are
     nonsingular, so the minimum is p + 1, attained by the spike at 0, and

@@ -90,16 +90,20 @@ def test_certify_missing_file(tmp_path, comb_files):
 
 
 def test_certify_malformed_json(tmp_path, comb_files):
+    # Invalid JSON, bytes that are not UTF-8 and nesting deeper than the
+    # decoder's recursion limit each give one error line, not a traceback.
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    proc = run_cli(
-        "certify",
-        "--frame-tau", str(bad),
-        "--frame-omega", str(comb_files["omega"]),
-        "--vector", str(comb_files["x"]),
-    )
-    assert proc.returncode == 2
-    assert "bad.json" in proc.stderr
+    for content in (b"{not json", b'\xff\xfe{"d": 4}', b"[" * 200_000 + b"]" * 200_000):
+        bad.write_bytes(content)
+        proc = run_cli(
+            "certify",
+            "--frame-tau", str(bad),
+            "--frame-omega", str(comb_files["omega"]),
+            "--vector", str(comb_files["x"]),
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"ncup: error: {bad}: ")
+        assert proc.stderr.count("\n") == 1
 
 
 def test_certify_non_parseval_input(tmp_path, comb_files):

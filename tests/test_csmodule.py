@@ -263,6 +263,15 @@ def test_vector_json_errors():
         ModuleVector.from_dict(
             {"shape": [2], "entries": [{"shape": [1], "blocks": [[[[1.0, 0.0]]]]}]}
         )
+    # JSON true is not the integer 1, in an entry's shape or the declared one
+    with pytest.raises(InputError, match="entry 0: 'shape' must be a list of integers"):
+        ModuleVector.from_dict(
+            {"shape": [1], "entries": [{"shape": [True], "blocks": [[[[1.0, 0.0]]]]}]}
+        )
+    with pytest.raises(InputError, match="declared shape"):
+        ModuleVector.from_dict(
+            {"shape": [True], "entries": [{"shape": [1], "blocks": [[[[1.0, 0.0]]]]}]}
+        )
     for block in ([[[1.0, 0.0]], []], [[[1.0]]], [[["1.0", "0.0"]]], [[[float("inf"), 0.0]]]):
         payload = {
             "shape": [1],

@@ -444,8 +444,26 @@ def _mix_entry_shapes(payload):
         (lambda p: p.update(algebra=[1.5]), "'algebra' must be a list of integers"),
         (lambda p: p.update(vectors=[]), "'vectors' must be a nonempty list"),
         (lambda p: p.update(parseval="yes"), "'parseval' must be a boolean"),
+        # JSON true and false are not integers, although Python's bool is an int
+        (lambda p: p.update(d=True), "'d' must be a positive integer"),
+        (lambda p: p.update(algebra=[True]), "'algebra' must be a list of integers"),
+        (
+            lambda p: p["vectors"][1]["entries"][0].update(shape=[True]),
+            "vector 1: entry 0: 'shape' must be a list of integers",
+        ),
     ],
-    ids=["shape", "entry-count", "non-object", "mixed-entries", "algebra", "empty", "parseval"],
+    ids=[
+        "shape",
+        "entry-count",
+        "non-object",
+        "mixed-entries",
+        "algebra",
+        "empty",
+        "parseval",
+        "d-boolean",
+        "algebra-boolean",
+        "entry-shape-boolean",
+    ],
 )
 def test_frame_json_error_lines(fault, message):
     payload = _standard_payload()

@@ -394,9 +394,8 @@ def layer_batch(n, s, r):
 
 
 def decide_batch(n, cols, rows):
-    """_ClassBatch.deficient_minors on the pairs (cols[i], rows[i]), each array its own table."""
-    pairs = np.arange(len(cols))
-    return ncft._ClassBatch(n, cols, pairs, rows, pairs).deficient_minors()
+    """_ClassBatch.deficient_minors on the pairs (cols[i], rows[i])."""
+    return ncft._ClassBatch(n, subset_masks(cols), subset_masks(rows)).deficient_minors()
 
 
 def spy_batches(monkeypatch):
@@ -404,9 +403,10 @@ def spy_batches(monkeypatch):
     batches = []
 
     class CountingBatch(ncft._ClassBatch):
-        def __init__(self, n, t_table, t_idx, r_table, r_idx):
-            batches.append((t_table.shape[1], r_table.shape[1], len(t_idx)))
-            super().__init__(n, t_table, t_idx, r_table, r_idx)
+        def __init__(self, n, t_masks, r_masks):
+            sizes = (bin(int(masks[0])).count("1") for masks in (t_masks, r_masks))
+            batches.append((*sizes, len(t_masks)))
+            super().__init__(n, t_masks, r_masks)
 
     monkeypatch.setattr(ncft, "_ClassBatch", CountingBatch)
     return batches
@@ -415,6 +415,11 @@ def spy_batches(monkeypatch):
 def subset_masks(sets):
     """The bit mask of each row of an index array."""
     return (1 << sets).sum(axis=1)
+
+
+def mask_sets(n, masks):
+    """The index array whose row i lists the set bits of the n-bit masks[i], ascending."""
+    return np.array([[j for j in range(n) if mask >> j & 1] for mask in masks.tolist()])
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9, 10])
@@ -786,13 +791,13 @@ def within_chi_square_bound(observed, expected):
 
 
 def record_draws(monkeypatch):
-    """Record (s, t, t_idx, r_idx) for every group the sampled scan draws, in draw order."""
+    """Record (s, t, T rows, R rows) for every group the sampled scan draws, in draw order."""
     draw, drawn = ncft._draw_group, []
 
     def record(rng, n, s, t, m):
-        t_idx, r_idx = draw(rng, n, s, t, m)
-        drawn.append((s, t, t_idx, r_idx))
-        return t_idx, r_idx
+        t_masks, r_masks = draw(rng, n, s, t, m)
+        drawn.append((s, t, mask_sets(n, t_masks), mask_sets(n, r_masks)))
+        return t_masks, r_masks
 
     monkeypatch.setattr(ncft, "_draw_group", record)
     return drawn
@@ -805,9 +810,7 @@ def test_sampled_draw_law(monkeypatch):
     p, samples = 7, 20_000
     drawn = record_draws(monkeypatch)
     report = tao_min_sum(p, mode="sampled", samples=samples, seed=5)
-    offered = [
-        (ncft._combos(p, s)[t_idx], ncft._combos(p, p - t)[r_idx]) for s, t, t_idx, r_idx in drawn
-    ]
+    offered = [(cols, rows) for _, _, cols, rows in drawn]
 
     groups = np.zeros((p, p), dtype=int)
     drawn = {"T": {}, "R": {}}
@@ -850,11 +853,9 @@ def test_sampled_scan_is_exact_at_composite_lengths(monkeypatch, n):
     hits, _ = ncft._sampled_pairs(n, 3000, 5)
     w = dft_matrix(n)
     expected, per_group, square_hits = [], [], 0
-    for s, t, t_idx, r_idx in drawn:
-        t_table, r_table = ncft._combos(n, s), ncft._combos(n, n - t)
-        cols, rows = t_table[t_idx], r_table[r_idx]
+    for s, t, cols, rows in drawn:
         expected += oracle_deficient_minors(w, cols, rows, ncft.RANK_TOL)
-        per_group += ncft._ClassBatch(n, t_table, t_idx, r_table, r_idx).deficient_minors()[0]
+        per_group += decide_batch(n, cols, rows)[0]
         square_hits += len(oracle_deficient_minors(w, cols, rows[:, :s], ncft.RANK_TOL))
     assert hits == expected == per_group
     assert 0 < len(hits) < square_hits
@@ -871,8 +872,7 @@ def test_sampled_scan_decides_each_square_class_once(monkeypatch):
     report = tao_min_sum(p, mode="sampled", samples=2000, seed=9)
     batches = [size_t for size_t, _, _ in spied]
     by_size, full_classes = {}, 0
-    for s, t, t_idx, r_idx in drawn:
-        cols, rows = ncft._combos(p, s)[t_idx], ncft._combos(p, p - t)[r_idx]
+    for s, t, cols, rows in drawn:
         by_size.setdefault(s, []).append((cols, rows[:, :s]))
         full_classes += count_orbits(p, cols, rows)
     square_classes = sum(
@@ -885,11 +885,9 @@ def test_sampled_scan_decides_each_square_class_once(monkeypatch):
 
 
 @pytest.mark.parametrize("n, size, s", [(5, 3, 1), (7, 4, 2), (11, 7, 4), (13, 9, 9), (13, 12, 6)])
-def test_leading_rows_are_shared_read_only_prefixes(n, size, s):
-    rows = ncft._leading_rows(n, size, s)
-    assert ncft._leading_rows(n, size, s) is rows
-    assert not rows.flags.writeable
-    assert np.array_equal(ncft._combos(n, s)[rows], ncft._combos(n, size)[:, :s])
+def test_lowest_bits_are_leading_entries(n, size, s):
+    lead = ncft._lowest_bits(ncft._combo_masks(n, size), s)
+    assert np.array_equal(ncft._mask_rows(n, lead), ncft._combos(n, size)[:, :s])
 
 
 @pytest.mark.parametrize("n, size", [(5, 1), (5, 2), (7, 3), (13, 6), (13, 13)])
@@ -1151,14 +1149,16 @@ def test_pattern_search_matches_per_pattern_loop(dims, n):
     assert bool(flagged) == (n in (4, 6))
 
 
+def complements(n, sets):
+    """Row i lists range(n) minus the indices in sets[i], ascending."""
+    return np.array([[j for j in range(n) if j not in row] for row in sets.tolist()])
+
+
 def pattern_groups(n):
-    """(t_sets, t_idx, r_sets, r_idx) of every (|T|, |Omega|) group the pattern search scans."""
+    """(cols, rows) of every pair of each (|T|, |Omega|) group the pattern search scans."""
     for s in range(1, n):
-        t_sets = ncft._combos(n, s)
         for o in range(1, n - s + 1):
-            r_sets = ncft._complements(n, ncft._combos(n, o))
-            t_idx, r_idx = np.divmod(np.arange(len(t_sets) * len(r_sets)), len(r_sets))
-            yield t_sets, t_idx, r_sets, r_idx
+            yield layer_batch(n, s, n - o)
 
 
 @pytest.mark.parametrize("dims", [(2,), (1, 1)])
@@ -1176,12 +1176,12 @@ def test_frame_side_singular_values_are_class_invariant(dims, n):
             for b, t, w in zip(dims, std.mats, fourier.mats)
         ]
 
-    for t_sets, t_idx, r_sets, r_idx in pattern_groups(n):
-        batch = ncft._ClassBatch(n, t_sets, t_idx, r_sets, r_idx)
+    for cols, rows in pattern_groups(n):
+        batch = ncft._ClassBatch(n, subset_masks(cols), subset_masks(rows))
         own_keys = ncft._class_keys(n, subset_masks(batch.cols), subset_masks(batch.rows))
         assert np.array_equal(own_keys, batch.classes)
-        members = singular_values(ncft._complements(n, t_sets)[t_idx], r_sets[r_idx])
-        representatives = singular_values(ncft._complements(n, batch.cols), batch.rows)
+        members = singular_values(complements(n, cols), rows)
+        representatives = singular_values(complements(n, batch.cols), batch.rows)
         of_class = np.searchsorted(batch.classes, batch.keys)
         for member, representative in zip(members, representatives):
             assert np.abs(member - representative[of_class]).max() <= 1e-12
@@ -1227,10 +1227,7 @@ def test_pattern_search_decides_frames_once_per_class(monkeypatch):
     for p, classes in ((5, 13), (7, 61)):
         seen.clear()
         checked, flagged, _ = ncft._pattern_search(M2, p)
-        orbits = sum(
-            count_orbits(p, t_sets[t_idx], r_sets[r_idx])
-            for t_sets, t_idx, r_sets, r_idx in pattern_groups(p)
-        )
+        orbits = sum(count_orbits(p, cols, rows) for cols, rows in pattern_groups(p))
         assert sum(seen) == orbits == classes < checked
         assert flagged == []
 
