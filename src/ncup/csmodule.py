@@ -161,10 +161,11 @@ class ModuleVector:
         entries = list(entries)
         if not entries:
             raise InputError("a module vector needs at least one entry")
-        shape = entries[0].shape
         for i, e in enumerate(entries):
             if not isinstance(e, AlgebraElement):
                 raise InputError(f"entry {i} is not an algebra element")
+        shape = entries[0].shape
+        for i, e in enumerate(entries):
             if e.shape != shape:
                 raise InputError(
                     f"entry {i} has shape {e.shape.block_dims}, expected {shape.block_dims}"
@@ -176,6 +177,7 @@ class ModuleVector:
         return cls._from_mats(shape, len(entries), mats)
 
     def entry(self, i: int) -> AlgebraElement:
+        i = _as_int(i, "entry index")
         if not 0 <= i < self.d:
             raise InputError(f"entry index {i} out of range for d={self.d}")
         return AlgebraElement(self.shape, [blk[i] for blk in self.blocks])
@@ -238,6 +240,10 @@ class ModuleOperator:
         d = len(rows)
         if d == 0 or any(len(row) != d for row in rows):
             raise InputError("operator entries must form a square nonempty grid")
+        for i, row in enumerate(rows):
+            for j, e in enumerate(row):
+                if not isinstance(e, AlgebraElement):
+                    raise InputError(f"entry ({i},{j}) is not an algebra element")
         shape = rows[0][0].shape
         for i, row in enumerate(rows):
             for j, e in enumerate(row):
@@ -253,6 +259,7 @@ class ModuleOperator:
         return cls._from_mats(shape, d, mats)
 
     def entry(self, i: int, j: int) -> AlgebraElement:
+        i, j = _as_int(i, "entry index"), _as_int(j, "entry index")
         if not (0 <= i < self.d and 0 <= j < self.d):
             raise InputError(f"entry index ({i},{j}) out of range for d={self.d}")
         return AlgebraElement(self.shape, [blk[i, j] for blk in self.blocks])
@@ -299,6 +306,7 @@ def cauchy_schwarz_gap(x: ModuleVector, y: ModuleVector) -> float:
 
 def basis_vector(shape: AlgebraShape, d: int, k: int) -> ModuleVector:
     """e_k, the vector with the algebra unit in slot k and zero elsewhere."""
+    d, k = _module_rank(d), _as_int(k, "basis index")
     if not 0 <= k < d:
         raise InputError(f"basis index {k} out of range for d={d}")
     mats = []
@@ -333,6 +341,7 @@ def op_compose(a: ModuleOperator, b: ModuleOperator) -> ModuleOperator:
 
 
 def op_identity(shape: AlgebraShape, d: int) -> ModuleOperator:
+    d = _module_rank(d)
     return ModuleOperator._from_mats(
         shape, d, [np.eye(d * n, dtype=np.complex128) for n in shape.block_dims]
     )

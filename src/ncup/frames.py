@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import AlgebraShape, _entry_norms, _json_int, _shape_from_payload
+from .algebra import AlgebraShape, _as_int, _entry_norms, _json_int, _shape_from_payload
 from .csmodule import (
     ModuleOperator,
     ModuleVector,
@@ -110,10 +110,11 @@ class ModularFrame:
         vectors = list(vectors)
         if not vectors:
             raise InputError("a frame needs at least one vector")
-        shape, d = vectors[0].shape, vectors[0].d
         for i, v in enumerate(vectors):
             if not isinstance(v, ModuleVector):
                 raise InputError(f"frame vector {i} is not a module vector")
+        shape, d = vectors[0].shape, vectors[0].d
+        for i, v in enumerate(vectors):
             if v.shape != shape or v.d != d:
                 raise InputError(
                     f"frame vector {i} lives in a different module "
@@ -126,6 +127,7 @@ class ModularFrame:
         return cls._from_mats(shape, d, len(vectors), mats)
 
     def vector(self, n: int) -> ModuleVector:
+        n = _as_int(n, "frame index")
         if not 0 <= n < self.count:
             raise InputError(f"frame index {n} out of range for count={self.count}")
         return ModuleVector._from_mats(
@@ -358,6 +360,7 @@ def random_frame(
     shape: AlgebraShape, d: int, count: int, rng: np.random.Generator
 ) -> ModularFrame:
     """Frame of count i.i.d. Gaussian vectors in A^d."""
+    count = _as_int(count, "count")
     if count < 1:
         raise InputError(f"count must be positive, got {count}")
     return ModularFrame.from_vectors(
@@ -374,6 +377,7 @@ def random_parseval_frame(
     Gaussian draw is retried when it is numerically degenerate; failure
     after the retry budget raises GenerationError.
     """
+    d, count = _module_rank(d), _as_int(count, "count")
     if count < d:
         raise InputError(
             f"a Parseval frame over A^{d} needs at least {d} vectors, got {count}"

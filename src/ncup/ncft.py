@@ -29,12 +29,14 @@ by b multiplies column j by e^(-2 pi i jb/n), and for a unit u mod n
 W[u^-1 k, u j] = W[k, j], so (T, R) -> (uT, u^-1 R) only permutes rows and
 columns.  None of these moves the singular values, so every minor in a
 class gets the verdict of one member: the pair that the class key
-encodes.  Every set travels as its n-bit mask, from draw to decision: a
-batch is one array of T masks and one of R masks, pairs are keyed from
-those masks, and only class representatives and hits are built as index
-rows (_mask_rows).  The key is found T-first with table lookups only: its
-T half is minimized first, since the R half is below 2^n, and the R half
-is then minimized over the stabilizer of T from that stabilizer's own table.
+encodes.  Every set is read as its n-bit mask from one cached table,
+_combo_masks, and travels as that mask from draw to decision: a batch is
+one array of T masks and one of R masks, pairs are keyed from those
+masks, and only class representatives and hits are built as index rows
+(_mask_rows); conjecture's random supports are decoded to bool rows.
+The key is found T-first with table lookups only: its T half is
+minimized first, since the R half is below 2^n, and the R half is then
+minimized over the stabilizer of T from that stabilizer's own table.
 
 Both exhaustive searches are one scan (_necklace_scan): tao's critical
 layer over the groups (|T|, |R|) = (s, s), and conjecture's structured
@@ -600,59 +602,36 @@ def _translates(n: int, indices) -> set[tuple[int, ...]]:
 
 
 @functools.lru_cache(maxsize=None)
-def _combos(n: int, size: int) -> np.ndarray:
-    """Every size-subset of range(n) as a row, in lexicographic order.  Built on first use."""
-    table = np.array(list(itertools.combinations(range(n), size)), dtype=int).reshape(-1, size)
-    table.setflags(write=False)  # shared by every caller through the cache
-    return table
-
-
-@functools.lru_cache(maxsize=None)
 def _combo_masks(n: int, size: int) -> np.ndarray:
-    """The n-bit mask of each row of _combos(n, size).  Built on first use."""
-    masks = (1 << _combos(n, size)).sum(axis=1)
+    """The n-bit mask of every size-subset of range(n), lexicographic.  Built on first use."""
+    subsets = itertools.combinations([1 << j for j in range(n)], size)
+    masks = np.fromiter(map(sum, subsets), dtype=np.int64, count=math.comb(n, size))
     masks.setflags(write=False)  # shared by every caller through the cache
     return masks
 
 
-@functools.lru_cache(maxsize=None)
-def _subsets(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(table, offsets, counts): every nonempty subset of range(n) as a bool row.
-
-    Rows are grouped by size and lexicographic within a size: row
-    offsets[s] + i is the i-th row of _combos(n, s), and counts[s] is
-    C(n, s).  Built on first use; 8,191 rows at n = 13.
-    """
-    counts = np.array([math.comb(n, s) for s in range(n + 1)])
-    offsets = np.cumsum(counts) - counts - 1
-    table = np.zeros(((1 << n) - 1, n), dtype=bool)
-    for s in range(1, n + 1):
-        table[offsets[s] + np.arange(counts[s])[:, None], _combos(n, s)] = True
-    for array in (table, offsets, counts):
-        array.setflags(write=False)  # shared by every caller through the cache
-    return table, offsets, counts
-
-
 def _draw_supports(rng, p: int, m: int) -> np.ndarray:
-    """(m, p) mask of m random supports in range(p).
+    """(m, p) bool rows of m random supports in range(p), decoded from their masks.
 
-    Each draws its size uniform on [1, p], then its subset uniform among
-    those of that size, as a uniform rank into that size's rows of
-    _subsets(p).
+    Each draws its size s uniform on [1, p], then its subset as a uniform
+    rank into _combo_masks(p, s), read from the tables of all sizes laid
+    end to end in size order.
     """
-    table, offsets, counts = _subsets(p)
+    counts = np.array([math.comb(p, s) for s in range(p + 1)])
+    masks = np.concatenate([_combo_masks(p, s) for s in range(p + 1)])
     sizes = rng.integers(1, p + 1, size=m)
-    return table[offsets[sizes] + rng.integers(counts[sizes])]
+    drawn = masks[np.cumsum(counts)[sizes - 1] + rng.integers(counts[sizes])]
+    return ((drawn[:, None] >> np.arange(p)) & 1).astype(bool)
 
 
 def _draw_trials(rng, shape: AlgebraShape, p: int, m: int):
     """m random sparse vectors of A^p: their dense blocks and their (m, p) entry norms.
 
-    The supports come from _draw_supports.  Gaussians are drawn for the
-    supported entries only, a (K, n, n) stack per block in block order, K
-    the total support size, and scattered into zeroed (m, p, n, n) stacks.
-    The norms are taken from the drawn entries alone; every other entry is
-    0 and has norm 0.
+    The supports are _draw_supports' bool rows, drawn before any Gaussian.
+    Gaussians are drawn for the supported entries only, a (K, n, n) stack
+    per block in block order, K the total support size, and scattered into
+    zeroed (m, p, n, n) stacks.  The norms are taken from the drawn entries
+    alone; every other entry is 0 and has norm 0.
     """
     supported = np.flatnonzero(_draw_supports(rng, p, m))
     x_blocks = []

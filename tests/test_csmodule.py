@@ -291,3 +291,29 @@ def test_module_vector_validation():
         ModuleVector(M2, 0, [])
     with pytest.raises(InputError):
         basis_vector(M2, 2, 5)
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ([1, identity(M2)], "entry 0 is not an algebra element"),
+        ([identity(M2), "1"], "entry 1 is not an algebra element"),
+    ],
+)
+def test_vector_entries_are_type_checked_before_their_shape(entries, message):
+    with pytest.raises(InputError) as info:
+        ModuleVector.from_entries(entries)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ([[1]], "entry (0,0) is not an algebra element"),
+        ([[identity(M2)] * 2, [identity(M2), 1]], "entry (1,1) is not an algebra element"),
+    ],
+)
+def test_operator_entries_are_type_checked_before_their_shape(grid, message):
+    with pytest.raises(InputError) as info:
+        ModuleOperator.from_entries(grid)
+    assert str(info.value) == message

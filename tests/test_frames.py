@@ -87,6 +87,19 @@ def test_analysis_redundant_frame():
     assert norm(sub(coeffs.entry(1), x.entry(0))) < 1e-14
 
 
+@pytest.mark.parametrize(
+    "vectors, message",
+    [
+        ([1], "frame vector 0 is not a module vector"),
+        ([basis_vector(M2, 2, 0), np.zeros(2)], "frame vector 1 is not a module vector"),
+    ],
+)
+def test_frame_vectors_are_type_checked_before_their_shape(vectors, message):
+    with pytest.raises(InputError) as info:
+        ModularFrame.from_vectors(vectors)
+    assert str(info.value) == message
+
+
 def test_analysis_shape_mismatch():
     with pytest.raises(InputError):
         analysis(standard_frame(C, 3), basis_vector(C, 2, 0))

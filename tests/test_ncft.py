@@ -19,9 +19,12 @@ from ncup import (
     ncdft,
     ncdft_inverse,
     norm,
+    op_identity,
     pattern_feasible_minor,
     random_audit,
     random_element,
+    random_frame,
+    random_parseval_frame,
     random_vector,
     sparsity,
     standard_frame,
@@ -306,10 +309,27 @@ def test_pattern_feasible_minor_with_a_large_omega():
         (lambda: tao_min_sum(5, mode="sampled", samples=2.5), "samples must be an integer, got 2.5"),
         (lambda: conjecture_audit(C, 5, 2.5), "trials must be an integer, got 2.5"),
         (lambda: random_audit(C, 2, 3, 3, 2.5), "trials must be an integer, got 2.5"),
+        (lambda: random_frame(M2, 2, 2.5, np.random.default_rng(0)), "count must be an integer, got 2.5"),
+        (
+            lambda: random_parseval_frame(M2, 2, 2.5, np.random.default_rng(0)),
+            "count must be an integer, got 2.5",
+        ),
+        (lambda: random_audit(C, 2, 2.5, 3, 1), "count must be an integer, got 2.5"),
+        (lambda: random_audit(C, 2, 3, 3.0, 1), "count must be an integer, got 3.0"),
+        (lambda: basis_vector(M2, 2.5, 0), "module rank d must be an integer, got 2.5"),
+        (lambda: basis_vector(M2, 3, 1.0), "basis index must be an integer, got 1.0"),
+        (lambda: op_identity(M2, 2.0), "module rank d must be an integer, got 2.0"),
+        (lambda: op_identity(M2, 0), "module rank d must be positive, got 0"),
+        (lambda: basis_vector(M2, 2, 0).entry(1.0), "entry index must be an integer, got 1.0"),
+        (lambda: op_identity(M2, 2).entry(0.0, 1), "entry index must be an integer, got 0.0"),
+        (lambda: standard_frame(M2, 2).vector(1.0), "frame index must be an integer, got 1.0"),
     ],
     ids=[
         "dft-size", "vector-rank", "length", "float-indices", "bool-indices", "2d-indices",
         "float-rows", "string-cols", "spacing", "samples", "conjecture-trials", "audit-trials",
+        "frame-count", "parseval-count", "audit-n-tau", "audit-n-omega", "basis-rank",
+        "basis-index", "identity-rank", "identity-zero", "vector-entry", "operator-entry",
+        "frame-vector",
     ],
 )
 def test_sizes_and_indices_are_never_truncated(call, message):
@@ -887,16 +907,19 @@ def test_sampled_scan_decides_each_square_class_once(monkeypatch):
 @pytest.mark.parametrize("n, size, s", [(5, 3, 1), (7, 4, 2), (11, 7, 4), (13, 9, 9), (13, 12, 6)])
 def test_lowest_bits_are_leading_entries(n, size, s):
     lead = ncft._lowest_bits(ncft._combo_masks(n, size), s)
-    assert np.array_equal(ncft._mask_rows(n, lead), ncft._combos(n, size)[:, :s])
+    assert [tuple(row) for row in ncft._mask_rows(n, lead).tolist()] == [
+        combo[:s] for combo in combinations(range(n), size)
+    ]
 
 
 @pytest.mark.parametrize("n, size", [(5, 1), (5, 2), (7, 3), (13, 6), (13, 13)])
-def test_combos_table_is_shared_read_only_and_lexicographic(n, size):
-    table = ncft._combos(n, size)
-    assert ncft._combos(n, size) is table
+def test_combo_masks_table_is_shared_read_only_and_lexicographic(n, size):
+    table = ncft._combo_masks(n, size)
+    assert ncft._combo_masks(n, size) is table
     assert not table.flags.writeable
-    assert table.shape == (comb(n, size), size)
-    assert [tuple(row) for row in table.tolist()] == list(combinations(range(n), size))
+    assert table.shape == (comb(n, size),)
+    rows = ncft._mask_rows(n, table)
+    assert [tuple(row) for row in rows.tolist()] == list(combinations(range(n), size))
 
 
 @pytest.mark.parametrize("p", [11, 13])
@@ -1025,16 +1048,22 @@ def test_conjecture_draws_exactly_trials_vectors(monkeypatch, extra):
     )
 
 
-def test_subset_table_rows_are_combos_by_size():
-    p = 7
-    table, offsets, counts = ncft._subsets(p)
-    assert table.shape == (2**p - 1, p) and not table.flags.writeable
-    for s in range(1, p + 1):
-        rows = table[offsets[s] : offsets[s] + counts[s]]
-        assert counts[s] == comb(p, s)
-        assert rows.tolist() == [
-            [j in combo for j in range(p)] for combo in ncft._combos(p, s).tolist()
-        ]
+@pytest.mark.parametrize("p", [2, 7, 13])
+def test_support_draws_replay_as_ranks_into_combinations_by_size(p):
+    # A seed fixes the supports: the sizes are drawn first, uniform on
+    # [1, p], then one rank per support, uniform below C(p, s), into the
+    # lexicographic s-subsets.  Replaying those two generator calls against
+    # itertools.combinations pins the stream, not just its law.
+    m, seed = 3000, 11
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(1, p + 1, size=m)
+    ranks = rng.integers(np.array([comb(p, s) for s in range(p + 1)])[sizes])
+    by_size = {s: list(combinations(range(p), s)) for s in range(1, p + 1)}
+    expected = np.zeros((m, p), dtype=bool)
+    for i, (s, rank) in enumerate(zip(sizes.tolist(), ranks.tolist())):
+        expected[i, list(by_size[s][rank])] = True
+    drawn = ncft._draw_supports(np.random.default_rng(seed), p, m)
+    assert drawn.dtype == bool and np.array_equal(drawn, expected)
 
 
 @pytest.mark.parametrize(
