@@ -15,6 +15,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -53,11 +54,21 @@ _ENTRYWISE_BATCH = 32
 
 
 def _as_int(value, what: str) -> int:
-    """value as an int by operator.index: a float or a string is refused, never truncated."""
+    """value as an int by operator.index: a float, a string or a bool is refused, never truncated."""
     try:
+        if isinstance(value, (bool, np.bool_)):  # Python's bool is an int, but not a size
+            raise TypeError
         return operator.index(value)
     except TypeError as exc:
         raise InputError(f"{what} must be an integer, got {value!r}") from exc
+
+
+def _as_list(items, what: str) -> list:
+    """items as a list; anything that is not iterable is refused."""
+    try:
+        return list(items)
+    except TypeError as exc:
+        raise InputError(f"{what} must be a sequence, got {type(items).__name__}") from exc
 
 
 @dataclass(frozen=True)
@@ -68,8 +79,8 @@ class AlgebraShape:
 
     def __post_init__(self) -> None:
         try:
-            dims = tuple(operator.index(n) for n in self.block_dims)
-        except TypeError as exc:
+            dims = tuple(_as_int(n, "block dimension") for n in self.block_dims)
+        except (TypeError, InputError) as exc:
             raise InputError(
                 f"block dimensions must be integers, got {self.block_dims!r}"
             ) from exc
@@ -102,6 +113,7 @@ class AlgebraElement:
     __slots__ = ("shape", "blocks")
 
     def __init__(self, shape: AlgebraShape, blocks) -> None:
+        blocks = _as_list(blocks, "blocks")
         if len(blocks) != shape.num_blocks:
             raise InputError(
                 f"expected {shape.num_blocks} blocks, got {len(blocks)}"
@@ -136,14 +148,22 @@ class AlgebraElement:
         return cls(shape, blocks)
 
 
-def _element_payload(payload, where: str) -> tuple[AlgebraShape, list]:
-    """Check an element payload's layout; return its shape and raw blocks."""
+def _element_payload(
+    payload, where: str, shape: AlgebraShape | None = None
+) -> tuple[AlgebraShape, list]:
+    """Check an element payload's layout; return its shape and raw blocks.
+
+    A payload naming the dimensions of shape gets shape itself back, so the
+    entries of a file share one AlgebraShape.
+    """
     if not isinstance(payload, dict):
         raise InputError(f"{where}: expected an object, got {type(payload).__name__}")
     for key in ("shape", "blocks"):
         if key not in payload:
             raise InputError(f"{where}: missing key {key!r}")
-    shape = _shape_from_payload(payload["shape"], where, "shape")
+    dims = payload["shape"]
+    if shape is None or dims != shape.to_list() or not all(map(_json_int, dims)):
+        shape = _shape_from_payload(dims, where, "shape")
     raw = payload["blocks"]
     if not isinstance(raw, list) or len(raw) != shape.num_blocks:
         raise InputError(f"{where}: 'blocks' must be a list of {shape.num_blocks} blocks")
@@ -156,34 +176,51 @@ def _encode_matrices(stack: np.ndarray) -> list:
     return pairs.reshape(*np.shape(stack), 2).tolist()
 
 
-def _numeric(raw):
-    """raw as a numeric array, or None for ragged or non-numeric input."""
+def _flat_numbers(raws: list, n: int) -> np.ndarray | None:
+    """The numbers of n x n matrices of [re, im] pairs as one flat float array.
+
+    The matrix, row and pair lists are flattened one level at a time, each
+    item's length checked, and the flat list becomes one array.  None for
+    any other layout and for a value that is not a JSON number: true and
+    false are refused, although numpy reads them as 1 and 0.
+    """
+    items = raws
+    for size in (n, n, 2):
+        try:
+            if list(map(len, items)).count(size) != len(items):
+                return None
+        except TypeError:  # an item without a length
+            return None
+        items = list(chain.from_iterable(items))
     try:
-        arr = np.array(raw)
+        arr = np.array(items)
     except ValueError:
         return None
-    return arr if arr.dtype.kind in "biuf" else None
+    if arr.dtype.kind not in "iuf" or arr.shape != (len(items),):
+        return None
+    # Beside other numbers a bool becomes 1 or 0, so only those slots can hold one.
+    units = np.flatnonzero((arr == 0) | (arr == 1))
+    if any(isinstance(items[k], (bool, np.bool_)) for k in units):
+        return None
+    return arr.astype(np.float64, copy=False)
 
 
 def _decode_matrices(raws: list, n: int, locate) -> np.ndarray:
     """Complex (len(raws), n, n) array from n x n matrices of [re, im] pairs.
 
-    All matrices are decoded by one np.array call.  Values must be finite
-    JSON numbers; locate(j) names matrix j in the error raised otherwise.
+    All matrices are decoded by one flat conversion (_flat_numbers).  Values
+    must be finite JSON numbers; locate(j) names matrix j in the error
+    raised otherwise, the first faulty one.
     """
-    arr = _numeric(raws)
-    if arr is None or arr.shape != (len(raws), n, n, 2):
-        bad = next(
-            (j for j, raw in enumerate(raws) if getattr(_numeric(raw), "shape", None) != (n, n, 2)),
-            0,
-        )
+    arr = _flat_numbers(raws, n)
+    if arr is None:
+        bad = next((j for j, raw in enumerate(raws) if _flat_numbers([raw], n) is None), 0)
         raise InputError(f"{locate(bad)}: must be an {n}x{n} matrix of [re, im] number pairs")
-    arr = np.ascontiguousarray(arr, dtype=np.float64)
     finite = np.isfinite(arr)
     if not finite.all():
-        bad = int(np.argwhere(~finite)[0][0])
+        bad = int(np.argmin(finite)) // (2 * n * n)
         raise InputError(f"{locate(bad)}: non-finite value (NaN or Infinity)")
-    return arr.view(np.complex128)[..., 0]
+    return arr.view(np.complex128).reshape(len(raws), n, n)
 
 
 def _json_int(value) -> bool:

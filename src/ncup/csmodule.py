@@ -14,6 +14,12 @@ X Y^H, the right action is X M, and composition is A B: each one matmul.
 The `mats` attribute holds these read-only matrices, one per block; the
 `blocks` attribute shows the same memory as (d, n, n) and (d, d, n, n)
 entry stacks, which is also what the constructors accept.
+
+In a JSON file a vector is {"shape": [...], "entries": [element, ...]}.
+The vector codec (_decode_vectors, _encode_vectors) handles a list of
+vector payloads as one (count, d, n, n) entry stack per block, so a frame
+file costs one flat conversion per block; ModuleVector.from_dict and
+to_dict are its one-vector case.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from .algebra import (
     AlgebraElement,
     AlgebraShape,
     _as_int,
+    _as_list,
     _complex_gaussian,
     _decode_matrices,
     _element_payload,
@@ -80,6 +87,7 @@ def _layout_axes(lead: tuple) -> tuple:
 
 def _stacks_to_mats(shape: AlgebraShape, blocks, lead: tuple) -> tuple:
     """Check per-block entry stacks of shape (*lead, n, n); return private matrix copies."""
+    blocks = _as_list(blocks, "block stacks")
     if len(blocks) != shape.num_blocks:
         raise InputError(f"expected {shape.num_blocks} block stacks, got {len(blocks)}")
     axes = _layout_axes(lead)
@@ -103,8 +111,11 @@ def _stack_views(shape: AlgebraShape, mats, lead: tuple) -> tuple:
     )
 
 
-def _parse_vector(payload, where: str) -> tuple[AlgebraShape, list]:
-    """Check a vector payload's layout; return its shape and each entry's raw blocks."""
+def _parse_vector(payload, where: str, shape: AlgebraShape | None) -> tuple[AlgebraShape, list]:
+    """Check one vector payload's layout; return its shape and each entry's raw blocks.
+
+    shape, when given, is reused for entries that name its dimensions.
+    """
     if not isinstance(payload, dict):
         raise InputError(f"{where}: expected an object, got {type(payload).__name__}")
     for key in ("shape", "entries"):
@@ -113,10 +124,10 @@ def _parse_vector(payload, where: str) -> tuple[AlgebraShape, list]:
     raw = payload["entries"]
     if not isinstance(raw, list) or not raw:
         raise InputError(f"{where}: 'entries' must be a nonempty list")
-    shape, entries = None, []
+    entries = []
     for i, item in enumerate(raw):
-        entry_shape, blocks = _element_payload(item, f"{where}: entry {i}")
-        if shape is None:
+        entry_shape, blocks = _element_payload(item, f"{where}: entry {i}", shape)
+        if i == 0:
             shape = entry_shape
         elif entry_shape != shape:
             raise InputError(
@@ -131,6 +142,73 @@ def _parse_vector(payload, where: str) -> tuple[AlgebraShape, list]:
             f"{shape.to_list()}"
         )
     return shape, entries
+
+
+def _decode_vectors(payloads: list, locate, shape=None, d=None) -> tuple:
+    """The vector codec's reader: shape, d and one (count, d, n, n) stack per block.
+
+    payloads is a nonempty list of vector payloads, locate(i) names payload i
+    in errors, and shape and d, when given, are what every vector must have
+    (else the first vector sets them).  Layouts are checked vector by vector;
+    then each block's matrices, across all vectors, are decoded by one
+    _decode_matrices call.  Of several faults the first in file order is
+    named: a layout fault waits until the earlier vectors' values are
+    decoded, and a faulty block stack is decoded again vector by vector.
+    """
+    entries = []
+    for i, payload in enumerate(payloads):
+        try:
+            vec_shape, raw = _parse_vector(payload, locate(i), shape)
+            if shape is not None and vec_shape != shape:
+                raise InputError(
+                    f"{locate(i)} has shape {vec_shape.to_list()}, expected {shape.to_list()}"
+                )
+            if d is not None and len(raw) != d:
+                raise InputError(f"{locate(i)} has {len(raw)} entries, expected d={d}")
+        except InputError:
+            if entries:
+                _vector_stacks(shape, d, entries, locate)
+            raise
+        shape, d = vec_shape, len(raw)
+        entries.extend(raw)
+    return shape, d, _vector_stacks(shape, d, entries, locate)
+
+
+def _vector_stacks(shape: AlgebraShape, d: int, entries: list, locate) -> list:
+    """Per block, the (len(entries) // d, d, n, n) stack of d-entry vectors' matrices."""
+    try:
+        return [
+            _decode_matrices(
+                [e[b] for e in entries],
+                n,
+                lambda k, b=b: f"{locate(k // d)}: entry {k % d}: block {b}",
+            ).reshape(-1, d, n, n)
+            for b, n in enumerate(shape.block_dims)
+        ]
+    except InputError:
+        # A block stack fails at its own first faulty vector, which need not
+        # be the first faulty vector of the file.
+        if len(entries) > d:
+            for i in range(len(entries) // d):
+                _vector_stacks(shape, d, entries[i * d : (i + 1) * d], lambda _, i=i: locate(i))
+        raise
+
+
+def _encode_vectors(shape: AlgebraShape, stacks) -> list[dict]:
+    """The vector codec's writer: one vector payload per vector of (count, d, n, n) stacks.
+
+    Each block's stack is encoded by one _encode_matrices call.
+    """
+    encoded = [_encode_matrices(s) for s in stacks]
+    return [
+        {
+            "shape": shape.to_list(),
+            "entries": [
+                {"shape": shape.to_list(), "blocks": list(blocks)} for blocks in zip(*vector)
+            ],
+        }
+        for vector in zip(*encoded)
+    ]
 
 
 class ModuleVector:
@@ -158,7 +236,7 @@ class ModuleVector:
     @classmethod
     def from_entries(cls, entries) -> "ModuleVector":
         """Build from a nonempty sequence of AlgebraElement coordinates."""
-        entries = list(entries)
+        entries = _as_list(entries, "vector entries")
         if not entries:
             raise InputError("a module vector needs at least one entry")
         for i, e in enumerate(entries):
@@ -190,25 +268,12 @@ class ModuleVector:
         return f"ModuleVector(shape={self.shape.block_dims}, d={self.d})"
 
     def to_dict(self) -> dict:
-        encoded = [_encode_matrices(blk) for blk in self.blocks]
-        return {
-            "shape": self.shape.to_list(),
-            "entries": [
-                {"shape": self.shape.to_list(), "blocks": [blk[i] for blk in encoded]}
-                for i in range(self.d)
-            ],
-        }
+        return _encode_vectors(self.shape, [blk[None] for blk in self.blocks])[0]
 
     @classmethod
     def from_dict(cls, payload, where: str = "module vector") -> "ModuleVector":
-        shape, entries = _parse_vector(payload, where)
-        blocks = [
-            _decode_matrices(
-                [e[b] for e in entries], n, lambda i, b=b: f"{where}: entry {i}: block {b}"
-            )
-            for b, n in enumerate(shape.block_dims)
-        ]
-        return cls(shape, len(entries), blocks)
+        shape, d, blocks = _decode_vectors([payload], lambda _: where)
+        return cls(shape, d, [blk[0] for blk in blocks])
 
 
 class ModuleOperator:
@@ -236,7 +301,7 @@ class ModuleOperator:
     @classmethod
     def from_entries(cls, grid) -> "ModuleOperator":
         """Build from a d x d nested sequence of AlgebraElement entries."""
-        rows = [list(row) for row in grid]
+        rows = [_as_list(row, "operator row") for row in _as_list(grid, "operator entries")]
         d = len(rows)
         if d == 0 or any(len(row) != d for row in rows):
             raise InputError("operator entries must form a square nonempty grid")

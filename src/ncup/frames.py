@@ -14,8 +14,10 @@ Coefficients are module vectors, so they share the one vector layout, the
 C T, the frame operator T^H T, the Parseval normalization T S^(-1/2), and
 the cross Gram of two frames T W^H.
 
-In a JSON file a frame is a list of vector payloads, each read and written
-by the vector codec (ModuleVector.from_dict and to_dict).
+In a JSON file a frame is a list of vector payloads.  The vector codec
+(csmodule._decode_vectors and _encode_vectors, whose one-vector case is
+ModuleVector.from_dict and to_dict) reads and writes them as one
+(N, d, n, n) entry stack per block.
 
 The support of any module vector, coefficients or not, is decided by a
 relative threshold: an entry counts as nonzero when its C*-norm exceeds
@@ -26,11 +28,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import AlgebraShape, _as_int, _entry_norms, _json_int, _shape_from_payload
+from .algebra import AlgebraShape, _as_int, _as_list, _entry_norms, _json_int, _shape_from_payload
 from .csmodule import (
     ModuleOperator,
     ModuleVector,
     _check_same_module,
+    _decode_vectors,
+    _encode_vectors,
     _freeze,
     _module_rank,
     _stack_views,
@@ -76,11 +80,12 @@ class ModularFrame:
 
     def __init__(self, shape: AlgebraShape, d: int, blocks) -> None:
         d = _module_rank(d)
+        blocks = _as_list(blocks, "block stacks")
         if len(blocks) != shape.num_blocks:
             raise InputError(
                 f"expected {shape.num_blocks} block stacks, got {len(blocks)}"
             )
-        counts = {np.shape(blk)[0] for blk in blocks}
+        counts = {np.shape(blk)[0] if np.ndim(blk) else 0 for blk in blocks}
         if len(counts) != 1:
             raise InputError("all block stacks must agree on the number of vectors")
         count = counts.pop()
@@ -107,7 +112,7 @@ class ModularFrame:
 
     @classmethod
     def from_vectors(cls, vectors) -> "ModularFrame":
-        vectors = list(vectors)
+        vectors = _as_list(vectors, "frame vectors")
         if not vectors:
             raise InputError("a frame needs at least one vector")
         for i, v in enumerate(vectors):
@@ -150,7 +155,7 @@ class ModularFrame:
         return {
             "algebra": self.shape.to_list(),
             "d": int(self.d),
-            "vectors": [v.to_dict() for v in self.vectors],
+            "vectors": _encode_vectors(self.shape, self.blocks),
             "parseval": bool(is_parseval(self)),
         }
 
@@ -158,10 +163,11 @@ class ModularFrame:
     def from_dict(cls, payload, where: str = "frame") -> "ModularFrame":
         """Rebuild a frame from its JSON payload.
 
-        Each item of "vectors" is a vector payload, decoded in file order by
-        ModuleVector.from_dict, so an error names the first faulty vector.
-        The stored "parseval" flag is advisory; when it claims True the
-        frame operator is re-verified and a false claim is rejected.
+        "vectors" is a list of vector payloads, read by the vector codec
+        (csmodule._decode_vectors) as one stack per block; of several faults
+        the error names the first faulty vector in file order.  The stored
+        "parseval" flag is advisory; when it claims True the frame operator
+        is re-verified and a false claim is rejected.
         """
         if not isinstance(payload, dict):
             raise InputError(f"{where}: expected an object, got {type(payload).__name__}")
@@ -175,18 +181,8 @@ class ModularFrame:
         raw = payload["vectors"]
         if not isinstance(raw, list) or not raw:
             raise InputError(f"{where}: 'vectors' must be a nonempty list")
-        vectors = []
-        for i, item in enumerate(raw):
-            v = ModuleVector.from_dict(item, f"{where}: vector {i}")
-            if v.shape != shape:
-                raise InputError(
-                    f"{where}: vector {i} has shape {v.shape.to_list()}, "
-                    f"expected {shape.to_list()}"
-                )
-            if v.d != d:
-                raise InputError(f"{where}: vector {i} has {v.d} entries, expected d={d}")
-            vectors.append(v)
-        frame = cls.from_vectors(vectors)
+        _, _, blocks = _decode_vectors(raw, lambda i: f"{where}: vector {i}", shape, d)
+        frame = cls(shape, d, blocks)
         claimed = payload["parseval"]
         if not isinstance(claimed, bool):
             raise InputError(f"{where}: 'parseval' must be a boolean")

@@ -5,6 +5,7 @@ from ncup import (
     AlgebraElement,
     AlgebraShape,
     InputError,
+    ModularFrame,
     ModuleOperator,
     ModuleVector,
     SingularOperatorError,
@@ -272,7 +273,16 @@ def test_vector_json_errors():
         ModuleVector.from_dict(
             {"shape": [True], "entries": [{"shape": [1], "blocks": [[[[1.0, 0.0]]]]}]}
         )
-    for block in ([[[1.0, 0.0]], []], [[[1.0]]], [[["1.0", "0.0"]]], [[[float("inf"), 0.0]]]):
+    blocks = (
+        [[[1.0, 0.0]], []],
+        [[[1.0]]],
+        [[["1.0", "0.0"]]],
+        [[[float("inf"), 0.0]]],
+        # JSON true and false are not numbers, although numpy reads them as 1 and 0
+        [[[True, False]]],
+        [[[1.0, False]]],
+    )
+    for block in blocks:
         payload = {
             "shape": [1],
             "entries": [
@@ -282,6 +292,34 @@ def test_vector_json_errors():
         }
         with pytest.raises(InputError, match="x.json: entry 1: block 0: "):
             ModuleVector.from_dict(payload, where="x.json")
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ModuleOperator.from_entries([1]), "operator row must be a sequence, got int"),
+        (
+            lambda: ModuleOperator.from_entries(None),
+            "operator entries must be a sequence, got NoneType",
+        ),
+        (lambda: ModuleVector.from_entries(5), "vector entries must be a sequence, got int"),
+        (lambda: ModularFrame.from_vectors(None), "frame vectors must be a sequence, got NoneType"),
+        (lambda: ModuleVector(M2, 2, 5), "block stacks must be a sequence, got int"),
+        (lambda: ModuleOperator(M2, 2, 5), "block stacks must be a sequence, got int"),
+        (lambda: ModularFrame(M2, 2, 5), "block stacks must be a sequence, got int"),
+        (lambda: ModularFrame(M2, 2, [5]), "a frame needs at least one vector"),
+        (lambda: AlgebraElement(M2, 5), "blocks must be a sequence, got int"),
+    ],
+    ids=[
+        "operator-row", "operator-grid", "vector-entries", "frame-vectors",
+        "vector-blocks", "operator-blocks", "frame-blocks", "frame-scalar-block",
+        "element-blocks",
+    ],
+)
+def test_constructors_refuse_non_sequences(call, message):
+    with pytest.raises(InputError) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_module_vector_validation():

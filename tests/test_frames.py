@@ -35,7 +35,7 @@ from ncup import (
     support,
     synthesis,
 )
-from ncup import frames
+from ncup import algebra, csmodule, frames
 from ncup.ncft import fourier_frame, standard_frame
 
 from oracles import (
@@ -424,6 +424,8 @@ def test_frame_json_errors_carry_location():
         [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]],  # ragged rows
         [[[1.0], [0.0]], [[0.0], [1.0]]],  # [re] singletons
         [[["1.0", "0.0"], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],  # strings
+        [[[True, False], [False, False]], [[False, False], [True, False]]],  # booleans
+        [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, False]]],  # one boolean
         [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [float("nan"), 0.0]]],
     ]
     for block in malformed:
@@ -496,6 +498,41 @@ def test_frame_json_names_the_first_faulty_vector():
     assert str(info.value) == (
         "frame.json: vector 0: entry 0: block 0: non-finite value (NaN or Infinity)"
     )
+
+
+def test_frame_json_names_the_first_faulty_vector_across_blocks():
+    # The codec decodes block 0 of every vector before block 1; the fault it
+    # meets first (vector 1, block 0) is not the first in file order.
+    payload = json.loads(json.dumps(standard_frame(AlgebraShape((1, 2)), 2).to_dict()))
+    payload["vectors"][0]["entries"][0]["blocks"][1][0][0] = [float("nan"), 0.0]
+    payload["vectors"][1]["entries"][1]["blocks"][0] = [[[1.0]]]
+    with pytest.raises(InputError) as info:
+        ModularFrame.from_dict(payload, where="frame.json")
+    assert str(info.value) == (
+        "frame.json: vector 0: entry 0: block 1: non-finite value (NaN or Infinity)"
+    )
+    # Alone, each fault is named where it is.
+    payload["vectors"][0]["entries"][0]["blocks"][1][0][0] = [1.0, 0.0]
+    with pytest.raises(InputError) as info:
+        ModularFrame.from_dict(payload, where="frame.json")
+    assert str(info.value) == (
+        "frame.json: vector 1: entry 1: block 0: must be an 1x1 matrix of [re, im] number pairs"
+    )
+
+
+def test_frame_json_decodes_each_block_once(monkeypatch, rng):
+    shape = AlgebraShape((1, 2, 3))
+    payload = random_parseval_frame(shape, 3, 5, rng).to_dict()
+    calls = []
+
+    def spy(raws, n, locate):
+        calls.append((len(raws), n))
+        return algebra._decode_matrices(raws, n, locate)
+
+    monkeypatch.setattr(csmodule, "_decode_matrices", spy)
+    back = ModularFrame.from_dict(payload)
+    assert calls == [(15, 1), (15, 2), (15, 3)]
+    assert back.to_dict() == payload
 
 
 def test_block_views_are_read_only(rng):

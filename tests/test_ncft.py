@@ -323,13 +323,18 @@ def test_pattern_feasible_minor_with_a_large_omega():
         (lambda: basis_vector(M2, 2, 0).entry(1.0), "entry index must be an integer, got 1.0"),
         (lambda: op_identity(M2, 2).entry(0.0, 1), "entry index must be an integer, got 0.0"),
         (lambda: standard_frame(M2, 2).vector(1.0), "frame index must be an integer, got 1.0"),
+        (lambda: basis_vector(M2, 2, True), "basis index must be an integer, got True"),
+        (lambda: basis_vector(M2, np.True_, 0), f"module rank d must be an integer, got {np.True_!r}"),
+        (lambda: basis_vector(M2, 2, 0).entry(False), "entry index must be an integer, got False"),
+        (lambda: AlgebraShape((True, 2)), "block dimensions must be integers, got (True, 2)"),
     ],
     ids=[
         "dft-size", "vector-rank", "length", "float-indices", "bool-indices", "2d-indices",
         "float-rows", "string-cols", "spacing", "samples", "conjecture-trials", "audit-trials",
         "frame-count", "parseval-count", "audit-n-tau", "audit-n-omega", "basis-rank",
         "basis-index", "identity-rank", "identity-zero", "vector-entry", "operator-entry",
-        "frame-vector",
+        "frame-vector", "bool-basis-index", "bool-numpy-rank", "bool-entry-index",
+        "bool-block-dims",
     ],
 )
 def test_sizes_and_indices_are_never_truncated(call, message):
