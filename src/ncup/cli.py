@@ -22,7 +22,7 @@ import sys
 
 from . import __version__
 from .algebra import AlgebraShape
-from .csmodule import ModuleVector
+from .csmodule import ModuleVector, _encode_vectors, _vector_hook
 from .errors import InputError, NcupError, NonParsevalFrameError
 from .frames import PARSEVAL_TOL, RANK_TOL, SUPPORT_REL_TOL, ModularFrame, coherence, parsevalize
 from .ncft import DEFAULT_SAMPLES, conjecture_audit, tao_min_sum
@@ -46,9 +46,10 @@ def _report(command: str, tolerances: dict, payload: dict) -> dict:
 
 
 def _load_json(path: str):
+    """The file's JSON value, each vector payload decoded as the reader closes it."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_hook=_vector_hook)
     except OSError as exc:
         raise InputError(f"{path}: cannot read file: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -59,6 +60,8 @@ def _load_json(path: str):
         raise InputError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer longer than int() reads
+        raise InputError(f"{path}: unreadable JSON number: {str(exc).split(';')[0]}") from exc
 
 
 def _load_frame(path: str) -> ModularFrame:
@@ -133,7 +136,10 @@ def _cmd_parsevalize(args):
             {"holds": False, "diagnosis": "implementation-defect", "error": str(exc)},
         )
         return 1, _canonical(report) + "\n"
-    return 0, _canonical(fixed.to_dict()) + "\n"
+    # The text of fixed.to_dict(), written one vector at a time: sorted keys put "vectors" last.
+    head = _canonical(fixed._payload([]))[:-2]
+    vectors = map(_canonical, _encode_vectors(fixed.shape, fixed.blocks))
+    return 0, "".join([head, ",".join(vectors), "]}\n"])
 
 
 def _cmd_audit(args):

@@ -16,15 +16,17 @@ The `mats` attribute holds these read-only matrices, one per block; the
 entry stacks, which is also what the constructors accept.
 
 In a JSON file a vector is {"shape": [...], "entries": [element, ...]}.
-The vector codec (_decode_vectors, _encode_vectors) handles a list of
-vector payloads as one (count, d, n, n) entry stack per block, so a frame
-file costs one flat conversion per block; ModuleVector.from_dict and
-to_dict are its one-vector case.
+The vector codec (_decode_vectors, _encode_vectors) handles vector payloads
+one at a time, one flat conversion per block each; the CLI's JSON reader
+decodes each vector as it closes it (_vector_hook), so the JSON tree of a
+whole file never exists.  ModuleVector.from_dict and to_dict are the
+codec's one-vector case.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 
 import numpy as np
 
@@ -144,71 +146,78 @@ def _parse_vector(payload, where: str, shape: AlgebraShape | None) -> tuple[Alge
     return shape, entries
 
 
+class _Decoded(namedtuple("_Decoded", "shape d stacks")):
+    """A vector payload's entries, decoded: its shape, d and one (d, n, n) stack per block."""
+
+    def __repr__(self) -> str:  # an error quoting a misplaced vector stays one line
+        return "[...]"
+
+
+def _decode_vector(payload, where: str, shape=None, d=None) -> _Decoded:
+    """Decode one vector payload: its layout, then shape and d (when given), then values.
+
+    Entries the JSON reader decoded already (_vector_hook) get the shape and d check only.
+    """
+    done = payload.get("entries") if isinstance(payload, dict) else None
+    if isinstance(done, _Decoded):
+        vec_shape, count = done.shape, done.d
+    else:
+        vec_shape, raw = _parse_vector(payload, where, shape)
+        count = len(raw)
+    if shape is not None and vec_shape != shape:
+        raise InputError(f"{where} has shape {vec_shape.to_list()}, expected {shape.to_list()}")
+    if d is not None and count != d:
+        raise InputError(f"{where} has {count} entries, expected d={d}")
+    if isinstance(done, _Decoded):
+        return done
+    stacks = [
+        _decode_matrices([e[b] for e in raw], n, lambda k, b=b: f"{where}: entry {k}: block {b}")
+        for b, n in enumerate(vec_shape.block_dims)
+    ]
+    return _Decoded(vec_shape, count, stacks)
+
+
+def _vector_hook(obj: dict) -> dict:
+    """json object_hook: decode a vector payload's entries as the reader closes it.
+
+    The dict keeps its keys, so a vector in the wrong place is refused as
+    before.  A faulty vector is left raw, for _decode_vectors to name.
+    """
+    if "shape" in obj and "entries" in obj:
+        try:
+            obj["entries"] = _decode_vector(obj, "vector")
+        except InputError:
+            pass
+    return obj
+
+
 def _decode_vectors(payloads: list, locate, shape=None, d=None) -> tuple:
     """The vector codec's reader: shape, d and one (count, d, n, n) stack per block.
 
     payloads is a nonempty list of vector payloads, locate(i) names payload i
     in errors, and shape and d, when given, are what every vector must have
-    (else the first vector sets them).  Layouts are checked vector by vector;
-    then each block's matrices, across all vectors, are decoded by one
-    _decode_matrices call.  Of several faults the first in file order is
-    named: a layout fault waits until the earlier vectors' values are
-    decoded, and a faulty block stack is decoded again vector by vector.
+    (else the first vector sets them).  Vectors are decoded one at a time in
+    file order, so of several faults the first faulty vector is named.
     """
-    entries = []
+    stacks = []
     for i, payload in enumerate(payloads):
-        try:
-            vec_shape, raw = _parse_vector(payload, locate(i), shape)
-            if shape is not None and vec_shape != shape:
-                raise InputError(
-                    f"{locate(i)} has shape {vec_shape.to_list()}, expected {shape.to_list()}"
-                )
-            if d is not None and len(raw) != d:
-                raise InputError(f"{locate(i)} has {len(raw)} entries, expected d={d}")
-        except InputError:
-            if entries:
-                _vector_stacks(shape, d, entries, locate)
-            raise
-        shape, d = vec_shape, len(raw)
-        entries.extend(raw)
-    return shape, d, _vector_stacks(shape, d, entries, locate)
+        vec = _decode_vector(payload, locate(i), shape, d)
+        shape, d = vec.shape, vec.d
+        stacks.append(vec.stacks)
+    return shape, d, [np.stack(blocks) for blocks in zip(*stacks)]
 
 
-def _vector_stacks(shape: AlgebraShape, d: int, entries: list, locate) -> list:
-    """Per block, the (len(entries) // d, d, n, n) stack of d-entry vectors' matrices."""
-    try:
-        return [
-            _decode_matrices(
-                [e[b] for e in entries],
-                n,
-                lambda k, b=b: f"{locate(k // d)}: entry {k % d}: block {b}",
-            ).reshape(-1, d, n, n)
-            for b, n in enumerate(shape.block_dims)
-        ]
-    except InputError:
-        # A block stack fails at its own first faulty vector, which need not
-        # be the first faulty vector of the file.
-        if len(entries) > d:
-            for i in range(len(entries) // d):
-                _vector_stacks(shape, d, entries[i * d : (i + 1) * d], lambda _, i=i: locate(i))
-        raise
+def _encode_vectors(shape: AlgebraShape, stacks):
+    """The vector codec's writer: yield one vector payload per vector of (count, d, n, n) stacks.
 
-
-def _encode_vectors(shape: AlgebraShape, stacks) -> list[dict]:
-    """The vector codec's writer: one vector payload per vector of (count, d, n, n) stacks.
-
-    Each block's stack is encoded by one _encode_matrices call.
+    Each block of a vector is one _encode_matrices call; one vector's lists exist at a time.
     """
-    encoded = [_encode_matrices(s) for s in stacks]
-    return [
-        {
+    for vector in zip(*stacks):
+        encoded = [_encode_matrices(blk) for blk in vector]
+        yield {
             "shape": shape.to_list(),
-            "entries": [
-                {"shape": shape.to_list(), "blocks": list(blocks)} for blocks in zip(*vector)
-            ],
+            "entries": [{"shape": shape.to_list(), "blocks": list(blocks)} for blocks in zip(*encoded)],
         }
-        for vector in zip(*encoded)
-    ]
 
 
 class ModuleVector:
@@ -268,7 +277,7 @@ class ModuleVector:
         return f"ModuleVector(shape={self.shape.block_dims}, d={self.d})"
 
     def to_dict(self) -> dict:
-        return _encode_vectors(self.shape, [blk[None] for blk in self.blocks])[0]
+        return next(_encode_vectors(self.shape, [blk[None] for blk in self.blocks]))
 
     @classmethod
     def from_dict(cls, payload, where: str = "module vector") -> "ModuleVector":

@@ -16,8 +16,8 @@ the cross Gram of two frames T W^H.
 
 In a JSON file a frame is a list of vector payloads.  The vector codec
 (csmodule._decode_vectors and _encode_vectors, whose one-vector case is
-ModuleVector.from_dict and to_dict) reads and writes them as one
-(N, d, n, n) entry stack per block.
+ModuleVector.from_dict and to_dict) reads and writes them one vector at a
+time and joins them into one (N, d, n, n) entry stack per block.
 
 The support of any module vector, coefficients or not, is decided by a
 relative threshold: an entry counts as nonzero when its C*-norm exceeds
@@ -152,10 +152,14 @@ class ModularFrame:
         )
 
     def to_dict(self) -> dict:
+        return self._payload(list(_encode_vectors(self.shape, self.blocks)))
+
+    def _payload(self, vectors) -> dict:
+        """The frame's JSON payload around the given "vectors" value."""
         return {
             "algebra": self.shape.to_list(),
             "d": int(self.d),
-            "vectors": _encode_vectors(self.shape, self.blocks),
+            "vectors": vectors,
             "parseval": bool(is_parseval(self)),
         }
 
@@ -164,10 +168,11 @@ class ModularFrame:
         """Rebuild a frame from its JSON payload.
 
         "vectors" is a list of vector payloads, read by the vector codec
-        (csmodule._decode_vectors) as one stack per block; of several faults
-        the error names the first faulty vector in file order.  The stored
-        "parseval" flag is advisory; when it claims True the frame operator
-        is re-verified and a false claim is rejected.
+        (csmodule._decode_vectors) one at a time in file order, so of several
+        faults the first faulty vector is named; those the CLI's JSON reader
+        decoded (csmodule._vector_hook) only get the algebra and d check.
+        The stored "parseval" flag is advisory; when it claims True the frame
+        operator is re-verified and a false claim is rejected.
         """
         if not isinstance(payload, dict):
             raise InputError(f"{where}: expected an object, got {type(payload).__name__}")

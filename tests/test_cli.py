@@ -5,10 +5,21 @@ import json
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
+import numpy as np
 import pytest
 
-from ncup import AlgebraShape, ModularFrame, SingularOperatorError, basis_vector, cli, module_norm
+from ncup import (
+    AlgebraShape,
+    ModularFrame,
+    SingularOperatorError,
+    basis_vector,
+    cli,
+    module_norm,
+    parsevalize,
+    random_frame,
+)
 from ncup.ncft import dirac_comb, fourier_frame, standard_frame
 
 from oracles import vec_sub
@@ -90,10 +101,20 @@ def test_certify_missing_file(tmp_path, comb_files):
 
 
 def test_certify_malformed_json(tmp_path, comb_files):
-    # Invalid JSON, bytes that are not UTF-8 and nesting deeper than the
-    # decoder's recursion limit each give one error line, not a traceback.
+    # Invalid JSON, bytes that are not UTF-8, nesting deeper than the
+    # decoder's recursion limit and an integer longer than int() reads (4,300
+    # digits), in a matrix slot or in "d", each give one error line, not a
+    # traceback.
     bad = tmp_path / "bad.json"
-    for content in (b"{not json", b'\xff\xfe{"d": 4}', b"[" * 200_000 + b"]" * 200_000):
+    frame, big = comb_files["tau"].read_text(), "7" * 5000
+    assert '"d": 4' in frame and "[1.0, 0.0]" in frame
+    for content in (
+        b"{not json",
+        b'\xff\xfe{"d": 4}',
+        b"[" * 200_000 + b"]" * 200_000,
+        frame.replace("[1.0, 0.0]", f"[{big}, 0.0]", 1).encode(),
+        frame.replace('"d": 4', f'"d": {big}').encode(),
+    ):
         bad.write_bytes(content)
         proc = run_cli(
             "certify",
@@ -203,6 +224,20 @@ def test_certify_rejects_overflowing_vector(comb_files, tmp_path):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert_single_error_line(proc.stderr, "Gram products overflow")
+
+
+def test_vector_in_place_of_a_shape_is_one_error_line(comb_files, tmp_path, capsys):
+    # The reader decodes the inner vector before the outer one refuses it as
+    # its declared shape; the message quotes it with its entries elided.
+    x = json.loads(comb_files["x"].read_text())
+    nested = tmp_path / "nested.json"
+    nested.write_text(json.dumps({**x, "shape": x}))
+    argv = ["certify", "--frame-tau", str(comb_files["tau"]), "--frame-omega", str(comb_files["omega"])]
+    assert cli.main([*argv, "--vector", str(nested)]) == 2
+    assert_single_error_line(
+        capsys.readouterr().err,
+        f"{nested}: declared shape {{'shape': [1], 'entries': [...]}} does not match entries [1]",
+    )
 
 
 @pytest.mark.parametrize("d", ["0", "-1"])
@@ -444,6 +479,50 @@ def test_parsevalize_round_trip(tmp_path):
         for a, b in zip(frame.vectors, redone.vectors)
     )
     assert worst <= 1e-10
+
+
+@pytest.fixture(scope="module")
+def large_frame_file(tmp_path_factory):
+    """A Gaussian (4,4,8), d=16, N=24 frame file, 1.6 MB of JSON."""
+    path = tmp_path_factory.mktemp("large") / "raw.json"
+    frame = random_frame(AlgebraShape((4, 4, 8)), 16, 24, np.random.default_rng(2031))
+    path.write_text(json.dumps(frame.to_dict()))
+    return path
+
+
+def _traced_peak_mib(call) -> float:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_frame_files_are_read_and_written_one_vector_at_a_time(large_frame_file, tmp_path):
+    # The reader decodes each vector as it closes it and parsevalize writes the
+    # frame vector by vector, so the JSON tree of the whole file never exists.
+    # Holding it peaked at 7.2 MiB for the load and 10.5 MiB for parsevalize;
+    # streaming takes 3.1 and 4.5 MiB.
+    path, out = str(large_frame_file), str(tmp_path / "out.json")
+    cli._load_frame(path)  # imports and first-call caches stay out of the peaks
+    assert _traced_peak_mib(lambda: cli._load_frame(path)) < 5.0
+    assert _traced_peak_mib(lambda: cli.main(["parsevalize", "--frame-tau", path, "--out", out])) < 7.0
+
+
+@pytest.mark.parametrize("dims", [(1,), (1, 2), (4, 4, 8)], ids=["C", "C+M2", "4,4,8"])
+def test_parsevalize_writes_the_canonical_frame(large_frame_file, tmp_path, dims):
+    # The frame is written one vector at a time, with the bytes of its whole canonical text.
+    if dims == (4, 4, 8):
+        src = large_frame_file
+    else:
+        src = tmp_path / "raw.json"
+        frame = random_frame(AlgebraShape(dims), 3, 5, np.random.default_rng(11))
+        src.write_text(json.dumps(frame.to_dict()))
+    out = tmp_path / "out.json"
+    assert cli.main(["parsevalize", "--frame-tau", str(src), "--out", str(out)]) == 0
+    fixed = parsevalize(cli._load_frame(str(src)))
+    assert out.read_text() == cli._canonical(fixed.to_dict()) + "\n"
 
 
 def test_parsevalize_rejects_non_spanning_family(tmp_path):

@@ -247,32 +247,32 @@ def test_vector_json_round_trip(shape, rng):
     assert back.to_dict() == x.to_dict()
 
 
-def test_vector_json_errors():
-    with pytest.raises(InputError, match="missing key"):
-        ModuleVector.from_dict({"shape": [1]})
-    with pytest.raises(InputError, match="entry 1"):
-        ModuleVector.from_dict(
-            {
-                "shape": [1],
-                "entries": [
-                    {"shape": [1], "blocks": [[[[1.0, 0.0]]]]},
-                    {"shape": [2], "blocks": [[[[1.0, 0.0]]]]},
-                ],
-            }
-        )
-    with pytest.raises(InputError, match="declared shape"):
-        ModuleVector.from_dict(
-            {"shape": [2], "entries": [{"shape": [1], "blocks": [[[[1.0, 0.0]]]]}]}
-        )
+def test_vector_json_errors(error_through_reader):
+    # Each payload fails with the same message from a dict and from a file.
+    def error(payload):
+        return error_through_reader(ModuleVector, payload, "x.json")
+
+    assert "x.json: missing key 'shape'" == error({"entries": []})
+    assert "x.json: missing key 'entries'" == error({"shape": [1]})
+    assert "x.json: entry 1 has shape" in error(
+        {
+            "shape": [1],
+            "entries": [
+                {"shape": [1], "blocks": [[[[1.0, 0.0]]]]},
+                {"shape": [2], "blocks": [[[[1.0, 0.0]]]]},
+            ],
+        }
+    )
+    assert "declared shape" in error(
+        {"shape": [2], "entries": [{"shape": [1], "blocks": [[[[1.0, 0.0]]]]}]}
+    )
     # JSON true is not the integer 1, in an entry's shape or the declared one
-    with pytest.raises(InputError, match="entry 0: 'shape' must be a list of integers"):
-        ModuleVector.from_dict(
-            {"shape": [1], "entries": [{"shape": [True], "blocks": [[[[1.0, 0.0]]]]}]}
-        )
-    with pytest.raises(InputError, match="declared shape"):
-        ModuleVector.from_dict(
-            {"shape": [True], "entries": [{"shape": [1], "blocks": [[[[1.0, 0.0]]]]}]}
-        )
+    assert "x.json: entry 0: 'shape' must be a list of integers" in error(
+        {"shape": [1], "entries": [{"shape": [True], "blocks": [[[[1.0, 0.0]]]]}]}
+    )
+    assert "declared shape" in error(
+        {"shape": [True], "entries": [{"shape": [1], "blocks": [[[[1.0, 0.0]]]]}]}
+    )
     blocks = (
         [[[1.0, 0.0]], []],
         [[[1.0]]],
@@ -290,8 +290,7 @@ def test_vector_json_errors():
                 {"shape": [1], "blocks": [block]},
             ],
         }
-        with pytest.raises(InputError, match="x.json: entry 1: block 0: "):
-            ModuleVector.from_dict(payload, where="x.json")
+        assert error(payload).startswith("x.json: entry 1: block 0: ")
 
 
 @pytest.mark.parametrize(

@@ -35,7 +35,7 @@ from ncup import (
     support,
     synthesis,
 )
-from ncup import algebra, csmodule, frames
+from ncup import algebra, cli, csmodule, frames
 from ncup.ncft import fourier_frame, standard_frame
 
 from oracles import (
@@ -412,14 +412,15 @@ def test_frame_json_rejects_false_parseval_claim():
         ModularFrame.from_dict(payload)
 
 
-def test_frame_json_errors_carry_location():
-    with pytest.raises(InputError, match="missing key"):
-        ModularFrame.from_dict({"algebra": [1]}, where="frame.json")
-    good = standard_frame(C, 2).to_dict()
-    bad = dict(good)
+def test_frame_json_errors_carry_location(error_through_reader):
+    # Each payload fails with the same message from a dict and from a file.
+    def error(payload):
+        return error_through_reader(ModularFrame, payload, "frame.json")
+
+    assert error({"algebra": [1]}) == "frame.json: missing key 'd'"
+    bad = standard_frame(C, 2).to_dict()
     bad["d"] = "two"
-    with pytest.raises(InputError, match="frame.json"):
-        ModularFrame.from_dict(bad, where="frame.json")
+    assert error(bad) == "frame.json: 'd' must be a positive integer"
     malformed = [
         [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]],  # ragged rows
         [[[1.0], [0.0]], [[0.0], [1.0]]],  # [re] singletons
@@ -431,8 +432,7 @@ def test_frame_json_errors_carry_location():
     for block in malformed:
         payload = json.loads(json.dumps(standard_frame(M2, 2).to_dict()))
         payload["vectors"][1]["entries"][0]["blocks"][0] = block
-        with pytest.raises(InputError, match="frame.json: vector 1: entry 0: block 0: "):
-            ModularFrame.from_dict(payload, where="frame.json")
+        assert error(payload).startswith("frame.json: vector 1: entry 0: block 0: ")
 
 
 def _standard_payload():
@@ -466,6 +466,12 @@ def _mix_entry_shapes(payload):
             lambda p: p["vectors"][1]["entries"][0].update(shape=[True]),
             "vector 1: entry 0: 'shape' must be a list of integers",
         ),
+        # A vector payload in the wrong place keeps its keys after the reader decodes it.
+        (
+            lambda p: p["vectors"][1]["entries"].__setitem__(0, basis_vector(C, 2, 0).to_dict()),
+            "vector 1: entry 0: missing key 'blocks'",
+        ),
+        (lambda p: p.update(vectors=basis_vector(C, 2, 0).to_dict()), "'vectors' must be a nonempty list"),
     ],
     ids=[
         "shape",
@@ -478,51 +484,74 @@ def _mix_entry_shapes(payload):
         "d-boolean",
         "algebra-boolean",
         "entry-shape-boolean",
+        "vector-as-entry",
+        "vector-as-vectors",
     ],
 )
-def test_frame_json_error_lines(fault, message):
+def test_frame_json_error_lines(error_through_reader, fault, message):
     payload = _standard_payload()
     fault(payload)
-    with pytest.raises(InputError) as info:
-        ModularFrame.from_dict(payload, where="frame.json")
-    assert str(info.value) == f"frame.json: {message}"
+    assert error_through_reader(ModularFrame, payload, "frame.json") == f"frame.json: {message}"
 
 
-def test_frame_json_names_the_first_faulty_vector():
+def test_vector_file_read_as_a_frame(error_through_reader):
+    # The reader decodes the vector's entries but keeps its keys, so the frame check still fails.
+    payload = basis_vector(C, 2, 0).to_dict()
+    assert error_through_reader(ModularFrame, payload, "x.json") == "x.json: missing key 'algebra'"
+
+
+def test_frame_json_names_the_first_faulty_vector(error_through_reader):
     # Vectors are decoded in file order, so of two faults the earlier one is reported.
     payload = _standard_payload()
     payload["vectors"][0]["entries"][0]["blocks"][0][0][0] = [float("nan"), 0.0]
     payload["vectors"][1] = basis_vector(M2, 2, 0).to_dict()
-    with pytest.raises(InputError) as info:
-        ModularFrame.from_dict(payload, where="frame.json")
-    assert str(info.value) == (
+    assert error_through_reader(ModularFrame, payload, "frame.json") == (
         "frame.json: vector 0: entry 0: block 0: non-finite value (NaN or Infinity)"
     )
 
 
-def test_frame_json_names_the_first_faulty_vector_across_blocks():
-    # The codec decodes block 0 of every vector before block 1; the fault it
-    # meets first (vector 1, block 0) is not the first in file order.
+def test_frame_json_names_the_first_faulty_vector_across_blocks(error_through_reader):
+    # Each vector is decoded whole, all of its blocks, before the next one, so
+    # vector 0's fault in block 1 is named before vector 1's fault in block 0.
     payload = json.loads(json.dumps(standard_frame(AlgebraShape((1, 2)), 2).to_dict()))
     payload["vectors"][0]["entries"][0]["blocks"][1][0][0] = [float("nan"), 0.0]
     payload["vectors"][1]["entries"][1]["blocks"][0] = [[[1.0]]]
-    with pytest.raises(InputError) as info:
-        ModularFrame.from_dict(payload, where="frame.json")
-    assert str(info.value) == (
+    assert error_through_reader(ModularFrame, payload, "frame.json") == (
         "frame.json: vector 0: entry 0: block 1: non-finite value (NaN or Infinity)"
     )
     # Alone, each fault is named where it is.
     payload["vectors"][0]["entries"][0]["blocks"][1][0][0] = [1.0, 0.0]
-    with pytest.raises(InputError) as info:
-        ModularFrame.from_dict(payload, where="frame.json")
-    assert str(info.value) == (
+    assert error_through_reader(ModularFrame, payload, "frame.json") == (
         "frame.json: vector 1: entry 1: block 0: must be an 1x1 matrix of [re, im] number pairs"
     )
 
 
-def test_frame_json_decodes_each_block_once(monkeypatch, rng):
+def test_frame_file_mixes_decoded_and_faulty_vectors(error_through_reader, rng):
+    # The reader decodes the sound vectors and leaves the faulty ones raw; the
+    # first fault in file order is named either way, whether it is a faulty
+    # value or a sound vector of the wrong module.
+    shape = AlgebraShape((1, 2))
+    sound = random_frame(shape, 2, 5, rng).to_dict()
+    payload = json.loads(json.dumps(sound))
+    payload["vectors"][3]["entries"][1]["blocks"][1][1][0] = [0.0, float("inf")]
+    payload["vectors"][4] = basis_vector(M2, 2, 0).to_dict()
+    assert error_through_reader(ModularFrame, payload, "frame.json") == (
+        "frame.json: vector 3: entry 1: block 1: non-finite value (NaN or Infinity)"
+    )
+    payload["vectors"][2] = basis_vector(shape, 3, 0).to_dict()
+    assert error_through_reader(ModularFrame, payload, "frame.json") == (
+        "frame.json: vector 2 has 3 entries, expected d=2"
+    )
+
+
+def test_frame_json_decodes_each_vector_once(monkeypatch, tmp_path, rng):
+    # One _decode_matrices call per block per vector, in file order, whether
+    # the frame comes as a dict or from a file, whose reader decodes each
+    # vector as it closes it: from_dict then decodes none again.
     shape = AlgebraShape((1, 2, 3))
     payload = random_parseval_frame(shape, 3, 5, rng).to_dict()
+    path = tmp_path / "frame.json"
+    path.write_text(json.dumps(payload))
     calls = []
 
     def spy(raws, n, locate):
@@ -530,9 +559,11 @@ def test_frame_json_decodes_each_block_once(monkeypatch, rng):
         return algebra._decode_matrices(raws, n, locate)
 
     monkeypatch.setattr(csmodule, "_decode_matrices", spy)
-    back = ModularFrame.from_dict(payload)
-    assert calls == [(15, 1), (15, 2), (15, 3)]
-    assert back.to_dict() == payload
+    assert ModularFrame.from_dict(payload).to_dict() == payload
+    assert calls == [(3, 1), (3, 2), (3, 3)] * 5
+    calls.clear()
+    assert cli._load_frame(str(path)).to_dict() == payload
+    assert calls == [(3, 1), (3, 2), (3, 3)] * 5
 
 
 def test_block_views_are_read_only(rng):
