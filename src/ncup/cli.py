@@ -172,13 +172,8 @@ def _cmd_tao(args):
     if unread:
         raise InputError(f"--{unread[0]} is not read in {args.mode} mode")
     result = tao_min_sum(args.p, mode=args.mode, **given)
-    holds = result["min_sum"] >= args.p + 1
-    report = _report(
-        "tao",
-        {"threshold": RANK_TOL},
-        {**result, "holds": bool(holds), "seed": given.get("seed", 0)},
-    )
-    return (0 if holds else 1), _canonical(report) + "\n"
+    report = _report("tao", {"threshold": RANK_TOL}, {**result, "seed": given.get("seed", 0)})
+    return (0 if result["holds"] else 1), _canonical(report) + "\n"
 
 
 def _cmd_conjecture(args):

@@ -72,6 +72,7 @@ from .frames import (
     _support_mask,
     _validate_indices,
     sparsity,
+    support,
 )
 from .uncertainty import _deficient_blocks
 
@@ -91,7 +92,6 @@ __all__ = [
 EXHAUSTIVE_MAX_P = 7
 SAMPLED_MAX_P = 13
 DEFAULT_SAMPLES = 100_000
-PATTERN_SEARCH_MAX_P = 11
 
 # Miller-Rabin with these bases is exact for every n < 2^64.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -271,21 +271,6 @@ def _rank_deficient(n: int, cols: np.ndarray, rows: np.ndarray) -> tuple[np.ndar
         sv = np.linalg.svd(minors, compute_uv=False)
         deficient[undecided] = _numeric_rank(sv, sv[:, :1]) < cols.shape[1]
     return deficient, len(undecided)
-
-
-def _delta_supports(p: int) -> tuple[list[int], list[int]]:
-    """Support and Fourier support of the scalar spike at index 0."""
-    x = np.zeros(p, dtype=np.complex128)
-    x[0] = 1.0
-    return _supports(x, dft_matrix(p) @ x)
-
-
-def _supports(x: np.ndarray, xh: np.ndarray) -> tuple[list[int], list[int]]:
-    """Supports of a scalar vector and of its transform, thresholded at RANK_TOL."""
-    return (
-        np.flatnonzero(_support_mask(np.abs(x), RANK_TOL)).tolist(),
-        np.flatnonzero(_support_mask(np.abs(xh), RANK_TOL)).tolist(),
-    )
 
 
 @functools.lru_cache(maxsize=None)
@@ -674,7 +659,7 @@ def _pattern_search(shape: AlgebraShape, p: int):
 
 
 def _pattern_witness(p: int, w: np.ndarray, t, omega):
-    """Kernel vector for a feasible pattern, with its thresholded supports."""
+    """Kernel vector for a feasible pattern, with its supports at SUPPORT_REL_TOL."""
     rows = sorted(set(range(p)) - set(omega))
     if rows:
         minor = w[np.ix_(rows, list(t))]
@@ -685,7 +670,8 @@ def _pattern_witness(p: int, w: np.ndarray, t, omega):
         coeffs[0] = 1.0
     x = np.zeros(p, dtype=np.complex128)
     x[list(t)] = coeffs
-    return (x, *_supports(x, w @ x))
+    sup, fsup = (np.flatnonzero(_support_mask(np.abs(v), SUPPORT_REL_TOL)) for v in (x, w @ x))
+    return x, sup.tolist(), fsup.tolist()
 
 
 def tao_min_sum(
@@ -710,7 +696,9 @@ def tao_min_sum(
     float_fallbacks counts the square classes the SVD decided, plus any
     full classes of a size re-decided in full.  For prime p all minors are
     nonsingular, so the minimum is p + 1, attained by the spike at 0, and
-    the report does not depend on which pairs a seed draws.
+    the report does not depend on which pairs a seed draws.  The bound
+    holds if the minimum is at least p + 1 and no pattern was found
+    feasible; each support is thresholded at SUPPORT_REL_TOL.
 
     Exhaustive mode is capped at p <= 7 unless force=True (the minor count
     grows like C(2p, p)); sampled mode is capped at p <= 13.
@@ -751,7 +739,8 @@ def tao_min_sum(
             }
         violations.append({"support": t, "fourier_support": omega})
 
-    sup, fsup = _delta_supports(p)
+    delta = dirac_comb(AlgebraShape((1,)), p, p)
+    sup, fsup = support(delta), support(ncdft(delta))
     delta_sum = len(sup) + len(fsup)
     if min_sum is None or delta_sum < min_sum:
         min_sum = delta_sum
@@ -762,6 +751,7 @@ def tao_min_sum(
         "mode": mode,
         "pairs_checked": int(checked),
         "min_sum": int(min_sum),
+        "holds": min_sum >= p + 1 and not violations,
         "witness": witness,
         "threshold": RANK_TOL,
         "exact": _exact_summary(p, fallbacks),
@@ -788,7 +778,7 @@ def conjecture_audit(
       trials run in chunks of about _TRIAL_CHUNK matrix entries, at least
       one trial each, and a violation names its trial's global index;
       spike witness: the vector with 1_A at index 0 must attain p + 1;
-      structured search (p <= 11): every support pattern with sum <= p is
+      structured search: every support pattern with sum <= p is
       tested by the scalar minor criterion (the transform acts on each
       scalar coordinate of A separately, so scalar infeasibility rules out
       algebra-valued solutions) and cross-checked by support_pair_feasible's
@@ -850,10 +840,7 @@ def conjecture_audit(
     delta_sum = sparsity(delta, rel_tol) + sparsity(ncdft(delta), rel_tol)
     min_sum = int(min(min_sum, delta_sum))
 
-    patterns_checked, flagged, fallbacks = 0, [], 0
-    pattern_search_performed = p <= PATTERN_SEARCH_MAX_P
-    if pattern_search_performed:
-        patterns_checked, flagged, fallbacks = _pattern_search(shape, p)
+    patterns_checked, flagged, fallbacks = _pattern_search(shape, p)
     pattern_violations = [{"support": t, "fourier_support": o} for t, o, _, _ in flagged]
     crosscheck_agreed = all(scalar == by_frames for _, _, scalar, by_frames in flagged)
 
@@ -864,7 +851,7 @@ def conjecture_audit(
         and not pattern_violations
         and crosscheck_agreed
     )
-    report = {
+    return {
         "algebra": shape.to_list(),
         "p": int(p),
         "trials": trials,
@@ -877,9 +864,6 @@ def conjecture_audit(
         "patterns_checked": int(patterns_checked),
         "pattern_violations": pattern_violations,
         "reduction_crosscheck_agreed": bool(crosscheck_agreed),
-        "pattern_search_performed": bool(pattern_search_performed),
         "holds": bool(holds),
+        "exact": _exact_summary(p, fallbacks),
     }
-    if pattern_search_performed:
-        report["exact"] = _exact_summary(p, fallbacks)
-    return report

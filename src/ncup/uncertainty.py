@@ -55,6 +55,11 @@ ZERO_VECTOR_TOL = 1e-12
 # Relative tolerance for each replayed step of the inequality chain.
 CHAIN_TOL = 1e-9
 
+# Constraint-stack entries per chunk of _deficient_blocks, counted over all
+# blocks, which bounds the SVD stacks of one chunk (180 patterns of M2, or 11
+# of M8, in conjecture's largest group at p = 13, |T| = |Omega| = 6).
+_STACK_CHUNK = 1 << 17
+
 
 @dataclass(frozen=True)
 class UncertaintyCertificate:
@@ -272,18 +277,27 @@ def _deficient_blocks(
     """Per pattern and block, is that block's constraint stack rank deficient?
 
     Pattern i excludes the tau indices comp_t[i] and the omega indices
-    comp_o[i] (arrays of shape (m, a) and (m, c), a + c >= 1).  One stacked
-    SVD per block decides all m patterns; the rank cutoff is RANK_TOL times
-    the pattern's largest singular value over all blocks.  Returns an (m, B)
-    mask; support_pair_feasible's verdict is its row's any().
+    comp_o[i] (arrays of shape (m, a) and (m, c), a + c >= 1).  The patterns
+    are decided in chunks of about _STACK_CHUNK stack entries, at least one
+    pattern each, by one stacked SVD per block; the rank cutoff is RANK_TOL
+    times the pattern's largest singular value over all blocks.  Returns an
+    (m, B) mask; support_pair_feasible's verdict is its row's any().
     """
     dims = tau.shape.block_dims
-    svs = [
-        np.linalg.svd(_constraint_stack(t, w, n, comp_t, comp_o), compute_uv=False)
-        for n, t, w in zip(dims, tau.mats, omega.mats)
-    ]
-    ref = np.max([sv[:, :1] for sv in svs], axis=0)
-    return np.stack([_numeric_rank(sv, ref) < tau.d * n for n, sv in zip(dims, svs)], axis=1)
+    deficient = np.empty((len(comp_t), len(dims)), dtype=bool)
+    per_pattern = (comp_t.shape[1] + comp_o.shape[1]) * tau.d * tau.shape.dim
+    step = max(1, _STACK_CHUNK // per_pattern)
+    for start in range(0, len(comp_t), step):
+        part_t, part_o = comp_t[start : start + step], comp_o[start : start + step]
+        svs = [
+            np.linalg.svd(_constraint_stack(t, w, n, part_t, part_o), compute_uv=False)
+            for n, t, w in zip(dims, tau.mats, omega.mats)
+        ]
+        ref = np.max([sv[:, :1] for sv in svs], axis=0)
+        deficient[start : start + step] = np.stack(
+            [_numeric_rank(sv, ref) < tau.d * n for n, sv in zip(dims, svs)], axis=1
+        )
+    return deficient
 
 
 def _constraint_stack(t: np.ndarray, w: np.ndarray, n: int, comp_t, comp_o) -> np.ndarray:

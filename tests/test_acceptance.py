@@ -5,6 +5,7 @@ criterion lines always reach the terminal).  Every tolerance here is pinned;
 loosening one is a contract change, not a bug fix.
 """
 
+import math
 import time
 from itertools import combinations
 
@@ -217,9 +218,13 @@ def test_criterion_08_conjecture_audit():
         for p in (2, 3, 5):
             rep = conjecture_audit(shape, p, trials=10_000, seed=AUDIT_SEED)
             witness_sums[(dims, p)] = rep["delta_witness_sum"]
+            # every pattern (T, R), |T| >= 1, |R| = p - |Omega| >= |T|, |Omega| >= 1
+            patterns = sum(
+                math.comb(p, s) * math.comb(p, r) for s in range(1, p) for r in range(s, p)
+            )
             if not (
                 rep["holds"]
-                and rep["pattern_search_performed"]
+                and rep["patterns_checked"] == patterns
                 and rep["vector_violations"] == []
                 and rep["pattern_violations"] == []
                 and rep["delta_witness_sum"] == p + 1

@@ -625,6 +625,8 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
         ("conjecture_c2_p7.json", "conjecture --algebra 1,1 --p 7 --trials 2000"),
         ("conjecture_m2_p11.json", "conjecture --algebra 2 --p 11 --trials 2000"),
         ("conjecture_c2_p11.json", "conjecture --algebra 1,1 --p 11 --trials 2000"),
+        ("conjecture_m2_p13.json", "conjecture --algebra 2 --p 13 --trials 2000"),
+        ("conjecture_c2_p13.json", "conjecture --algebra 1,1 --p 13 --trials 2000"),
     ],
 )
 def test_report_matches_golden(name, args):

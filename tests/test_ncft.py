@@ -1,5 +1,6 @@
+import json
 import tracemalloc
-from itertools import combinations
+from itertools import combinations, product
 from math import comb, gcd
 
 import numpy as np
@@ -30,9 +31,11 @@ from ncup import (
     standard_frame,
     sub,
     support,
+    support_pair_feasible,
     tao_min_sum,
 )
-from ncup import cli, ncft
+from ncup import cli, ncft, uncertainty
+from ncup.frames import SUPPORT_REL_TOL
 from ncup.ncft import dft_matrix
 from ncup.uncertainty import _constraint_stack
 
@@ -938,6 +941,38 @@ def test_sampled_tao_needs_no_float_fallback(p):
         assert report["min_sum"] == p + 1
 
 
+def test_tao_flagged_pattern_fails_the_run(monkeypatch, capsys):
+    # A class the decider flags makes every member a violating pattern, and
+    # the run fails although each witness still sums to p + 1 or more.
+    p, flagged, rank_deficient = 5, [], ncft._rank_deficient
+
+    def flag_first_class(n, cols, rows):
+        deficient, fallbacks = rank_deficient(n, cols, rows)
+        flagged.append((cols[0].tolist(), rows[0].tolist()))
+        deficient[0] = True
+        return deficient, fallbacks
+
+    monkeypatch.setattr(ncft, "_rank_deficient", flag_first_class)
+    report = tao_min_sum(p)
+    members = set()
+    for t, r in flagged:
+        for u, a, b in product(range(1, p), range(p), range(p)):
+            t_image = sorted((u * j + a) % p for j in t)
+            r_image = {(pow(u, -1, p) * k + b) % p for k in r}
+            members.add((tuple(t_image), tuple(sorted(set(range(p)) - r_image))))
+    listed = [(tuple(v["support"]), tuple(v["fourier_support"])) for v in report["violating_patterns"]]
+    assert len(listed) == len(set(listed)) == len(members) == 150
+    assert set(listed) == members
+    assert report["holds"] is False
+    assert report["min_sum"] >= p + 1
+    witness = report["witness"]
+    entries = np.array([complex(*z) for z in witness["entries"]])
+    for sup, x in ((witness["support"], entries), (witness["fourier_support"], dft_matrix(p) @ entries)):
+        assert sup == np.flatnonzero(np.abs(x) > SUPPORT_REL_TOL * np.abs(x).max()).tolist()
+    assert cli.main(["tao", "--p", str(p)]) == 1
+    assert json.loads(capsys.readouterr().out)["holds"] is False
+
+
 def test_tao_min_sum_guard_rails():
     with pytest.raises(InputError):
         tao_min_sum(11, mode="exhaustive")
@@ -955,7 +990,9 @@ def test_conjecture_audit_scalar_block():
     assert report["min_sum"] >= 4
     assert report["delta_witness_sum"] == 4
     assert report["vector_violations"] == []
-    assert report["pattern_search_performed"]
+    assert report["patterns_checked"] == sum(
+        comb(3, s) * comb(3, o) for s in range(1, 3) for o in range(1, 4 - s)
+    )
     assert report["pattern_violations"] == []
     assert report["reduction_crosscheck_agreed"]
 
@@ -1266,10 +1303,58 @@ def test_pattern_search_decides_frames_once_per_class(monkeypatch):
         assert flagged == []
 
 
-def test_conjecture_audit_skips_pattern_search_large_p():
+def test_conjecture_audit_searches_every_pattern_at_p13():
+    # The largest accepted prime gets the same structured search, and the
+    # same report shape, as every smaller one.
     report = conjecture_audit(C, 13, trials=100, seed=0)
-    assert not report["pattern_search_performed"]
+    assert report["patterns_checked"] == 38_738_349 == sum(
+        comb(13, s) * comb(13, o) for s in range(1, 13) for o in range(1, 14 - s)
+    )
+    assert report["exact"]["float_fallbacks"] == 0
+    assert report["pattern_violations"] == []
+    assert report["reduction_crosscheck_agreed"]
     assert report["holds"]
+
+
+@pytest.mark.parametrize("chunk", [1, 1000])
+def test_frame_verdicts_do_not_depend_on_the_chunk(monkeypatch, chunk):
+    # _deficient_blocks decides its patterns in chunks of _STACK_CHUNK
+    # constraint-stack entries, as many patterns as fit and at least one.
+    # Chunks of one pattern, or of four, give the default chunk's verdicts.
+    # At the composite length 6 the standard and Fourier frames admit some
+    # patterns (the comb on {0, 2, 4}) and refuse others.
+    shape, n = AlgebraShape((1, 2)), 6
+    tau, omega = standard_frame(shape, n), fourier_frame(shape, n)
+    pairs = list(product(combinations(range(n), 3), combinations(range(n), 4)))
+    comp_t, comp_o = (np.array([pair[side] for pair in pairs]) for side in (0, 1))
+    patterns = [[sorted(set(range(n)) - set(comp)) for comp in pair] for pair in pairs]
+
+    def verdicts():
+        return (
+            uncertainty._deficient_blocks(tau, omega, comp_t, comp_o).tolist(),
+            [support_pair_feasible(tau, omega, t, o)[0] for t, o in patterns],
+            [ncft._pattern_search(shape, length) for length in (6, 7)],
+        )
+
+    expected = verdicts()
+    assert any(expected[1]) and not all(expected[1])
+    assert expected[2][0][1] != []
+    stacks, constraint_stack = [], uncertainty._constraint_stack
+
+    def recording_stack(t, w, n, part_t, part_o):
+        stack = constraint_stack(t, w, n, part_t, part_o)
+        stacks.append((len(part_t), stack.size))
+        return stack
+
+    monkeypatch.setattr(uncertainty, "_STACK_CHUNK", chunk)
+    monkeypatch.setattr(uncertainty, "_constraint_stack", recording_stack)
+    uncertainty._deficient_blocks(tau, omega, comp_t, comp_o)
+    # 300 patterns of (3 + 4) * 6 * 5 = 210 entries over both blocks: chunks
+    # of 1, or of the 4 that fit in 1,000 entries, one stack per block
+    per_chunk = max(1, chunk // 210)
+    assert [m for m, _ in stacks] == [per_chunk] * (300 // per_chunk * shape.num_blocks)
+    assert sum(size for _, size in stacks[: shape.num_blocks]) == per_chunk * 210
+    assert verdicts() == expected
 
 
 def test_conjecture_audit_validates():
