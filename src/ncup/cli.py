@@ -22,7 +22,7 @@ import sys
 
 from . import __version__
 from .algebra import AlgebraShape
-from .csmodule import ModuleVector, _encode_vectors, _vector_hook
+from .csmodule import ModuleVector, _vector_hook, _vector_texts
 from .errors import InputError, NcupError, NonParsevalFrameError
 from .frames import PARSEVAL_TOL, RANK_TOL, SUPPORT_REL_TOL, ModularFrame, coherence, parsevalize
 from .ncft import DEFAULT_SAMPLES, conjecture_audit, tao_min_sum
@@ -136,10 +136,10 @@ def _cmd_parsevalize(args):
             {"holds": False, "diagnosis": "implementation-defect", "error": str(exc)},
         )
         return 1, _canonical(report) + "\n"
-    # The text of fixed.to_dict(), written one vector at a time: sorted keys put "vectors" last.
+    # The text of fixed.to_dict(), written one vector at a time by _vector_texts: sorted
+    # keys put "vectors" last, and fixed passed the residual check, so its numbers are finite.
     head = _canonical(fixed._payload([]))[:-2]
-    vectors = map(_canonical, _encode_vectors(fixed.shape, fixed.blocks))
-    return 0, "".join([head, ",".join(vectors), "]}\n"])
+    return 0, "".join([head, ",".join(_vector_texts(fixed.shape, fixed.blocks)), "]}\n"])
 
 
 def _cmd_audit(args):

@@ -16,11 +16,13 @@ The `mats` attribute holds these read-only matrices, one per block; the
 entry stacks, which is also what the constructors accept.
 
 In a JSON file a vector is {"shape": [...], "entries": [element, ...]}.
-The vector codec (_decode_vectors, _encode_vectors) handles vector payloads
-one at a time, one flat conversion per block each; the CLI's JSON reader
-decodes each vector as it closes it (_vector_hook), so the JSON tree of a
-whole file never exists.  ModuleVector.from_dict and to_dict are the
-codec's one-vector case.
+The vector codec handles vectors one at a time.  Its reader
+(_decode_vectors) makes one flat conversion per block of each payload, and
+the CLI's JSON reader decodes each vector as it closes it (_vector_hook), so
+the JSON tree of a whole file never exists.  Of its two writers,
+_vector_texts fills one text template per vector for files and
+_encode_vectors builds the payloads of to_dict.  ModuleVector.from_dict and
+to_dict are the one-vector case of _decode_vectors and _encode_vectors.
 """
 
 from __future__ import annotations
@@ -208,7 +210,7 @@ def _decode_vectors(payloads: list, locate, shape=None, d=None) -> tuple:
 
 
 def _encode_vectors(shape: AlgebraShape, stacks):
-    """The vector codec's writer: yield one vector payload per vector of (count, d, n, n) stacks.
+    """The vector codec's to_dict writer: one vector payload per vector of (count, d, n, n) stacks.
 
     Each block of a vector is one _encode_matrices call; one vector's lists exist at a time.
     """
@@ -218,6 +220,25 @@ def _encode_vectors(shape: AlgebraShape, stacks):
             "shape": shape.to_list(),
             "entries": [{"shape": shape.to_list(), "blocks": list(blocks)} for blocks in zip(*encoded)],
         }
+
+
+def _vector_texts(shape: AlgebraShape, stacks):
+    """The vector codec's file writer: the canonical text of each vector of (count, d, n, n) stacks.
+
+    One template per call has a %r slot per number, with keys sorted as the
+    canonical JSON sorts them; each vector fills it from one flat list of its
+    own numbers, in file order (entry, block, row, column, re/im).  The
+    numbers must be finite, as the JSON text of a finite float is its repr.
+    """
+    d, dims = np.shape(stacks[0])[1], ",".join(map(str, shape.block_dims))
+    blocks = ",".join(
+        "[" + ",".join(["[" + ",".join(["[%r,%r]"] * n) + "]"] * n) + "]" for n in shape.block_dims
+    )
+    entry = '{"blocks":[' + blocks + '],"shape":[' + dims + "]}"
+    template = '{"entries":[' + ",".join([entry] * d) + '],"shape":[' + dims + "]}"
+    for vector in zip(*stacks):
+        numbers = np.concatenate([blk.reshape(d, -1) for blk in vector], axis=1)
+        yield template % tuple(numbers.view(np.float64).ravel().tolist())
 
 
 class ModuleVector:

@@ -15,9 +15,10 @@ C T, the frame operator T^H T, the Parseval normalization T S^(-1/2), and
 the cross Gram of two frames T W^H.
 
 In a JSON file a frame is a list of vector payloads.  The vector codec
-(csmodule._decode_vectors and _encode_vectors, whose one-vector case is
-ModuleVector.from_dict and to_dict) reads and writes them one vector at a
-time and joins them into one (N, d, n, n) entry stack per block.
+reads and writes them one vector at a time: csmodule._decode_vectors joins
+them into one (N, d, n, n) entry stack per block, _encode_vectors writes
+to_dict's payloads and _vector_texts the CLI's file text.  ModuleVector's
+from_dict and to_dict are the one-vector cases of the first two.
 
 The support of any module vector, coefficients or not, is decided by a
 relative threshold: an entry counts as nonzero when its C*-norm exceeds

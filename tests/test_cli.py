@@ -20,6 +20,7 @@ from ncup import (
     parsevalize,
     random_frame,
 )
+from ncup.csmodule import _vector_texts
 from ncup.ncft import dirac_comb, fourier_frame, standard_frame
 
 from oracles import vec_sub
@@ -508,6 +509,17 @@ def test_frame_files_are_read_and_written_one_vector_at_a_time(large_frame_file,
     cli._load_frame(path)  # imports and first-call caches stay out of the peaks
     assert _traced_peak_mib(lambda: cli._load_frame(path)) < 5.0
     assert _traced_peak_mib(lambda: cli.main(["parsevalize", "--frame-tau", path, "--out", out])) < 7.0
+
+
+def test_frame_text_is_filled_one_vector_at_a_time(large_frame_file):
+    # Each vector's template is filled from that vector's numbers alone, so the
+    # writer peaks at the joined text and its parts, 2.0 times the text's length.
+    # One float list of the whole frame took 2.5 times, within the 7.0 MiB above.
+    fixed = parsevalize(cli._load_frame(str(large_frame_file)))
+    blocks = fixed.blocks
+    size = len(",".join(_vector_texts(fixed.shape, blocks)))
+    peak = _traced_peak_mib(lambda: ",".join(_vector_texts(fixed.shape, blocks))) * 2**20
+    assert peak < 2.25 * size
 
 
 @pytest.mark.parametrize("dims", [(1,), (1, 2), (4, 4, 8)], ids=["C", "C+M2", "4,4,8"])

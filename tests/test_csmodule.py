@@ -30,6 +30,8 @@ from ncup import (
     star,
     sub,
 )
+from ncup.cli import _canonical
+from ncup.csmodule import _encode_vectors, _vector_texts
 from oracles import (
     embed_element,
     module_scale,
@@ -245,6 +247,30 @@ def test_vector_json_round_trip(shape, rng):
     back = ModuleVector.from_dict(x.to_dict())
     assert module_norm(vec_sub(x, back)) == 0.0
     assert back.to_dict() == x.to_dict()
+
+
+# Signed zero, the least subnormal and normal, repr's switch to an exponent
+# (below 1e-4 and from 1e16 up), the largest float and two of many digits.
+EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-05, 0.0001,
+    9999999999999998.0, 1e16, 1e22, 1.7976931348623157e308, 3.0, 1 / 3,
+]
+
+
+@pytest.mark.parametrize("d", [1, 3, 16])
+@pytest.mark.parametrize("dims", [(1,), (1, 2), (3,), (4, 4, 8)], ids=["C", "C+M2", "M3", "4,4,8"])
+def test_vector_texts_are_the_canonical_payloads(dims, d):
+    # The file writer's template against json.dumps of the to_dict writer's payloads:
+    # every number differs from its neighbours' often enough that a key, separator
+    # or slot out of order changes the text.
+    shape, rng = AlgebraShape(dims), np.random.default_rng(sum(dims) * 100 + d)
+    stacks = []
+    for n in dims:
+        # [re, im] pairs viewed as complex, as arithmetic would turn -0.0 parts into 0.0.
+        pairs = rng.choice(EDGE_FLOATS, size=(2, d, n, n, 2)) * rng.choice([-1.0, 1.0], size=(2, d, n, n, 2))
+        stacks.append(pairs.view(np.complex128)[..., 0])
+    texts = list(_vector_texts(shape, stacks))
+    assert texts == [_canonical(payload) for payload in _encode_vectors(shape, stacks)]
 
 
 def test_vector_json_errors(error_through_reader):
