@@ -6,6 +6,9 @@ element is stored as one complex matrix per block; the involution is the
 blockwise conjugate transpose, the norm is the largest singular value over
 all blocks (computed by the one norm kernel, _entry_norms), and positivity
 is decided from blockwise Hermitian spectra.
+
+Each input rule the modules share is one function here, beside _as_int:
+_as_count, _as_seed, _as_list, _json_fields and _common_shape.
 """
 
 from __future__ import annotations
@@ -61,6 +64,44 @@ def _as_int(value, what: str) -> int:
         return operator.index(value)
     except TypeError as exc:
         raise InputError(f"{what} must be an integer, got {value!r}") from exc
+
+
+def _as_count(value, what: str) -> int:
+    """value as an int by _as_int's rule, refused unless it is at least 1."""
+    value = _as_int(value, what)
+    if value < 1:
+        raise InputError(f"{what} must be positive, got {value}")
+    return value
+
+
+def _as_seed(value) -> int:
+    """value as a random seed: an int by _as_int's rule, in [0, 2^64)."""
+    seed = _as_int(value, "seed")
+    if not 0 <= seed < 2**64:
+        raise InputError(f"seed must fit in 64 bits, got {seed}")
+    return seed
+
+
+def _json_fields(payload, where: str, keys: tuple) -> list:
+    """The values of keys in payload, which must be a JSON object holding all of them."""
+    if not isinstance(payload, dict):
+        raise InputError(f"{where}: expected an object, got {type(payload).__name__}")
+    for key in keys:
+        if key not in payload:
+            raise InputError(f"{where}: missing key {key!r}")
+    return [payload[key] for key in keys]
+
+
+def _common_shape(elements: list, labels) -> AlgebraShape:
+    """The shape shared by a nonempty list of AlgebraElements; labels[i] names element i."""
+    for label, e in zip(labels, elements):
+        if not isinstance(e, AlgebraElement):
+            raise InputError(f"entry {label} is not an algebra element")
+    shape = elements[0].shape
+    for label, e in zip(labels, elements):
+        if e.shape != shape:
+            raise InputError(f"entry {label} has shape {e.shape.block_dims}, expected {shape.block_dims}")
+    return shape
 
 
 def _as_list(items, what: str) -> list:
@@ -156,15 +197,9 @@ def _element_payload(
     A payload naming the dimensions of shape gets shape itself back, so the
     entries of a file share one AlgebraShape.
     """
-    if not isinstance(payload, dict):
-        raise InputError(f"{where}: expected an object, got {type(payload).__name__}")
-    for key in ("shape", "blocks"):
-        if key not in payload:
-            raise InputError(f"{where}: missing key {key!r}")
-    dims = payload["shape"]
+    dims, raw = _json_fields(payload, where, ("shape", "blocks"))
     if shape is None or dims != shape.to_list() or not all(map(_json_int, dims)):
         shape = _shape_from_payload(dims, where, "shape")
-    raw = payload["blocks"]
     if not isinstance(raw, list) or len(raw) != shape.num_blocks:
         raise InputError(f"{where}: 'blocks' must be a list of {shape.num_blocks} blocks")
     return shape, raw

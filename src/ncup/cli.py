@@ -15,6 +15,7 @@ counterexample), 2 invalid input, or input too large to fit in memory.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import json
 import math
@@ -184,13 +185,6 @@ def _cmd_conjecture(args):
     return (0 if result["holds"] else 1), _canonical(report) + "\n"
 
 
-def _seed(text: str) -> int:
-    seed = int(text)
-    if not 0 <= seed < 2**64:
-        raise argparse.ArgumentTypeError(f"must fit in 64 bits, got {seed}")
-    return seed
-
-
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -215,11 +209,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, handler, seed=False, rel_tol=False):
-        sp.set_defaults(handler=handler)
+    def common(sp, seed=False, rel_tol=False):
         sp.add_argument("--out", default=None, help="write the report to this path instead of stdout")
         if seed:
-            sp.add_argument("--seed", type=_seed, default=0, help="seed for all randomness (default 0)")
+            sp.add_argument("--seed", type=int, default=0, help="seed for all randomness (default 0)")
         if rel_tol:
             sp.add_argument(
                 "--rel-tol", dest="rel_tol", type=float, default=SUPPORT_REL_TOL,
@@ -230,16 +223,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--frame-tau", required=True, help="JSON file with the first Parseval frame")
     sp.add_argument("--frame-omega", required=True, help="JSON file with the second Parseval frame")
     sp.add_argument("--vector", required=True, help="JSON file with the test vector")
-    common(sp, _cmd_certify, rel_tol=True)
+    common(sp, rel_tol=True)
 
     sp = sub.add_parser("coherence", help="largest cross inner-product norm of a frame pair")
     sp.add_argument("--frame-tau", required=True)
     sp.add_argument("--frame-omega", required=True)
-    common(sp, _cmd_coherence)
+    common(sp)
 
     sp = sub.add_parser("parsevalize", help="write the canonical Parseval companion of a frame")
     sp.add_argument("--frame-tau", required=True, help="JSON file with the input frame")
-    common(sp, _cmd_parsevalize)
+    common(sp)
 
     sp = sub.add_parser("audit", help="certify many random Parseval pairs (JSON lines report)")
     sp.add_argument("--algebra", required=True, help="block dimensions, e.g. 1,2 for C+M2")
@@ -247,23 +240,29 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n-tau", dest="n_tau", type=int, default=None, help="first frame size (default d+2)")
     sp.add_argument("--n-omega", dest="n_omega", type=int, default=None, help="second frame size (default d+2)")
     sp.add_argument("--trials", type=int, default=100)
-    common(sp, _cmd_audit, seed=True, rel_tol=True)
+    common(sp, seed=True, rel_tol=True)
 
     sp = sub.add_parser("tao", help="minimum support sum under the length-p transform")
     sp.add_argument("--p", type=int, required=True, help="prime length")
     sp.add_argument("--mode", choices=["exhaustive", "sampled"], default="exhaustive")
     sp.add_argument("--samples", type=int, help=f"pairs to draw in sampled mode (default {DEFAULT_SAMPLES})")
     sp.add_argument("--force", action="store_true", default=None, help="allow exhaustive mode beyond p=7")
-    common(sp, _cmd_tao, seed=True)
+    common(sp, seed=True)
     sp.set_defaults(seed=None)  # read in sampled mode only
 
     sp = sub.add_parser("conjecture", help="audit the additive bound for algebra-valued vectors")
     sp.add_argument("--algebra", required=True, help="block dimensions, e.g. 1,2 for C+M2")
     sp.add_argument("--p", type=int, required=True, help="prime length")
     sp.add_argument("--trials", type=int, default=10_000)
-    common(sp, _cmd_conjecture, seed=True, rel_tol=True)
+    common(sp, seed=True, rel_tol=True)
 
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built on its first call: parsing leaves the parser unchanged."""
+    return build_parser()
 
 
 def main(argv=None) -> int:
@@ -275,11 +274,12 @@ def main(argv=None) -> int:
     those large trees would free nothing.  The caller's setting is restored
     on every exit.
     """
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     collector_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        code, text = args.handler(args)
+        # The handler is looked up per call: the parser, built once, holds none.
+        code, text = globals()[f"_cmd_{args.command}"](args)
         _emit(text, args.out)
         return code
     except NcupError as exc:

@@ -13,7 +13,8 @@ block matrix with M_ij in block row i and block column j.  Then <x, y> is
 X Y^H, the right action is X M, and composition is A B: each one matmul.
 The `mats` attribute holds these read-only matrices, one per block; the
 `blocks` attribute shows the same memory as (d, n, n) and (d, d, n, n)
-entry stacks, which is also what the constructors accept.
+entry stacks, which is also what the constructors accept; one check,
+_stacks_to_mats, reads them for vectors, operators and frames alike.
 
 In a JSON file a vector is {"shape": [...], "entries": [element, ...]}.
 The vector codec handles vectors one at a time.  Its reader
@@ -36,13 +37,16 @@ from .algebra import (
     POSITIVITY_TOL,
     AlgebraElement,
     AlgebraShape,
+    _as_count,
     _as_int,
     _as_list,
+    _common_shape,
     _complex_gaussian,
     _decode_matrices,
     _element_payload,
     _encode_matrices,
     _entry_norms,
+    _json_fields,
     _json_int,
     norm,
 )
@@ -72,11 +76,7 @@ def _freeze(mat) -> np.ndarray:
 
 
 def _module_rank(d) -> int:
-    """d as an int; raises InputError unless it is a positive module rank."""
-    d = _as_int(d, "module rank d")
-    if d < 1:
-        raise InputError(f"module rank d must be positive, got {d}")
-    return d
+    return _as_count(d, "module rank d")
 
 
 def _layout_axes(lead: tuple) -> tuple:
@@ -90,10 +90,20 @@ def _layout_axes(lead: tuple) -> tuple:
 
 
 def _stacks_to_mats(shape: AlgebraShape, blocks, lead: tuple) -> tuple:
-    """Check per-block entry stacks of shape (*lead, n, n); return private matrix copies."""
+    """Check per-block entry stacks of shape (*lead, n, n); return private matrix copies.
+
+    A frame's lead is (None, d): its vector count is read from the stacks.
+    """
     blocks = _as_list(blocks, "block stacks")
     if len(blocks) != shape.num_blocks:
         raise InputError(f"expected {shape.num_blocks} block stacks, got {len(blocks)}")
+    if lead[0] is None:
+        counts = {np.shape(blk)[0] if np.ndim(blk) else 0 for blk in blocks}
+        if len(counts) != 1:
+            raise InputError("all block stacks must agree on the number of vectors")
+        lead = (counts.pop(), *lead[1:])
+        if lead[0] < 1:
+            raise InputError("a frame needs at least one vector")
     axes = _layout_axes(lead)
     mats = []
     for n, blk in zip(shape.block_dims, blocks):
@@ -120,12 +130,7 @@ def _parse_vector(payload, where: str, shape: AlgebraShape | None) -> tuple[Alge
 
     shape, when given, is reused for entries that name its dimensions.
     """
-    if not isinstance(payload, dict):
-        raise InputError(f"{where}: expected an object, got {type(payload).__name__}")
-    for key in ("shape", "entries"):
-        if key not in payload:
-            raise InputError(f"{where}: missing key {key!r}")
-    raw = payload["entries"]
+    declared, raw = _json_fields(payload, where, ("shape", "entries"))
     if not isinstance(raw, list) or not raw:
         raise InputError(f"{where}: 'entries' must be a nonempty list")
     entries = []
@@ -139,7 +144,6 @@ def _parse_vector(payload, where: str, shape: AlgebraShape | None) -> tuple[Alge
                 f"expected {shape.block_dims}"
             )
         entries.append(blocks)
-    declared = payload["shape"]
     if declared != shape.to_list() or not all(map(_json_int, declared)):
         raise InputError(
             f"{where}: declared shape {declared} does not match entries "
@@ -269,15 +273,7 @@ class ModuleVector:
         entries = _as_list(entries, "vector entries")
         if not entries:
             raise InputError("a module vector needs at least one entry")
-        for i, e in enumerate(entries):
-            if not isinstance(e, AlgebraElement):
-                raise InputError(f"entry {i} is not an algebra element")
-        shape = entries[0].shape
-        for i, e in enumerate(entries):
-            if e.shape != shape:
-                raise InputError(
-                    f"entry {i} has shape {e.shape.block_dims}, expected {shape.block_dims}"
-                )
+        shape = _common_shape(entries, range(len(entries)))
         mats = [
             np.hstack([e.blocks[b] for e in entries])
             for b in range(shape.num_blocks)
@@ -335,18 +331,8 @@ class ModuleOperator:
         d = len(rows)
         if d == 0 or any(len(row) != d for row in rows):
             raise InputError("operator entries must form a square nonempty grid")
-        for i, row in enumerate(rows):
-            for j, e in enumerate(row):
-                if not isinstance(e, AlgebraElement):
-                    raise InputError(f"entry ({i},{j}) is not an algebra element")
-        shape = rows[0][0].shape
-        for i, row in enumerate(rows):
-            for j, e in enumerate(row):
-                if e.shape != shape:
-                    raise InputError(
-                        f"entry ({i},{j}) has shape {e.shape.block_dims}, "
-                        f"expected {shape.block_dims}"
-                    )
+        labels = [f"({i},{j})" for i in range(d) for j in range(d)]
+        shape = _common_shape([e for row in rows for e in row], labels)
         mats = [
             np.block([[e.blocks[b] for e in row] for row in rows])
             for b in range(shape.num_blocks)

@@ -27,9 +27,13 @@ rel_tol times the largest entry norm of the vector.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
-from .algebra import AlgebraShape, _as_int, _as_list, _entry_norms, _json_int, _shape_from_payload
+from .algebra import (
+    AlgebraShape, _as_count, _as_int, _as_list, _entry_norms, _json_fields, _json_int, _shape_from_payload
+)
 from .csmodule import (
     ModuleOperator,
     ModuleVector,
@@ -81,21 +85,10 @@ class ModularFrame:
 
     def __init__(self, shape: AlgebraShape, d: int, blocks) -> None:
         d = _module_rank(d)
-        blocks = _as_list(blocks, "block stacks")
-        if len(blocks) != shape.num_blocks:
-            raise InputError(
-                f"expected {shape.num_blocks} block stacks, got {len(blocks)}"
-            )
-        counts = {np.shape(blk)[0] if np.ndim(blk) else 0 for blk in blocks}
-        if len(counts) != 1:
-            raise InputError("all block stacks must agree on the number of vectors")
-        count = counts.pop()
-        if count < 1:
-            raise InputError("a frame needs at least one vector")
-        self.mats = _stacks_to_mats(shape, blocks, (count, d))
+        self.mats = _stacks_to_mats(shape, blocks, (None, d))
         self.shape = shape
         self.d = d
-        self.count = int(count)
+        self.count = len(self.mats[0]) // shape.block_dims[0]
         self._residual = None
 
     @classmethod
@@ -175,21 +168,14 @@ class ModularFrame:
         The stored "parseval" flag is advisory; when it claims True the frame
         operator is re-verified and a false claim is rejected.
         """
-        if not isinstance(payload, dict):
-            raise InputError(f"{where}: expected an object, got {type(payload).__name__}")
-        for key in ("algebra", "d", "vectors", "parseval"):
-            if key not in payload:
-                raise InputError(f"{where}: missing key {key!r}")
-        shape = _shape_from_payload(payload["algebra"], where, "algebra")
-        d = payload["d"]
+        algebra, d, raw, claimed = _json_fields(payload, where, ("algebra", "d", "vectors", "parseval"))
+        shape = _shape_from_payload(algebra, where, "algebra")
         if not _json_int(d) or d < 1:
             raise InputError(f"{where}: 'd' must be a positive integer")
-        raw = payload["vectors"]
         if not isinstance(raw, list) or not raw:
             raise InputError(f"{where}: 'vectors' must be a nonempty list")
         _, _, blocks = _decode_vectors(raw, lambda i: f"{where}: vector {i}", shape, d)
         frame = cls(shape, d, blocks)
-        claimed = payload["parseval"]
         if not isinstance(claimed, bool):
             raise InputError(f"{where}: 'parseval' must be a boolean")
         if claimed and not is_parseval(frame):
@@ -343,7 +329,8 @@ def _numeric_rank(sv: np.ndarray, ref):
 
 
 def _check_rel_tol(rel_tol: float) -> None:
-    if not 0 <= rel_tol < 1:
+    """Raise InputError unless rel_tol is a real number in [0, 1)."""
+    if not isinstance(rel_tol, numbers.Real) or not 0 <= rel_tol < 1:
         raise InputError(f"rel_tol must lie in [0, 1), got {rel_tol}")
 
 
@@ -362,9 +349,7 @@ def random_frame(
     shape: AlgebraShape, d: int, count: int, rng: np.random.Generator
 ) -> ModularFrame:
     """Frame of count i.i.d. Gaussian vectors in A^d."""
-    count = _as_int(count, "count")
-    if count < 1:
-        raise InputError(f"count must be positive, got {count}")
+    count = _as_count(count, "count")
     return ModularFrame.from_vectors(
         random_vector(shape, d, rng) for _ in range(count)
     )

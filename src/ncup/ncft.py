@@ -60,7 +60,9 @@ import math
 
 import numpy as np
 
-from .algebra import AlgebraShape, _as_int, _check_addressable, _complex_gaussian, _entry_norms
+from .algebra import (
+    AlgebraShape, _as_count, _as_int, _as_seed, _check_addressable, _complex_gaussian, _entry_norms
+)
 from .csmodule import ModuleVector, _module_rank
 from .errors import InputError
 from .frames import (
@@ -712,8 +714,8 @@ def tao_min_sum(
             f"exhaustive mode at p={p} scans ~C(2p,p) minors; pass force=True "
             f"to run it anyway or use mode='sampled'"
         )
-    if mode == "sampled" and _as_int(samples, "samples") < 1:
-        raise InputError(f"samples must be positive, got {samples}")
+    if mode == "sampled":
+        samples, seed = _as_count(samples, "samples"), _as_seed(seed)
 
     w = dft_matrix(p)
     violations = []
@@ -722,7 +724,7 @@ def tao_min_sum(
         checked, hits, fallbacks = _layer_pairs_exhaustive(p)
     else:
         _check_addressable((samples,), np.int64)
-        checked = int(samples)
+        checked = samples
         hits, fallbacks = _sampled_pairs(p, samples, seed)
 
     min_sum = None
@@ -791,11 +793,10 @@ def conjecture_audit(
     "implementation-defect" (a thresholding artifact).
     """
     p = _as_prime(p)
-    trials = _as_int(trials, "trials")
-    if trials < 1:
-        raise InputError(f"trials must be positive, got {trials}")
+    trials = _as_count(trials, "trials")
     _check_sampled_cap(p)
     _check_rel_tol(rel_tol)
+    seed = _as_seed(seed)
 
     w = dft_matrix(p)
     rng = np.random.default_rng(seed)
@@ -855,7 +856,7 @@ def conjecture_audit(
         "algebra": shape.to_list(),
         "p": int(p),
         "trials": trials,
-        "seed": int(seed),
+        "seed": seed,
         "rel_tol": float(rel_tol),
         "threshold": RANK_TOL,
         "min_sum": int(min_sum),

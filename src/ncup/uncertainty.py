@@ -15,11 +15,11 @@ at all, by a rank test on the frames' stacked constraint rows block by block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .algebra import _as_int, _entry_norms
+from .algebra import _as_count, _as_seed, _entry_norms
 from .csmodule import ModuleVector, _check_same_module, basis_vector, module_norm, random_vector
 from .errors import InputError, NonParsevalFrameError
 from .frames import (
@@ -76,17 +76,7 @@ class UncertaintyCertificate:
     slack: float
 
     def to_dict(self) -> dict:
-        return {
-            "s_tau": int(self.s_tau),
-            "s_omega": int(self.s_omega),
-            "mu": float(self.mu),
-            "product_lhs": int(self.product_lhs),
-            "additive_lhs": float(self.additive_lhs),
-            "rhs": float(self.rhs),
-            "product_holds": bool(self.product_holds),
-            "additive_holds": bool(self.additive_holds),
-            "slack": float(self.slack),
-        }
+        return asdict(self)
 
 
 def _require_parseval(frame: ModularFrame, name: str) -> None:
@@ -328,10 +318,9 @@ def random_audit(
     report counts violations (the bound guarantees zero), tracks the
     minimum slack and the tightest trial, and keeps one record per trial.
     """
-    trials = _as_int(trials, "trials")
-    if trials < 1:
-        raise InputError(f"trials must be positive, got {trials}")
+    trials = _as_count(trials, "trials")
     _check_rel_tol(rel_tol)
+    seed = _as_seed(seed)
 
     records = []
     for t in range(trials):
@@ -362,7 +351,7 @@ def random_audit(
         "n_tau": int(n_tau),
         "n_omega": int(n_omega),
         "trials": trials,
-        "seed": int(seed),
+        "seed": seed,
         "rel_tol": float(rel_tol),
         "slack_tol": SLACK_TOL,
         "violations": int(violations),
