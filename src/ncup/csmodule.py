@@ -20,10 +20,10 @@ In a JSON file a vector is {"shape": [...], "entries": [element, ...]}.
 The vector codec handles vectors one at a time.  Its reader
 (_decode_vectors) makes one flat conversion per block of each payload, and
 the CLI's JSON reader decodes each vector as it closes it (_vector_hook), so
-the JSON tree of a whole file never exists.  Of its two writers,
-_vector_texts fills one text template per vector for files and
-_encode_vectors builds the payloads of to_dict.  ModuleVector.from_dict and
-to_dict are the one-vector case of _decode_vectors and _encode_vectors.
+the JSON tree of a whole file never exists.  Its writer, _vector_texts,
+fills one text template per vector for files.  ModuleVector.to_dict lists
+its entries' AlgebraElement.to_dict payloads, and from_dict is the
+one-vector case of _decode_vectors.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from .algebra import (
     _complex_gaussian,
     _decode_matrices,
     _element_payload,
-    _encode_matrices,
     _entry_norms,
     _json_fields,
     _json_int,
@@ -213,19 +212,6 @@ def _decode_vectors(payloads: list, locate, shape=None, d=None) -> tuple:
     return shape, d, [np.stack(blocks) for blocks in zip(*stacks)]
 
 
-def _encode_vectors(shape: AlgebraShape, stacks):
-    """The vector codec's to_dict writer: one vector payload per vector of (count, d, n, n) stacks.
-
-    Each block of a vector is one _encode_matrices call; one vector's lists exist at a time.
-    """
-    for vector in zip(*stacks):
-        encoded = [_encode_matrices(blk) for blk in vector]
-        yield {
-            "shape": shape.to_list(),
-            "entries": [{"shape": shape.to_list(), "blocks": list(blocks)} for blocks in zip(*encoded)],
-        }
-
-
 def _vector_texts(shape: AlgebraShape, stacks):
     """The vector codec's file writer: the canonical text of each vector of (count, d, n, n) stacks.
 
@@ -294,7 +280,7 @@ class ModuleVector:
         return f"ModuleVector(shape={self.shape.block_dims}, d={self.d})"
 
     def to_dict(self) -> dict:
-        return next(_encode_vectors(self.shape, [blk[None] for blk in self.blocks]))
+        return {"shape": self.shape.to_list(), "entries": [e.to_dict() for e in self.entries]}
 
     @classmethod
     def from_dict(cls, payload, where: str = "module vector") -> "ModuleVector":

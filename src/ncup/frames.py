@@ -16,9 +16,8 @@ the cross Gram of two frames T W^H.
 
 In a JSON file a frame is a list of vector payloads.  The vector codec
 reads and writes them one vector at a time: csmodule._decode_vectors joins
-them into one (N, d, n, n) entry stack per block, _encode_vectors writes
-to_dict's payloads and _vector_texts the CLI's file text.  ModuleVector's
-from_dict and to_dict are the one-vector cases of the first two.
+them into one (N, d, n, n) entry stack per block, and _vector_texts writes
+the CLI's file text.  to_dict holds each vector's ModuleVector.to_dict.
 
 The support of any module vector, coefficients or not, is decided by a
 relative threshold: an entry counts as nonzero when its C*-norm exceeds
@@ -39,7 +38,6 @@ from .csmodule import (
     ModuleVector,
     _check_same_module,
     _decode_vectors,
-    _encode_vectors,
     _freeze,
     _module_rank,
     _stack_views,
@@ -146,7 +144,7 @@ class ModularFrame:
         )
 
     def to_dict(self) -> dict:
-        return self._payload(list(_encode_vectors(self.shape, self.blocks)))
+        return self._payload([v.to_dict() for v in self.vectors])
 
     def _payload(self, vectors) -> dict:
         """The frame's JSON payload around the given "vectors" value."""
@@ -331,7 +329,7 @@ def _numeric_rank(sv: np.ndarray, ref):
 def _check_rel_tol(rel_tol: float) -> None:
     """Raise InputError unless rel_tol is a real number in [0, 1)."""
     if not isinstance(rel_tol, numbers.Real) or not 0 <= rel_tol < 1:
-        raise InputError(f"rel_tol must lie in [0, 1), got {rel_tol}")
+        raise InputError(f"rel_tol must lie in [0, 1), got {rel_tol!r}")
 
 
 def support(x: ModuleVector, rel_tol: float = SUPPORT_REL_TOL) -> list[int]:

@@ -41,15 +41,17 @@ minimized over the stabilizer of T from that stabilizer's own table.
 Both exhaustive searches are one scan (_necklace_scan): tao's critical
 layer over the groups (|T|, |R|) = (s, s), and conjecture's structured
 search over the groups (|T|, p - |Omega|) with the frames as a second
-decider.  Each group is one batch over the pairs of necklaces (sets
-minimal among their rotations), since every pair translates to one, and
-each flagged necklace pair is expanded to all of its translates.  The
-sampled scan decides each drawn pair (T, R) through its leading square
-block (T, R[:|T|]), whose row mask is the lowest |T| set bits of R's
-(_lowest_bits), one batch per |T| over the pairs of every |Omega|: a
-nonsingular square block gives the tall minor full column rank, and at a
-prime length every square block is nonsingular.  A size whose batch finds
-a deficient block is re-decided in full, one batch per (|T|, |Omega|).
+decider.  Each group is decided as one batch over the pairs of necklaces
+(sets minimal among their rotations), since every pair translates to one
+in its class; a batch over every pair of the group, built only when a
+class is flagged, lists that class's pairs.  The sampled scan decides
+each drawn pair (T, R) through its leading square block (T, R[:|T|]),
+whose row mask is the lowest |T| set bits of R's (_lowest_bits), one
+batch per |T| over the pairs of every |Omega|: a nonsingular square block
+gives the tall minor full column rank, and at a prime length every square
+block is nonsingular.  A size whose batch finds a deficient block is
+re-decided in full, one batch per (|T|, |Omega|).  Both scans list a
+flagged class's pairs by _ClassBatch.patterns.
 """
 
 from __future__ import annotations
@@ -441,7 +443,7 @@ class _ClassBatch:
     u^-1*R at a minimizing unit u.  Row c of cols and rows is that pair for
     the c-th smallest key, so a decider that sees only singular values
     decides each class once, from cols and rows.  Pairs are matched to their
-    class (members) only when some class is flagged, never at a prime length.
+    class (patterns) only when some class is flagged, never at a prime length.
     """
 
     def __init__(self, n: int, t_masks: np.ndarray, r_masks: np.ndarray):
@@ -454,13 +456,14 @@ class _ClassBatch:
         self.cols = _mask_rows(n, self.classes >> n)
         self.rows = _mask_rows(n, self.classes & ((1 << n) - 1))
 
-    def members(self, flagged: np.ndarray) -> list:
-        """(T, R) of every pair whose class is flagged, in batch order, as lists."""
+    def patterns(self, flagged: np.ndarray) -> list:
+        """(T, Omega) of every pair whose class is flagged, in batch order, as lists."""
         if not flagged.any():
             return []
         i = np.flatnonzero(flagged[np.searchsorted(self.classes, self.keys)])
-        t_rows, r_rows = _mask_rows(self.n, self.t_masks[i]), _mask_rows(self.n, self.r_masks[i])
-        return list(zip(t_rows.tolist(), r_rows.tolist()))
+        omegas = ((1 << self.n) - 1) ^ self.r_masks[i]
+        t_rows, o_rows = _mask_rows(self.n, self.t_masks[i]), _mask_rows(self.n, omegas)
+        return list(zip(t_rows.tolist(), o_rows.tolist()))
 
     def deficient_minors(self):
         """(T, Omega) for every pair whose DFT minor is rank deficient, by _rank_deficient.
@@ -468,7 +471,7 @@ class _ClassBatch:
         Returns the hits and the number of classes the SVD fallback decided.
         """
         deficient, fallbacks = _rank_deficient(self.n, self.cols, self.rows)
-        return _patterns(self.n, self.members(deficient)), fallbacks
+        return self.patterns(deficient), fallbacks
 
 
 def _mask_rows(n: int, masks: np.ndarray) -> np.ndarray:
@@ -484,12 +487,6 @@ def _lowest_bits(masks: np.ndarray, s: int) -> np.ndarray:
     return masks ^ rest
 
 
-def _patterns(n: int, pairs) -> list:
-    """(T, Omega) of each length-n pair (T, R): Omega is the complement of the row set R."""
-    everything = set(range(n))
-    return [(list(t), sorted(everything - set(r))) for t, r in pairs]
-
-
 def _necklace_scan(n: int, groups, frames=None):
     """Decide every length-n pair (T, R) of each (|T|, |R|) group, one class at a time.
 
@@ -498,29 +495,30 @@ def _necklace_scan(n: int, groups, frames=None):
     smallest of its rotations): every pair translates to exactly one.  The
     classes are decided by the DFT minor (_rank_deficient) and, if frames
     is (tau, omega), by the block rank test on those frames
-    (_deficient_blocks).  Each necklace pair a decider flags is expanded
-    to all of its translates, each listed once, in the (T, R) order of a
-    scan over every pair of the group.  Returns the pair count, one hit
-    list of (T, Omega) per decider (the minor's first) and the number of
-    classes the minor's SVD fallback decided.
+    (_deficient_blocks).  Only when a decider flags a class is the group
+    keyed again, one _ClassBatch over every pair: each pair translates to a
+    necklace pair of its key, so that batch has the same classes, and the
+    same flags list every member of a flagged class in the group's (T, R)
+    order.  Returns the pair count, one hit list of (T, Omega) per decider
+    (the minor's first) and the number of classes the minor's SVD fallback
+    decided.
     """
     is_necklace = _class_tables(n)[0][0] == np.arange(1 << n)
     checked, fallbacks = 0, 0
     hits = [[], []] if frames else [[]]  # one list per decider
     for size_t, size_r in groups:
-        t_sets, r_sets = _combo_masks(n, size_t), _combo_masks(n, size_r)
-        t_sets, r_sets = t_sets[is_necklace[t_sets]], r_sets[is_necklace[r_sets]]
+        t_all, r_all = _combo_masks(n, size_t), _combo_masks(n, size_r)
+        t_sets, r_sets = t_all[is_necklace[t_all]], r_all[is_necklace[r_all]]
         batch = _ClassBatch(n, np.repeat(t_sets, len(r_sets)), np.tile(r_sets, len(t_sets)))
         deficient, decided = _rank_deficient(n, batch.cols, batch.rows)
         verdicts = [deficient]
         if frames:
             comp_t = _mask_rows(n, ((1 << n) - 1) ^ (batch.classes >> n))
             verdicts.append(_deficient_blocks(*frames, comp_t, batch.rows).any(axis=1))
-        for found, flagged in zip(hits, verdicts):
-            orbit = set()
-            for t, r in batch.members(flagged):
-                orbit.update(itertools.product(_translates(n, t), _translates(n, r)))
-            found += _patterns(n, sorted(orbit))
+        if any(flagged.any() for flagged in verdicts):
+            group = _ClassBatch(n, np.repeat(t_all, len(r_all)), np.tile(r_all, len(t_all)))
+            for found, flagged in zip(hits, verdicts):
+                found += group.patterns(flagged)
         fallbacks += decided
         checked += math.comb(n, size_t) * math.comb(n, size_r)
     return checked, hits, fallbacks
@@ -581,11 +579,6 @@ def _draw_group(rng, n: int, s: int, t: int, m: int) -> tuple[np.ndarray, np.nda
     t_masks = _combo_masks(n, s)[rng.integers(math.comb(n, s), size=m)]
     r_masks = _combo_masks(n, n - t)[rng.integers(math.comb(n, n - t), size=m)]
     return t_masks, r_masks
-
-
-def _translates(n: int, indices) -> set[tuple[int, ...]]:
-    """Every translate of an index set mod n, each once, as a sorted tuple."""
-    return {tuple(sorted((j + a) % n for j in indices)) for a in range(n)}
 
 
 @functools.lru_cache(maxsize=None)
@@ -703,7 +696,8 @@ def tao_min_sum(
     feasible; each support is thresholded at SUPPORT_REL_TOL.
 
     Exhaustive mode is capped at p <= 7 unless force=True (the minor count
-    grows like C(2p, p)); sampled mode is capped at p <= 13.
+    grows like C(2p, p)); sampled mode is capped at p <= 13.  samples and
+    seed are checked in both modes, although exhaustive mode reads neither.
     """
     p = _as_prime(p)
     if mode not in ("exhaustive", "sampled"):
@@ -714,8 +708,7 @@ def tao_min_sum(
             f"exhaustive mode at p={p} scans ~C(2p,p) minors; pass force=True "
             f"to run it anyway or use mode='sampled'"
         )
-    if mode == "sampled":
-        samples, seed = _as_count(samples, "samples"), _as_seed(seed)
+    samples, seed = _as_count(samples, "samples"), _as_seed(seed)
 
     w = dft_matrix(p)
     violations = []

@@ -31,7 +31,7 @@ from ncup import (
     sub,
 )
 from ncup.cli import _canonical
-from ncup.csmodule import _encode_vectors, _vector_texts
+from ncup.csmodule import _vector_texts
 from oracles import (
     embed_element,
     module_scale,
@@ -260,7 +260,7 @@ EDGE_FLOATS = [
 @pytest.mark.parametrize("d", [1, 3, 16])
 @pytest.mark.parametrize("dims", [(1,), (1, 2), (3,), (4, 4, 8)], ids=["C", "C+M2", "M3", "4,4,8"])
 def test_vector_texts_are_the_canonical_payloads(dims, d):
-    # The file writer's template against json.dumps of the to_dict writer's payloads:
+    # The file writer's template against json.dumps of ModuleVector.to_dict:
     # every number differs from its neighbours' often enough that a key, separator
     # or slot out of order changes the text.
     shape, rng = AlgebraShape(dims), np.random.default_rng(sum(dims) * 100 + d)
@@ -270,7 +270,8 @@ def test_vector_texts_are_the_canonical_payloads(dims, d):
         pairs = rng.choice(EDGE_FLOATS, size=(2, d, n, n, 2)) * rng.choice([-1.0, 1.0], size=(2, d, n, n, 2))
         stacks.append(pairs.view(np.complex128)[..., 0])
     texts = list(_vector_texts(shape, stacks))
-    assert texts == [_canonical(payload) for payload in _encode_vectors(shape, stacks)]
+    vectors = (ModuleVector(shape, d, [stack[i] for stack in stacks]) for i in range(2))
+    assert texts == [_canonical(vec.to_dict()) for vec in vectors]
 
 
 def test_vector_json_errors(error_through_reader):

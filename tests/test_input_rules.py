@@ -33,6 +33,8 @@ COUNT_SITES = {
     "module-rank": (lambda n: op_identity(C, n), "module rank d"),
     "random-frame": (lambda n: random_frame(C, 1, n, np.random.default_rng(0)), "count"),
     "tao-samples": (lambda n: tao_min_sum(5, mode="sampled", samples=n), "samples"),
+    # Exhaustive mode does not read samples or seed, but checks them all the same.
+    "tao-exhaustive-samples": (lambda n: tao_min_sum(5, samples=n), "samples"),
     "conjecture-trials": (lambda n: conjecture_audit(C, 5, n), "trials"),
     "audit-trials": (lambda n: random_audit(C, 1, 1, 1, n), "trials"),
 }
@@ -47,6 +49,7 @@ SEED_SITES = {
     "audit": lambda s: random_audit(C, 1, 1, 1, 1, seed=s),
     "conjecture": lambda s: conjecture_audit(C, 5, 1, seed=s),
     "tao-sampled": lambda s: tao_min_sum(5, mode="sampled", samples=1, seed=s),
+    "tao-exhaustive": lambda s: tao_min_sum(5, seed=s),
 }
 SEED_VALUES = {
     "-1": (-1, "seed must fit in 64 bits, got -1"),
@@ -62,7 +65,7 @@ REL_TOL_SITES = {
 }
 REL_TOL_VALUES = {
     "None": (None, "rel_tol must lie in [0, 1), got None"),
-    "string": ("0.1", "rel_tol must lie in [0, 1), got 0.1"),
+    "string": ("0.1", "rel_tol must lie in [0, 1), got '0.1'"),
 }
 
 CASES = {

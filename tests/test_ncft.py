@@ -476,9 +476,10 @@ def test_deficient_minors_match_oracle_on_tall_minors(n):
 
 @pytest.mark.parametrize("n", [6, 8, 9])
 def test_exhaustive_layers_match_per_minor_oracle(n):
-    # The scan decides necklace pairs only and expands each deficient one to
-    # its translates; a periodic necklace such as {0, 3, 6} at n = 9 has
-    # fewer than n translates, and each must be listed once.
+    # The scan decides necklace pairs only and lists a deficient class from
+    # a batch over every pair of its group, each pair once; a class holds
+    # more than its necklace pairs, and a periodic necklace such as
+    # {0, 3, 6} at n = 9 has fewer than n translates.
     w = dft_matrix(n)
     checked, hits, _ = ncft._layer_pairs_exhaustive(n)
     expected = []
@@ -487,6 +488,24 @@ def test_exhaustive_layers_match_per_minor_oracle(n):
     assert checked == comb(2 * n, n) - 2
     assert hits == expected
     assert hits
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8, 9, 10, 11])
+def test_group_and_necklace_batches_have_the_same_classes(n):
+    # The necklace scan lists a flagged class from a batch over every pair
+    # of its group, with the flags of the necklace batch: sound only if the
+    # two batches have the same classes, in every (|T|, |R|) group.
+    masks = np.arange(1 << n)
+    rotations = [((masks << a) | (masks >> (n - a))) & ((1 << n) - 1) for a in range(n)]
+    is_necklace = masks == np.min(rotations, axis=0)
+    for s in range(1, n):
+        t_all = ncft._combo_masks(n, s)
+        for r in range(s, n):
+            r_all = ncft._combo_masks(n, r)
+            t_sets, r_sets = t_all[is_necklace[t_all]], r_all[is_necklace[r_all]]
+            group = ncft._ClassBatch(n, np.repeat(t_all, len(r_all)), np.tile(r_all, len(t_all)))
+            necklaces = ncft._ClassBatch(n, np.repeat(t_sets, len(r_sets)), np.tile(r_sets, len(t_sets)))
+            assert np.array_equal(group.classes, necklaces.classes)
 
 
 @pytest.mark.parametrize("n", [7, 8, 9, 12, 13])
@@ -1179,7 +1198,7 @@ def test_conjecture_random_layer_memory():
 
 def test_conjecture_crosscheck_is_live(monkeypatch, tmp_path):
     # Flip the scalar verdict for one pattern where the necklace scan lists
-    # the minor's hits, after expansion to translates: the frame-level check
+    # the minor's hits, every pair of each flagged class: the frame-level check
     # must disagree with it, so the audit cannot pass by comparing the minor
     # test with itself.  R = {1, 2} is not a necklace, so the flip cannot
     # act on the decided classes.
