@@ -19,6 +19,8 @@ import functools
 import gc
 import json
 import math
+import os
+import pickle
 import sys
 
 from . import __version__
@@ -30,6 +32,9 @@ from .ncft import DEFAULT_SAMPLES, conjecture_audit, tao_min_sum
 from .uncertainty import CHAIN_TOL, SLACK_TOL, evaluate, random_audit
 
 __all__ = ["build_parser", "main"]
+
+# Smaller files are decoded and written inline: below about 0.4 MB a 4 ms fork saves nothing.
+FORK_MIN_BYTES = 1 << 19
 
 
 def _canonical(obj) -> str:
@@ -69,6 +74,56 @@ def _load_frame(path: str) -> ModularFrame:
     return ModularFrame.from_dict(_load_json(path), where=path)
 
 
+def _forked(path: str, fn):
+    """Start fn() in a forked child; returns a function giving its value or raising its error.
+
+    Forks with two usable CPUs and FORK_MIN_BYTES at path; fn must be pure Python (the child has no
+    BLAS threads).  Call the result once: it reaps the child, then runs fn here if no value came."""
+    try:
+        if len(os.sched_getaffinity(0)) < 2 or os.stat(path).st_size < FORK_MIN_BYTES:
+            return fn
+        read_fd, write_fd = os.pipe()
+    except (AttributeError, OSError):  # not Linux, no such file, no descriptor left
+        return fn
+    try:
+        pid = os.fork()
+    except OSError:  # no process left
+        os.close(read_fd)
+        os.close(write_fd)
+        return fn
+    if pid == 0:  # the child sends the value and leaves, skipping the parent's cleanup
+        try:
+            with open(write_fd, "wb") as fh:
+                fh.write(pickle.dumps(fn(), pickle.HIGHEST_PROTOCOL))
+        finally:
+            os._exit(0)
+    os.close(write_fd)
+
+    def wait():
+        try:
+            with open(read_fd, "rb") as fh:
+                data = fh.read()
+        finally:
+            status = os.waitpid(pid, 0)[1]
+        return pickle.loads(data) if data and not status else fn()  # killed: maybe mid-write
+    return wait
+
+
+def _read_inputs(*paths):
+    """The frames tau and omega at paths[:2], then the vector at paths[2] if given, built in order
+    (so the first input's fault is raised) after tau's file is decoded in a forked child."""
+    wait = _forked(paths[0], lambda: _load_json(paths[0]))
+    values = []
+    try:
+        for path in paths[1:]:
+            values.append(_load_json(path))
+    finally:  # reaps the child; a fault of an earlier input replaces a failed read's error
+        values[:0] = [wait()]
+        kinds = zip(paths, (ModularFrame, ModularFrame, ModuleVector), values)
+        built = [cls.from_dict(value, where=path) for path, cls, value in kinds]
+    return built
+
+
 def _parse_algebra(text: str) -> AlgebraShape:
     try:
         dims = tuple(int(tok) for tok in text.split(","))
@@ -80,9 +135,7 @@ def _parse_algebra(text: str) -> AlgebraShape:
 
 
 def _cmd_certify(args):
-    tau = _load_frame(args.frame_tau)
-    omega = _load_frame(args.frame_omega)
-    x = ModuleVector.from_dict(_load_json(args.vector), where=args.vector)
+    tau, omega, x = _read_inputs(args.frame_tau, args.frame_omega, args.vector)
     cert, chain = evaluate(tau, omega, x, rel_tol=args.rel_tol)
     chain_rows = [
         [name, float(lhs), float(rhs), bool(holds)] for name, lhs, rhs, holds in chain
@@ -111,8 +164,7 @@ def _cmd_certify(args):
 
 
 def _cmd_coherence(args):
-    tau = _load_frame(args.frame_tau)
-    omega = _load_frame(args.frame_omega)
+    tau, omega = _read_inputs(args.frame_tau, args.frame_omega)
     mu = coherence(tau, omega)
     if not math.isfinite(mu * mu):
         raise InputError(
@@ -137,10 +189,18 @@ def _cmd_parsevalize(args):
             {"holds": False, "diagnosis": "implementation-defect", "error": str(exc)},
         )
         return 1, _canonical(report) + "\n"
-    # The text of fixed.to_dict(), written one vector at a time by _vector_texts: sorted
-    # keys put "vectors" last, and fixed passed the residual check, so its numbers are finite.
-    head = _canonical(fixed._payload([]))[:-2]
-    return 0, "".join([head, ",".join(_vector_texts(fixed.shape, fixed.blocks)), "]}\n"])
+    # The text of fixed.to_dict(), written one vector at a time by _vector_texts, the first half in
+    # a forked child: sorted keys put "vectors" last, and fixed's numbers passed the residual check.
+    blocks, half = fixed.blocks, fixed.count // 2
+    wait = _forked(args.frame_tau, lambda: list(_vector_texts(fixed.shape, [b[:half] for b in blocks])))
+    texts = []
+    try:
+        texts.extend(_vector_texts(fixed.shape, [b[half:] for b in blocks]))
+    finally:
+        texts[:0] = wait()
+    texts[0] = _canonical(fixed._payload([]))[:-2] + texts[0]
+    texts[-1] += "]}\n"
+    return 0, ",".join(texts)
 
 
 def _cmd_audit(args):

@@ -2,6 +2,7 @@
 
 import gc
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -19,6 +20,7 @@ from ncup import (
     module_norm,
     parsevalize,
     random_frame,
+    random_vector,
 )
 from ncup.csmodule import _vector_texts
 from ncup.ncft import dirac_comb, fourier_frame, standard_frame
@@ -535,6 +537,149 @@ def test_parsevalize_writes_the_canonical_frame(large_frame_file, tmp_path, dims
     assert cli.main(["parsevalize", "--frame-tau", str(src), "--out", str(out)]) == 0
     fixed = parsevalize(cli._load_frame(str(src)))
     assert out.read_text() == cli._canonical(fixed.to_dict()) + "\n"
+
+
+# Inline forces every file through the one-process path; every_file forks for any file size.
+INLINE, EVERY_FILE = 1 << 62, 0
+TWO_CPUS = len(getattr(os, "sched_getaffinity", lambda _: ())(0)) >= 2
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """One entry per os.fork the CLI makes in this process."""
+    made, real = [], os.fork
+    monkeypatch.setattr(cli.os, "fork", lambda: made.append(1) or real())
+    return made
+
+
+def _run(monkeypatch, capsys, threshold, argv):
+    """(exit code, stdout, stderr) of cli.main(argv) with FORK_MIN_BYTES set to threshold."""
+    monkeypatch.setattr(cli, "FORK_MIN_BYTES", threshold)
+    code = cli.main(argv)
+    assert_no_child_left()
+    return (code, *capsys.readouterr())
+
+
+def _invalid_json(path):
+    path.write_text("{not json")
+
+
+def _false_parseval_claim(path):
+    payload = ModularFrame.from_vectors([basis_vector(C, 4, 0)] * 4).to_dict()
+    payload["parseval"] = True
+    path.write_text(json.dumps(payload))
+
+
+def _unreadable(path):
+    path.unlink()
+
+
+@pytest.mark.parametrize(
+    "command, faults, named, message",
+    [
+        ("certify", {"tau": _invalid_json, "omega": _invalid_json}, "tau", "invalid JSON"),
+        ("coherence", {"tau": _invalid_json, "omega": _invalid_json}, "tau", "invalid JSON"),
+        ("certify", {"tau": _false_parseval_claim, "omega": _unreadable}, "tau", "file claims a Parseval"),
+        ("coherence", {"tau": _false_parseval_claim, "omega": _unreadable}, "tau", "file claims a Parseval"),
+        ("certify", {"omega": _invalid_json}, "omega", "invalid JSON"),
+        ("coherence", {"omega": _unreadable}, "omega", "cannot read file"),
+        ("certify", {"x": _invalid_json}, "x", "invalid JSON"),
+        ("certify", {"omega": _false_parseval_claim, "x": _unreadable}, "omega", "file claims a Parseval"),
+    ],
+    ids=["certify-both-json", "coherence-both-json", "certify-claim-then-unreadable",
+         "coherence-claim-then-unreadable", "certify-omega", "coherence-omega", "certify-x",
+         "certify-omega-claim-then-x"],
+)
+def test_first_faulty_input_is_reported_forked_or_inline(
+    comb_files, monkeypatch, capsys, forks, command, faults, named, message
+):
+    # tau is decoded in a forked child while omega and x are decoded here, yet
+    # of several faulty files the first in input order is named, with the
+    # message the one-process path gives.
+    for target, fault in faults.items():
+        fault(comb_files[target])
+    argv = [command, "--frame-tau", str(comb_files["tau"]), "--frame-omega", str(comb_files["omega"])]
+    if command == "certify":
+        argv += ["--vector", str(comb_files["x"])]
+    inline = _run(monkeypatch, capsys, INLINE, argv)
+    assert not forks
+    assert _run(monkeypatch, capsys, EVERY_FILE, argv) == inline
+    assert len(forks) == TWO_CPUS
+    code, out, err = inline
+    assert code == 2 and out == ""
+    assert_single_error_line(err, f"{comb_files[named]}: {message}")
+
+
+@pytest.fixture(scope="module")
+def large_inputs(large_frame_file, tmp_path_factory):
+    """The large raw frame, its Parseval companion and a vector of the same shape and d."""
+    work = tmp_path_factory.mktemp("large-inputs")
+    paths = {"raw": large_frame_file, "parseval": work / "parseval.json", "x": work / "x.json"}
+    fixed = parsevalize(cli._load_frame(str(large_frame_file)))
+    paths["parseval"].write_text(cli._canonical(fixed.to_dict()))
+    x = random_vector(fixed.shape, fixed.d, np.random.default_rng(5))
+    paths["x"].write_text(json.dumps(x.to_dict()))
+    return {k: str(v) for k, v in paths.items()}
+
+
+def _large_report(large_inputs, tmp_path, monkeypatch, capsys, threshold, command):
+    """(exit code, stdout, stderr, --out file) of command on the large inputs."""
+    out = tmp_path / f"{command}-{threshold}.json"
+    frames = {"certify": ("parseval", "parseval"), "coherence": ("raw", "parseval"), "parsevalize": ("raw",)}
+    argv = [command, "--out", str(out)]
+    for flag, name in zip(("--frame-tau", "--frame-omega"), frames[command]):
+        argv += [flag, large_inputs[name]]
+    if command == "certify":
+        argv += ["--vector", large_inputs["x"]]
+    return (*_run(monkeypatch, capsys, threshold, argv), out.read_text())
+
+
+@pytest.mark.parametrize("command", ["certify", "coherence", "parsevalize"])
+def test_large_reports_are_the_same_bytes_forked_or_inline(
+    large_inputs, tmp_path, monkeypatch, capsys, forks, command
+):
+    forked = _large_report(large_inputs, tmp_path, monkeypatch, capsys, cli.FORK_MIN_BYTES, command)
+    assert len(forks) == TWO_CPUS
+    assert forked[:3] == (0, "", "")
+    assert _large_report(large_inputs, tmp_path, monkeypatch, capsys, INLINE, command) == forked
+    assert len(forks) == TWO_CPUS
+
+
+def test_a_failed_read_here_reaps_the_child(large_frame_file, tmp_path, capsys, forks):
+    # omega is missing, so its read fails at once while the child is still
+    # decoding tau's 1.6 MB; the child is waited for before the error line.
+    missing = tmp_path / "missing.json"
+    code = cli.main(["coherence", "--frame-tau", str(large_frame_file), "--frame-omega", str(missing)])
+    assert_no_child_left()
+    assert code == 2
+    assert_single_error_line(capsys.readouterr().err, f"{missing}: cannot read file")
+    assert len(forks) == TWO_CPUS
+
+
+@pytest.mark.parametrize("command, name", [("coherence", "_load_json"), ("parsevalize", "_vector_texts")])
+def test_a_child_that_sends_no_value_falls_back_inline(
+    large_inputs, tmp_path, monkeypatch, capsys, forks, command, name
+):
+    # The child's function leaves at once with exit status 1: the parent runs
+    # the same function itself and gives the same report, without a traceback.
+    forked = cli.FORK_MIN_BYTES
+    expected = _large_report(large_inputs, tmp_path, monkeypatch, capsys, INLINE, command)
+    parent, real = os.getpid(), getattr(cli, name)
+
+    def leaves_in_the_child(*args):
+        if os.getpid() != parent:
+            os._exit(1)
+        return real(*args)
+
+    monkeypatch.setattr(cli, name, leaves_in_the_child)
+    assert _large_report(large_inputs, tmp_path, monkeypatch, capsys, forked, command) == expected
+    assert expected[:3] == (0, "", "")
+    assert len(forks) == TWO_CPUS
 
 
 def test_parsevalize_rejects_non_spanning_family(tmp_path):
