@@ -18,9 +18,12 @@ the frame matrices without the minor.
 A DFT-minor verdict is first sought exactly, by elimination mod a prime
 ell = 1 (mod n) (_certified_nonsingular): with zeta = e^(2 pi i/n) and g of
 order n in F_ell, zeta^-1 -> g is a ring map from Z[zeta] onto F_ell, so a
-minor of full rank mod ell has full rank over C.  Only the minors it
-cannot certify fall back to the SVD and frames._numeric_rank at RANK_TOL,
-which also decides every frame-side rank verdict.
+minor of full rank mod ell has full rank over C.  A batch is eliminated
+in chunks of about _MINOR_CHUNK residues, each an (s, s, chunk) int64 stack
+with the batch axis last, so the certificate's memory does not grow with
+the batch.  Only the minors it cannot certify fall back to the SVD and
+frames._numeric_rank at RANK_TOL, which also decides every frame-side rank
+verdict.
 
 The minor scans decide one minor per symmetry class.  With W the DFT
 matrix of length n, translating the column set T by a multiplies row k
@@ -110,6 +113,10 @@ _TABLE_MAX_ENTRIES = 1 << 20
 # the dense (trials, p, n, n) stacks of all blocks, which bounds the chunk's
 # temporary arrays (1,024 trials of M2 at p = 5).
 _TRIAL_CHUNK = 20_480
+
+# Residue entries per chunk of _certified_nonsingular's (s, s, minors) stack,
+# which bounds the chunk's int64 stacks at 2 MiB each (4,096 minors at s = 8).
+_MINOR_CHUNK = 1 << 18
 
 
 def _is_prime(n: int) -> bool:
@@ -409,21 +416,35 @@ def _certified_nonsingular(n: int, cols: np.ndarray, rows: np.ndarray) -> np.nda
     nonzero, the block's determinant in Z[zeta] has a nonzero image mod ell,
     so the block is nonsingular over C and the minor has full column rank.
     A zero pivot proves nothing; that minor is left undecided (False).
+
+    The blocks are eliminated in chunks of about _MINOR_CHUNK stack entries,
+    at least one block each, as an (s, s, chunk) int64 stack with the batch
+    axis last, built from contiguous (s, chunk) copies of the indices, so
+    every step runs over contiguous runs of the chunk's length.  At most
+    five such stacks are alive at once, so beyond the (m,) mask the kernel
+    holds under 10 MiB (5 * 8 * _MINOR_CHUNK bytes) at any batch size.
     """
     field = _modular_dft(n)
     if field is None:
         return np.zeros(len(cols), dtype=bool)
     ell, table = field
-    s = cols.shape[1]
-    # x - x // m * m is x % m, also for negative x; numpy vectorizes int64
-    # floor division by a scalar, but not %.
-    e = rows[:, :s, None] * cols[:, None, :]
-    a = table[e - e // n * n]
-    certified = np.ones(len(cols), dtype=bool)
-    for _ in range(s):
-        certified &= a[:, 0, 0] != 0
-        a = a[:, :1, :1] * a[:, 1:, 1:] - a[:, 1:, :1] * a[:, :1, 1:]
-        a -= a // ell * ell
+    m, s = cols.shape
+    certified = np.ones(m, dtype=bool)
+    step = max(1, _MINOR_CHUNK // (s * s))
+    for start in range(0, m, step):
+        chunk = slice(start, start + step)
+        r_t, c_t = rows[chunk, :s].T.copy(), cols[chunk].T.copy()
+        # x - x // q * q is x % q, also for negative x; numpy vectorizes int64
+        # floor division by a scalar, but not %.
+        e = r_t[:, None] * c_t[None]
+        a = table[e - e // n * n]
+        ok = certified[chunk]
+        for _ in range(s):
+            ok &= a[0, 0] != 0
+            b = a[1:, 1:] * a[0, 0]
+            b -= a[1:, :1] * a[:1, 1:]
+            b -= b // ell * ell
+            a = b
     return certified
 
 
@@ -555,8 +576,10 @@ def _sampled_pairs(n: int, samples: int, seed: int):
     rng = np.random.default_rng(seed)
     s_arr = rng.integers(1, n, size=samples)
     t_arr = rng.integers(1, n - s_arr + 1)
-    # one group per (s, t) in sorted order; t < n, so s * n + t sorts like (s, t)
-    codes, sizes = np.unique(s_arr * n + t_arr, return_counts=True)
+    # one group per (s, t) in sorted order; t < n, so s * n + t < n^2 sorts like (s, t)
+    counts = np.bincount(s_arr * n + t_arr)
+    codes = np.flatnonzero(counts)
+    sizes = counts[codes]
     hits, fallbacks = [], 0
     s_codes, t_codes = np.divmod(codes, n)
     groups = zip(s_codes.tolist(), t_codes.tolist(), sizes.tolist())

@@ -33,6 +33,10 @@ oracle_modular_dft is the certificate's field found the direct way: it
 lists every power of each candidate g and keeps the first g whose powers
 below n are all different from 1.
 
+oracle_certified_nonsingular is the mod-ell certificate in its first
+layout: the whole batch as one (m, s, s) stack with the batch axis first,
+eliminated at once without chunks, over the library's own field.
+
 reference_block_norms is the norm kernel with a reduction over each
 matrix's axes (max, then sum), kept as the bit-for-bit reference for
 algebra._entry_norms, whose one- and two-row paths run entrywise.
@@ -58,7 +62,7 @@ from ncup import (
 )
 from ncup.algebra import _NORM_CHUNK
 from ncup.errors import InputError
-from ncup.ncft import _is_prime
+from ncup.ncft import _is_prime, _modular_dft
 
 
 def embed_element(a) -> np.ndarray:
@@ -243,6 +247,26 @@ def oracle_modular_dft(n):
             if 1 not in table[1:]:
                 return ell, table
     return None
+
+
+def oracle_certified_nonsingular(n, cols, rows):
+    """Mask of the minors W[rows[i], cols[i]] whose leading square block has
+    no zero pivot mod ell, from one (m, s, s) stack of the whole batch."""
+    field = _modular_dft(n)
+    if field is None:
+        return np.zeros(len(cols), dtype=bool)
+    ell, table = field
+    s = cols.shape[1]
+    # x - x // m * m is x % m, also for negative x; numpy vectorizes int64
+    # floor division by a scalar, but not %.
+    e = rows[:, :s, None] * cols[:, None, :]
+    a = table[e - e // n * n]
+    certified = np.ones(len(cols), dtype=bool)
+    for _ in range(s):
+        certified &= a[:, 0, 0] != 0
+        a = a[:, :1, :1] * a[:, 1:, 1:] - a[:, 1:, :1] * a[:, :1, 1:]
+        a -= a // ell * ell
+    return certified
 
 
 def oracle_pattern_search(shape, p):

@@ -41,6 +41,7 @@ from ncup.uncertainty import _constraint_stack
 
 from oracles import (
     cyclic_shift,
+    oracle_certified_nonsingular,
     oracle_class_keys,
     oracle_deficient_minors,
     oracle_dilation_table,
@@ -746,11 +747,138 @@ def test_certificate_never_certifies_a_deficient_minor(n, tall):
 
 
 def test_certificate_decides_every_prime_minor():
+    # Every minor up to p = 7, and every class representative the necklace
+    # scan offers at p = 11 and 13, so no verdict there needs the fallback.
     for p in (2, 3, 5, 7):
         for s in range(1, p):
             for r in range(s, p):
                 cols, rows = layer_batch(p, s, r)
                 assert ncft._certified_nonsingular(p, cols, rows).all()
+    for p in (11, 13):
+        calls = certificate_calls(lambda: ncft._necklace_scan(p, every_group(p)))
+        assert len(calls) == len(every_group(p))
+        assert all(certified.all() for _, _, certified in calls)
+
+
+def every_group(n):
+    """Every (|T|, |R|) group of the necklace scans, 1 <= |T| <= |R| < n: tao's and conjecture's."""
+    return [(s, r) for s in range(1, n) for r in range(s, n)]
+
+
+def certificate_calls(run):
+    """(cols, rows, mask) of every _certified_nonsingular call that run() makes."""
+    calls, certify = [], ncft._certified_nonsingular
+
+    def recording(n, cols, rows):
+        certified = certify(n, cols, rows)
+        calls.append((cols, rows, certified))
+        return certified
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ncft, "_certified_nonsingular", recording)
+        run()
+    return calls
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 9, 10])
+def test_certificate_matches_oracle_on_composite_layers(n):
+    # The batch-last chunked kernel gives the (m, s, s) kernel's masks on
+    # every layer.  A first zero pivot occurs here at every step after the
+    # first (the first pivot is a DFT entry, a unit), found from the masks
+    # of the leading k x k blocks.
+    first_zero = set()
+    for s in range(1, n):
+        for r in range(s, n):
+            cols, rows = layer_batch(n, s, r)
+            certified = ncft._certified_nonsingular(n, cols, rows)
+            assert np.array_equal(certified, oracle_certified_nonsingular(n, cols, rows))
+        cols, rows = layer_batch(n, s, s)
+        leading = [ncft._certified_nonsingular(n, cols[:, :k], rows[:, :k]) for k in range(1, s + 1)]
+        first_zero.update(k for k in range(2, s + 1) if (leading[k - 2] & ~leading[k - 1]).any())
+    assert first_zero == set(range(2, n - 1))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_certificate_matches_oracle_on_necklace_scan_batches(p):
+    calls = certificate_calls(lambda: ncft._necklace_scan(p, every_group(p)))
+    assert len(calls) == len(every_group(p))
+    for cols, rows, certified in calls:
+        assert np.array_equal(certified, oracle_certified_nonsingular(p, cols, rows))
+
+
+@pytest.mark.parametrize("p", [11, 13])
+@pytest.mark.parametrize("seed", [0, 4242])
+def test_certificate_matches_oracle_on_sampled_batches(p, seed):
+    calls = certificate_calls(lambda: ncft._sampled_pairs(p, ncft.DEFAULT_SAMPLES, seed))
+    assert [cols.shape[1] for cols, _, _ in calls] == list(range(1, p))
+    for cols, rows, certified in calls:
+        assert np.array_equal(certified, oracle_certified_nonsingular(p, cols, rows))
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_certificate_matches_oracle_through_the_power_map(monkeypatch, n):
+    # With the table cap below n the powers come from a _PowerMap: the same masks.
+    batches = [layer_batch(n, s, r) for s in range(1, n) for r in range(s, n)]
+    tabulated = [ncft._certified_nonsingular(n, cols, rows) for cols, rows in batches]
+    monkeypatch.setattr(ncft, "_TABLE_MAX_ENTRIES", n - 1)
+    ncft._modular_dft.cache_clear()
+    try:
+        assert isinstance(ncft._modular_dft(n)[1], ncft._PowerMap)
+        for (cols, rows), expected in zip(batches, tabulated):
+            certified = ncft._certified_nonsingular(n, cols, rows)
+            assert np.array_equal(certified, expected)
+            assert np.array_equal(certified, oracle_certified_nonsingular(n, cols, rows))
+    finally:
+        ncft._modular_dft.cache_clear()
+
+
+@pytest.mark.parametrize("n", [6, 13])
+def test_certificate_of_single_entries_and_of_an_empty_batch(n):
+    cols, rows = layer_batch(n, 1, 3)
+    certified = ncft._certified_nonsingular(n, cols, rows)
+    assert certified.all()  # every 1 x 1 block is a power of g
+    assert np.array_equal(certified, oracle_certified_nonsingular(n, cols, rows))
+    for s, r in ((1, 1), (4, 6)):
+        none = ncft._certified_nonsingular(
+            n, np.zeros((0, s), dtype=np.int64), np.zeros((0, r), dtype=np.int64)
+        )
+        assert none.shape == (0,) and none.dtype == bool
+
+
+@pytest.mark.parametrize("per_chunk", [1, 3, "all but one"])
+def test_certificate_does_not_depend_on_the_chunk(monkeypatch, per_chunk):
+    # 3,920 tall minors at n = 8, some uncertified, split unevenly: the
+    # chunk sizes leave a remainder of 2 and of 1 minors.
+    n, s = 8, 3
+    cols, rows = layer_batch(n, s, s + 1)
+    assert len(cols) * s * s <= ncft._MINOR_CHUNK  # one chunk by default
+    whole = ncft._certified_nonsingular(n, cols, rows)
+    assert whole.any() and not whole.all()
+    minors = len(cols) - 1 if per_chunk == "all but one" else per_chunk
+    monkeypatch.setattr(ncft, "_MINOR_CHUNK", minors * s * s)
+    assert np.array_equal(ncft._certified_nonsingular(n, cols, rows), whole)
+
+
+def test_certificate_memory_is_bounded_by_the_chunk():
+    # 200,000 random 8 x 8 minors at p = 17.  One (m, s, s) int64 stack of
+    # them would take 98 MiB, and the unchunked kernel peaks at 345 MiB.
+    # A chunk's stacks hold at most _MINOR_CHUNK int64 entries each (2 MiB),
+    # and no more than five of them are alive at once; with the 200,000-byte
+    # mask the bound is 10.7 MB (8.2 MB measured).
+    m, s, p = 200_000, 8, 17
+    rng = np.random.default_rng(5)
+    cols, rows = (
+        np.sort(rng.permuted(np.tile(np.arange(p), (m, 1)), axis=1)[:, :s], axis=1) for _ in range(2)
+    )
+    ncft._modular_dft(p)  # the table is built outside the measurement
+    tracemalloc.start()
+    try:
+        certified = ncft._certified_nonsingular(p, cols, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert certified.all()
+    assert peak < 5 * 8 * ncft._MINOR_CHUNK + m
 
 
 def test_float_fallback_is_live(monkeypatch):
