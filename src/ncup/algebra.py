@@ -333,6 +333,24 @@ def _entry_norms(stacks) -> np.ndarray:
     return np.max([_block_norms(s) for s in stacks], axis=0)
 
 
+def _entry_masses(stacks) -> np.ndarray:
+    """Squared trace norms sum_b ||a_b||_F^2 of stacked elements, one (k, ..., r, c) stack per block.
+
+    Each block's entries are read as their real and imaginary parts and
+    summed by einsum, which reads them once and keeps no temporary.  For an
+    element with C*-norm nu, the result lies in [nu^2, (n_1 + ... + n_B) nu^2].
+    A mass past the float range is inf, and a non-finite entry gives a
+    non-finite mass; neither raises.
+    """
+    masses = 0.0
+    with np.errstate(over="ignore"):
+        for s in stacks:
+            parts = np.ascontiguousarray(s, dtype=np.complex128).view(np.float64)
+            parts = parts.reshape(*s.shape[:-2], -1)
+            masses = masses + np.einsum("...i,...i->...", parts, parts)
+    return masses
+
+
 def _block_norms(s: np.ndarray) -> np.ndarray:
     dims = rows, cols = s.shape[-2:]
     out = np.empty(s.shape[:-2])

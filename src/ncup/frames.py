@@ -31,7 +31,15 @@ import numbers
 import numpy as np
 
 from .algebra import (
-    AlgebraShape, _as_count, _as_int, _as_list, _entry_norms, _json_fields, _json_int, _shape_from_payload
+    AlgebraShape,
+    _as_count,
+    _as_int,
+    _as_list,
+    _entry_norms,
+    _fold,
+    _json_fields,
+    _json_int,
+    _shape_from_payload,
 )
 from .csmodule import (
     ModuleOperator,
@@ -316,6 +324,52 @@ def _support_mask(norms: np.ndarray, rel_tol: float) -> np.ndarray:
     All False for an all-zero (or NaN) row.
     """
     return norms > rel_tol * norms.max(axis=-1, keepdims=True)
+
+
+def _screened_support_mask(masses: np.ndarray, rank: int, rel_tol: float, entry_norms) -> np.ndarray:
+    """_support_mask(entry_norms(rows), rel_tol) of every row, decided from trace norms where they can.
+
+    masses is an (m, k) array of squared trace norms phi^2 = sum_b
+    ||a_b||_F^2 (algebra._entry_masses) of elements of an algebra with
+    rank = n_1 + ... + n_B; entry_norms(rows) returns the C*-norms nu of
+    the rows selected by rows, an index array or slice(None) for all of
+    them.  Since nu^2 <= phi^2 <= rank nu^2, with
+    cut = rel_tol^2 max(phi^2) per row, an entry is certainly kept when
+    phi^2 > rank cut (1 + delta) and certainly dropped when
+    rank phi^2 (1 + delta) <= cut.  A row is decided from these bounds
+    alone when every entry is certain and its max(phi^2) and cut / rank
+    lie in [2^-1000, 2^1000 / rank]; every other row is decided by
+    _support_mask on its exact norms.  So rel_tol = 0, masses too small
+    to carry relative precision, and non-finite entries (which
+    entry_norms refuses) all take the exact path.
+
+    delta = 2^-20 covers the rounding on both sides of the comparison.
+    Each computed phi^2 is a sum of 2N squares, N the scalar entries of an
+    element, so it is within a factor 1 +- 2N 2^-53 of its value; each
+    computed nu is within 2e-15 relative (algebra._entry_norms);
+    rel_tol nu_max, the cut and the two products round once each.  The
+    guard keeps the peak, the cut and the products normal, so these
+    relative bounds hold, and a certain verdict stays on the exact rule's
+    side while 4N 2^-53 + 1e-14 < 2^-20, i.e. for any element of at most
+    2^30 scalar entries.  An entry's phi^2 below the normal range is off
+    by at most 2N 2^-1074, far below delta cut / rank, and is dropped.
+    """
+    delta = 2.0**-20
+    with np.errstate(over="ignore", invalid="ignore"):
+        # rows are short (conjecture's p entries): elementwise passes, not per-row reductions
+        peak = _fold(np.maximum, masses)[:, None]
+        cut = rel_tol * (rel_tol * peak)  # rel_tol**2 could lose precision below the normal range
+        margin = rank * (1.0 + delta)
+        kept = masses > margin * cut
+        certain = kept | (margin * masses <= cut)
+        scaled = (cut >= rank * 2.0**-1000) & (peak <= 2.0**1000 / rank)
+    undecided = ~(_fold(np.logical_and, certain) & scaled[:, 0])
+    if undecided.all():  # as at rel_tol = 0: hand over every row as a view, not a gathered copy
+        return _support_mask(entry_norms(slice(None)), rel_tol)
+    rows = np.flatnonzero(undecided)
+    if len(rows):
+        kept[rows] = _support_mask(entry_norms(rows), rel_tol)
+    return kept
 
 
 def _numeric_rank(sv: np.ndarray, ref):

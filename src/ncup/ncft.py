@@ -12,8 +12,10 @@ inside Omega exists iff the minor on rows (complement of Omega) and
 columns T is rank deficient.  Because the transform acts coordinatewise,
 the same criterion settles feasibility for algebra-valued x; the audit
 cross-checks that reduction with support_pair_feasible's block rank test
-on the standard and Fourier frames over A, which decides each pattern from
-the frame matrices without the minor.
+on the standard and Fourier frames, which decides each pattern from the
+frame matrices without the minor.  The frames over A are checked to be
+exactly kron(frame over C, I_n) block by block, so the rank test runs on
+the frames over C.
 
 A DFT-minor verdict is first sought exactly, by elimination mod a prime
 ell = 1 (mod n) (_certified_nonsingular): with zeta = e^(2 pi i/n) and g of
@@ -66,7 +68,14 @@ import math
 import numpy as np
 
 from .algebra import (
-    AlgebraShape, _as_count, _as_int, _as_seed, _check_addressable, _complex_gaussian, _entry_norms
+    AlgebraShape,
+    _as_count,
+    _as_int,
+    _as_seed,
+    _check_addressable,
+    _complex_gaussian,
+    _entry_masses,
+    _entry_norms,
 )
 from .csmodule import ModuleVector, _module_rank
 from .errors import InputError
@@ -76,6 +85,7 @@ from .frames import (
     ModularFrame,
     _check_rel_tol,
     _numeric_rank,
+    _screened_support_mask,
     _support_mask,
     _validate_indices,
     sparsity,
@@ -95,6 +105,9 @@ __all__ = [
     "tao_min_sum",
     "conjecture_audit",
 ]
+
+# The algebra C, over which the structured search decides its frame side.
+_SCALARS = AlgebraShape((1,))
 
 EXHAUSTIVE_MAX_P = 7
 SAMPLED_MAX_P = 13
@@ -628,13 +641,14 @@ def _draw_supports(rng, p: int, m: int) -> np.ndarray:
 
 
 def _draw_trials(rng, shape: AlgebraShape, p: int, m: int):
-    """m random sparse vectors of A^p: their dense blocks and their (m, p) entry norms.
+    """m random sparse vectors of A^p: their dense blocks and their (m, p) entry masses.
 
     The supports are _draw_supports' bool rows, drawn before any Gaussian.
     Gaussians are drawn for the supported entries only, a (K, n, n) stack
     per block in block order, K the total support size, and scattered into
-    zeroed (m, p, n, n) stacks.  The norms are taken from the drawn entries
-    alone; every other entry is 0 and has norm 0.
+    zeroed (m, p, n, n) stacks.  The squared trace norms (_entry_masses) are
+    taken from the drawn entries alone; every other entry is 0 and has
+    mass 0.
     """
     supported = np.flatnonzero(_draw_supports(rng, p, m))
     x_blocks = []
@@ -644,9 +658,9 @@ def _draw_trials(rng, shape: AlgebraShape, p: int, m: int):
     drawn = [_complex_gaussian(rng, (len(supported), n, n)) for n in shape.block_dims]
     for xb, entries in zip(x_blocks, drawn):
         xb.reshape(m * p, *entries.shape[1:])[supported] = entries
-    norms = np.zeros((m, p))
-    norms.reshape(-1)[supported] = _entry_norms(drawn)
-    return x_blocks, norms
+    masses = np.zeros((m, p))
+    masses.reshape(-1)[supported] = _entry_masses(drawn)
+    return x_blocks, masses
 
 
 def _pattern_search(shape: AlgebraShape, p: int):
@@ -654,26 +668,40 @@ def _pattern_search(shape: AlgebraShape, p: int):
 
     One _necklace_scan over the groups (|T|, |R|) = (|T|, p - |Omega|), R
     the complement of Omega.  The scalar way is the DFT minor on rows R and
-    columns T; the frame way is support_pair_feasible's block rank test on
-    the standard and Fourier frames over A (_deficient_blocks).  Deciding
-    one pair per class is sound for the frame way too: its constraint stack
-    is the rows e_j (x) I_n, j outside T, over the rows conj(W[k]) (x) I_n,
-    k in R (the Fourier frame is kron(conj W, I_n)).  Translating T or R
-    and the joint dilation (uT, u^-1 R) change that stack only by row
-    permutations, unit-modulus row and column scalings and a column
-    permutation, all unitary and tensored with I_n, so no block's singular
-    values move.  Returns the pattern count and, in the order
-    (|T|, T, |Omega|, Omega), (T, Omega, scalar verdict, frame verdict) for
-    every pattern that either way finds feasible, and the number of classes
-    the scalar way's SVD fallback decided.
+    columns T; the frame way is support_pair_feasible's block rank test
+    (_deficient_blocks) on the standard and Fourier frames over C.  Those
+    decide the frames over A too: each block of standard_frame(shape, p)
+    and fourier_frame(shape, p) is checked, once and bit for bit, to equal
+    kron(the frame's matrix over C, I_n).  A block's constraint stack is
+    then, up to row and column permutations, the scalar stack tensored with
+    I_n, whose singular values are the scalar ones, each n times; the rank
+    cutoff is RANK_TOL times the largest over all blocks, the scalar
+    largest, so every pattern gets the scalar stack's verdict.  Deciding
+    one pair per class is sound for the frame way as well: its stack is
+    the rows e_j, j outside T, over the rows conj(W[k]), k in R, and
+    translating T or R and the joint dilation (uT, u^-1 R) change it only
+    by row permutations, unit-modulus row and column scalings and a column
+    permutation, all unitary, so no singular value moves.
+
+    Returns the pattern count; in the order (|T|, T, |Omega|, Omega),
+    (T, Omega, scalar verdict, frame verdict) for every pattern that either
+    way finds feasible; the number of classes the scalar way's SVD fallback
+    decided; and whether the two ways agree on every pattern and the
+    Kronecker identity holds.
     """
-    frames = standard_frame(shape, p), fourier_frame(shape, p)
+    scalar_frames = standard_frame(_SCALARS, p), fourier_frame(_SCALARS, p)
+    kron_identity = all(
+        np.array_equal(mat, np.kron(scalar.mats[0], np.eye(n)))
+        for frame, scalar in zip((standard_frame(shape, p), fourier_frame(shape, p)), scalar_frames)
+        for n, mat in zip(shape.block_dims, frame.mats)
+    )
     groups = [(size_t, p - size_o) for size_t in range(1, p) for size_o in range(1, p - size_t + 1)]
-    checked, hits, fallbacks = _necklace_scan(p, groups, frames)
+    checked, hits, fallbacks = _necklace_scan(p, groups, scalar_frames)
     scalar, by_frames = ({(tuple(t), tuple(o)) for t, o in found} for found in hits)
     flagged = sorted(scalar | by_frames, key=lambda to: (len(to[0]), to[0], len(to[1]), to[1]))
     flagged = [(list(t), list(o), (t, o) in scalar, (t, o) in by_frames) for t, o in flagged]
-    return checked, flagged, fallbacks
+    agreed = kron_identity and scalar == by_frames
+    return checked, flagged, fallbacks, agreed
 
 
 def _pattern_witness(p: int, w: np.ndarray, t, omega):
@@ -757,7 +785,7 @@ def tao_min_sum(
             }
         violations.append({"support": t, "fourier_support": omega})
 
-    delta = dirac_comb(AlgebraShape((1,)), p, p)
+    delta = dirac_comb(_SCALARS, p, p)
     sup, fsup = support(delta), support(ncdft(delta))
     delta_sum = len(sup) + len(fsup)
     if min_sum is None or delta_sum < min_sum:
@@ -792,17 +820,21 @@ def conjecture_audit(
       random sparse draws: `trials` vectors, each with a support size
       uniform on [1, p], a support uniform among the subsets of that size
       and i.i.d. complex Gaussian algebra entries on the support (drawn
-      there only, see _draw_trials), thresholded support counting; the
-      trials run in chunks of about _TRIAL_CHUNK matrix entries, at least
+      there only, see _draw_trials), thresholded support counting, decided
+      from trace-norm bounds with exact C*-norms only for the rows those
+      bounds leave open (frames._screened_support_mask); the trials run in
+      chunks of about _TRIAL_CHUNK matrix entries, at least
       one trial each, and a violation names its trial's global index;
       spike witness: the vector with 1_A at index 0 must attain p + 1;
       structured search: every support pattern with sum <= p is
       tested by the scalar minor criterion (the transform acts on each
       scalar coordinate of A separately, so scalar infeasibility rules out
       algebra-valued solutions) and cross-checked by support_pair_feasible's
-      rank test on the standard and Fourier frames over A, which decides
-      the same pattern for algebra-valued x from the frame matrices (see
-      _pattern_search).
+      rank test on the standard and Fourier frames, which decides the same
+      pattern from the frame matrices: on the frames over C, after checking
+      that each block of the frames over A is exactly their Kronecker
+      product with I_n (see _pattern_search).  A failed identity check,
+      like a disagreement, sets reduction_crosscheck_agreed false.
 
     Any recorded violation is classified: "counterexample" if the scalar
     oracle confirms the support pattern is genuinely feasible, otherwise
@@ -819,18 +851,26 @@ def conjecture_audit(
     min_sum = None
     vector_violations = []
 
+    rank = sum(shape.block_dims)
     chunk = max(1, _TRIAL_CHUNK // (p * shape.dim))
     for done in range(0, trials, chunk):
         m = min(chunk, trials - done)
-        x_blocks, x_norms = _draw_trials(rng, shape, p, m)
+        x_blocks, x_masses = _draw_trials(rng, shape, p, m)
         # x_hat_k = sum_j w[k, j] x_j for every trial at once: one GEMM per block,
-        # kept as its contiguous (p, m, n, n) output; the (p, m) norms are transposed
+        # kept as its contiguous (p, m, n, n) output; the (p, m) masses are transposed
         h_blocks = [
             (w @ xb.transpose(1, 0, 2, 3).reshape(p, -1)).reshape(p, m, n, n)
             for n, xb in zip(shape.block_dims, x_blocks)
         ]
-        x_supp = _support_mask(x_norms, rel_tol)
-        h_supp = _support_mask(_entry_norms(h_blocks).T, rel_tol)
+        x_supp = _screened_support_mask(
+            x_masses, rank, rel_tol, lambda rows: _entry_norms([xb[rows] for xb in x_blocks])
+        )
+        h_supp = _screened_support_mask(
+            _entry_masses(h_blocks).T,
+            rank,
+            rel_tol,
+            lambda rows: _entry_norms([hb[:, rows] for hb in h_blocks]).T,
+        )
         sums = x_supp.sum(axis=1) + h_supp.sum(axis=1)
         batch_min = int(sums.min())
         if min_sum is None or batch_min < min_sum:
@@ -857,9 +897,8 @@ def conjecture_audit(
     delta_sum = sparsity(delta, rel_tol) + sparsity(ncdft(delta), rel_tol)
     min_sum = int(min(min_sum, delta_sum))
 
-    patterns_checked, flagged, fallbacks = _pattern_search(shape, p)
+    patterns_checked, flagged, fallbacks, crosscheck_agreed = _pattern_search(shape, p)
     pattern_violations = [{"support": t, "fourier_support": o} for t, o, _, _ in flagged]
-    crosscheck_agreed = all(scalar == by_frames for _, _, scalar, by_frames in flagged)
 
     holds = (
         min_sum >= p + 1

@@ -25,6 +25,12 @@ oracle_pattern_search is the conjecture audit's structured search one
 pattern at a time: an SVD of the pattern's DFT minor for the scalar verdict
 and a support_pair_feasible call for the frame verdict.
 
+oracle_algebra_frame_search is the structured search with its frame side
+decided on the standard and Fourier frames over A itself, one
+_necklace_scan over the algebra's frames: the layout the library used
+before it decided that side on the frames over C through the Kronecker
+identity.
+
 oracle_class_keys is the DFT-minor scan's class key by its definition, the
 minimum over every unit u of (rotation-minimal uT, rotation-minimal u^-1 R),
 from dilation tables built here bit by bit (oracle_dilation_table).
@@ -62,7 +68,7 @@ from ncup import (
 )
 from ncup.algebra import _NORM_CHUNK
 from ncup.errors import InputError
-from ncup.ncft import _is_prime, _modular_dft
+from ncup.ncft import _is_prime, _modular_dft, _necklace_scan
 
 
 def embed_element(a) -> np.ndarray:
@@ -291,6 +297,16 @@ def oracle_pattern_search(shape, p):
                     if scalar or by_frames:
                         flagged.append((list(t_set), list(omega), scalar, by_frames))
     return checked, flagged
+
+
+def oracle_algebra_frame_search(shape, p):
+    """Pattern count and (T, Omega, scalar, frames) for every flagged pattern, frames over A."""
+    frames = standard_frame(shape, p), fourier_frame(shape, p)
+    groups = [(size_t, p - size_o) for size_t in range(1, p) for size_o in range(1, p - size_t + 1)]
+    checked, hits, _ = _necklace_scan(p, groups, frames)
+    scalar, by_frames = ({(tuple(t), tuple(o)) for t, o in found} for found in hits)
+    flagged = sorted(scalar | by_frames, key=lambda to: (len(to[0]), to[0], len(to[1]), to[1]))
+    return checked, [(list(t), list(o), (t, o) in scalar, (t, o) in by_frames) for t, o in flagged]
 
 
 def _same_module(x, y) -> None:

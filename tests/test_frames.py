@@ -362,6 +362,101 @@ def test_support_spans_the_whole_exponent_range(shape):
     assert support(x) == [0]
 
 
+SCREEN_DIMS = [(1,), (2,), (1, 2), (3,), (4, 4, 8)]
+SCREEN_IDS = ["C", "M2", "C+M2", "M3", "448"]
+
+
+def screen_stacks(dims, rows, rng):
+    """One (m, k, n, n) stack per block; rows[i][j] = (kind, nu) builds entry (i, j) with C*-norm nu.
+
+    kind "iso" puts nu times a random unitary in every block, so that
+    nu^2 = phi^2 / r with r = sum(dims); kind "one" puts nu times a random
+    rank-one partial isometry in one random block, so that nu^2 = phi^2.
+    """
+    stacks = [np.zeros((len(rows), len(rows[0]), n, n), dtype=complex) for n in dims]
+    for i, row in enumerate(rows):
+        for j, (kind, nu) in enumerate(row):
+            if kind == "iso":
+                for stack, n in zip(stacks, dims):
+                    stack[i, j] = nu * np.linalg.qr(screen_gaussian(rng, n, n))[0]
+            else:
+                b = rng.integers(len(dims))
+                u, v = (g / np.linalg.norm(g) for g in (screen_gaussian(rng, dims[b], 1) for _ in "uv"))
+                stacks[b][i, j] = nu * (u @ v.conj().T)
+    return stacks
+
+
+def screen_gaussian(rng, *size):
+    return rng.standard_normal(size) + 1j * rng.standard_normal(size)
+
+
+def screened(stacks, rel_tol):
+    """The screen's mask of the elements in stacks, and the rows it sent to the exact norms."""
+    asked = []
+
+    def entry_norms(rows):
+        asked.extend(np.arange(len(masses))[rows].tolist())
+        return algebra._entry_norms([s[rows] for s in stacks])
+
+    rank, masses = sum(s.shape[-1] for s in stacks), algebra._entry_masses(stacks)
+    return frames._screened_support_mask(masses, rank, rel_tol, entry_norms), asked
+
+
+def exact_mask(stacks, rel_tol):
+    return frames._support_mask(algebra._entry_norms(stacks), rel_tol)
+
+
+@pytest.mark.parametrize("rel_tol", [1e-8, 0.5, 0.9, 0.0, 3e-162])
+@pytest.mark.parametrize("dims", SCREEN_DIMS, ids=SCREEN_IDS)
+def test_screened_support_mask_equals_exact_rule(dims, rel_tol):
+    # Rows hold a peak of either kind and entries of either kind at
+    # rel_tol * peak times factors at the cut (1 +- 1e-15 and +- a few
+    # ulps), at the screen's own margins (1 +- 1e-6 and sqrt(r) or
+    # 1/sqrt(r) times 1 +- 1e-15), inside the bound band (0.9 to 1.1), far
+    # above it (0.3) and exactly zero.  Scaled by 1 and 1e149 the rows keep
+    # normal masses; scaled by 1e-170 their masses underflow, and by 1e300
+    # they overflow.  At rel_tol = 3e-162, rel_tol**2 is a subnormal 10 %
+    # off; the cut must not be formed from it.
+    rng, r = np.random.default_rng(47), sum(dims)
+    factors = [0.9, 0.99, 1 - 1e-6, 1 + 1e-6, 1.01, 1.1]
+    factors += [1 + k * 2.0**-52 for k in range(-6, 7)] + [1 - 1e-15, 1 + 1e-15]
+    factors += [edge * (1 + e) for edge in (r**0.5, r**-0.5) for e in (-1e-15, 1e-15)]
+    rows = [
+        [(peak, 1.0), (kind, rel_tol * f), (kind, 0.3), (kind, 0.0), ("one", 1e-3)]
+        for _ in range(3)
+        for peak in ("iso", "one")
+        for kind in ("iso", "one")
+        for f in factors
+    ]
+    stacks = screen_stacks(dims, rows, rng)
+    for scale in (1.0, 1e149, 1e-170, 1e300):
+        scaled = [scale * s for s in stacks]
+        mask, asked = screened(scaled, rel_tol)
+        assert np.array_equal(mask, exact_mask(scaled, rel_tol)), scale
+        assert sorted(asked) == sorted(set(asked))
+        if rel_tol == 0.0 or scale in (1e-170, 1e300):
+            assert asked == list(range(len(rows)))
+        elif rel_tol == 1e-8 and scale == 1.0:
+            assert 0 < len(asked) < len(rows)  # the bounds decide every row without an entry at the cut
+    # An entry at the cut goes to the exact norms; a row of ordinary entries does not.
+    plain = screen_stacks(dims, [[("iso", 1.0), ("one", 0.3), ("iso", 0.0)]], rng)
+    mask, asked = screened(plain, 1e-8)
+    assert asked == [] and mask.tolist() == exact_mask(plain, 1e-8).tolist() == [[True, True, False]]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+@pytest.mark.parametrize("dims", SCREEN_DIMS, ids=SCREEN_IDS)
+def test_screened_support_mask_refuses_non_finite_entries_like_the_exact_rule(dims, bad):
+    stacks = screen_stacks(dims, [[("iso", 1.0), ("one", 0.5)]] * 3, np.random.default_rng(5))
+    stacks[-1][1, 1, 0, -1] = bad
+    for rel_tol in (1e-8, 0.0):
+        with pytest.raises(InputError) as exact:
+            exact_mask(stacks, rel_tol)
+        with pytest.raises(InputError) as screen:
+            screened(stacks, rel_tol)
+        assert str(screen.value) == str(exact.value) == "algebra elements must have finite entries"
+
+
 def test_sparsity_scale_invariance(shape, rng):
     frame = random_parseval_frame(shape, 3, 5, rng)
     x = random_vector(shape, 3, rng)

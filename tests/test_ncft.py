@@ -41,6 +41,7 @@ from ncup.uncertainty import _constraint_stack
 
 from oracles import (
     cyclic_shift,
+    oracle_algebra_frame_search,
     oracle_certified_nonsingular,
     oracle_class_keys,
     oracle_deficient_minors,
@@ -1170,7 +1171,7 @@ def trial_chunk(shape, p):
 
 
 def record_trials(monkeypatch):
-    """Record (mask, x_blocks, x_norms) for every chunk the random layer draws, in draw order."""
+    """Record (mask, x_blocks, x_masses) for every chunk the random layer draws, in draw order."""
     draw_supports, draw_trials, drawn, masks = ncft._draw_supports, ncft._draw_trials, [], []
 
     def record_supports(rng, p, m):
@@ -1178,9 +1179,9 @@ def record_trials(monkeypatch):
         return masks[-1]
 
     def record(rng, shape, p, m):
-        x_blocks, norms = draw_trials(rng, shape, p, m)
-        drawn.append((masks[-1], x_blocks, norms))
-        return x_blocks, norms
+        x_blocks, masses = draw_trials(rng, shape, p, m)
+        drawn.append((masks[-1], x_blocks, masses))
+        return x_blocks, masses
 
     monkeypatch.setattr(ncft, "_draw_supports", record_supports)
     monkeypatch.setattr(ncft, "_draw_trials", record)
@@ -1205,11 +1206,11 @@ def test_conjecture_draw_law(monkeypatch):
     masks = np.concatenate([mask for mask, _, _ in drawn])
     assert masks.shape == (trials, p)
     assert draws == [(mask.sum(), n, n) for mask, _, _ in drawn for n in shape.block_dims]
-    for mask, x_blocks, norms in drawn:
+    for mask, x_blocks, masses in drawn:
         for xb in x_blocks:
             assert (xb[~mask] == 0).all()
             assert (xb[mask] != 0).all()
-        assert (norms[~mask] == 0).all()
+        assert (masses[~mask] == 0).all()
 
     sizes = masks.sum(axis=1)
     assert within_chi_square_bound(
@@ -1259,25 +1260,26 @@ def test_support_draws_replay_as_ranks_into_combinations_by_size(p):
     "dims", [(1,), (2,), (3,), (1, 2), (4, 4, 8)], ids=["C", "M2", "M3", "C+M2", "448"]
 )
 def test_drawn_entry_norms_equal_dense_norms_bit_for_bit(dims):
-    # The x-side norms come from the drawn entries alone; scattered among
-    # zeros they are the norms of the dense stack, bit for bit.  The
-    # Fourier-side norms are taken on each block's contiguous (p, m, n, n)
-    # GEMM output and transposed; they are the norms of its (m, p, n, n)
-    # view, bit for bit.
+    # The x-side masses (squared trace norms) come from the drawn entries
+    # alone; scattered among zeros they are the masses of the dense stack,
+    # bit for bit.  The Fourier-side masses and the norms its undecided rows
+    # take are computed on each block's contiguous (p, m, n, n) GEMM output
+    # and transposed; they are those of its (m, p, n, n) view, bit for bit.
     shape, rng = AlgebraShape(dims), np.random.default_rng(23)
     for p in (2, 5, 13):
         w = dft_matrix(p)
         for m in (1, 7, trial_chunk(shape, p)):
-            x_blocks, norms = ncft._draw_trials(rng, shape, p, m)
-            dense = ncft._entry_norms(x_blocks)
-            assert norms.view(np.uint64).tolist() == dense.view(np.uint64).tolist()
+            x_blocks, masses = ncft._draw_trials(rng, shape, p, m)
+            dense = ncft._entry_masses(x_blocks)
+            assert masses.view(np.uint64).tolist() == dense.view(np.uint64).tolist()
             h_blocks = [
                 (w @ xb.transpose(1, 0, 2, 3).reshape(p, -1)).reshape(p, m, n, n)
                 for n, xb in zip(dims, x_blocks)
             ]
-            contiguous = ncft._entry_norms(h_blocks).T
-            view = ncft._entry_norms([hb.transpose(1, 0, 2, 3) for hb in h_blocks])
-            assert contiguous.view(np.uint64).tolist() == view.view(np.uint64).tolist()
+            for kernel in (ncft._entry_masses, ncft._entry_norms):
+                contiguous = kernel(h_blocks).T
+                view = kernel([hb.transpose(1, 0, 2, 3) for hb in h_blocks])
+                assert contiguous.view(np.uint64).tolist() == view.view(np.uint64).tolist()
 
 
 def test_conjecture_violation_names_its_global_trial(monkeypatch):
@@ -1286,16 +1288,16 @@ def test_conjecture_violation_names_its_global_trial(monkeypatch):
     p, j = 5, 17
     chunk = trial_chunk(M2, p)
     drawn = record_trials(monkeypatch)
-    threshold, calls = ncft._support_mask, []
+    threshold, calls = ncft._screened_support_mask, []
 
-    def clear_one(norms, rel_tol):
-        supp = threshold(norms, rel_tol)
-        calls.append(norms.shape)
+    def clear_one(masses, rank, rel_tol, entry_norms):
+        supp = threshold(masses, rank, rel_tol, entry_norms)
+        calls.append(masses.shape)
         if len(calls) == 4:  # (x side, Fourier side) per chunk: chunk 1's Fourier side
             supp[j] = False
         return supp
 
-    monkeypatch.setattr(ncft, "_support_mask", clear_one)
+    monkeypatch.setattr(ncft, "_screened_support_mask", clear_one)
     report = conjecture_audit(M2, p, trials=2 * chunk + 1, seed=31)
     assert calls == [(chunk, p)] * 4 + [(1, p)] * 2
     assert not report["holds"]
@@ -1359,12 +1361,68 @@ def test_pattern_search_matches_per_pattern_loop(dims, n):
     # composite lengths have feasible patterns, so the comparison is not
     # vacuous there.
     shape = AlgebraShape(dims)
-    checked, flagged, _ = ncft._pattern_search(shape, n)
+    checked, flagged, _, agreed = ncft._pattern_search(shape, n)
     assert (checked, flagged) == oracle_pattern_search(shape, n)
+    assert agreed
     assert checked == sum(
         comb(n, s) * comb(n, t) for s in range(1, n) for t in range(1, n - s + 1)
     )
     assert bool(flagged) == (n in (4, 6))
+
+
+@pytest.mark.parametrize("dims", [(1, 2), (3,), (4, 4, 8)], ids=["C+M2", "M3", "448"])
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_frames_over_the_algebra_are_kronecker_products_of_the_scalar_frames(dims, p):
+    # The structured search decides its frame side on the frames over C:
+    # every block of the frames over A is kron(frame over C, I_n), bit for bit.
+    shape = AlgebraShape(dims)
+    for build in (standard_frame, fourier_frame):
+        scalar = build(C, p).mats[0]
+        for n, mat in zip(dims, build(shape, p).mats):
+            assert np.array_equal(mat, np.kron(scalar, np.eye(n)))
+
+
+@pytest.mark.parametrize(
+    "dims, n", [((1, 2), 5), ((1, 2), 7), ((3,), 5), ((3,), 7), ((1, 2), 6), ((1, 2), 8)]
+)
+def test_pattern_search_equals_the_algebra_frame_search(dims, n):
+    # Deciding the frame side on the frames over C flags the same patterns,
+    # with the same two verdicts, as deciding it on the frames over A; the
+    # composite lengths 6 and 8 flag some.
+    shape = AlgebraShape(dims)
+    checked, flagged, _, agreed = ncft._pattern_search(shape, n)
+    assert (checked, flagged) == oracle_algebra_frame_search(shape, n)
+    assert agreed == all(scalar == by_frames for *_, scalar, by_frames in flagged)
+    assert bool(flagged) == (n in (6, 8))
+
+
+@pytest.mark.parametrize("builder", ["standard_frame", "fourier_frame"])
+def test_frame_builder_off_the_kronecker_identity_fails_the_crosscheck(monkeypatch, tmp_path, builder):
+    # One entry of one block of the frames over A moved by an ulp: the
+    # frames over C still decide every pattern, but they no longer stand
+    # for A, so the cross-check fails and the audit exits 1.
+    original = getattr(ncft, builder)
+
+    def nudged(shape, d):
+        frame = original(shape, d)
+        if shape == C:
+            return frame
+        mats = [mat.copy() for mat in frame.mats]
+        mats[-1][0, 0] = np.nextafter(mats[-1][0, 0].real, 2.0)
+        return ncft.ModularFrame._from_mats(shape, d, frame.count, mats)
+
+    monkeypatch.setattr(ncft, builder, nudged)
+    shape = AlgebraShape((1, 2))
+    checked, flagged, _, agreed = ncft._pattern_search(shape, 5)
+    assert (checked, flagged, agreed) == (575, [], False)
+    report = conjecture_audit(shape, 5, trials=50)
+    assert report["reduction_crosscheck_agreed"] is False
+    assert report["holds"] is False
+    assert report["pattern_violations"] == []
+    out = tmp_path / "report.json"
+    argv = ["conjecture", "--algebra", "1,2", "--p", "5", "--trials", "50", "--out", str(out)]
+    assert cli.main(argv) == 1
+    assert '"reduction_crosscheck_agreed":false' in out.read_text()
 
 
 def complements(n, sets):
@@ -1379,12 +1437,13 @@ def pattern_groups(n):
             yield layer_batch(n, s, n - o)
 
 
-@pytest.mark.parametrize("dims", [(2,), (1, 1)])
+@pytest.mark.parametrize("dims", [(2,), (1, 1), (1,)])
 @pytest.mark.parametrize("n", [5, 6, 7])
 def test_frame_side_singular_values_are_class_invariant(dims, n):
-    # The pattern search decides the frame side from the pair each class
-    # key encodes.  That pair has its own key, and every member of the
-    # class has its constraint stacks' singular values, block by block.
+    # The pattern search decides the frame side, on the frames over C, from
+    # the pair each class key encodes.  That pair has its own key, and every
+    # member of the class has its constraint stacks' singular values, block
+    # by block, over C and over A alike.
     shape = AlgebraShape(dims)
     std, fourier = standard_frame(shape, n), fourier_frame(shape, n)
 
@@ -1411,7 +1470,7 @@ def test_pattern_search_keys_only_necklace_pairs(monkeypatch):
     # necklaces of size k at a prime p, and still every pattern is counted.
     p = 7
     batches = spy_batches(monkeypatch)
-    checked, flagged, _ = ncft._pattern_search(M2, p)
+    checked, flagged, _, _ = ncft._pattern_search(M2, p)
     groups = [(s, p - o) for s in range(1, p) for o in range(1, p - s + 1)]
     assert batches == [(s, r, comb(p, s) // p * (comb(p, r) // p)) for s, r in groups]
     assert checked == sum(comb(p, s) * comb(p, r) for s, r in groups) == 9653
@@ -1444,7 +1503,7 @@ def test_pattern_search_decides_frames_once_per_class(monkeypatch):
     monkeypatch.setattr(ncft, "_deficient_blocks", counting_blocks)
     for p, classes in ((5, 13), (7, 61)):
         seen.clear()
-        checked, flagged, _ = ncft._pattern_search(M2, p)
+        checked, flagged, _, _ = ncft._pattern_search(M2, p)
         orbits = sum(count_orbits(p, cols, rows) for cols, rows in pattern_groups(p))
         assert sum(seen) == orbits == classes < checked
         assert flagged == []
