@@ -332,11 +332,10 @@ def _screened_support_mask(masses: np.ndarray, rank: int, rel_tol: float, entry_
     masses is an (m, k) array of squared trace norms phi^2 = sum_b
     ||a_b||_F^2 (algebra._entry_masses) of elements of an algebra with
     rank = n_1 + ... + n_B; entry_norms(rows) returns the C*-norms nu of
-    the rows selected by rows, an index array or slice(None) for all of
-    them.  Since nu^2 <= phi^2 <= rank nu^2, with
-    cut = rel_tol^2 max(phi^2) per row, an entry is certainly kept when
-    phi^2 > rank cut (1 + delta) and certainly dropped when
-    rank phi^2 (1 + delta) <= cut.  A row is decided from these bounds
+    the rows selected by the index array rows.  Since
+    nu^2 <= phi^2 <= rank nu^2, with cut = rel_tol^2 max(phi^2) per row,
+    an entry is certainly kept when phi^2 > rank cut (1 + delta) and
+    certainly dropped when rank phi^2 (1 + delta) <= cut.  A row is decided from these bounds
     alone when every entry is certain and its max(phi^2) and cut / rank
     lie in [2^-1000, 2^1000 / rank]; every other row is decided by
     _support_mask on its exact norms.  So rel_tol = 0, masses too small
@@ -363,10 +362,7 @@ def _screened_support_mask(masses: np.ndarray, rank: int, rel_tol: float, entry_
         kept = masses > margin * cut
         certain = kept | (margin * masses <= cut)
         scaled = (cut >= rank * 2.0**-1000) & (peak <= 2.0**1000 / rank)
-    undecided = ~(_fold(np.logical_and, certain) & scaled[:, 0])
-    if undecided.all():  # as at rel_tol = 0: hand over every row as a view, not a gathered copy
-        return _support_mask(entry_norms(slice(None)), rel_tol)
-    rows = np.flatnonzero(undecided)
+    rows = np.flatnonzero(~(_fold(np.logical_and, certain) & scaled[:, 0]))
     if len(rows):
         kept[rows] = _support_mask(entry_norms(rows), rel_tol)
     return kept

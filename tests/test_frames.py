@@ -395,7 +395,7 @@ def screened(stacks, rel_tol):
     asked = []
 
     def entry_norms(rows):
-        asked.extend(np.arange(len(masses))[rows].tolist())
+        asked.extend(rows.tolist())
         return algebra._entry_norms([s[rows] for s in stacks])
 
     rank, masses = sum(s.shape[-1] for s in stacks), algebra._entry_masses(stacks)
