@@ -439,9 +439,19 @@ def _check_addressable(size: tuple, dtype) -> None:
 
 
 def _complex_gaussian(rng: np.random.Generator, size: tuple) -> np.ndarray:
-    """I.i.d. standard complex Gaussian array: a real draw, then an imaginary one."""
+    """I.i.d. standard complex Gaussian array: a real draw, then an imaginary one.
+
+    One draw of both parts, real parts first, each scaled by 1/sqrt(2)
+    into its half of the output.  These are the bytes of
+    (standard_normal(size) + 1j * standard_normal(size)) / sqrt(2), whose
+    complex-by-real division multiplies each part by 1/sqrt(2) too.
+    """
     _check_addressable(size, np.complex128)
-    return (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / np.sqrt(2.0)
+    pair = rng.standard_normal((2, *size))
+    out = np.empty(size, dtype=np.complex128)
+    np.multiply(pair[0], 1 / np.sqrt(2.0), out=out.real)
+    np.multiply(pair[1], 1 / np.sqrt(2.0), out=out.imag)
+    return out
 
 
 def random_element(shape: AlgebraShape, rng: np.random.Generator) -> AlgebraElement:

@@ -35,6 +35,7 @@ from .algebra import (
     _as_count,
     _as_int,
     _as_list,
+    _entry_masses,
     _entry_norms,
     _fold,
     _json_fields,
@@ -241,27 +242,58 @@ def frame_operator(frame: ModularFrame) -> ModuleOperator:
 
 
 def _parseval_residual(frame: ModularFrame) -> float:
-    """Operator norm of S - I, from the eigenvalues of its Hermitian part.
+    """Bound on the operator norm of S - I that gives the operator norm's Parseval verdict.
+
+    Per block, D = (S + S^*)/2 - I is the Hermitian part of the defect.
+    When the largest Frobenius norm ||D||_F, from the masses of
+    algebra._entry_masses, is at most PARSEVAL_TOL (1 - 2^-20), the frame
+    is Parseval, since ||D||_2 <= ||D||_F, and that Frobenius norm is the
+    residual.  Otherwise the residual is the operator norm itself, the
+    largest |eigenvalue| of D by eigvalsh: so a frame that is not Parseval
+    is always measured exactly.  So the residual is an upper bound on
+    ||D||_2 (on the exact path, ||D||_2 itself), and it is at most
+    PARSEVAL_TOL exactly when the eigvalsh norm is.
+
+    Why 2^-20 is enough.  Each block's mass is a sum of k = 2 m^2 squares,
+    m = d n the block's order; summed in any order it is within a factor
+    1 + k 2^-53 of the exact ||D||_F^2: 1 + 2^-38 for m <= 128, and below
+    1 + 2^-21 for m up to 2^15.  The square root adds one rounding.
+    eigvalsh's eigenvalues lie within c m 2^-53 ||D||_2 of the exact ones,
+    c a small constant, so its largest |eigenvalue| is at most
+    ||D||_2 (1 + c m 2^-53) <= ||D||_F (1 + 2^-22) for these orders.  A
+    bound the test accepts puts ||D||_F below PARSEVAL_TOL (1 - 2^-20)
+    (1 + 2^-21) and the eigvalsh norm below PARSEVAL_TOL: the frames the
+    bound accepts are frames the eigvalsh rule accepts too.  A mass that
+    underflows is off by at most k 2^-1074, and one read as 0 means a true
+    residual below 1e-150, so accepting it is right.  A mass that
+    overflows, or is NaN, fails the test and takes the exact path, as does
+    a non-finite S, whose residual is infinite (eigvalsh returns zeros for
+    a non-finite input).
 
     Measured once per frame (frames are immutable) and kept on it.
-    Infinite when S overflows: eigvalsh returns zeros for a non-finite input.
     """
     if frame._residual is None:
         with np.errstate(over="ignore", invalid="ignore"):
             ops = frame_operator(frame).mats
-        worst = 0.0
-        for s in ops:
-            if not np.isfinite(s).all():
-                worst = np.inf
-                break
-            defect = (s + s.conj().T) / 2.0 - np.eye(len(s))
-            worst = max(worst, float(np.abs(np.linalg.eigvalsh(defect)).max()))
+            defects = [(s + s.conj().T) / 2.0 - np.eye(len(s)) for s in ops]
+            worst = float(np.sqrt(np.max([_entry_masses([defect[None]]) for defect in defects])))
+        if not worst <= PARSEVAL_TOL * (1.0 - 2.0**-20):
+            worst = 0.0
+            for s, defect in zip(ops, defects):
+                if not np.isfinite(s).all():
+                    worst = np.inf
+                    break
+                worst = max(worst, float(np.abs(np.linalg.eigvalsh(defect)).max()))
         frame._residual = worst
     return frame._residual
 
 
 def is_parseval(frame: ModularFrame) -> bool:
-    """True iff the frame operator is the identity up to PARSEVAL_TOL in operator norm."""
+    """True iff the frame operator is the identity up to PARSEVAL_TOL in operator norm.
+
+    Decided by _parseval_residual: from the Frobenius norm of S - I where
+    that bound is within the tolerance, from eigvalsh where it is not.
+    """
     return _parseval_residual(frame) <= PARSEVAL_TOL
 
 

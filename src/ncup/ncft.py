@@ -641,16 +641,18 @@ def _draw_supports(rng, p: int, m: int) -> np.ndarray:
 
 
 def _draw_trials(rng, shape: AlgebraShape, p: int, m: int):
-    """m random sparse vectors of A^p: their dense blocks and their (m, p) entry masses.
+    """m random sparse vectors of A^p: their dense blocks, (m, p) entry masses and supports.
 
     The supports are _draw_supports' bool rows, drawn before any Gaussian.
     Gaussians are drawn for the supported entries only, a (K, n, n) stack
     per block in block order, K the total support size, and scattered into
     zeroed (m, p, n, n) stacks.  The squared trace norms (_entry_masses) are
     taken from the drawn entries alone; every other entry is 0 and has
-    mass 0.
+    mass 0.  The supports let _drawn_entry_norms norm the drawn entries
+    alone too.
     """
-    supported = np.flatnonzero(_draw_supports(rng, p, m))
+    supports = _draw_supports(rng, p, m)
+    supported = np.flatnonzero(supports)
     x_blocks = []
     for n in shape.block_dims:
         _check_addressable((m, p, n, n), np.complex128)
@@ -660,7 +662,15 @@ def _draw_trials(rng, shape: AlgebraShape, p: int, m: int):
         xb.reshape(m * p, *entries.shape[1:])[supported] = entries
     masses = np.zeros((m, p))
     masses.reshape(-1)[supported] = _entry_masses(drawn)
-    return x_blocks, masses
+    return x_blocks, masses, supports
+
+
+def _drawn_entry_norms(x_blocks, supports: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """(len(rows), p) C*-norms of the trials rows, from their supported entries only; 0 elsewhere."""
+    i, j = np.nonzero(supports[rows])
+    norms = np.zeros((len(rows), supports.shape[1]))
+    norms[i, j] = _entry_norms([xb[rows[i], j] for xb in x_blocks])
+    return norms
 
 
 def _pattern_search(shape: AlgebraShape, p: int):
@@ -855,7 +865,7 @@ def conjecture_audit(
     chunk = max(1, _TRIAL_CHUNK // (p * shape.dim))
     for done in range(0, trials, chunk):
         m = min(chunk, trials - done)
-        x_blocks, x_masses = _draw_trials(rng, shape, p, m)
+        x_blocks, x_masses, x_supports = _draw_trials(rng, shape, p, m)
         # x_hat_k = sum_j w[k, j] x_j for every trial at once: one GEMM per block,
         # kept as its contiguous (p, m, n, n) output; the (p, m) masses are transposed
         h_blocks = [
@@ -863,7 +873,7 @@ def conjecture_audit(
             for n, xb in zip(shape.block_dims, x_blocks)
         ]
         x_supp = _screened_support_mask(
-            x_masses, rank, rel_tol, lambda rows: _entry_norms([xb[rows] for xb in x_blocks])
+            x_masses, rank, rel_tol, lambda rows: _drawn_entry_norms(x_blocks, x_supports, rows)
         )
         h_supp = _screened_support_mask(
             _entry_masses(h_blocks).T,

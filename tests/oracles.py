@@ -43,6 +43,14 @@ oracle_certified_nonsingular is the mod-ell certificate in its first
 layout: the whole batch as one (m, s, s) stack with the batch axis first,
 eliminated at once without chunks, over the library's own field.
 
+oracle_parseval_residual measures ||S - I|| on the dense frame operator
+with eigvalsh, the reference for the Frobenius screen of
+frames._parseval_residual.
+
+reference_complex_gaussian is the complex Gaussian draw as one expression,
+the bit-for-bit reference for algebra._complex_gaussian, which writes the
+two scaled halves of one real draw into its output.
+
 reference_block_norms is the norm kernel with a reduction over each
 matrix's axes (max, then sum), kept as the bit-for-bit reference for
 algebra._entry_norms, whose one- and two-row paths run entrywise.
@@ -130,6 +138,18 @@ def oracle_parsevalize(frame) -> np.ndarray:
     """Dense embedding of the normalized frame, T S^(-1/2) with S = T^H T."""
     vals, vecs = np.linalg.eigh(oracle_frame_operator(frame))
     return embed_frame(frame) @ ((vecs * vals**-0.5) @ vecs.conj().T)
+
+
+def oracle_parseval_residual(frame) -> float:
+    """||S - I|| in operator norm, from eigvalsh of the Hermitian part of the dense S - I."""
+    s = oracle_frame_operator(frame)
+    herm = (s + s.conj().T) / 2.0 - np.eye(len(s))
+    return float(np.abs(np.linalg.eigvalsh(herm)).max())
+
+
+def reference_complex_gaussian(rng, size) -> np.ndarray:
+    """algebra._complex_gaussian as first written, the bit-for-bit reference for its draw."""
+    return (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / np.sqrt(2.0)
 
 
 def oracle_norm(a) -> float:

@@ -19,9 +19,9 @@ from ncup import (
     sub,
 )
 
-from ncup.algebra import _entry_norms
+from ncup.algebra import _complex_gaussian, _entry_norms
 
-from oracles import embed_element, oracle_min_eig, oracle_norm, reference_block_norms
+from oracles import embed_element, oracle_min_eig, oracle_norm, reference_block_norms, reference_complex_gaussian
 
 C = AlgebraShape((1,))
 M2 = AlgebraShape((2,))
@@ -229,6 +229,22 @@ def test_is_positive_psd_boundary():
     # eigenvalues {0, 2}
     assert is_positive(elem(M2, [[1, 1], [1, 1]]))
     assert not is_positive(elem(M2, [[-1, 0], [0, 1]]))
+
+
+@pytest.mark.parametrize("seed", [0, 7, 11, 4242, 2**63 + 5])
+def test_complex_gaussian_matches_one_expression_bit_for_bit(seed):
+    # One (2, *size) draw, halves scaled into one output: the same stream and
+    # bytes as the real draw plus 1j times the imaginary one over sqrt(2).
+    for size in [(1,), (3, 3), (30000, 2, 2), (4, 0, 2), (2, 5, 3, 3)]:
+        got, ref = (draw(np.random.default_rng(seed), size) for draw in (_complex_gaussian, reference_complex_gaussian))
+        assert got.shape == ref.shape == size and got.dtype == np.complex128
+        assert got.tobytes() == ref.tobytes()
+    # random_element draws its blocks in order through the same kernel.
+    rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+    for shape in (C, CM2, AlgebraShape((4, 4, 8))):
+        a = random_element(shape, rng_a)
+        for blk, n in zip(a.blocks, shape.block_dims):
+            assert blk.tobytes() == reference_complex_gaussian(rng_b, (n, n)).tobytes()
 
 
 def test_scale_and_neg():

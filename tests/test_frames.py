@@ -9,6 +9,7 @@ from ncup import (
     ModularFrame,
     ModuleOperator,
     ModuleVector,
+    NonParsevalFrameError,
     NotAFrameError,
     analysis,
     basis_vector,
@@ -47,6 +48,7 @@ from oracles import (
     oracle_cross_gram_norms,
     oracle_frame_operator,
     oracle_norm,
+    oracle_parseval_residual,
     oracle_parsevalize,
     vec_add,
     vec_scale,
@@ -55,6 +57,7 @@ from oracles import (
 
 C = AlgebraShape((1,))
 M2 = AlgebraShape((2,))
+LARGE = AlgebraShape((4, 4, 8))
 
 
 def scalar_vector(values):
@@ -212,6 +215,149 @@ def test_parseval_residual_measured_once(monkeypatch, rng):
     loaded = ModularFrame.from_dict(payload)
     assert len(calls) == 3  # the claim is verified on load
     assert is_parseval(loaded) and len(calls) == 3
+
+
+def refuse_eigvalsh(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigvalsh called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+
+
+def count_eigvalsh(monkeypatch):
+    """The shapes of the matrices passed to np.linalg.eigvalsh from now on."""
+    calls, eigvalsh = [], np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return calls
+
+
+def scaled_identity_frame(eps):
+    """The standard frame of LARGE^16 scaled so that S = (1 + eps) I."""
+    return ModularFrame(LARGE, 16, [np.sqrt(1 + eps) * blk for blk in standard_frame(LARGE, 16).blocks])
+
+
+def test_parsevalized_frames_decide_without_eigvalsh(monkeypatch):
+    # Parsevalized (4,4,8), d = 16 frames have ||S - I||_F near 1e-14, far
+    # inside the tolerance: the Frobenius bound decides them, and their
+    # JSON round trip, which re-verifies the claim, without eigvalsh.
+    rng = np.random.default_rng(7)
+    refuse_eigvalsh(monkeypatch)
+    made = [random_parseval_frame(LARGE, 16, 24, rng) for _ in range(2)]
+    loaded = [ModularFrame.from_dict(json.loads(json.dumps(f.to_dict()))) for f in made]
+    assert all(is_parseval(f) for f in made + loaded)
+    monkeypatch.undo()
+    for frame in made + loaded:
+        residual = frames._parseval_residual(frame)
+        assert oracle_parseval_residual(frame) <= residual <= frames.PARSEVAL_TOL * (1 - 2.0**-20)
+
+
+@pytest.mark.parametrize("eps, parseval", [(5e-9, True), (2e-8, False)])
+def test_scaled_identity_is_decided_by_eigvalsh(monkeypatch, eps, parseval):
+    # S = (1 + eps) I on (4,4,8)^16: ||D||_F = eps sqrt(128), 5.7e-8 at
+    # eps = 5e-9, is past the tolerance, so the operator norm ||D||_2 = eps
+    # decides, from one eigvalsh per block.
+    calls = count_eigvalsh(monkeypatch)
+    frame = scaled_identity_frame(eps)
+    assert is_parseval(frame) is parseval
+    assert calls == [(64, 64), (64, 64), (128, 128)]
+    assert frames._parseval_residual(frame) == pytest.approx(eps, rel=1e-6)
+    payload = frame.to_dict()
+    payload["parseval"] = True
+    if parseval:
+        assert ModularFrame.from_dict(payload).to_dict()["parseval"] is True
+    else:
+        with pytest.raises(InputError) as exc:
+            ModularFrame.from_dict(payload)
+        assert str(exc.value) == (
+            "frame: file claims a Parseval frame but the frame operator "
+            "deviates from the identity by more than 1e-08"
+        )
+    # A normalization that leaves S as it is: parsevalize measures its output.
+    monkeypatch.setattr(frames, "op_inv_sqrt", lambda s: op_identity(s.shape, s.d))
+    if parseval:
+        assert is_parseval(parsevalize(frame))
+    else:
+        with pytest.raises(NonParsevalFrameError) as exc:
+            parsevalize(frame)
+        expected = f"normalization left a frame-operator residual of {oracle_parseval_residual(frame):.3e}"
+        assert str(exc.value) == expected == "normalization left a frame-operator residual of 2.000e-08"
+
+
+def perturbed_frame(frame, perturbations):
+    """frame with frame operator I + E per block, E Hermitian: T (I + E)^(1/2) for its Parseval T."""
+    mats = []
+    for t, e in zip(frame.mats, perturbations):
+        vals, vecs = np.linalg.eigh(np.eye(len(e)) + e)
+        mats.append(t @ ((vecs * np.sqrt(vals)) @ vecs.conj().T))
+    return ModularFrame._from_mats(frame.shape, frame.d, frame.count, mats)
+
+
+def hermitian_perturbation(rng, size, top, kind):
+    """Hermitian matrix of operator norm top: one, a few, or a spread of nonzero eigenvalues."""
+    u = np.linalg.qr(rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size)))[0]
+    vals = np.zeros(size)
+    if kind == "spread":
+        vals = rng.uniform(-top, top, size)
+    count = {"one": 1, "few": min(3, size), "spread": 1}[kind]
+    vals[:count] = top * rng.choice([-1.0, 1.0], count)
+    return (u * vals) @ u.conj().T
+
+
+@pytest.mark.parametrize("dims, d, count", [((1,), 3, 5), ((1, 2), 3, 5), ((2,), 2, 3), ((4, 4, 8), 16, 24)])
+def test_parseval_verdicts_match_eigvalsh_oracle(monkeypatch, dims, d, count):
+    # ||D||_2 spread log-uniformly over [tol/10, 10 tol], carried by one
+    # block and the other blocks below it: the residual must give the
+    # verdict of eigvalsh on the dense S - I, and the Frobenius bound
+    # decide, without eigvalsh, only Parseval frames.
+    rng, shape, tol = np.random.default_rng(sum(dims) + d), AlgebraShape(dims), frames.PARSEVAL_TOL
+    base = random_parseval_frame(shape, d, count, rng)
+    decided = {True: 0, False: 0}
+    for trial in range(6 if d == 16 else 60):
+        top, peak_block, kind = tol * 10 ** rng.uniform(-1, 1), rng.integers(len(dims)), ("one", "few", "spread")[trial % 3]
+        perturbations = [
+            hermitian_perturbation(rng, d * n, top * (1 if b == peak_block else rng.uniform(0, 1)), kind)
+            for b, n in enumerate(dims)
+        ]
+        frame = perturbed_frame(base, perturbations)
+        oracle = oracle_parseval_residual(frame)
+        calls = count_eigvalsh(monkeypatch)
+        residual = frames._parseval_residual(frame)
+        monkeypatch.undo()
+        assert is_parseval(frame) == (oracle <= tol), (top, kind, residual, oracle)
+        # S's rounding (about 1e-16 per entry) moves ||D|| by about 1e-8 of itself
+        assert residual >= oracle * (1 - 1e-6)
+        if calls:
+            assert residual == pytest.approx(oracle, rel=1e-6)
+        else:
+            assert residual <= tol
+        decided[not calls] += 1
+    assert decided[True] and decided[False]
+
+
+HADAMARD4 = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]], dtype=complex)
+
+
+@pytest.mark.parametrize("big", [np.eye(4), HADAMARD4], ids=["diagonal", "hadamard"])
+def test_non_finite_frame_operator_residual_stays_infinite(big):
+    # Block 1's S overflows: to inf + nan j on the diagonal, and to inf - inf
+    # off it for the Hadamard rows; its mass is NaN.  Block 0 is exact, so
+    # its Frobenius bound alone would pass.
+    frame = ModularFrame._from_mats(AlgebraShape((1, 2)), 2, 2, [np.eye(2, dtype=complex), 1e200 * big])
+    assert frames._parseval_residual(frame) == np.inf
+    assert not is_parseval(frame)
+
+
+def test_overflowing_defect_mass_takes_the_exact_path(monkeypatch):
+    # S = 1e160 I in block 1 is finite, but its mass 4e320 is not: eigvalsh measures it.
+    calls = count_eigvalsh(monkeypatch)
+    frame = ModularFrame._from_mats(AlgebraShape((1, 2)), 2, 2, [np.eye(2, dtype=complex), 1e80 * np.eye(4)])
+    assert frames._parseval_residual(frame) == pytest.approx(1e160)
+    assert calls == [(2, 2), (4, 4)]
 
 
 def test_parseval_definition_equivalence(shape, rng):

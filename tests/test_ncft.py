@@ -1179,9 +1179,10 @@ def record_trials(monkeypatch):
         return masks[-1]
 
     def record(rng, shape, p, m):
-        x_blocks, masses = draw_trials(rng, shape, p, m)
-        drawn.append((masks[-1], x_blocks, masses))
-        return x_blocks, masses
+        x_blocks, masses, supports = draw_trials(rng, shape, p, m)
+        assert supports is masks[-1]
+        drawn.append((supports, x_blocks, masses))
+        return x_blocks, masses, supports
 
     monkeypatch.setattr(ncft, "_draw_supports", record_supports)
     monkeypatch.setattr(ncft, "_draw_trials", record)
@@ -1260,18 +1261,23 @@ def test_support_draws_replay_as_ranks_into_combinations_by_size(p):
     "dims", [(1,), (2,), (3,), (1, 2), (4, 4, 8)], ids=["C", "M2", "M3", "C+M2", "448"]
 )
 def test_drawn_entry_norms_equal_dense_norms_bit_for_bit(dims):
-    # The x-side masses (squared trace norms) come from the drawn entries
-    # alone; scattered among zeros they are the masses of the dense stack,
-    # bit for bit.  The Fourier-side masses and the norms its undecided rows
+    # The x-side masses (squared trace norms), and the x-side norms of the
+    # rows the screen leaves open, come from the drawn entries alone;
+    # scattered among zeros they are those of the dense stack, bit for bit.  The Fourier-side masses and the norms its undecided rows
     # take are computed on each block's contiguous (p, m, n, n) GEMM output
     # and transposed; they are those of its (m, p, n, n) view, bit for bit.
     shape, rng = AlgebraShape(dims), np.random.default_rng(23)
     for p in (2, 5, 13):
         w = dft_matrix(p)
         for m in (1, 7, trial_chunk(shape, p)):
-            x_blocks, masses = ncft._draw_trials(rng, shape, p, m)
+            x_blocks, masses, supports = ncft._draw_trials(rng, shape, p, m)
             dense = ncft._entry_masses(x_blocks)
             assert masses.view(np.uint64).tolist() == dense.view(np.uint64).tolist()
+            # So are the C*-norms the exact path takes from the drawn entries of some rows.
+            rows = np.arange(m)[::2]
+            drawn = ncft._drawn_entry_norms(x_blocks, supports, rows)
+            dense = ncft._entry_norms([xb[rows] for xb in x_blocks])
+            assert drawn.view(np.uint64).tolist() == dense.view(np.uint64).tolist()
             h_blocks = [
                 (w @ xb.transpose(1, 0, 2, 3).reshape(p, -1)).reshape(p, m, n, n)
                 for n, xb in zip(dims, x_blocks)
