@@ -217,13 +217,6 @@ def test_parseval_residual_measured_once(monkeypatch, rng):
     assert is_parseval(loaded) and len(calls) == 3
 
 
-def refuse_eigvalsh(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("eigvalsh called")
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
-
-
 def count_eigvalsh(monkeypatch):
     """The shapes of the matrices passed to np.linalg.eigvalsh from now on."""
     calls, eigvalsh = [], np.linalg.eigvalsh
@@ -245,8 +238,11 @@ def test_parsevalized_frames_decide_without_eigvalsh(monkeypatch):
     # Parsevalized (4,4,8), d = 16 frames have ||S - I||_F near 1e-14, far
     # inside the tolerance: the Frobenius bound decides them, and their
     # JSON round trip, which re-verifies the claim, without eigvalsh.
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigvalsh called")
+
     rng = np.random.default_rng(7)
-    refuse_eigvalsh(monkeypatch)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
     made = [random_parseval_frame(LARGE, 16, 24, rng) for _ in range(2)]
     loaded = [ModularFrame.from_dict(json.loads(json.dumps(f.to_dict()))) for f in made]
     assert all(is_parseval(f) for f in made + loaded)
