@@ -50,11 +50,6 @@ POSITIVITY_TOL = 1e-10
 # the rows rounds differently in a large batch), so a new value can move it.
 _NORM_CHUNK = 4096
 
-# Batch size, in matrices per matrix entry, from which _entry_norms takes the
-# maxima and short sums of one- and two-row matrices as elementwise passes over
-# the entries: below it, the extra numpy calls cost more than the reductions save.
-_ENTRYWISE_BATCH = 32
-
 
 def _as_int(value, what: str) -> int:
     """value as an int by operator.index: a float, a string or a bool is refused, never truncated."""
@@ -352,26 +347,22 @@ def _entry_masses(stacks) -> np.ndarray:
 
 
 def _block_norms(s: np.ndarray) -> np.ndarray:
-    dims = rows, cols = s.shape[-2:]
+    dims = s.shape[-2:]
     out = np.empty(s.shape[:-2])
     step = max(1, _NORM_CHUNK * len(s) // max(1, out.size))
     for start in range(0, len(s), step):
         part = out[start : start + step]
         b = np.ascontiguousarray(s[start : start + step], dtype=np.complex128).reshape(-1, *dims)
-        # numpy's reductions over a matrix's axes pay per matrix, so over a
-        # large batch they become passes over the entry columns.
-        entrywise = rows <= 2 and len(b) >= _ENTRYWISE_BATCH * rows * cols
-        mod = np.abs(b)
-        peak = _fold(np.maximum, mod.reshape(len(b), -1)) if entrywise else mod.max(axis=(1, 2))
+        peak = np.abs(b).max(axis=(1, 2))
         if not np.isfinite(peak).all():
             raise InputError("algebra elements must have finite entries")
         exp = np.frexp(peak)[1]  # 0 for a zero block
         c = np.ldexp(b.view(np.float64), -exp[:, None, None]).view(np.complex128)
-        if rows == 1:
-            top = _sums(c.real**2 + c.imag**2, entrywise)[0]
-        elif rows == 2:
-            g00, g11 = _sums(c.real**2 + c.imag**2, entrywise)
-            g10 = np.abs(_sums(c[:, 1] * c[:, 0].conj(), entrywise))
+        if dims[0] == 1:
+            top = (c.real**2 + c.imag**2).sum(axis=(1, 2))
+        elif dims[0] == 2:
+            g00, g11 = (c.real**2 + c.imag**2).sum(axis=2).T
+            g10 = np.abs((c[:, 1] * c[:, 0].conj()).sum(axis=1))
             top = (g00 + g11) / 2 + np.hypot((g00 - g11) / 2, g10)
         else:
             top = np.linalg.eigvalsh(c @ c.conj().transpose(0, 2, 1))[:, -1]
@@ -387,32 +378,27 @@ def _fold(op, a: np.ndarray) -> np.ndarray:
     return functools.reduce(op, a.T)
 
 
-def _sums(a: np.ndarray, entrywise: bool) -> np.ndarray:
-    """a.sum(axis=-1).T, bit for bit.
-
-    numpy adds fewer than 8 float64 parts (4 complex terms) left to right
-    and more pairwise; only the left-to-right sums run entrywise.
-    """
-    if entrywise and a.shape[-1] * a.itemsize < 64:
-        return _fold(np.add, a)
-    return a.sum(axis=-1).T
-
-
 def is_positive(a: AlgebraElement) -> bool:
     """True iff a is self-adjoint and has nonnegative spectrum, up to roundoff.
 
     Both checks are relative to max(1, norm(a)): the self-adjointness defect
-    norm(a - a*) and the most negative Hermitian eigenvalue must stay within
-    POSITIVITY_TOL of zero.
+    norm(a - a*) and the least eigenvalue of the Hermitian part must stay
+    within POSITIVITY_TOL of zero.  Both are taken from halves of a, so
+    neither overflows for a finite a.
     """
     cutoff = POSITIVITY_TOL * max(1.0, norm(a))
-    if norm(sub(a, star(a))) > cutoff:
+    half = scale(0.5, a)
+    if norm(sub(half, star(half))) > cutoff / 2:
         return False
     for blk in a.blocks:
-        herm = (blk + blk.conj().T) / 2.0
-        if np.linalg.eigvalsh(herm).min() < -cutoff:
+        if np.linalg.eigvalsh(_hermitian_part(blk)).min() < -cutoff:
             return False
     return True
+
+
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    """(m + m^H)/2 as m/2 + m^H/2: the same bits in the normal range, and finite for a finite m."""
+    return m / 2 + m.conj().T / 2
 
 
 def identity(shape: AlgebraShape) -> AlgebraElement:

@@ -45,6 +45,7 @@ from .algebra import (
     _decode_matrices,
     _element_payload,
     _entry_norms,
+    _hermitian_part,
     _json_fields,
     _json_int,
     norm,
@@ -366,8 +367,7 @@ def cauchy_schwarz_gap(x: ModuleVector, y: ModuleVector) -> float:
     worst = np.inf
     for xxb, xyb in zip(xx.blocks, xy.blocks):
         diff = gram_yy * xxb - xyb @ xyb.conj().T
-        herm = (diff + diff.conj().T) / 2.0
-        worst = min(worst, float(np.linalg.eigvalsh(herm).min()))
+        worst = min(worst, float(np.linalg.eigvalsh(_hermitian_part(diff)).min()))
     return worst
 
 
@@ -429,7 +429,7 @@ def op_inv_sqrt(m: ModuleOperator) -> ModuleOperator:
     decomps = []
     lam_max = 0.0
     for mat in m.mats:
-        vals, vecs = np.linalg.eigh((mat + mat.conj().T) / 2.0)
+        vals, vecs = np.linalg.eigh(_hermitian_part(mat))
         decomps.append((vals, vecs))
         lam_max = max(lam_max, float(vals.max()))
     cutoff = POSITIVITY_TOL * lam_max

@@ -38,6 +38,7 @@ from .algebra import (
     _entry_masses,
     _entry_norms,
     _fold,
+    _hermitian_part,
     _json_fields,
     _json_int,
     _shape_from_payload,
@@ -244,46 +245,44 @@ def frame_operator(frame: ModularFrame) -> ModuleOperator:
 def _parseval_residual(frame: ModularFrame) -> float:
     """Bound on the operator norm of S - I that gives the operator norm's Parseval verdict.
 
-    Per block, D = (S + S^*)/2 - I is the Hermitian part of the defect.
-    When the largest Frobenius norm ||D||_F, from the masses of
+    Per block, D = (S + S^*)/2 - I is the Hermitian part of the defect
+    (by algebra._hermitian_part, so finite for a finite S).  When the
+    largest Frobenius norm ||D||_F, from the masses of
     algebra._entry_masses, is at most PARSEVAL_TOL (1 - 2^-20), the frame
     is Parseval, since ||D||_2 <= ||D||_F, and that Frobenius norm is the
     residual.  Otherwise the residual is the operator norm itself, the
-    largest |eigenvalue| of D by eigvalsh: so a frame that is not Parseval
-    is always measured exactly.  So the residual is an upper bound on
-    ||D||_2 (on the exact path, ||D||_2 itself), and it is at most
-    PARSEVAL_TOL exactly when the eigvalsh norm is.
+    largest ||D||_2 over the blocks from one call of the norm kernel,
+    algebra._entry_norms: so a frame that is not Parseval is always
+    measured exactly.  So the residual is an upper bound on ||D||_2 (on
+    the exact path, ||D||_2 itself), and it is at most PARSEVAL_TOL
+    exactly when the kernel's norm is.
 
     Why 2^-20 is enough.  Each block's mass is a sum of k = 2 m^2 squares,
     m = d n the block's order; summed in any order it is within a factor
     1 + k 2^-53 of the exact ||D||_F^2: 1 + 2^-38 for m <= 128, and below
-    1 + 2^-21 for m up to 2^15.  The square root adds one rounding.
-    eigvalsh's eigenvalues lie within c m 2^-53 ||D||_2 of the exact ones,
-    c a small constant, so its largest |eigenvalue| is at most
-    ||D||_2 (1 + c m 2^-53) <= ||D||_F (1 + 2^-22) for these orders.  A
-    bound the test accepts puts ||D||_F below PARSEVAL_TOL (1 - 2^-20)
-    (1 + 2^-21) and the eigvalsh norm below PARSEVAL_TOL: the frames the
-    bound accepts are frames the eigvalsh rule accepts too.  A mass that
-    underflows is off by at most k 2^-1074, and one read as 0 means a true
-    residual below 1e-150, so accepting it is right.  A mass that
-    overflows, or is NaN, fails the test and takes the exact path, as does
-    a non-finite S, whose residual is infinite (eigvalsh returns zeros for
-    a non-finite input).
+    1 + 2^-21 for m up to 2^15.  The square root adds one rounding.  The
+    kernel's norm agrees with a dense SVD to within 2e-15 relative, and
+    the SVD's top singular value lies within c m 2^-53 ||D||_2 of the exact
+    one, c a small constant, so the kernel's norm is at most
+    ||D||_2 (1 + 2e-15 + c m 2^-53) <= ||D||_F (1 + 2^-22) for these
+    orders.  A bound the test accepts puts ||D||_F below PARSEVAL_TOL
+    (1 - 2^-20) (1 + 2^-21) and the kernel's norm below PARSEVAL_TOL: the
+    frames the bound accepts are frames the exact rule accepts too.  A
+    mass that underflows is off by at most k 2^-1074, and one read as 0
+    means a true residual below 1e-150, so accepting it is right.  A mass
+    that overflows, or is NaN, fails the test and takes the exact path,
+    where a non-finite S has an infinite residual.
 
     Measured once per frame (frames are immutable) and kept on it.
     """
     if frame._residual is None:
         with np.errstate(over="ignore", invalid="ignore"):
             ops = frame_operator(frame).mats
-            defects = [(s + s.conj().T) / 2.0 - np.eye(len(s)) for s in ops]
+            defects = [_hermitian_part(s) - np.eye(len(s)) for s in ops]
             worst = float(np.sqrt(np.max([_entry_masses([defect[None]]) for defect in defects])))
-        if not worst <= PARSEVAL_TOL * (1.0 - 2.0**-20):
-            worst = 0.0
-            for s, defect in zip(ops, defects):
-                if not np.isfinite(s).all():
-                    worst = np.inf
-                    break
-                worst = max(worst, float(np.abs(np.linalg.eigvalsh(defect)).max()))
+            if not worst <= PARSEVAL_TOL * (1.0 - 2.0**-20):
+                finite = all(np.isfinite(defect).all() for defect in defects)
+                worst = float(_entry_norms([defect[None] for defect in defects])[0]) if finite else np.inf
         frame._residual = worst
     return frame._residual
 
@@ -292,7 +291,7 @@ def is_parseval(frame: ModularFrame) -> bool:
     """True iff the frame operator is the identity up to PARSEVAL_TOL in operator norm.
 
     Decided by _parseval_residual: from the Frobenius norm of S - I where
-    that bound is within the tolerance, from eigvalsh where it is not.
+    that bound is within the tolerance, from the norm kernel where it is not.
     """
     return _parseval_residual(frame) <= PARSEVAL_TOL
 

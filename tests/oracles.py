@@ -44,16 +44,17 @@ layout: the whole batch as one (m, s, s) stack with the batch axis first,
 eliminated at once without chunks, over the library's own field.
 
 oracle_parseval_residual measures ||S - I|| on the dense frame operator
-with eigvalsh, the reference for the Frobenius screen of
-frames._parseval_residual.
+with eigvalsh, the reference for both paths of frames._parseval_residual:
+its Frobenius screen and its exact norm through algebra._entry_norms.
 
 reference_complex_gaussian is the complex Gaussian draw as one expression,
 the bit-for-bit reference for algebra._complex_gaussian, which writes the
 two scaled halves of one real draw into its output.
 
-reference_block_norms is the norm kernel with a reduction over each
-matrix's axes (max, then sum), kept as the bit-for-bit reference for
-algebra._entry_norms, whose one- and two-row paths run entrywise.
+reference_block_norms is the norm kernel written out once more, with
+numpy's reductions over each matrix's axes (max, then sum): the
+bit-for-bit reference that algebra._entry_norms, and any faster form of
+it, must keep to.
 
 The module arithmetic at the end (vector sums, scaling, the left module
 action, operator differences, cyclic shifts) is what the tests need beyond

@@ -19,7 +19,7 @@ from ncup import (
     sub,
 )
 
-from ncup.algebra import _complex_gaussian, _entry_norms
+from ncup.algebra import _complex_gaussian, _entry_norms, _hermitian_part
 
 from oracles import embed_element, oracle_min_eig, oracle_norm, reference_block_norms, reference_complex_gaussian
 
@@ -200,7 +200,7 @@ def test_entry_norms_equal_reference_kernel_on_audit_shapes():
         stack = hard_stack(rng, (20000, 5), n, n)
         stack *= (rng.random((20000, 5)) < 0.6)[:, :, None, None]
         assert_same_bits(stack)
-    # module_norm's single (n, d*n) matrix, where the sums stay pairwise
+    # module_norm's single (n, d*n) matrix, with sums short and long
     for n, d in ((1, 8), (1, 9), (1, 16), (2, 4), (2, 8), (2, 9), (3, 8)):
         for _ in range(20):
             assert_same_bits(hard_stack(rng, (1,), n, d * n))
@@ -219,6 +219,24 @@ def test_norm_in_a_batch_equals_its_norm_alone(dims, rng):
 
 def test_is_positive_identity():
     assert is_positive(identity(M2))
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["hermitian", "anti-hermitian"])
+def test_is_positive_rejects_indefinite_elements_near_overflow(sign):
+    # a + a^* overflows for both: the Hermitian one has eigenvalues
+    # +-1.5e308, and the anti-Hermitian one a defect a - a^* of norm 3e308.
+    a = elem(M2, [[0, 1.5e308], [sign * 1.5e308, 0]])
+    assert is_positive(a) is False
+
+
+def test_hermitian_part_halves_first_with_the_bits_of_the_sum(rng):
+    for n in (1, 2, 7, 64):
+        for scale in (1e-150, 1.0, 1e150):
+            m = scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+            got = _hermitian_part(m)
+            assert np.array_equal(got.view(np.uint64), ((m + m.conj().T) / 2.0).view(np.uint64))
+    big = np.array([[1.5e308, 1.5e308], [-1.5e308, 1.5e308j]])
+    assert np.array_equal(_hermitian_part(big), np.array([[1.5e308, 0], [0, 0]]))
 
 
 def test_is_positive_rejects_non_hermitian():

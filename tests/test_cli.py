@@ -188,6 +188,18 @@ def test_parsevalize_rejects_overflowing_frame(tmp_path):
     assert_single_error_line(proc.stderr, "frame operator overflows")
 
 
+def test_parsevalize_normalizes_a_frame_whose_hermitian_sum_overflows(tmp_path):
+    # S = 1.44e308 is finite, but S + S^* is not: the Hermitian part is taken
+    # halves first, so eigh sees S and the frame normalizes to [[1]].
+    src, out = tmp_path / "huge.json", tmp_path / "parseval.json"
+    src.write_text(json.dumps(ModularFrame(C, 1, [np.full((1, 1, 1, 1), 1.2e154)]).to_dict()))
+    proc = run_cli("parsevalize", "--frame-tau", str(src), "--out", str(out))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    payload = json.loads(out.read_text())
+    assert payload["parseval"] is True
+    assert payload["vectors"][0]["entries"][0]["blocks"] == [[[[1.0, 0.0]]]]
+
+
 @pytest.mark.parametrize(
     "command, omega, message",
     [

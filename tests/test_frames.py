@@ -217,15 +217,15 @@ def test_parseval_residual_measured_once(monkeypatch, rng):
     assert is_parseval(loaded) and len(calls) == 3
 
 
-def count_eigvalsh(monkeypatch):
-    """The shapes of the matrices passed to np.linalg.eigvalsh from now on."""
-    calls, eigvalsh = [], np.linalg.eigvalsh
+def count_norm_kernel(monkeypatch):
+    """The stack shapes of each call of the norm kernel from frames from now on."""
+    calls, kernel = [], frames._entry_norms
 
-    def counted(a, *args, **kwargs):
-        calls.append(np.shape(a))
-        return eigvalsh(a, *args, **kwargs)
+    def counted(stacks):
+        calls.append([np.shape(s) for s in stacks])
+        return kernel(stacks)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    monkeypatch.setattr(frames, "_entry_norms", counted)
     return calls
 
 
@@ -256,11 +256,12 @@ def test_parsevalized_frames_decide_without_eigvalsh(monkeypatch):
 def test_scaled_identity_is_decided_by_eigvalsh(monkeypatch, eps, parseval):
     # S = (1 + eps) I on (4,4,8)^16: ||D||_F = eps sqrt(128), 5.7e-8 at
     # eps = 5e-9, is past the tolerance, so the operator norm ||D||_2 = eps
-    # decides, from one eigvalsh per block.
-    calls = count_eigvalsh(monkeypatch)
+    # decides, from one norm kernel call with every block's defect (whose
+    # 64- and 128-row matrices take the kernel's eigvalsh).
+    calls = count_norm_kernel(monkeypatch)
     frame = scaled_identity_frame(eps)
     assert is_parseval(frame) is parseval
-    assert calls == [(64, 64), (64, 64), (128, 128)]
+    assert calls == [[(1, 64, 64), (1, 64, 64), (1, 128, 128)]]
     assert frames._parseval_residual(frame) == pytest.approx(eps, rel=1e-6)
     payload = frame.to_dict()
     payload["parseval"] = True
@@ -309,7 +310,7 @@ def test_parseval_verdicts_match_eigvalsh_oracle(monkeypatch, dims, d, count):
     # ||D||_2 spread log-uniformly over [tol/10, 10 tol], carried by one
     # block and the other blocks below it: the residual must give the
     # verdict of eigvalsh on the dense S - I, and the Frobenius bound
-    # decide, without eigvalsh, only Parseval frames.
+    # decide, without the norm kernel, only Parseval frames.
     rng, shape, tol = np.random.default_rng(sum(dims) + d), AlgebraShape(dims), frames.PARSEVAL_TOL
     base = random_parseval_frame(shape, d, count, rng)
     decided = {True: 0, False: 0}
@@ -321,13 +322,14 @@ def test_parseval_verdicts_match_eigvalsh_oracle(monkeypatch, dims, d, count):
         ]
         frame = perturbed_frame(base, perturbations)
         oracle = oracle_parseval_residual(frame)
-        calls = count_eigvalsh(monkeypatch)
+        calls = count_norm_kernel(monkeypatch)
         residual = frames._parseval_residual(frame)
         monkeypatch.undo()
         assert is_parseval(frame) == (oracle <= tol), (top, kind, residual, oracle)
         # S's rounding (about 1e-16 per entry) moves ||D|| by about 1e-8 of itself
         assert residual >= oracle * (1 - 1e-6)
         if calls:
+            assert calls == [[(1, d * n, d * n) for n in dims]]
             assert residual == pytest.approx(oracle, rel=1e-6)
         else:
             assert residual <= tol
@@ -349,11 +351,25 @@ def test_non_finite_frame_operator_residual_stays_infinite(big):
 
 
 def test_overflowing_defect_mass_takes_the_exact_path(monkeypatch):
-    # S = 1e160 I in block 1 is finite, but its mass 4e320 is not: eigvalsh measures it.
-    calls = count_eigvalsh(monkeypatch)
+    # S = 1e160 I in block 1 is finite, but its mass 4e320 is not: the norm kernel measures it.
+    calls = count_norm_kernel(monkeypatch)
     frame = ModularFrame._from_mats(AlgebraShape((1, 2)), 2, 2, [np.eye(2, dtype=complex), 1e80 * np.eye(4)])
     assert frames._parseval_residual(frame) == pytest.approx(1e160)
-    assert calls == [(2, 2), (4, 4)]
+    assert calls == [[(1, 2, 2), (1, 4, 4)]]
+
+
+def test_rank_one_frame_with_finite_overflowing_hermitian_sum_is_not_parseval():
+    # S = 1.44e308 everywhere is finite, S + S^* is not: D is taken halves
+    # first, and its norm, past the float range, is an infinite residual.
+    frame = ModularFrame(AlgebraShape((1,)), 2, [np.full((1, 2, 1, 1), 1.2e154)])
+    assert np.isfinite(frame_operator(frame).mats[0]).all()
+    assert not frames._parseval_residual(frame) <= frames.PARSEVAL_TOL
+    assert not is_parseval(frame)
+    payload = frame.to_dict()
+    assert payload["parseval"] is False
+    payload["parseval"] = True
+    with pytest.raises(InputError, match="file claims a Parseval frame"):
+        ModularFrame.from_dict(payload)
 
 
 def test_parseval_definition_equivalence(shape, rng):

@@ -1288,6 +1288,38 @@ def test_drawn_entry_norms_equal_dense_norms_bit_for_bit(dims):
                 assert contiguous.view(np.uint64).tolist() == view.view(np.uint64).tolist()
 
 
+def exact_norm_rows(monkeypatch):
+    """The row counts each exact-norm callback of the random layer's screen is asked for from now on."""
+    threshold, calls = ncft._screened_support_mask, []
+
+    def screened(masses, rank, rel_tol, entry_norms):
+        def counted(rows):
+            calls.append(len(rows))
+            return entry_norms(rows)
+
+        return threshold(masses, rank, rel_tol, counted)
+
+    monkeypatch.setattr(ncft, "_screened_support_mask", screened)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [11, 4242])
+@pytest.mark.parametrize("dims", [(2,), (1, 2), (3,)], ids=["M2", "C+M2", "M3"])
+def test_default_rel_tol_screen_needs_no_exact_norms(monkeypatch, dims, seed):
+    # At SUPPORT_REL_TOL the trace-norm bounds decide every row of both
+    # sides, so neither exact-norm callback is ever called.
+    calls = exact_norm_rows(monkeypatch)
+    assert conjecture_audit(AlgebraShape(dims), 5, trials=10_000, seed=seed)["holds"]
+    assert calls == []
+
+
+def test_coarse_rel_tol_screen_reaches_exact_norms(monkeypatch):
+    # The same count is live: at rel_tol 0.5 the bounds leave rows open.
+    calls = exact_norm_rows(monkeypatch)
+    conjecture_audit(M2, 5, trials=10_000, seed=4242, rel_tol=0.5)
+    assert calls and all(calls)
+
+
 def test_conjecture_violation_names_its_global_trial(monkeypatch):
     # Clear the Fourier support of one trial in the second chunk: its
     # recorded trial is the global index, and its vector is the drawn x.
