@@ -51,12 +51,15 @@ decider.  Each group is decided as one batch over the pairs of necklaces
 in its class; a batch over every pair of the group, built only when a
 class is flagged, lists that class's pairs.  The sampled scan decides
 each drawn pair (T, R) through its leading square block (T, R[:|T|]),
-whose row mask is the lowest |T| set bits of R's (_lowest_bits), one
-batch per |T| over the pairs of every |Omega|: a nonsingular square block
-gives the tall minor full column rank, and at a prime length every square
-block is nonsingular.  A size whose batch finds a deficient block is
-re-decided in full, one batch per (|T|, |Omega|).  Both scans list a
-flagged class's pairs by _ClassBatch.patterns.
+whose row mask is the lowest |T| set bits of R's (_lowest_bits): a
+nonsingular square block gives the tall minor full column rank, and at a
+prime length every square block is nonsingular.  W is unitary, so a
+square block is nonsingular exactly when its complement is (Jacobi's
+complementary-minor identity): tao's exhaustive layer scans s <= n/2
+unless that half flags a class or falls back, and the sampled scan makes
+one batch per min(s, n - s).  The sizes of a batch that finds a deficient
+block are re-decided in full, one batch per (|T|, |Omega|).  Both scans
+list a flagged class's pairs by _ClassBatch.patterns.
 """
 
 from __future__ import annotations
@@ -564,24 +567,37 @@ def _layer_pairs_exhaustive(p: int):
     Finds no (T, Omega) for primes.  By monotonicity in Omega this layer
     decides all patterns with smaller support sums.  Returns the pair count,
     sum of C(p, s)^2, the hits and the SVD fallback's class count.
+
+    The layers s > p/2 are scanned only if the others give a hit or a
+    fallback: by Jacobi's identity, with F = sqrt(p) W and F F^* = p I,
+    conj(det F[R, T]) = +-p^s det F[R^c, T^c] / det F for |R| = |T| = s,
+    so certifying the size-(p - s) complement proves the block.
     """
-    checked, (hits,), fallbacks = _necklace_scan(p, [(s, s) for s in range(1, p)])
-    return checked, hits, fallbacks
+    half = p // 2
+    checked, (hits,), fallbacks = _necklace_scan(p, [(s, s) for s in range(1, half + 1)])
+    if hits or fallbacks:
+        upper, (more,), more_fallbacks = _necklace_scan(p, [(s, s) for s in range(half + 1, p)])
+        return checked + upper, hits + more, fallbacks + more_fallbacks
+    return checked + sum(math.comb(p, s) ** 2 for s in range(half + 1, p)), hits, fallbacks
 
 
 def _sampled_pairs(n: int, samples: int, seed: int):
     """Decide `samples` random length-n support pairs (the sampled law of tao_min_sum).
 
-    The sizes are drawn first, then each (|T|, |Omega|) = (s, t) group's
-    pairs in sorted (s, t) order (_draw_group), as masks.  Every pair is
-    offered through its leading square block W[R[:s], T], whose row mask
-    is the lowest s set bits of R's (_lowest_bits): a tall minor with a
-    nonsingular square block has full column rank, and at a prime length
-    every square block is nonsingular.  The square blocks of all groups of
-    one s form one batch, decided as soon as its last group is drawn; the
-    key is taken over every t at once, since translating R does not
-    translate its prefix.  Only a size whose batch finds a deficient block
-    is re-decided in full, one _ClassBatch per (s, t) group, so
+    The sizes are drawn first, then every (|T|, |Omega|) = (s, t) group's
+    pairs in sorted (s, t) order (_draw_group), as masks, all held until
+    the end.  Every pair is offered through its leading square block
+    W[R[:s], T], whose row mask is the lowest s set bits of R's
+    (_lowest_bits): a tall minor with a nonsingular square block has full
+    column rank, and at a prime length every square block is nonsingular.
+    A block W[R', T] of size s > n/2 is offered through its complement,
+    which Jacobi's identity for the unitary W (det W^*[T^c, R'^c] =
+    +-det W[R', T] / det W) makes nonsingular exactly when the block is.
+    Complementing commutes with translation and dilation, so one batch per
+    k <= n/2, keyed over every t at once (translating R does not translate
+    its prefix), holds the blocks of size k and the complements of size
+    n - k.  Only the sizes of a batch that finds a deficient block are
+    re-decided in full, one _ClassBatch per (s, t) group in ascending s, so
     the hits are those of the full minors, in draw order.  Returns the hits
     and the number of classes the SVD fallback decided, square batches and
     re-decided groups alike.
@@ -591,19 +607,24 @@ def _sampled_pairs(n: int, samples: int, seed: int):
     t_arr = rng.integers(1, n - s_arr + 1)
     # one group per (s, t) in sorted order; t < n, so s * n + t < n^2 sorts like (s, t)
     counts = np.bincount(s_arr * n + t_arr)
-    codes = np.flatnonzero(counts)
-    sizes = counts[codes]
-    hits, fallbacks = [], 0
-    s_codes, t_codes = np.divmod(codes, n)
-    groups = zip(s_codes.tolist(), t_codes.tolist(), sizes.tolist())
-    for s, same_s in itertools.groupby(groups, key=lambda group: group[0]):
-        drawn = [_draw_group(rng, n, s, t, m) for _, t, m in same_s]
-        columns, rows = (np.concatenate(side) for side in zip(*drawn))
-        found, decided = _ClassBatch(n, columns, _lowest_bits(rows, s)).deficient_minors()
+    del s_arr, t_arr  # every group's masks are held from here on
+    drawn = {}
+    for code in np.flatnonzero(counts).tolist():
+        s, t = divmod(code, n)
+        drawn.setdefault(s, []).append(_draw_group(rng, n, s, t, int(counts[code])))
+    redo, hits, fallbacks = set(), [], 0
+    for k in sorted({min(s, n - s) for s in drawn}):
+        sizes = sorted({k, n - k} & drawn.keys())
+        # XOR with the full mask complements the blocks of size n - k
+        flips = [(s, (1 << n) - 1 if s > k else 0) for s in sizes]
+        columns = np.concatenate([t ^ f for s, f in flips for t, _ in drawn[s]])
+        rows = np.concatenate([_lowest_bits(r, s) ^ f for s, f in flips for _, r in drawn[s]])
+        found, decided = _ClassBatch(n, columns, rows).deficient_minors()
         fallbacks += decided
-        if not found:
-            continue
-        for t_masks, r_masks in drawn:
+        if found:
+            redo.update(sizes)
+    for s in sorted(redo):
+        for t_masks, r_masks in drawn[s]:
             found, decided = _ClassBatch(n, t_masks, r_masks).deficient_minors()
             hits += found
             fallbacks += decided
@@ -742,17 +763,21 @@ def tao_min_sum(
     Exhaustive mode decides every square DFT minor in the critical layer
     |T| + |Omega| = p, which settles all smaller support sums as well, by
     the necklace scan over the groups (|T|, |R|) = (s, s) (_necklace_scan).
+    Jacobi's identity for the unitary W (W^-1 = W^*, |det W| = 1) gives
+    |det W[R, T]| = |det W[R^c, T^c]|, so exhaustive mode scans the layers
+    s > p/2 only if the others give a hit or a fallback.
     Sampled mode tests `samples` random support pairs by the same minor
     criterion.  Each pair draws s = |T| uniform on [1, p - 1], then
     t = |Omega| uniform on [1, p - s], then T uniform among the s-subsets
     and the row set R uniform among the (p - t)-subsets, so Omega, the
     complement of R, is a uniform t-subset; T and R are masks picked from
     _combo_masks by one uniform index each.  Each pair is decided through
-    its leading square block, one batch per s (see _sampled_pairs), and
-    float_fallbacks counts the square classes the SVD decided, plus any
-    full classes of a size re-decided in full.  For prime p all minors are
-    nonsingular, so the minimum is p + 1, attained by the spike at 0, and
-    the report does not depend on which pairs a seed draws.  The bound
+    its leading square block, or that block's complement if |T| > p/2, one
+    batch per min(s, p - s) (see _sampled_pairs), and float_fallbacks
+    counts the square classes the SVD decided, plus any full classes of a
+    size re-decided in full.  For prime p all minors are nonsingular, so
+    the minimum is p + 1, attained by the spike at 0, and the report does
+    not depend on which pairs a seed draws.  The bound
     holds if the minimum is at least p + 1 and no pattern was found
     feasible; each support is thresholded at SUPPORT_REL_TOL.
 

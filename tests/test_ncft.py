@@ -1,3 +1,4 @@
+import hashlib
 import json
 import tracemalloc
 from itertools import combinations, product
@@ -639,19 +640,53 @@ def test_each_symmetry_class_decomposed_once(monkeypatch):
 
 
 def test_exhaustive_scan_decides_each_class_once(monkeypatch):
-    # One batch per layer, over the necklace pairs only, and still every
-    # class of every pair (T, R) is decided exactly once.
-    p = 7
-    orbits = sum(count_orbits(p, *layer_batch(p, s, s)) for s in range(1, p))
+    # One batch per layer s <= p/2, over the necklace pairs only, and still
+    # every class of those layers is decided exactly once; the layers above
+    # follow from their complements, and every pair is still counted.
+    p, half = 7, 7 // 2
+    orbits = sum(count_orbits(p, *layer_batch(p, s, s)) for s in range(1, half + 1))
     spied = spy_batches(monkeypatch)
     decided = count_decided(monkeypatch)
     checked, hits, _ = ncft._layer_pairs_exhaustive(p)
     batches = [pairs for _, _, pairs in spied]
-    assert len(batches) == p - 1
-    assert batches == [(comb(p, s) // p) ** 2 for s in range(1, p)]  # necklace pairs only
+    assert len(batches) == half
+    assert batches == [(comb(p, s) // p) ** 2 for s in range(1, half + 1)]  # necklace pairs only
     assert checked == comb(2 * p, p) - 2
     assert hits == []
     assert sum(decided) == orbits
+
+
+@pytest.mark.parametrize("n", range(2, 14))
+def test_exhaustive_layer_equals_the_full_necklace_scan(n):
+    # Skipping the layers s > n/2 at a certified lower half, and scanning
+    # them where the lower half has hits (every composite n here), gives the
+    # pair count, hits and fallback count of the scan over every layer.
+    checked, (hits,), fallbacks = ncft._necklace_scan(n, [(s, s) for s in range(1, n)])
+    assert ncft._layer_pairs_exhaustive(n) == (checked, hits, fallbacks)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_complementary_square_minors_have_equal_determinant_moduli(n):
+    # Jacobi's complementary-minor identity for the unitary DFT matrix:
+    # |det W[R, T]| = |det W[R^c, T^c]| for |R| = |T|.
+    rng, w = np.random.default_rng(n), dft_matrix(n)
+    for _ in range(200):
+        s = int(rng.integers(1, n))
+        t, r = (np.sort(rng.choice(n, size=s, replace=False)) for _ in range(2))
+        t_c, r_c = (np.setdiff1d(np.arange(n), side) for side in (t, r))
+        block, complement = w[np.ix_(r, t)], w[np.ix_(r_c, t_c)]
+        assert abs(abs(np.linalg.det(block)) - abs(np.linalg.det(complement))) <= 1e-12
+
+
+@pytest.mark.parametrize("p", [7, 11, 13])
+def test_certificate_proves_each_square_class_and_its_complement(p):
+    # Every square class of every layer is certified, and so is the class
+    # of its complement, which the scans use in its place above p/2.
+    calls = certificate_calls(lambda: ncft._necklace_scan(p, [(s, s) for s in range(1, p)]))
+    assert len(calls) == p - 1
+    for cols, rows, certified in calls:
+        assert certified.all()
+        assert ncft._certified_nonsingular(p, complements(p, cols), complements(p, rows)).all()
 
 
 def prime_factors(n):
@@ -810,8 +845,10 @@ def test_certificate_matches_oracle_on_necklace_scan_batches(p):
 @pytest.mark.parametrize("p", [11, 13])
 @pytest.mark.parametrize("seed", [0, 4242])
 def test_certificate_matches_oracle_on_sampled_batches(p, seed):
+    # One batch per min(s, p - s): the blocks of size k with the
+    # complements of the blocks of size p - k.
     calls = certificate_calls(lambda: ncft._sampled_pairs(p, ncft.DEFAULT_SAMPLES, seed))
-    assert [cols.shape[1] for cols, _, _ in calls] == list(range(1, p))
+    assert [cols.shape[1] for cols, _, _ in calls] == list(range(1, p // 2 + 1))
     for cols, rows, certified in calls:
         assert np.array_equal(certified, oracle_certified_nonsingular(p, cols, rows))
 
@@ -1038,26 +1075,62 @@ def test_sampled_scan_is_exact_at_composite_lengths(monkeypatch, n):
 
 
 def test_sampled_scan_decides_each_square_class_once(monkeypatch):
-    # One batch per |T| over the square blocks (T, R[:s]) of every |Omega|:
-    # each square class among the draws is decided once, fewer than the
-    # classes of the full pairs (T, R).
+    # One batch per k = min(|T|, p - |T|) over the square blocks (T, R[:s])
+    # of every |Omega|, a block of size s > p/2 taken as its complement:
+    # each class among those blocks is decided once, fewer than the square
+    # classes of the sizes apart, which are fewer than the classes of the
+    # full pairs (T, R).
     p = 11
     drawn = record_draws(monkeypatch)
     spied = spy_batches(monkeypatch)
     decided = count_decided(monkeypatch)
     report = tao_min_sum(p, mode="sampled", samples=2000, seed=9)
     batches = [size_t for size_t, _, _ in spied]
-    by_size, full_classes = {}, 0
+    by_size, by_batch, full_classes = {}, {}, 0
     for s, t, cols, rows in drawn:
-        by_size.setdefault(s, []).append((cols, rows[:, :s]))
+        block = cols, rows[:, :s]
+        by_size.setdefault(s, []).append(block)
+        if 2 * s > p:
+            block = complements(p, cols), complements(p, rows[:, :s])
+        by_batch.setdefault(min(s, p - s), []).append(block)
         full_classes += count_orbits(p, cols, rows)
-    square_classes = sum(
-        count_orbits(p, np.vstack([c for c, _ in pairs]), np.vstack([r for _, r in pairs]))
-        for pairs in by_size.values()
+    square_classes, merged_classes = (
+        sum(
+            count_orbits(p, np.vstack([c for c, _ in pairs]), np.vstack([r for _, r in pairs]))
+            for pairs in groups.values()
+        )
+        for groups in (by_size, by_batch)
     )
-    assert batches == list(range(1, p))
-    assert sum(decided) == square_classes < full_classes
+    assert batches == list(range(1, p // 2 + 1))
+    assert sum(decided) == merged_classes < square_classes < full_classes
     assert "violating_patterns" not in report
+
+
+def test_sampled_draws_are_pinned(monkeypatch):
+    # The groups drawn at p = 13 and seed 4242, sizes and sets, hash to the
+    # digest of the draw law as it stands; any change to the draws fails.
+    drawn = record_draws(monkeypatch)
+    ncft._sampled_pairs(13, ncft.DEFAULT_SAMPLES, 4242)
+    digest = hashlib.sha256()
+    for s, t, cols, rows in drawn:
+        digest.update(np.concatenate([[s, t], cols.ravel(), rows.ravel()]).astype("<i8").tobytes())
+    assert len(drawn) == 78
+    assert digest.hexdigest() == "77fcff331bbc8e41af394299159985406d204d20a209f8adbe15c7c7390fcde5"
+
+
+@pytest.mark.parametrize("seed", [0, 1, 4242])
+def test_sampled_scan_memory(seed):
+    # Every group's masks are held until the batches run, so the drawn sizes
+    # are freed first: the peak is 3.8 MiB, and 5.3 MiB with the sizes held
+    # too.  The lookup tables are built by the first call.
+    ncft._sampled_pairs(13, 1000, seed)
+    tracemalloc.start()
+    try:
+        ncft._sampled_pairs(13, ncft.DEFAULT_SAMPLES, seed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * 2**20
 
 
 @pytest.mark.parametrize("n, size, s", [(5, 3, 1), (7, 4, 2), (11, 7, 4), (13, 9, 9), (13, 12, 6)])
