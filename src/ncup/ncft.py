@@ -49,16 +49,16 @@ search over the groups (|T|, p - |Omega|) with the frames as a second
 decider.  Each group is decided as one batch over the pairs of necklaces
 (sets minimal among their rotations), since every pair translates to one
 in its class; a batch over every pair of the group, built only when a
-class is flagged, lists that class's pairs.  The sampled scan decides
-each drawn pair (T, R) through its leading square block (T, R[:|T|]),
-whose row mask is the lowest |T| set bits of R's (_lowest_bits): a
-nonsingular square block gives the tall minor full column rank, and at a
-prime length every square block is nonsingular.  W is unitary, so a
-square block is nonsingular exactly when its complement is (Jacobi's
+class is flagged, lists that class's pairs.  W is unitary, so a square
+block is nonsingular exactly when its complement is (Jacobi's
 complementary-minor identity): tao's exhaustive layer scans s <= n/2
-unless that half flags a class or falls back, and the sampled scan makes
-one batch per min(s, n - s).  The sizes of a batch that finds a deficient
-block are re-decided in full, one batch per (|T|, |Omega|).  Both scans
+unless that half flags a class or falls back.  The sampled scan decides
+each drawn pair (T, R) through its leading square block (T, R[:|T|]): a
+nonsingular square block gives the tall minor full column rank, and at a
+prime length every square block is nonsingular.  So it scans whole the
+square layers min(|T|, n - |T|) that its draws reach, by the exhaustive
+layer's own call, and re-decides in full, one batch per drawn
+(|T|, |Omega|), only the sizes of a layer that flags a class.  Both scans
 list a flagged class's pairs by _ClassBatch.patterns.
 """
 
@@ -516,14 +516,6 @@ def _mask_rows(n: int, masks: np.ndarray) -> np.ndarray:
     return np.nonzero((masks[:, None] >> np.arange(n)) & 1)[1].reshape(len(masks), -1)
 
 
-def _lowest_bits(masks: np.ndarray, s: int) -> np.ndarray:
-    """The lowest s set bits of each mask, each having at least s, in s elementwise passes."""
-    rest = masks
-    for _ in range(s):
-        rest = rest & (rest - 1)  # clears the lowest set bit
-    return masks ^ rest
-
-
 def _necklace_scan(n: int, groups, frames=None):
     """Decide every length-n pair (T, R) of each (|T|, |R|) group, one class at a time.
 
@@ -586,21 +578,17 @@ def _sampled_pairs(n: int, samples: int, seed: int):
 
     The sizes are drawn first, then every (|T|, |Omega|) = (s, t) group's
     pairs in sorted (s, t) order (_draw_group), as masks, all held until
-    the end.  Every pair is offered through its leading square block
-    W[R[:s], T], whose row mask is the lowest s set bits of R's
-    (_lowest_bits): a tall minor with a nonsingular square block has full
-    column rank, and at a prime length every square block is nonsingular.
-    A block W[R', T] of size s > n/2 is offered through its complement,
-    which Jacobi's identity for the unitary W (det W^*[T^c, R'^c] =
-    +-det W[R', T] / det W) makes nonsingular exactly when the block is.
-    Complementing commutes with translation and dilation, so one batch per
-    k <= n/2, keyed over every t at once (translating R does not translate
-    its prefix), holds the blocks of size k and the complements of size
-    n - k.  Only the sizes of a batch that finds a deficient block are
-    re-decided in full, one _ClassBatch per (s, t) group in ascending s, so
-    the hits are those of the full minors, in draw order.  Returns the hits
-    and the number of classes the SVD fallback decided, square batches and
-    re-decided groups alike.
+    the end.  A drawn minor W[R, T] is rank deficient only if its leading
+    square block W[R[:s], T] is singular, and a block W[R', T] of size
+    s > n/2 is singular exactly when its complement is, by Jacobi's
+    identity for the unitary W (det W^*[T^c, R'^c] = +-det W[R', T] / det W).
+    So the square layers k = min(s, n - s) that the draws reach are decided
+    whole, by one _necklace_scan over the groups (k, k): the call of
+    _layer_pairs_exhaustive's lower half.  Only the sizes {k, n - k} of a
+    layer with a flagged class are re-decided in full, one _ClassBatch per
+    drawn (s, t) group in ascending s, so the hits are those of the full
+    minors, in draw order.  Returns the hits and the number of classes the
+    SVD fallback decided, in the layers and re-decided groups alike.
     """
     rng = np.random.default_rng(seed)
     s_arr = rng.integers(1, n, size=samples)
@@ -612,18 +600,13 @@ def _sampled_pairs(n: int, samples: int, seed: int):
     for code in np.flatnonzero(counts).tolist():
         s, t = divmod(code, n)
         drawn.setdefault(s, []).append(_draw_group(rng, n, s, t, int(counts[code])))
-    redo, hits, fallbacks = set(), [], 0
-    for k in sorted({min(s, n - s) for s in drawn}):
-        sizes = sorted({k, n - k} & drawn.keys())
-        # XOR with the full mask complements the blocks of size n - k
-        flips = [(s, (1 << n) - 1 if s > k else 0) for s in sizes]
-        columns = np.concatenate([t ^ f for s, f in flips for t, _ in drawn[s]])
-        rows = np.concatenate([_lowest_bits(r, s) ^ f for s, f in flips for _, r in drawn[s]])
-        found, decided = _ClassBatch(n, columns, rows).deficient_minors()
-        fallbacks += decided
-        if found:
-            redo.update(sizes)
-    for s in sorted(redo):
+    layers = sorted({min(s, n - s) for s in drawn})
+    _, (square_hits,), fallbacks = _necklace_scan(n, [(k, k) for k in layers])
+    flagged = {len(t) for t, _ in square_hits}  # a flagged class lists its pairs
+    hits = []
+    for s in sorted(drawn):
+        if min(s, n - s) not in flagged:
+            continue
         for t_masks, r_masks in drawn[s]:
             found, decided = _ClassBatch(n, t_masks, r_masks).deficient_minors()
             hits += found
@@ -772,10 +755,11 @@ def tao_min_sum(
     and the row set R uniform among the (p - t)-subsets, so Omega, the
     complement of R, is a uniform t-subset; T and R are masks picked from
     _combo_masks by one uniform index each.  Each pair is decided through
-    its leading square block, or that block's complement if |T| > p/2, one
-    batch per min(s, p - s) (see _sampled_pairs), and float_fallbacks
-    counts the square classes the SVD decided, plus any full classes of a
-    size re-decided in full.  For prime p all minors are nonsingular, so
+    its leading square block, or that block's complement if |T| > p/2: the
+    square layers min(s, p - s) that the draws reach are scanned whole, as
+    in exhaustive mode (see _sampled_pairs), and float_fallbacks counts
+    those layers' classes the SVD decided, plus any full classes of a size
+    re-decided in full.  For prime p all minors are nonsingular, so
     the minimum is p + 1, attained by the spike at 0, and the report does
     not depend on which pairs a seed draws.  The bound
     holds if the minimum is at least p + 1 and no pattern was found

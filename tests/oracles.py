@@ -35,6 +35,10 @@ oracle_class_keys is the DFT-minor scan's class key by its definition, the
 minimum over every unit u of (rotation-minimal uT, rotation-minimal u^-1 R),
 from dilation tables built here bit by bit (oracle_dilation_table).
 
+burnside_square_orbits counts the classes of the square layer
+|T| = |R| = s at a prime length by Burnside's lemma, from binomial
+coefficients alone: the count the scans must decide, with no pair listed.
+
 oracle_modular_dft is the certificate's field found the direct way: it
 lists every power of each candidate g and keeps the first g whose powers
 below n are all different from 1.
@@ -62,6 +66,7 @@ the library's own API; it works entrywise on the public `blocks` stacks.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -258,6 +263,31 @@ def oracle_class_keys(n, t_masks, r_masks):
     units = [u for u in range(1, n) if np.gcd(u, n) == 1]
     inverse = [units.index(pow(u, -1, n)) for u in units]
     return ((table[:, t_masks] << n) | table[inverse][:, r_masks]).min(axis=0)
+
+
+def burnside_square_orbits(p, s):
+    """Classes of the pairs (T, R), |T| = |R| = s, of Z/p, p prime, by Burnside's lemma.
+
+    The group is the translations of T and of R and the joint dilations
+    (uT, u^-1 R), of order p^2 (p - 1).  An element with u = 1 and a
+    nonzero translation moves every s-subset, 0 < s < p.  For u != 1 of
+    order d, x -> ux + a fixes one point and permutes the other p - 1 in
+    cycles of length d, so it fixes the s-subsets made of e in {0, 1} fixed
+    points and (s - e) / d of its (p - 1) / d cycles; u^-1 has order d too.
+    The phi(d) units of order d each take p^2 translation pairs.
+    """
+    fixed = math.comb(p, s) ** 2  # the identity
+    for d in range(2, p):
+        if (p - 1) % d:
+            continue
+        of_order_d = sum(math.gcd(k, d) == 1 for k in range(1, d + 1))
+        subsets = sum(
+            math.comb((p - 1) // d, (s - e) // d) for e in (0, 1) if s >= e and (s - e) % d == 0
+        )
+        fixed += of_order_d * p * p * subsets**2
+    orbits, remainder = divmod(fixed, p * p * (p - 1))
+    assert remainder == 0, "Burnside's sum must divide by the group order"
+    return orbits
 
 
 def oracle_modular_dft(n):

@@ -41,6 +41,7 @@ from ncup.ncft import dft_matrix
 from ncup.uncertainty import _constraint_stack
 
 from oracles import (
+    burnside_square_orbits,
     cyclic_shift,
     oracle_algebra_frame_search,
     oracle_certified_nonsingular,
@@ -639,6 +640,12 @@ def test_each_symmetry_class_decomposed_once(monkeypatch):
     assert sum(decided) == orbits < len(cols)
 
 
+@pytest.mark.parametrize("p", [5, 7])
+def test_burnside_square_orbits_match_the_orbit_count(p):
+    for s in range(1, p):
+        assert burnside_square_orbits(p, s) == count_orbits(p, *layer_batch(p, s, s))
+
+
 def test_exhaustive_scan_decides_each_class_once(monkeypatch):
     # One batch per layer s <= p/2, over the necklace pairs only, and still
     # every class of those layers is decided exactly once; the layers above
@@ -845,12 +852,24 @@ def test_certificate_matches_oracle_on_necklace_scan_batches(p):
 @pytest.mark.parametrize("p", [11, 13])
 @pytest.mark.parametrize("seed", [0, 4242])
 def test_certificate_matches_oracle_on_sampled_batches(p, seed):
-    # One batch per min(s, p - s): the blocks of size k with the
-    # complements of the blocks of size p - k.
+    # One batch per square layer k <= p/2 that the draws reach: here every one.
     calls = certificate_calls(lambda: ncft._sampled_pairs(p, ncft.DEFAULT_SAMPLES, seed))
     assert [cols.shape[1] for cols, _, _ in calls] == list(range(1, p // 2 + 1))
     for cols, rows, certified in calls:
         assert np.array_equal(certified, oracle_certified_nonsingular(p, cols, rows))
+
+
+@pytest.mark.parametrize("p", [11, 13])
+def test_sampled_scan_makes_the_exhaustive_layer_certificate_calls(p):
+    # One square-layer driver: the default draws reach every layer k <= p/2,
+    # and the sampled scan certifies the batches of the exhaustive layer's
+    # lower half, array for array, in the same order.
+    sampled = certificate_calls(lambda: ncft._sampled_pairs(p, ncft.DEFAULT_SAMPLES, 0))
+    exhaustive = certificate_calls(lambda: ncft._layer_pairs_exhaustive(p))
+    assert len(sampled) == len(exhaustive) == p // 2
+    for (cols, rows, _), (cols_x, rows_x, _) in zip(sampled, exhaustive):
+        assert np.array_equal(cols, cols_x)
+        assert np.array_equal(rows, rows_x)
 
 
 @pytest.mark.parametrize("n", [6, 7])
@@ -946,18 +965,18 @@ def test_float_fallback_is_live(monkeypatch):
         for size_t in range(1, 5)
         for size_o in range(1, 6 - size_t)
     )
+    sampled_classes = sum(burnside_square_orbits(11, s) for s in range(1, 6))
+    assert sampled_classes == 319
     for report, before, classes in zip(
-        reports, certified_reports, [tao_classes, conjecture_classes, None]
+        reports, certified_reports, [tao_classes, conjecture_classes, sampled_classes]
     ):
         offered.clear()
         after = report()
         exact_before, exact_after = before.pop("exact"), after.pop("exact")
         assert after == before
         assert exact_before == {"modulus": exact_after["modulus"], "float_fallbacks": 0}
-        # each class is offered to the certificate once; the sampled draws
-        # have no independent class count
-        assert exact_after["float_fallbacks"] == sum(offered) > 0
-        assert classes is None or sum(offered) == classes
+        # each class is offered to the certificate once
+        assert exact_after["float_fallbacks"] == sum(offered) == classes
 
 
 def test_tao_min_sum_exhaustive_small_primes():
@@ -1057,53 +1076,62 @@ def test_sampled_draw_law(monkeypatch):
 
 @pytest.mark.parametrize("n", [8, 9, 12])
 def test_sampled_scan_is_exact_at_composite_lengths(monkeypatch, n):
-    # Composite lengths have singular square blocks, so square batches find
-    # hits and their sizes are re-decided in full.  The hits are the pairs
-    # whose full minor is deficient, in draw order, as one batch per (s, t)
-    # group finds them, although some singular blocks sit in minors of
-    # full column rank.
+    # Composite lengths have singular square blocks, so their layers flag
+    # classes and the drawn sizes of those layers are re-decided in full.
+    # The hits are the pairs whose full minor is deficient, in draw order,
+    # as one batch per (s, t) group finds them, although some singular
+    # blocks sit in minors of full column rank.  With 20 samples a layer
+    # flags classes that no drawn block falls in, and its drawn sizes are
+    # re-decided all the same.
+    w, redone, deficient_minors = dft_matrix(n), [], ncft._ClassBatch.deficient_minors
+
+    def recording(batch):
+        redone.append(bin(int(batch.t_masks[0])).count("1"))
+        return deficient_minors(batch)
+
     drawn = record_draws(monkeypatch)
-    hits, _ = ncft._sampled_pairs(n, 3000, 5)
-    w = dft_matrix(n)
-    expected, per_group, square_hits = [], [], 0
-    for s, t, cols, rows in drawn:
-        expected += oracle_deficient_minors(w, cols, rows, ncft.RANK_TOL)
-        per_group += decide_batch(n, cols, rows)[0]
-        square_hits += len(oracle_deficient_minors(w, cols, rows[:, :s], ncft.RANK_TOL))
-    assert hits == expected == per_group
-    assert 0 < len(hits) < square_hits
+    monkeypatch.setattr(ncft._ClassBatch, "deficient_minors", recording)
+    for samples in (3000, 20):
+        drawn.clear()
+        redone.clear()
+        hits, _ = ncft._sampled_pairs(n, samples, 5)
+        redone_sizes = set(redone)
+        expected, per_group, square_hits = [], [], {}
+        for s, t, cols, rows in drawn:
+            expected += oracle_deficient_minors(w, cols, rows, ncft.RANK_TOL)
+            per_group += decide_batch(n, cols, rows)[0]
+            singular = oracle_deficient_minors(w, cols, rows[:, :s], ncft.RANK_TOL)
+            square_hits[min(s, n - s)] = square_hits.get(min(s, n - s), 0) + len(singular)
+        assert hits == expected == per_group
+        if samples == 3000:
+            assert 0 < len(hits) < sum(square_hits.values())
+        else:
+            assert any(square_hits[min(s, n - s)] == 0 for s in redone_sizes)
 
 
 def test_sampled_scan_decides_each_square_class_once(monkeypatch):
-    # One batch per k = min(|T|, p - |T|) over the square blocks (T, R[:s])
-    # of every |Omega|, a block of size s > p/2 taken as its complement:
-    # each class among those blocks is decided once, fewer than the square
-    # classes of the sizes apart, which are fewer than the classes of the
-    # full pairs (T, R).
-    p = 11
+    # The draws reach every square layer k <= p/2, and the scan decides each
+    # class of those layers once, by the certificate: as many distinct class
+    # keys per layer as Burnside's lemma counts, 2,657 at p = 13.  A single
+    # draw of size s > p/2 reaches the one layer p - s, and only it is scanned.
     drawn = record_draws(monkeypatch)
-    spied = spy_batches(monkeypatch)
-    decided = count_decided(monkeypatch)
-    report = tao_min_sum(p, mode="sampled", samples=2000, seed=9)
-    batches = [size_t for size_t, _, _ in spied]
-    by_size, by_batch, full_classes = {}, {}, 0
-    for s, t, cols, rows in drawn:
-        block = cols, rows[:, :s]
-        by_size.setdefault(s, []).append(block)
-        if 2 * s > p:
-            block = complements(p, cols), complements(p, rows[:, :s])
-        by_batch.setdefault(min(s, p - s), []).append(block)
-        full_classes += count_orbits(p, cols, rows)
-    square_classes, merged_classes = (
-        sum(
-            count_orbits(p, np.vstack([c for c, _ in pairs]), np.vstack([r for _, r in pairs]))
-            for pairs in groups.values()
+    calls = certificate_calls(lambda: ncft._sampled_pairs(13, 1, 0))
+    ((s, _, _, _),) = drawn
+    assert s == 11
+    assert [(cols.shape[1], len(cols)) for cols, _, _ in calls] == [(2, 6)]
+    for p, orbits in ((11, [1, 5, 25, 100, 188]), (13, [1, 6, 46, 275, 837, 1492])):
+        assert [burnside_square_orbits(p, s) for s in range(1, p // 2 + 1)] == orbits
+        reports = []
+        calls = certificate_calls(
+            lambda: reports.append(tao_min_sum(p, mode="sampled", samples=2000, seed=9))
         )
-        for groups in (by_size, by_batch)
-    )
-    assert batches == list(range(1, p // 2 + 1))
-    assert sum(decided) == merged_classes < square_classes < full_classes
-    assert "violating_patterns" not in report
+        assert [(cols.shape[1], len(cols)) for cols, _, _ in calls] == list(enumerate(orbits, 1))
+        for cols, rows, certified in calls:
+            assert certified.all()
+            keys = ncft._class_keys(p, subset_masks(cols), subset_masks(rows))
+            assert len(np.unique(keys)) == len(keys)
+        assert reports[0]["exact"]["float_fallbacks"] == 0
+        assert "violating_patterns" not in reports[0]
 
 
 def test_sampled_draws_are_pinned(monkeypatch):
@@ -1120,9 +1148,9 @@ def test_sampled_draws_are_pinned(monkeypatch):
 
 @pytest.mark.parametrize("seed", [0, 1, 4242])
 def test_sampled_scan_memory(seed):
-    # Every group's masks are held until the batches run, so the drawn sizes
-    # are freed first: the peak is 3.8 MiB, and 5.3 MiB with the sizes held
-    # too.  The lookup tables are built by the first call.
+    # Every group's masks are held until the layers are scanned, so the
+    # drawn sizes are freed first: the peak is 3.8 MiB, and 5.4 MiB with the
+    # sizes held too.  The lookup tables are built by the first call.
     ncft._sampled_pairs(13, 1000, seed)
     tracemalloc.start()
     try:
@@ -1131,14 +1159,6 @@ def test_sampled_scan_memory(seed):
     finally:
         tracemalloc.stop()
     assert peak < 4.5 * 2**20
-
-
-@pytest.mark.parametrize("n, size, s", [(5, 3, 1), (7, 4, 2), (11, 7, 4), (13, 9, 9), (13, 12, 6)])
-def test_lowest_bits_are_leading_entries(n, size, s):
-    lead = ncft._lowest_bits(ncft._combo_masks(n, size), s)
-    assert [tuple(row) for row in ncft._mask_rows(n, lead).tolist()] == [
-        combo[:s] for combo in combinations(range(n), size)
-    ]
 
 
 @pytest.mark.parametrize("n, size", [(5, 1), (5, 2), (7, 3), (13, 6), (13, 13)])
