@@ -305,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("tao", help="minimum support sum under the length-p transform")
     sp.add_argument("--p", type=int, required=True, help="prime length")
     sp.add_argument("--mode", choices=["exhaustive", "sampled"], default="exhaustive")
-    sp.add_argument("--samples", type=int, help=f"pairs to draw in sampled mode (default {DEFAULT_SAMPLES})")
+    sp.add_argument("--samples", type=int, help=f"pair count reported in sampled mode (default {DEFAULT_SAMPLES})")
     sp.add_argument("--force", action="store_true", default=None, help="allow exhaustive mode beyond p=7")
     common(sp, seed=True)
     sp.set_defaults(seed=None)  # read in sampled mode only

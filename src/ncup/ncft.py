@@ -51,14 +51,8 @@ decider.  Each group is decided as one batch over the pairs of necklaces
 in its class; a batch over every pair of the group, built only when a
 class is flagged, lists that class's pairs.  W is unitary, so a square
 block is nonsingular exactly when its complement is (Jacobi's
-complementary-minor identity): tao's exhaustive layer scans s <= n/2
-unless that half flags a class or falls back.  The sampled scan decides
-each drawn pair (T, R) through its leading square block (T, R[:|T|]): a
-nonsingular square block gives the tall minor full column rank, and at a
-prime length every square block is nonsingular.  So it scans whole the
-square layers min(|T|, n - |T|) that its draws reach, by the exhaustive
-layer's own call, and re-decides in full, one batch per drawn
-(|T|, |Omega|), only the sizes of a layer that flags a class.  Both scans
+complementary-minor identity): tao's layer scans s <= n/2 unless that
+half flags a class or falls back, in both of tao's modes.  Both scans
 list a flagged class's pairs by _ClassBatch.patterns.
 """
 
@@ -502,14 +496,6 @@ class _ClassBatch:
         t_rows, o_rows = _mask_rows(self.n, self.t_masks[i]), _mask_rows(self.n, omegas)
         return list(zip(t_rows.tolist(), o_rows.tolist()))
 
-    def deficient_minors(self):
-        """(T, Omega) for every pair whose DFT minor is rank deficient, by _rank_deficient.
-
-        Returns the hits and the number of classes the SVD fallback decided.
-        """
-        deficient, fallbacks = _rank_deficient(self.n, self.cols, self.rows)
-        return self.patterns(deficient), fallbacks
-
 
 def _mask_rows(n: int, masks: np.ndarray) -> np.ndarray:
     """Row i lists the set bits of the n-bit masks[i], ascending; every mask has as many set."""
@@ -571,54 +557,6 @@ def _layer_pairs_exhaustive(p: int):
         upper, (more,), more_fallbacks = _necklace_scan(p, [(s, s) for s in range(half + 1, p)])
         return checked + upper, hits + more, fallbacks + more_fallbacks
     return checked + sum(math.comb(p, s) ** 2 for s in range(half + 1, p)), hits, fallbacks
-
-
-def _sampled_pairs(n: int, samples: int, seed: int):
-    """Decide `samples` random length-n support pairs (the sampled law of tao_min_sum).
-
-    The sizes are drawn first, then every (|T|, |Omega|) = (s, t) group's
-    pairs in sorted (s, t) order (_draw_group), as masks, all held until
-    the end.  A drawn minor W[R, T] is rank deficient only if its leading
-    square block W[R[:s], T] is singular, and a block W[R', T] of size
-    s > n/2 is singular exactly when its complement is, by Jacobi's
-    identity for the unitary W (det W^*[T^c, R'^c] = +-det W[R', T] / det W).
-    So the square layers k = min(s, n - s) that the draws reach are decided
-    whole, by one _necklace_scan over the groups (k, k): the call of
-    _layer_pairs_exhaustive's lower half.  Only the sizes {k, n - k} of a
-    layer with a flagged class are re-decided in full, one _ClassBatch per
-    drawn (s, t) group in ascending s, so the hits are those of the full
-    minors, in draw order.  Returns the hits and the number of classes the
-    SVD fallback decided, in the layers and re-decided groups alike.
-    """
-    rng = np.random.default_rng(seed)
-    s_arr = rng.integers(1, n, size=samples)
-    t_arr = rng.integers(1, n - s_arr + 1)
-    # one group per (s, t) in sorted order; t < n, so s * n + t < n^2 sorts like (s, t)
-    counts = np.bincount(s_arr * n + t_arr)
-    del s_arr, t_arr  # every group's masks are held from here on
-    drawn = {}
-    for code in np.flatnonzero(counts).tolist():
-        s, t = divmod(code, n)
-        drawn.setdefault(s, []).append(_draw_group(rng, n, s, t, int(counts[code])))
-    layers = sorted({min(s, n - s) for s in drawn})
-    _, (square_hits,), fallbacks = _necklace_scan(n, [(k, k) for k in layers])
-    flagged = {len(t) for t, _ in square_hits}  # a flagged class lists its pairs
-    hits = []
-    for s in sorted(drawn):
-        if min(s, n - s) not in flagged:
-            continue
-        for t_masks, r_masks in drawn[s]:
-            found, decided = _ClassBatch(n, t_masks, r_masks).deficient_minors()
-            hits += found
-            fallbacks += decided
-    return hits, fallbacks
-
-
-def _draw_group(rng, n: int, s: int, t: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """m uniform pairs with |T| = s and |Omega| = t: entries of _combo_masks(n, s), (n, n - t)."""
-    t_masks = _combo_masks(n, s)[rng.integers(math.comb(n, s), size=m)]
-    r_masks = _combo_masks(n, n - t)[rng.integers(math.comb(n, n - t), size=m)]
-    return t_masks, r_masks
 
 
 @functools.lru_cache(maxsize=None)
@@ -743,31 +681,23 @@ def tao_min_sum(
 ) -> dict:
     """Minimum of ||x||_0 + ||x_hat||_0 over nonzero scalar x of length p.
 
-    Exhaustive mode decides every square DFT minor in the critical layer
+    Both modes decide every square DFT minor in the critical layer
     |T| + |Omega| = p, which settles all smaller support sums as well, by
     the necklace scan over the groups (|T|, |R|) = (s, s) (_necklace_scan).
     Jacobi's identity for the unitary W (W^-1 = W^*, |det W| = 1) gives
-    |det W[R, T]| = |det W[R^c, T^c]|, so exhaustive mode scans the layers
-    s > p/2 only if the others give a hit or a fallback.
-    Sampled mode tests `samples` random support pairs by the same minor
-    criterion.  Each pair draws s = |T| uniform on [1, p - 1], then
-    t = |Omega| uniform on [1, p - s], then T uniform among the s-subsets
-    and the row set R uniform among the (p - t)-subsets, so Omega, the
-    complement of R, is a uniform t-subset; T and R are masks picked from
-    _combo_masks by one uniform index each.  Each pair is decided through
-    its leading square block, or that block's complement if |T| > p/2: the
-    square layers min(s, p - s) that the draws reach are scanned whole, as
-    in exhaustive mode (see _sampled_pairs), and float_fallbacks counts
-    those layers' classes the SVD decided, plus any full classes of a size
-    re-decided in full.  For prime p all minors are nonsingular, so
-    the minimum is p + 1, attained by the spike at 0, and the report does
-    not depend on which pairs a seed draws.  The bound
-    holds if the minimum is at least p + 1 and no pattern was found
-    feasible; each support is thresholded at SUPPORT_REL_TOL.
+    |det W[R, T]| = |det W[R^c, T^c]|, so the scan covers the layers
+    s > p/2 only if the others give a hit or a fallback.  Sampled mode
+    differs only in its pairs_checked, which is `samples`: the layer holds
+    the leading square block of every pair a draw could give.  For prime p
+    all minors are nonsingular, so the minimum is p + 1, attained by the
+    spike at 0, for every seed and sample count.  The bound holds if the
+    minimum is at least p + 1 and no pattern was found feasible; each
+    support is thresholded at SUPPORT_REL_TOL.
 
     Exhaustive mode is capped at p <= 7 unless force=True (the minor count
     grows like C(2p, p)); sampled mode is capped at p <= 13.  samples and
-    seed are checked in both modes, although exhaustive mode reads neither.
+    seed are checked in both modes; only sampled mode reads samples, and
+    no mode reads seed.
     """
     p = _as_prime(p)
     if mode not in ("exhaustive", "sampled"):
@@ -779,16 +709,12 @@ def tao_min_sum(
             f"to run it anyway or use mode='sampled'"
         )
     samples, seed = _as_count(samples, "samples"), _as_seed(seed)
+    if mode == "sampled":  # a count no int64 array could hold is refused as out of memory
+        _check_addressable((samples,), np.int64)
 
     w = dft_matrix(p)
     violations = []
-
-    if mode == "exhaustive":
-        checked, hits, fallbacks = _layer_pairs_exhaustive(p)
-    else:
-        _check_addressable((samples,), np.int64)
-        checked = samples
-        hits, fallbacks = _sampled_pairs(p, samples, seed)
+    checked, hits, fallbacks = _layer_pairs_exhaustive(p)
 
     min_sum = None
     witness = None
@@ -814,7 +740,7 @@ def tao_min_sum(
     report = {
         "p": int(p),
         "mode": mode,
-        "pairs_checked": int(checked),
+        "pairs_checked": int(samples if mode == "sampled" else checked),
         "min_sum": int(min_sum),
         "holds": min_sum >= p + 1 and not violations,
         "witness": witness,

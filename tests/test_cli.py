@@ -294,8 +294,8 @@ def test_memory_exhaustion_exits_2(argv):
     # A 10^7 x 10^7 block asks for more than 2^47 bytes, which fails at once
     # under any overcommit policy without touching memory.  The larger blocks,
     # and 2^62 or 10^20 sampled tao pairs, ask for more than 2^63 bytes, which
-    # numpy would refuse with ValueError; the draw checks the size first and
-    # raises MemoryError instead.
+    # numpy would refuse with ValueError; the draws, and sampled tao for its
+    # sample count, check the size first and raise MemoryError instead.
     proc = run_cli(*argv)
     assert proc.returncode == 2
     assert proc.stdout == ""

@@ -1,4 +1,3 @@
-import hashlib
 import json
 import tracemalloc
 from itertools import combinations, product
@@ -426,8 +425,14 @@ def layer_batch(n, s, r):
 
 
 def decide_batch(n, cols, rows):
-    """_ClassBatch.deficient_minors on the pairs (cols[i], rows[i])."""
-    return ncft._ClassBatch(n, subset_masks(cols), subset_masks(rows)).deficient_minors()
+    """The hits and SVD count of the pairs (cols[i], rows[i]), decided as the scans do.
+
+    One _ClassBatch keys the pairs, _rank_deficient decides its classes and
+    _ClassBatch.patterns lists the members of the deficient ones.
+    """
+    batch = ncft._ClassBatch(n, subset_masks(cols), subset_masks(rows))
+    deficient, fallbacks = ncft._rank_deficient(n, batch.cols, batch.rows)
+    return batch.patterns(deficient), fallbacks
 
 
 def spy_batches(monkeypatch):
@@ -449,11 +454,6 @@ def subset_masks(sets):
     return (1 << sets).sum(axis=1)
 
 
-def mask_sets(n, masks):
-    """The index array whose row i lists the set bits of the n-bit masks[i], ascending."""
-    return np.array([[j for j in range(n) if mask >> j & 1] for mask in masks.tolist()])
-
-
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9, 10])
 def test_deficient_minors_match_per_minor_oracle(n):
     w = dft_matrix(n)
@@ -469,7 +469,7 @@ def test_deficient_minors_match_per_minor_oracle(n):
 
 @pytest.mark.parametrize("n", [6, 8])
 def test_deficient_minors_match_oracle_on_tall_minors(n):
-    # sampled tao decides minors with more rows than columns
+    # conjecture's structured search decides minors with more rows than columns
     w = dft_matrix(n)
     for s in range(1, n):
         for r in range(s + 1, n):
@@ -849,27 +849,29 @@ def test_certificate_matches_oracle_on_necklace_scan_batches(p):
         assert np.array_equal(certified, oracle_certified_nonsingular(p, cols, rows))
 
 
-@pytest.mark.parametrize("p", [11, 13])
-@pytest.mark.parametrize("seed", [0, 4242])
-def test_certificate_matches_oracle_on_sampled_batches(p, seed):
-    # One batch per square layer k <= p/2 that the draws reach: here every one.
-    calls = certificate_calls(lambda: ncft._sampled_pairs(p, ncft.DEFAULT_SAMPLES, seed))
-    assert [cols.shape[1] for cols, _, _ in calls] == list(range(1, p // 2 + 1))
-    for cols, rows, certified in calls:
-        assert np.array_equal(certified, oracle_certified_nonsingular(p, cols, rows))
-
-
-@pytest.mark.parametrize("p", [11, 13])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
 def test_sampled_scan_makes_the_exhaustive_layer_certificate_calls(p):
-    # One square-layer driver: the default draws reach every layer k <= p/2,
-    # and the sampled scan certifies the batches of the exhaustive layer's
-    # lower half, array for array, in the same order.
-    sampled = certificate_calls(lambda: ncft._sampled_pairs(p, ncft.DEFAULT_SAMPLES, 0))
-    exhaustive = certificate_calls(lambda: ncft._layer_pairs_exhaustive(p))
-    assert len(sampled) == len(exhaustive) == p // 2
-    for (cols, rows, _), (cols_x, rows_x, _) in zip(sampled, exhaustive):
-        assert np.array_equal(cols, cols_x)
-        assert np.array_equal(rows, rows_x)
+    # One scan for both modes: at every seed and sample count, sampled mode
+    # reports what forced exhaustive mode does, apart from its mode and its
+    # pairs_checked (the sample count), and it certifies the same batches,
+    # array for array, in the same order.
+    reports = []
+    exhaustive = certificate_calls(
+        lambda: reports.append(tao_min_sum(p, mode="exhaustive", force=True))
+    )
+    expected = {**reports[0], "mode": "sampled"}
+    assert len(exhaustive) == p // 2
+    for seed in (0, 77, 4242):
+        for samples in (1, 20, ncft.DEFAULT_SAMPLES):
+            reports.clear()
+            sampled = certificate_calls(
+                lambda: reports.append(tao_min_sum(p, mode="sampled", samples=samples, seed=seed))
+            )
+            assert reports[0] == {**expected, "pairs_checked": samples}
+            assert len(sampled) == len(exhaustive)
+            for (cols, rows, _), (cols_x, rows_x, _) in zip(sampled, exhaustive):
+                assert np.array_equal(cols, cols_x)
+                assert np.array_equal(rows, rows_x)
 
 
 @pytest.mark.parametrize("n", [6, 7])
@@ -942,6 +944,8 @@ def test_float_fallback_is_live(monkeypatch):
     # With a certificate that decides nothing, every class goes to the SVD:
     # the hits and the reports (without "exact") do not change, and
     # float_fallbacks counts every class, so the fallback is not dead code.
+    # A fallback sends the layer scan to the layers s > p/2 as well, in
+    # sampled mode too.
     scans = [lambda n=n: ncft._layer_pairs_exhaustive(n)[:2] for n in (6, 8)]
     reports = [
         lambda: tao_min_sum(7),
@@ -965,8 +969,8 @@ def test_float_fallback_is_live(monkeypatch):
         for size_t in range(1, 5)
         for size_o in range(1, 6 - size_t)
     )
-    sampled_classes = sum(burnside_square_orbits(11, s) for s in range(1, 6))
-    assert sampled_classes == 319
+    sampled_classes = sum(burnside_square_orbits(11, s) for s in range(1, 11))
+    assert sampled_classes == 638
     for report, before, classes in zip(
         reports, certified_reports, [tao_classes, conjecture_classes, sampled_classes]
     ):
@@ -1022,143 +1026,25 @@ def within_chi_square_bound(observed, expected):
     return ((observed - expected) ** 2 / expected).sum() <= df + 6 * np.sqrt(2 * df)
 
 
-def record_draws(monkeypatch):
-    """Record (s, t, T rows, R rows) for every group the sampled scan draws, in draw order."""
-    draw, drawn = ncft._draw_group, []
-
-    def record(rng, n, s, t, m):
-        t_masks, r_masks = draw(rng, n, s, t, m)
-        drawn.append((s, t, mask_sets(n, t_masks), mask_sets(n, r_masks)))
-        return t_masks, r_masks
-
-    monkeypatch.setattr(ncft, "_draw_group", record)
-    return drawn
-
-
-def test_sampled_draw_law(monkeypatch):
-    # s = |T| is uniform on [1, p - 1], then t = |Omega| uniform on
-    # [1, p - s]; T is a uniform s-subset and the row set R a uniform
-    # (p - t)-subset.  Every group drawn is recorded.
-    p, samples = 7, 20_000
-    drawn = record_draws(monkeypatch)
-    report = tao_min_sum(p, mode="sampled", samples=samples, seed=5)
-    offered = [(cols, rows) for _, _, cols, rows in drawn]
-
-    groups = np.zeros((p, p), dtype=int)
-    drawn = {"T": {}, "R": {}}
-    for cols, rows in offered:
-        s, t = cols.shape[1], p - rows.shape[1]
-        assert 1 <= s <= p - 1 and 1 <= t <= p - s
-        groups[s, t] += len(cols)
-        for side, sets in (("T", cols), ("R", rows)):
-            assert (np.diff(sets, axis=1) > 0).all()
-            assert sets.min() >= 0 and sets.max() < p
-            counts = drawn[side].setdefault(sets.shape[1], {})
-            for row in map(tuple, sets.tolist()):
-                counts[row] = counts.get(row, 0) + 1
-    assert groups.sum() == report["pairs_checked"] == samples
-
-    cells = [(s, t) for s in range(1, p) for t in range(1, p - s + 1)]
-    assert within_chi_square_bound(
-        [groups[s, t] for s, t in cells],
-        [samples / (p - 1) / (p - s) for s, t in cells],
-    )
-    for side in ("T", "R"):
-        for size, counts in drawn[side].items():
-            subsets = list(combinations(range(p), size))
-            assert set(counts) <= set(subsets)
-            total = sum(counts.values())
-            assert within_chi_square_bound(
-                [counts.get(subset, 0) for subset in subsets],
-                [total / len(subsets)] * len(subsets),
-            )
-
-
-@pytest.mark.parametrize("n", [8, 9, 12])
-def test_sampled_scan_is_exact_at_composite_lengths(monkeypatch, n):
-    # Composite lengths have singular square blocks, so their layers flag
-    # classes and the drawn sizes of those layers are re-decided in full.
-    # The hits are the pairs whose full minor is deficient, in draw order,
-    # as one batch per (s, t) group finds them, although some singular
-    # blocks sit in minors of full column rank.  With 20 samples a layer
-    # flags classes that no drawn block falls in, and its drawn sizes are
-    # re-decided all the same.
-    w, redone, deficient_minors = dft_matrix(n), [], ncft._ClassBatch.deficient_minors
-
-    def recording(batch):
-        redone.append(bin(int(batch.t_masks[0])).count("1"))
-        return deficient_minors(batch)
-
-    drawn = record_draws(monkeypatch)
-    monkeypatch.setattr(ncft._ClassBatch, "deficient_minors", recording)
-    for samples in (3000, 20):
-        drawn.clear()
-        redone.clear()
-        hits, _ = ncft._sampled_pairs(n, samples, 5)
-        redone_sizes = set(redone)
-        expected, per_group, square_hits = [], [], {}
-        for s, t, cols, rows in drawn:
-            expected += oracle_deficient_minors(w, cols, rows, ncft.RANK_TOL)
-            per_group += decide_batch(n, cols, rows)[0]
-            singular = oracle_deficient_minors(w, cols, rows[:, :s], ncft.RANK_TOL)
-            square_hits[min(s, n - s)] = square_hits.get(min(s, n - s), 0) + len(singular)
-        assert hits == expected == per_group
-        if samples == 3000:
-            assert 0 < len(hits) < sum(square_hits.values())
-        else:
-            assert any(square_hits[min(s, n - s)] == 0 for s in redone_sizes)
-
-
-def test_sampled_scan_decides_each_square_class_once(monkeypatch):
-    # The draws reach every square layer k <= p/2, and the scan decides each
-    # class of those layers once, by the certificate: as many distinct class
-    # keys per layer as Burnside's lemma counts, 2,657 at p = 13.  A single
-    # draw of size s > p/2 reaches the one layer p - s, and only it is scanned.
-    drawn = record_draws(monkeypatch)
-    calls = certificate_calls(lambda: ncft._sampled_pairs(13, 1, 0))
-    ((s, _, _, _),) = drawn
-    assert s == 11
-    assert [(cols.shape[1], len(cols)) for cols, _, _ in calls] == [(2, 6)]
+def test_sampled_scan_decides_each_square_class_once():
+    # Whatever the sample count, the scan covers every square layer
+    # k <= p/2 and decides each class of those layers once, by the
+    # certificate: as many distinct class keys per layer as Burnside's lemma
+    # counts, 2,657 at p = 13.  One sample scans every layer as well.
     for p, orbits in ((11, [1, 5, 25, 100, 188]), (13, [1, 6, 46, 275, 837, 1492])):
         assert [burnside_square_orbits(p, s) for s in range(1, p // 2 + 1)] == orbits
-        reports = []
-        calls = certificate_calls(
-            lambda: reports.append(tao_min_sum(p, mode="sampled", samples=2000, seed=9))
-        )
-        assert [(cols.shape[1], len(cols)) for cols, _, _ in calls] == list(enumerate(orbits, 1))
-        for cols, rows, certified in calls:
-            assert certified.all()
-            keys = ncft._class_keys(p, subset_masks(cols), subset_masks(rows))
-            assert len(np.unique(keys)) == len(keys)
-        assert reports[0]["exact"]["float_fallbacks"] == 0
-        assert "violating_patterns" not in reports[0]
-
-
-def test_sampled_draws_are_pinned(monkeypatch):
-    # The groups drawn at p = 13 and seed 4242, sizes and sets, hash to the
-    # digest of the draw law as it stands; any change to the draws fails.
-    drawn = record_draws(monkeypatch)
-    ncft._sampled_pairs(13, ncft.DEFAULT_SAMPLES, 4242)
-    digest = hashlib.sha256()
-    for s, t, cols, rows in drawn:
-        digest.update(np.concatenate([[s, t], cols.ravel(), rows.ravel()]).astype("<i8").tobytes())
-    assert len(drawn) == 78
-    assert digest.hexdigest() == "77fcff331bbc8e41af394299159985406d204d20a209f8adbe15c7c7390fcde5"
-
-
-@pytest.mark.parametrize("seed", [0, 1, 4242])
-def test_sampled_scan_memory(seed):
-    # Every group's masks are held until the layers are scanned, so the
-    # drawn sizes are freed first: the peak is 3.8 MiB, and 5.4 MiB with the
-    # sizes held too.  The lookup tables are built by the first call.
-    ncft._sampled_pairs(13, 1000, seed)
-    tracemalloc.start()
-    try:
-        ncft._sampled_pairs(13, ncft.DEFAULT_SAMPLES, seed)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4.5 * 2**20
+        for samples in (1, 2000):
+            reports = []
+            calls = certificate_calls(
+                lambda: reports.append(tao_min_sum(p, mode="sampled", samples=samples, seed=9))
+            )
+            assert [(cols.shape[1], len(cols)) for cols, _, _ in calls] == list(enumerate(orbits, 1))
+            for cols, rows, certified in calls:
+                assert certified.all()
+                keys = ncft._class_keys(p, subset_masks(cols), subset_masks(rows))
+                assert len(np.unique(keys)) == len(keys)
+            assert reports[0]["exact"]["float_fallbacks"] == 0
+            assert "violating_patterns" not in reports[0]
 
 
 @pytest.mark.parametrize("n, size", [(5, 1), (5, 2), (7, 3), (13, 6), (13, 13)])
@@ -1182,9 +1068,11 @@ def test_sampled_tao_needs_no_float_fallback(p):
         assert report["min_sum"] == p + 1
 
 
-def test_tao_flagged_pattern_fails_the_run(monkeypatch, capsys):
+@pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+def test_tao_flagged_pattern_fails_the_run(monkeypatch, capsys, mode):
     # A class the decider flags makes every member a violating pattern, and
-    # the run fails although each witness still sums to p + 1 or more.
+    # the run fails although each witness still sums to p + 1 or more.  Both
+    # modes run one scan, so a sampled run lists the same members.
     p, flagged, rank_deficient = 5, [], ncft._rank_deficient
 
     def flag_first_class(n, cols, rows):
@@ -1194,7 +1082,7 @@ def test_tao_flagged_pattern_fails_the_run(monkeypatch, capsys):
         return deficient, fallbacks
 
     monkeypatch.setattr(ncft, "_rank_deficient", flag_first_class)
-    report = tao_min_sum(p)
+    report = tao_min_sum(p, mode=mode)
     members = set()
     for t, r in flagged:
         for u, a, b in product(range(1, p), range(p), range(p)):
@@ -1210,8 +1098,11 @@ def test_tao_flagged_pattern_fails_the_run(monkeypatch, capsys):
     entries = np.array([complex(*z) for z in witness["entries"]])
     for sup, x in ((witness["support"], entries), (witness["fourier_support"], dft_matrix(p) @ entries)):
         assert sup == np.flatnonzero(np.abs(x) > SUPPORT_REL_TOL * np.abs(x).max()).tolist()
-    assert cli.main(["tao", "--p", str(p)]) == 1
-    assert json.loads(capsys.readouterr().out)["holds"] is False
+    assert report["mode"] == mode
+    assert cli.main(["tao", "--p", str(p), "--mode", mode]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["holds"] is False
+    assert out["violating_patterns"] == report["violating_patterns"]
 
 
 def test_tao_min_sum_guard_rails():
