@@ -35,13 +35,13 @@ W[u^-1 k, u j] = W[k, j], so (T, R) -> (uT, u^-1 R) only permutes rows and
 columns.  None of these moves the singular values, so every minor in a
 class gets the verdict of one member: the pair that the class key
 encodes.  Every set is read as its n-bit mask from one cached table,
-_combo_masks, and travels as that mask from draw to decision: a batch is
-one array of T masks and one of R masks, pairs are keyed from those
-masks, and only class representatives and hits are built as index rows
-(_mask_rows); conjecture's random supports are decoded to bool rows.
-The key is found T-first with table lookups only: its T half is
-minimized first, since the R half is below 2^n, and the R half is then
-minimized over the stabilizer of T from that stabilizer's own table.
+_combo_masks, and a batch is the Cartesian product of a list of T masks
+and a list of R masks: pairs are keyed from those masks, and only class
+representatives and hits are built as index rows (_mask_rows);
+conjecture's random supports are decoded to bool rows.  The key is found
+T-first from one dilation table, _class_tables: its T half is minimized
+over every unit first, since the R half is below 2^n, and the R half is
+then minimized over just the units that tie for the T half.
 
 Both exhaustive searches are one scan (_necklace_scan): tao's critical
 layer over the groups (|T|, |R|) = (s, s), and conjecture's structured
@@ -295,19 +295,14 @@ def _rank_deficient(n: int, cols: np.ndarray, rows: np.ndarray) -> tuple[np.ndar
 
 
 @functools.lru_cache(maxsize=None)
-def _class_tables(n: int) -> tuple[np.ndarray, ...]:
-    """Class-key lookup tables for index subsets of Z/n, held as n-bit masks.
+def _class_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The dilation table of index subsets of Z/n, held as n-bit masks, and its inverse rows.
 
     Row i of `dilated` maps a mask m to the smallest rotation of u*m, where
-    u is the i-th unit mod n; row 0 (u = 1) maps m to its smallest rotation.
-    The units that minimize a T mask's column form a coset u0 Stab(T), with
-    Stab(T) = {h : hT is a translate of T} a subgroup of the units: `t_min`
-    maps T to that minimum, `t_unit` to the row of u0^-1 for the first such
-    u0, and `t_stab` to the index of Stab(T) among the distinct
-    stabilizers.  Row k of `stab_min` maps m to the minimum of dilated[h, m]
-    over h in the k-th stabilizer.  Built on first use, one unit or one
-    stabilizer at a time; 2^n columns, 8192 at p = 13, where 6 stabilizers
-    occur.
+    u is the i-th unit mod n; row 0 (u = 1) maps m to its smallest rotation,
+    so the masks it fixes are the necklaces.  Row `inverse[i]` is that of
+    u^-1.  Built on first use, one unit at a time; 2^n columns, 8192 at
+    p = 13.
     """
     units = [u for u in range(n) if math.gcd(u, n) == 1]
     masks = np.arange(1 << n, dtype=np.int64)
@@ -316,42 +311,38 @@ def _class_tables(n: int) -> tuple[np.ndarray, ...]:
     for a in range(1, n):
         rot_min = np.minimum(rot_min, ((masks << a) | (masks >> (n - a))) & full)
     dilated = np.empty((len(units), 1 << n), dtype=np.int64)
-    stab = np.zeros_like(masks)  # bit i set iff the i-th unit is in Stab(m)
     for i, u in enumerate(units):
         image = np.zeros_like(masks)
         for j in range(n):
             image |= ((masks >> j) & 1) << (u * j % n)
         dilated[i] = rot_min[image]
-        stab |= (dilated[i] == rot_min).astype(np.int64) << i
     inverse = np.array([units.index(pow(u, -1, n)) for u in units])
-    subgroups, t_stab = np.unique(stab, return_inverse=True)
-    stab_min = np.stack(
-        [
-            functools.reduce(np.minimum, (dilated[i] for i in range(len(units)) if group >> i & 1))
-            for group in subgroups.tolist()
-        ]
-    )
-    tables = dilated, dilated.min(axis=0), inverse[dilated.argmin(axis=0)], t_stab, stab_min
-    for table in tables:
+    for table in (dilated, inverse):
         table.setflags(write=False)  # shared by every caller through the cache
-    return tables
+    return dilated, inverse
 
 
-def _class_keys(n: int, t_masks: np.ndarray, r_masks: np.ndarray) -> np.ndarray:
-    """One integer per (T, R) mask pair, equal exactly on pairs in one symmetry class.
+def _class_keys(n: int, t_sets: np.ndarray, r_sets: np.ndarray) -> np.ndarray:
+    """One integer per (T, R) pair of the Cartesian batch, equal exactly on pairs in one class.
 
-    The key is the minimum over units u of (rotation-minimal u*T,
-    rotation-minimal u^-1*R), packed as (T half << n) | R half, which is
-    constant under translating T, translating R and the joint dilation
-    (uT, u^-1 R).  The R half is below 2^n, so the minimum is reached only
-    at the units u0 Stab(T) that minimize the T half, and it is found
-    T-first: the R half is the minimum over h in Stab(T) of the
-    rotation-minimal h^-1 u0^-1 R, read from the stabilizer's table at the
-    rotation-minimal u0^-1 R (Stab(T) is a group, so h^-1 runs over it as
-    h does).  Every pair takes the same lookups, however many units tie.
+    Pair i is the T mask t_sets[i // len(r_sets)] and the R mask
+    r_sets[i % len(r_sets)].  The key is the minimum over units u of
+    (rotation-minimal u*T, rotation-minimal u^-1*R), packed as
+    (T half << n) | R half, which is constant under translating T,
+    translating R and the joint dilation (uT, u^-1 R).  The R half is
+    below 2^n, so the minimum is reached only at the units that minimize
+    the T half, and it is found T-first: the T half is the minimum over
+    every unit, and the R half the minimum over just the units that tie
+    for it, however many do.
     """
-    dilated, t_min, t_unit, t_stab, stab_min = _class_tables(n)
-    return (t_min[t_masks] << n) | stab_min[t_stab[t_masks], dilated[t_unit[t_masks], r_masks]]
+    dilated, inverse = _class_tables(n)
+    t_images, r_images = dilated[:, t_sets], dilated[:, r_sets][inverse]
+    t_half = t_images.min(axis=0)
+    keys = np.full((len(t_sets), len(r_sets)), 1 << n)  # above every R half
+    for t_image, r_image in zip(t_images, r_images):
+        np.minimum(keys, r_image, out=keys, where=(t_image == t_half)[:, None])
+    keys |= t_half[:, None] << n
+    return keys.ravel()
 
 
 @functools.lru_cache(maxsize=None)
@@ -464,22 +455,23 @@ def _exact_summary(n: int, float_fallbacks: int) -> dict:
 
 
 class _ClassBatch:
-    """A batch of length-n (T, R) pairs, keyed once by symmetry class.
+    """The Cartesian batch of length-n (T, R) pairs of two set lists, keyed once by class.
 
-    Pair i is the column set T with n-bit mask t_masks[i] and the row set R
-    with mask r_masks[i]; all T share one size, all R one size |R| >= |T|,
-    and Omega is the complement of R.  Pairs are keyed by their masks
-    (_class_keys), with no per-pair index rows.  A key fixes |T| and |R|,
-    and it encodes a member of its class: the rotation-minimal u*T and
-    u^-1*R at a minimizing unit u.  Row c of cols and rows is that pair for
-    the c-th smallest key, so a decider that sees only singular values
-    decides each class once, from cols and rows.  Pairs are matched to their
-    class (patterns) only when some class is flagged, never at a prime length.
+    t_sets and r_sets hold n-bit masks; pair i is the column set
+    T = t_sets[i // len(r_sets)] and the row set R = r_sets[i % len(r_sets)].
+    All T share one size, all R one size |R| >= |T|, and Omega is the
+    complement of R.  Pairs are keyed from the masks (_class_keys), with no
+    per-pair index rows.  A key fixes |T| and |R|, and it encodes a member
+    of its class: the rotation-minimal u*T and u^-1*R at a minimizing unit
+    u.  Row c of cols and rows is that pair for the c-th smallest key, so a
+    decider that sees only singular values decides each class once, from
+    cols and rows.  Pairs are matched to their class (patterns) only when
+    some class is flagged, never at a prime length.
     """
 
-    def __init__(self, n: int, t_masks: np.ndarray, r_masks: np.ndarray):
-        self.n, self.t_masks, self.r_masks = n, t_masks, r_masks
-        self.keys = _class_keys(n, t_masks, r_masks)
+    def __init__(self, n: int, t_sets: np.ndarray, r_sets: np.ndarray):
+        self.n, self.t_sets, self.r_sets = n, t_sets, r_sets
+        self.keys = _class_keys(n, t_sets, r_sets)
         # Sorted distinct keys by one sort: np.unique without return values
         # takes numpy's hash path, which is slower and imports numpy.ma.
         ordered = np.sort(self.keys)
@@ -492,8 +484,9 @@ class _ClassBatch:
         if not flagged.any():
             return []
         i = np.flatnonzero(flagged[np.searchsorted(self.classes, self.keys)])
-        omegas = ((1 << self.n) - 1) ^ self.r_masks[i]
-        t_rows, o_rows = _mask_rows(self.n, self.t_masks[i]), _mask_rows(self.n, omegas)
+        t, r = np.divmod(i, len(self.r_sets))
+        omegas = ((1 << self.n) - 1) ^ self.r_sets[r]
+        t_rows, o_rows = _mask_rows(self.n, self.t_sets[t]), _mask_rows(self.n, omegas)
         return list(zip(t_rows.tolist(), o_rows.tolist()))
 
 
@@ -524,14 +517,14 @@ def _necklace_scan(n: int, groups, frames=None):
     for size_t, size_r in groups:
         t_all, r_all = _combo_masks(n, size_t), _combo_masks(n, size_r)
         t_sets, r_sets = t_all[is_necklace[t_all]], r_all[is_necklace[r_all]]
-        batch = _ClassBatch(n, np.repeat(t_sets, len(r_sets)), np.tile(r_sets, len(t_sets)))
+        batch = _ClassBatch(n, t_sets, r_sets)
         deficient, decided = _rank_deficient(n, batch.cols, batch.rows)
         verdicts = [deficient]
         if frames:
             comp_t = _mask_rows(n, ((1 << n) - 1) ^ (batch.classes >> n))
             verdicts.append(_deficient_blocks(*frames, comp_t, batch.rows).any(axis=1))
         if any(flagged.any() for flagged in verdicts):
-            group = _ClassBatch(n, np.repeat(t_all, len(r_all)), np.tile(r_all, len(t_all)))
+            group = _ClassBatch(n, t_all, r_all)
             for found, flagged in zip(hits, verdicts):
                 found += group.patterns(flagged)
         fallbacks += decided
@@ -694,8 +687,9 @@ def tao_min_sum(
     minimum is at least p + 1 and no pattern was found feasible; each
     support is thresholded at SUPPORT_REL_TOL.
 
-    Exhaustive mode is capped at p <= 7 unless force=True (the minor count
-    grows like C(2p, p)); sampled mode is capped at p <= 13.  samples and
+    Exhaustive mode is capped at p <= 7 unless force=True; sampled mode,
+    which runs the same scan, is capped at p <= 13.  The gate is the
+    command-line contract, kept until the caps move together.  samples and
     seed are checked in both modes; only sampled mode reads samples, and
     no mode reads seed.
     """

@@ -417,20 +417,28 @@ def test_donoho_stark_comb_equality():
         assert prod == d
 
 
+def subsets(n, k):
+    """Every k-subset of range(n), lexicographic, one index row each."""
+    return np.array(list(combinations(range(n), k)))
+
+
+def cartesian(t_sets, r_sets):
+    """The pairs of the Cartesian batch over two lists of index rows, T varying slowest."""
+    return np.repeat(t_sets, len(r_sets), axis=0), np.tile(r_sets, (len(t_sets), 1))
+
+
 def layer_batch(n, s, r):
     """Every pair (T, R) with |T| = s and |R| = r, T varying slowest."""
-    cols = np.array(list(combinations(range(n), s)))
-    rows = np.array(list(combinations(range(n), r)))
-    return np.repeat(cols, len(rows), axis=0), np.tile(rows, (len(cols), 1))
+    return cartesian(subsets(n, s), subsets(n, r))
 
 
-def decide_batch(n, cols, rows):
-    """The hits and SVD count of the pairs (cols[i], rows[i]), decided as the scans do.
+def decide_batch(n, t_sets, r_sets):
+    """The hits and SVD count of the Cartesian batch t_sets x r_sets, decided as the scans do.
 
     One _ClassBatch keys the pairs, _rank_deficient decides its classes and
     _ClassBatch.patterns lists the members of the deficient ones.
     """
-    batch = ncft._ClassBatch(n, subset_masks(cols), subset_masks(rows))
+    batch = ncft._ClassBatch(n, subset_masks(t_sets), subset_masks(r_sets))
     deficient, fallbacks = ncft._rank_deficient(n, batch.cols, batch.rows)
     return batch.patterns(deficient), fallbacks
 
@@ -440,10 +448,10 @@ def spy_batches(monkeypatch):
     batches = []
 
     class CountingBatch(ncft._ClassBatch):
-        def __init__(self, n, t_masks, r_masks):
-            sizes = (bin(int(masks[0])).count("1") for masks in (t_masks, r_masks))
-            batches.append((*sizes, len(t_masks)))
-            super().__init__(n, t_masks, r_masks)
+        def __init__(self, n, t_sets, r_sets):
+            sizes = (bin(int(sets[0])).count("1") for sets in (t_sets, r_sets))
+            batches.append((*sizes, len(t_sets) * len(r_sets)))
+            super().__init__(n, t_sets, r_sets)
 
     monkeypatch.setattr(ncft, "_ClassBatch", CountingBatch)
     return batches
@@ -459,9 +467,8 @@ def test_deficient_minors_match_per_minor_oracle(n):
     w = dft_matrix(n)
     found = 0
     for s in range(1, n):
-        cols, rows = layer_batch(n, s, s)
-        hits, _ = decide_batch(n, cols, rows)
-        assert hits == oracle_deficient_minors(w, cols, rows, ncft.RANK_TOL)
+        hits, _ = decide_batch(n, subsets(n, s), subsets(n, s))
+        assert hits == oracle_deficient_minors(w, *layer_batch(n, s, s), ncft.RANK_TOL)
         found += len(hits)
     # composite lengths have singular minors, so the comparison is not vacuous
     assert (found > 0) == (n not in (5, 7))
@@ -473,9 +480,8 @@ def test_deficient_minors_match_oracle_on_tall_minors(n):
     w = dft_matrix(n)
     for s in range(1, n):
         for r in range(s + 1, n):
-            cols, rows = layer_batch(n, s, r)
-            hits, _ = decide_batch(n, cols, rows)
-            assert hits == oracle_deficient_minors(w, cols, rows, ncft.RANK_TOL)
+            hits, _ = decide_batch(n, subsets(n, s), subsets(n, r))
+            assert hits == oracle_deficient_minors(w, *layer_batch(n, s, r), ncft.RANK_TOL)
 
 
 @pytest.mark.parametrize("n", [6, 8, 9])
@@ -507,8 +513,8 @@ def test_group_and_necklace_batches_have_the_same_classes(n):
         for r in range(s, n):
             r_all = ncft._combo_masks(n, r)
             t_sets, r_sets = t_all[is_necklace[t_all]], r_all[is_necklace[r_all]]
-            group = ncft._ClassBatch(n, np.repeat(t_all, len(r_all)), np.tile(r_all, len(t_all)))
-            necklaces = ncft._ClassBatch(n, np.repeat(t_sets, len(r_sets)), np.tile(r_sets, len(t_sets)))
+            group = ncft._ClassBatch(n, t_all, r_all)
+            necklaces = ncft._ClassBatch(n, t_sets, r_sets)
             assert np.array_equal(group.classes, necklaces.classes)
 
 
@@ -532,39 +538,24 @@ def test_class_key_is_invariant(n, rng):
 
 @pytest.mark.parametrize("n", [6, 7, 8, 9, 13])
 def test_t_first_class_key_matches_all_units_key(n, rng):
-    # Every (T, R) mask pair up to n = 9; at n = 13, 100,000 uniform mask
-    # pairs and 100,000 pairs whose set sizes are uniform on [0, n], which
-    # reach the small and large T that many units minimize.
+    # The Cartesian batch's keys, against the all-units key of each pair of
+    # its expansion, T varying slowest.  Every mask against every mask up to
+    # n = 9, which holds T that many units minimize, such as single points
+    # and, at composite n, periodic sets; at n = 13, two random lists of 300
+    # sets each, with every set size from 0 to 13.
     if n < 13:
-        t_masks, r_masks = np.divmod(np.arange(1 << 2 * n), 1 << n)
+        t_sets = r_sets = np.arange(1 << n)
     else:
-        uniform = rng.integers(1 << n, size=(2, 100_000))
-        sizes = rng.integers(n + 1, size=(2, 100_000, 1))
-        ranks = np.argsort(rng.random((2, 100_000, n)), axis=2)
-        by_size = ((ranks < sizes) << np.arange(n)).sum(axis=2)
-        t_masks, r_masks = np.hstack([uniform, by_size])
-    keys = ncft._class_keys(n, t_masks, r_masks)
+        sizes = np.arange(300) % (n + 1)
+        ranks = np.argsort(rng.random((2, 300, n)), axis=2)
+        t_sets, r_sets = ((ranks < sizes[:, None]) << np.arange(n)).sum(axis=2)
+    keys = ncft._class_keys(n, t_sets, r_sets)
+    t_masks, r_masks = np.repeat(t_sets, len(r_sets)), np.tile(r_sets, len(t_sets))
     assert np.array_equal(keys, oracle_class_keys(n, t_masks, r_masks))
-    # The units minimizing T's half are a coset u0 Stab(T); t_unit is the
-    # row of u0^-1, and T's stabilizer table is the minimum over Stab(T).
-    table = oracle_dilation_table(n)
-    dilated, t_min, t_unit, t_stab, stab_min = ncft._class_tables(n)
-    assert np.array_equal(dilated, table)
-    assert np.array_equal(t_min, table.min(axis=0))
+    dilated, inverse = ncft._class_tables(n)
+    assert np.array_equal(dilated, oracle_dilation_table(n))
     units = [u for u in range(1, n) if gcd(u, n) == 1]
-    stabilizers = {}
-    for m in range(1 << n):
-        stab = frozenset(units[i] for i in np.flatnonzero(table[:, m] == table[0, m]))
-        minimizers = {units[i] for i in np.flatnonzero(table[:, m] == t_min[m])}
-        u0 = pow(units[t_unit[m]], -1, n)
-        assert table[units.index(u0), m] == t_min[m]
-        assert minimizers == {u0 * h % n for h in stab}
-        assert stabilizers.setdefault(stab, t_stab[m]) == t_stab[m]
-    assert len(set(stabilizers.values())) == len(stabilizers) == len(stab_min)
-    for stab, k in stabilizers.items():
-        assert np.array_equal(stab_min[k], table[[units.index(h) for h in stab]].min(axis=0))
-    if n == 13:
-        assert len(stab_min) == 6  # one per subgroup of the cyclic units of order 12
+    assert [units[i] * u % n for i, u in zip(inverse, units)] == [1] * len(units)
 
 
 def test_exhaustive_scan_memory():
@@ -635,7 +626,7 @@ def test_each_symmetry_class_decomposed_once(monkeypatch):
     cols, rows = layer_batch(p, s, s)
     orbits = count_orbits(p, cols, rows)
     decided = count_decided(monkeypatch)
-    hits, _ = decide_batch(p, cols, rows)
+    hits, _ = decide_batch(p, subsets(p, s), subsets(p, s))
     assert hits == []
     assert sum(decided) == orbits < len(cols)
 
@@ -1041,7 +1032,7 @@ def test_sampled_scan_decides_each_square_class_once():
             assert [(cols.shape[1], len(cols)) for cols, _, _ in calls] == list(enumerate(orbits, 1))
             for cols, rows, certified in calls:
                 assert certified.all()
-                keys = ncft._class_keys(p, subset_masks(cols), subset_masks(rows))
+                keys = oracle_class_keys(p, subset_masks(cols), subset_masks(rows))
                 assert len(np.unique(keys)) == len(keys)
             assert reports[0]["exact"]["float_fallbacks"] == 0
             assert "violating_patterns" not in reports[0]
@@ -1453,10 +1444,10 @@ def complements(n, sets):
 
 
 def pattern_groups(n):
-    """(cols, rows) of every pair of each (|T|, |Omega|) group the pattern search scans."""
+    """The T and R index rows of each (|T|, |Omega|) group the pattern search scans."""
     for s in range(1, n):
         for o in range(1, n - s + 1):
-            yield layer_batch(n, s, n - o)
+            yield subsets(n, s), subsets(n, n - o)
 
 
 @pytest.mark.parametrize("dims", [(2,), (1, 1), (1,)])
@@ -1475,9 +1466,10 @@ def test_frame_side_singular_values_are_class_invariant(dims, n):
             for b, t, w in zip(dims, std.mats, fourier.mats)
         ]
 
-    for cols, rows in pattern_groups(n):
-        batch = ncft._ClassBatch(n, subset_masks(cols), subset_masks(rows))
-        own_keys = ncft._class_keys(n, subset_masks(batch.cols), subset_masks(batch.rows))
+    for t_sets, r_sets in pattern_groups(n):
+        batch = ncft._ClassBatch(n, subset_masks(t_sets), subset_masks(r_sets))
+        own_keys = oracle_class_keys(n, subset_masks(batch.cols), subset_masks(batch.rows))
+        cols, rows = cartesian(t_sets, r_sets)
         assert np.array_equal(own_keys, batch.classes)
         members = singular_values(complements(n, cols), rows)
         representatives = singular_values(complements(n, batch.cols), batch.rows)
@@ -1526,7 +1518,7 @@ def test_pattern_search_decides_frames_once_per_class(monkeypatch):
     for p, classes in ((5, 13), (7, 61)):
         seen.clear()
         checked, flagged, _, _ = ncft._pattern_search(M2, p)
-        orbits = sum(count_orbits(p, cols, rows) for cols, rows in pattern_groups(p))
+        orbits = sum(count_orbits(p, *cartesian(*sets)) for sets in pattern_groups(p))
         assert sum(seen) == orbits == classes < checked
         assert flagged == []
 
