@@ -43,17 +43,19 @@ T-first from one dilation table, _class_tables: its T half is minimized
 over every unit first, since the R half is below 2^n, and the R half is
 then minimized over just the units that tie for the T half.
 
-Both exhaustive searches are one scan (_necklace_scan): tao's critical
-layer over the groups (|T|, |R|) = (s, s), and conjecture's structured
-search over the groups (|T|, p - |Omega|) with the frames as a second
-decider.  Each group is decided as one batch over the pairs of necklaces
-(sets minimal among their rotations), since every pair translates to one
-in its class; a batch over every pair of the group, built only when a
-class is flagged, lists that class's pairs.  W is unitary, so a square
-block is nonsingular exactly when its complement is (Jacobi's
-complementary-minor identity): tao's layer scans s <= n/2 unless that
-half flags a class or falls back, in both of tao's modes.  Both scans
-list a flagged class's pairs by _ClassBatch.patterns.
+Both exhaustive searches run one square-layer driver (_square_layers):
+tao's critical layer over the groups (|T|, |R|) = (s, s), and
+conjecture's structured search, which adds the frames as a second decider
+and carries the tall groups (|T|, p - |Omega|), |R| > |T|, from the square
+ones by monotonicity.  Each group is decided as one batch over the pairs of
+necklaces (sets minimal among their rotations, _decide_group), since every
+pair translates to one in its class; a batch over every pair of the group,
+built only when a class is flagged, lists that class's pairs
+(_ClassBatch.patterns).  W is unitary, so a square block is nonsingular
+exactly when its complement is (Jacobi's complementary-minor identity):
+the minor decides the layers s <= n/2 unless they flag a class or fall
+back.  A size whose square layer is not settled has its tall groups
+scanned in full (_necklace_scan).
 """
 
 from __future__ import annotations
@@ -127,6 +129,11 @@ _TRIAL_CHUNK = 20_480
 # Residue entries per chunk of _certified_nonsingular's (s, s, minors) stack,
 # which bounds the chunk's int64 stacks at 2 MiB each (4,096 minors at s = 8).
 _MINOR_CHUNK = 1 << 18
+
+# A square frame-side class of the structured search whose sigma_min /
+# sigma_max exceeds this times RANK_TOL proves its tall extensions full rank:
+# sqrt(2) by the bound of _square_layers, and sqrt(2) more for rounding.
+_EXTENSION_MARGIN = 2.0
 
 
 def _is_prime(n: int) -> bool:
@@ -465,16 +472,17 @@ class _ClassBatch:
     of its class: the rotation-minimal u*T and u^-1*R at a minimizing unit
     u.  Row c of cols and rows is that pair for the c-th smallest key, so a
     decider that sees only singular values decides each class once, from
-    cols and rows.  Pairs are matched to their class (patterns) only when
-    some class is flagged, never at a prime length.
+    cols and rows.  The per-pair keys are not kept: pairs are keyed again
+    and matched to their class (patterns) only when some class is flagged,
+    never at a prime length.
     """
 
     def __init__(self, n: int, t_sets: np.ndarray, r_sets: np.ndarray):
         self.n, self.t_sets, self.r_sets = n, t_sets, r_sets
-        self.keys = _class_keys(n, t_sets, r_sets)
-        # Sorted distinct keys by one sort: np.unique without return values
-        # takes numpy's hash path, which is slower and imports numpy.ma.
-        ordered = np.sort(self.keys)
+        # Sorted distinct keys by one in-place sort: np.unique without return
+        # values takes numpy's hash path, which is slower and imports numpy.ma.
+        ordered = _class_keys(n, t_sets, r_sets)
+        ordered.sort()
         self.classes = ordered[np.diff(ordered, prepend=-1) > 0]
         self.cols = _mask_rows(n, self.classes >> n)
         self.rows = _mask_rows(n, self.classes & ((1 << n) - 1))
@@ -483,7 +491,8 @@ class _ClassBatch:
         """(T, Omega) of every pair whose class is flagged, in batch order, as lists."""
         if not flagged.any():
             return []
-        i = np.flatnonzero(flagged[np.searchsorted(self.classes, self.keys)])
+        keys = _class_keys(self.n, self.t_sets, self.r_sets)
+        i = np.flatnonzero(flagged[np.searchsorted(self.classes, keys)])
         t, r = np.divmod(i, len(self.r_sets))
         omegas = ((1 << self.n) - 1) ^ self.r_sets[r]
         t_rows, o_rows = _mask_rows(self.n, self.t_sets[t]), _mask_rows(self.n, omegas)
@@ -495,61 +504,108 @@ def _mask_rows(n: int, masks: np.ndarray) -> np.ndarray:
     return np.nonzero((masks[:, None] >> np.arange(n)) & 1)[1].reshape(len(masks), -1)
 
 
-def _necklace_scan(n: int, groups, frames=None):
-    """Decide every length-n pair (T, R) of each (|T|, |R|) group, one class at a time.
+def _decide_group(n: int, size_t: int, size_r: int, frames=None, scalar=True):
+    """Decide every length-n pair (T, R) of one (|T|, |R|) group, one class at a time.
 
-    Translating T or R keeps every decider's verdict, so each group is one
+    Translating T or R keeps every decider's verdict, so the group is one
     _ClassBatch over the pairs of necklaces (sets whose mask is the
     smallest of its rotations): every pair translates to exactly one.  The
-    classes are decided by the DFT minor (_rank_deficient) and, if frames
-    is (tau, omega), by the block rank test on those frames
-    (_deficient_blocks).  Only when a decider flags a class is the group
-    keyed again, one _ClassBatch over every pair: each pair translates to a
-    necklace pair of its key, so that batch has the same classes, and the
-    same flags list every member of a flagged class in the group's (T, R)
-    order.  Returns the pair count, one hit list of (T, Omega) per decider
-    (the minor's first) and the number of classes the minor's SVD fallback
+    classes are decided by the DFT minor (_rank_deficient) unless scalar is
+    False, and, if frames is (tau, omega), by the block rank test on those
+    frames (_deficient_blocks): first at _EXTENSION_MARGIN times RANK_TOL
+    and, only if that flags a class, at RANK_TOL itself.  Only when a
+    decider flags a class is the group keyed again, one _ClassBatch over
+    every pair: each pair translates to a necklace pair of its key, so that
+    batch has the same classes, and the same flags list every member of a
+    flagged class in the group's (T, R) order.  Returns one hit list of
+    (T, Omega) per decider (the minor's first), the number of classes the
+    minor's SVD fallback decided, and whether the group is settled: no
+    class flagged by the minor, decided by the fallback or flagged by the
+    frames at the margin.
+    """
+    rot_min = _class_tables(n)[0][0]
+    t_all, r_all = _combo_masks(n, size_t), _combo_masks(n, size_r)
+    batch = _ClassBatch(n, t_all[rot_min[t_all] == t_all], r_all[rot_min[r_all] == r_all])
+    deficient, decided = np.zeros(len(batch.classes), dtype=bool), 0
+    if scalar:
+        deficient, decided = _rank_deficient(n, batch.cols, batch.rows)
+    verdicts, near = [deficient], deficient
+    if frames:
+        comp_t = _mask_rows(n, ((1 << n) - 1) ^ (batch.classes >> n))
+        near = _deficient_blocks(*frames, comp_t, batch.rows, _EXTENSION_MARGIN).any(axis=1)
+        flagged = _deficient_blocks(*frames, comp_t, batch.rows).any(axis=1) if near.any() else near
+        verdicts.append(flagged)
+    if any(flagged.any() for flagged in verdicts):
+        batch = _ClassBatch(n, t_all, r_all)  # the group's every pair, to list the flagged classes
+    hits = [batch.patterns(flagged) for flagged in verdicts]
+    return hits, decided, not (decided or deficient.any() or near.any())
+
+
+def _necklace_scan(n: int, groups, frames=None):
+    """Decide every pair of each (|T|, |R|) group in full (_decide_group).
+
+    Returns the pair count, one hit list of (T, Omega) per decider (the
+    minor's first) and the number of classes the minor's SVD fallback
     decided.
     """
-    is_necklace = _class_tables(n)[0][0] == np.arange(1 << n)
     checked, fallbacks = 0, 0
     hits = [[], []] if frames else [[]]  # one list per decider
     for size_t, size_r in groups:
-        t_all, r_all = _combo_masks(n, size_t), _combo_masks(n, size_r)
-        t_sets, r_sets = t_all[is_necklace[t_all]], r_all[is_necklace[r_all]]
-        batch = _ClassBatch(n, t_sets, r_sets)
-        deficient, decided = _rank_deficient(n, batch.cols, batch.rows)
-        verdicts = [deficient]
-        if frames:
-            comp_t = _mask_rows(n, ((1 << n) - 1) ^ (batch.classes >> n))
-            verdicts.append(_deficient_blocks(*frames, comp_t, batch.rows).any(axis=1))
-        if any(flagged.any() for flagged in verdicts):
-            group = _ClassBatch(n, t_all, r_all)
-            for found, flagged in zip(hits, verdicts):
-                found += group.patterns(flagged)
-        fallbacks += decided
+        found, decided, _ = _decide_group(n, size_t, size_r, frames)
+        hits, fallbacks = [a + b for a, b in zip(hits, found)], fallbacks + decided
         checked += math.comb(n, size_t) * math.comb(n, size_r)
     return checked, hits, fallbacks
 
 
+def _square_layers(n: int, frames=None):
+    """Decide the square groups (|T|, |R|) = (s, s), s = 1..n-1, and through them the tall ones.
+
+    One _decide_group per square layer, shared by both deciders.  The minor
+    decides the layers s <= n/2, and those above only once a hit or a
+    fallback has been found: by Jacobi's identity, with F = sqrt(n) W and
+    F F^* = n I, conj(det F[R, T]) = +-n^s det F[R^c, T^c] / det F for
+    |R| = |T| = s, so certifying the size-(n - s) complement proves the
+    block.  The frames, if given as (tau, omega), decide every square
+    layer: no complement rule is applied to them.
+
+    With frames, each tall group (s, r), r > s, is carried by monotonicity
+    from the square layer s: every tall pair (T, R) holds a square pair
+    (T, R'), R' inside R.  For the minor, a nonsingular W[R', T] gives
+    W[R, T] full column rank.  For the frames, the tall constraint stack
+    (rows e_j, j outside T, over rows conj(W[k]), k in R) holds the square
+    stack's rows, so sigma_min(tall) >= sigma_min(square), and each of the
+    two row sets is orthonormal, so every stack has sigma_max in
+    [1, sqrt(2)]: a square ratio sigma_min / sigma_max above sqrt(2)
+    RANK_TOL keeps every tall ratio above RANK_TOL.  The layer is screened
+    at _EXTENSION_MARGIN = 2 times RANK_TOL, which leaves a further sqrt(2)
+    for the SVD's rounding.  A size whose square layer is not settled (a
+    class flagged either way, decided by the SVD fallback or flagged at
+    the margin) has its tall groups decided in full by _necklace_scan.
+    Returns one hit list of (T, Omega) per decider (the minor's first) and
+    the number of classes the minor's SVD fallback decided.
+    """
+    hits, fallbacks = ([[], []] if frames else [[]]), 0
+    for s in range(1, n):
+        scalar = s <= n // 2 or bool(hits[0]) or fallbacks > 0
+        if not (scalar or frames):
+            continue
+        found, decided, settled = _decide_group(n, s, s, frames, scalar)
+        if frames and not settled:
+            _, tall, more = _necklace_scan(n, [(s, r) for r in range(s + 1, n)], frames)
+            found, decided = [a + b for a, b in zip(found, tall)], decided + more
+        hits, fallbacks = [a + b for a, b in zip(hits, found)], fallbacks + decided
+    return hits, fallbacks
+
+
 def _layer_pairs_exhaustive(p: int):
-    """The necklace scan of every square minor in the layer |T| + |Omega| = p.
+    """The square-layer scan (_square_layers) of the layer |T| + |Omega| = p.
 
     Finds no (T, Omega) for primes.  By monotonicity in Omega this layer
     decides all patterns with smaller support sums.  Returns the pair count,
     sum of C(p, s)^2, the hits and the SVD fallback's class count.
-
-    The layers s > p/2 are scanned only if the others give a hit or a
-    fallback: by Jacobi's identity, with F = sqrt(p) W and F F^* = p I,
-    conj(det F[R, T]) = +-p^s det F[R^c, T^c] / det F for |R| = |T| = s,
-    so certifying the size-(p - s) complement proves the block.
     """
-    half = p // 2
-    checked, (hits,), fallbacks = _necklace_scan(p, [(s, s) for s in range(1, half + 1)])
-    if hits or fallbacks:
-        upper, (more,), more_fallbacks = _necklace_scan(p, [(s, s) for s in range(half + 1, p)])
-        return checked + upper, hits + more, fallbacks + more_fallbacks
-    return checked + sum(math.comb(p, s) ** 2 for s in range(half + 1, p)), hits, fallbacks
+    (hits,), fallbacks = _square_layers(p)
+    return sum(math.comb(p, s) ** 2 for s in range(1, p)), hits, fallbacks
 
 
 @functools.lru_cache(maxsize=None)
@@ -611,8 +667,8 @@ def _drawn_entry_norms(x_blocks, supports: np.ndarray, rows: np.ndarray) -> np.n
 def _pattern_search(shape: AlgebraShape, p: int):
     """Decide every support pattern (T, Omega), |T| + |Omega| <= p, |T| < p, two ways.
 
-    One _necklace_scan over the groups (|T|, |R|) = (|T|, p - |Omega|), R
-    the complement of Omega.  The scalar way is the DFT minor on rows R and
+    The groups are (|T|, |R|) = (|T|, p - |Omega|), R the complement of
+    Omega.  The scalar way is the DFT minor on rows R and
     columns T; the frame way is support_pair_feasible's block rank test
     (_deficient_blocks) on the standard and Fourier frames over C.  Those
     decide the frames over A too: each block of standard_frame(shape, p)
@@ -628,11 +684,20 @@ def _pattern_search(shape: AlgebraShape, p: int):
     by row permutations, unit-modulus row and column scalings and a column
     permutation, all unitary, so no singular value moves.
 
+    Both ways decide the square groups |R| = |T| and carry every tall group
+    |R| > |T| from them by monotonicity (_square_layers); a size whose
+    square layer is flagged, falls back or comes within _EXTENSION_MARGIN
+    of the frame way's cutoff has its tall groups scanned in full, so the
+    hits are those of a scan over every group.  The pattern count is
+    arithmetic.
+
     Returns the pattern count; in the order (|T|, T, |Omega|, Omega),
     (T, Omega, scalar verdict, frame verdict) for every pattern that either
     way finds feasible; the number of classes the scalar way's SVD fallback
-    decided; and whether the two ways agree on every pattern and the
-    Kronecker identity holds.
+    decided, in the square layers it scanned and the tall groups scanned in
+    full (a carried tall group is not decided, so it adds none); and
+    whether the two ways agree on every pattern and the Kronecker identity
+    holds.
     """
     scalar_frames = standard_frame(_SCALARS, p), fourier_frame(_SCALARS, p)
     kron_identity = all(
@@ -640,8 +705,8 @@ def _pattern_search(shape: AlgebraShape, p: int):
         for frame, scalar in zip((standard_frame(shape, p), fourier_frame(shape, p)), scalar_frames)
         for n, mat in zip(shape.block_dims, frame.mats)
     )
-    groups = [(size_t, p - size_o) for size_t in range(1, p) for size_o in range(1, p - size_t + 1)]
-    checked, hits, fallbacks = _necklace_scan(p, groups, scalar_frames)
+    checked = sum(math.comb(p, s) * math.comb(p, r) for s in range(1, p) for r in range(s, p))
+    hits, fallbacks = _square_layers(p, scalar_frames)
     scalar, by_frames = ({(tuple(t), tuple(o)) for t, o in found} for found in hits)
     flagged = sorted(scalar | by_frames, key=lambda to: (len(to[0]), to[0], len(to[1]), to[1]))
     flagged = [(list(t), list(o), (t, o) in scalar, (t, o) in by_frames) for t, o in flagged]
@@ -676,7 +741,8 @@ def tao_min_sum(
 
     Both modes decide every square DFT minor in the critical layer
     |T| + |Omega| = p, which settles all smaller support sums as well, by
-    the necklace scan over the groups (|T|, |R|) = (s, s) (_necklace_scan).
+    the square-layer scan over the groups (|T|, |R|) = (s, s)
+    (_square_layers, the driver conjecture's structured search shares).
     Jacobi's identity for the unitary W (W^-1 = W^*, |det W| = 1) gives
     |det W[R, T]| = |det W[R^c, T^c]|, so the scan covers the layers
     s > p/2 only if the others give a hit or a fallback.  Sampled mode
@@ -699,37 +765,27 @@ def tao_min_sum(
     _check_sampled_cap(p)
     if mode == "exhaustive" and p > EXHAUSTIVE_MAX_P and not force:
         raise InputError(
-            f"exhaustive mode at p={p} scans ~C(2p,p) minors; pass force=True "
-            f"to run it anyway or use mode='sampled'"
+            f"exhaustive mode is capped at p <= {EXHAUSTIVE_MAX_P} by the command-line "
+            f"contract, got p={p}; pass force=True (--force), or use mode='sampled' "
+            f"(--mode sampled), which runs the same scan up to p = {SAMPLED_MAX_P}"
         )
     samples, seed = _as_count(samples, "samples"), _as_seed(seed)
     if mode == "sampled":  # a count no int64 array could hold is refused as out of memory
         _check_addressable((samples,), np.int64)
 
     w = dft_matrix(p)
-    violations = []
     checked, hits, fallbacks = _layer_pairs_exhaustive(p)
+    violations = [{"support": t, "fourier_support": omega} for t, omega in hits]
 
-    min_sum = None
-    witness = None
-    for t, omega in hits:
-        x, sup, fsup = _pattern_witness(p, w, t, omega)
-        total = len(sup) + len(fsup)
-        if min_sum is None or total < min_sum:
-            min_sum = total
-            witness = {
-                "support": sup,
-                "fourier_support": fsup,
-                "entries": [[float(z.real), float(z.imag)] for z in x],
-            }
-        violations.append({"support": t, "fourier_support": omega})
-
+    # The witness is the first of the hits' kernel vectors, then the spike,
+    # with the least support sum.
+    candidates = [_pattern_witness(p, w, t, omega) for t, omega in hits]
     delta = dirac_comb(_SCALARS, p, p)
-    sup, fsup = support(delta), support(ncdft(delta))
-    delta_sum = len(sup) + len(fsup)
-    if min_sum is None or delta_sum < min_sum:
-        min_sum = delta_sum
-        witness = {"support": sup, "fourier_support": fsup}
+    candidates.append((None, support(delta), support(ncdft(delta))))
+    x, sup, fsup = min(candidates, key=lambda c: len(c[1]) + len(c[2]))
+    min_sum, witness = len(sup) + len(fsup), {"support": sup, "fourier_support": fsup}
+    if x is not None:
+        witness["entries"] = [[float(z.real), float(z.imag)] for z in x]
 
     report = {
         "p": int(p),
@@ -773,7 +829,15 @@ def conjecture_audit(
       pattern from the frame matrices: on the frames over C, after checking
       that each block of the frames over A is exactly their Kronecker
       product with I_n (see _pattern_search).  A failed identity check,
-      like a disagreement, sets reduction_crosscheck_agreed false.
+      like a disagreement, sets reduction_crosscheck_agreed false.  Both
+      ways decide the square patterns, |T| + |Omega| = p, and carry every
+      shorter pattern from them by monotonicity (_square_layers); a size
+      whose square layer flags, falls back or comes within
+      _EXTENSION_MARGIN of the frame cutoff is decided in full.
+
+    The report's exact.float_fallbacks counts the classes the minor's SVD
+    fallback decided in the square layers the minor scans and in the
+    groups decided in full; a carried group is not decided and adds none.
 
     Any recorded violation is classified: "counterexample" if the scalar
     oracle confirms the support pattern is genuinely feasible, otherwise
@@ -787,7 +851,7 @@ def conjecture_audit(
 
     w = dft_matrix(p)
     rng = np.random.default_rng(seed)
-    min_sum = None
+    min_sum = math.inf
     vector_violations = []
 
     rank = sum(shape.block_dims)
@@ -811,12 +875,8 @@ def conjecture_audit(
             lambda rows: _entry_norms([hb[:, rows] for hb in h_blocks]).T,
         )
         sums = x_supp.sum(axis=1) + h_supp.sum(axis=1)
-        batch_min = int(sums.min())
-        if min_sum is None or batch_min < min_sum:
-            min_sum = batch_min
-        for i in np.nonzero(sums <= p)[0]:
-            if len(vector_violations) >= 10:
-                break
+        min_sum = min(min_sum, int(sums.min()))
+        for i in np.flatnonzero(sums <= p)[: 10 - len(vector_violations)]:
             sup = np.flatnonzero(x_supp[i]).tolist()
             fsup = np.flatnonzero(h_supp[i]).tolist()
             vec = ModuleVector(shape, p, [xb[i] for xb in x_blocks])

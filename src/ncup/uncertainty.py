@@ -263,7 +263,7 @@ def support_pair_feasible(
 
 
 def _deficient_blocks(
-    tau: ModularFrame, omega: ModularFrame, comp_t: np.ndarray, comp_o: np.ndarray
+    tau: ModularFrame, omega: ModularFrame, comp_t: np.ndarray, comp_o: np.ndarray, margin=1.0
 ) -> np.ndarray:
     """Per pattern and block, is that block's constraint stack rank deficient?
 
@@ -271,8 +271,10 @@ def _deficient_blocks(
     comp_o[i] (arrays of shape (m, a) and (m, c), a + c >= 1).  The patterns
     are decided in chunks of about _STACK_CHUNK stack entries, at least one
     pattern each, by one stacked SVD per block; the rank cutoff is RANK_TOL
-    times the pattern's largest singular value over all blocks.  Returns an
-    (m, B) mask; support_pair_feasible's verdict is its row's any().
+    times the pattern's largest singular value over all blocks, times
+    margin (1 for the verdict itself; a larger margin also flags the stacks
+    that come within that factor of the cutoff).  Returns an (m, B) mask;
+    support_pair_feasible's verdict is its row's any().
     """
     dims = tau.shape.block_dims
     deficient = np.empty((len(comp_t), len(dims)), dtype=bool)
@@ -284,7 +286,7 @@ def _deficient_blocks(
             np.linalg.svd(_constraint_stack(t, w, n, part_t, part_o), compute_uv=False)
             for n, t, w in zip(dims, tau.mats, omega.mats)
         ]
-        ref = np.max([sv[:, :1] for sv in svs], axis=0)
+        ref = margin * np.max([sv[:, :1] for sv in svs], axis=0)
         deficient[start : start + step] = np.stack(
             [_numeric_rank(sv, ref) < tau.d * n for n, sv in zip(dims, svs)], axis=1
         )

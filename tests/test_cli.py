@@ -743,9 +743,14 @@ def test_tao_command():
 
 
 def test_tao_refuses_large_exhaustive():
+    # The gate is the command-line contract's cap, not the scan's cost:
+    # sampled mode runs the same scan.  One stderr line names both ways round it.
     proc = run_cli("tao", "--p", "11", "--mode", "exhaustive")
     assert proc.returncode == 2
     assert "force" in proc.stderr
+    assert proc.stderr.count("\n") == 1
+    assert "capped at p <= 7 by the command-line contract" in proc.stderr
+    assert "--mode sampled" in proc.stderr
 
 
 @pytest.mark.parametrize(

@@ -34,7 +34,7 @@ from ncup import (
     support_pair_feasible,
     tao_min_sum,
 )
-from ncup import cli, ncft, uncertainty
+from ncup import cli, frames, ncft, uncertainty
 from ncup.frames import SUPPORT_REL_TOL
 from ncup.ncft import dft_matrix
 from ncup.uncertainty import _constraint_stack
@@ -570,6 +570,23 @@ def test_exhaustive_scan_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * 2**20
+
+
+def test_class_batch_holds_no_per_pair_keys():
+    # A batch holds its classes and their representatives, not one int64
+    # key per pair: patterns keys the pairs again, only when a class is
+    # flagged.  226,512 pairs of 1,492 classes at n = 13.
+    n = 13
+    t_sets, r_sets = ncft._combo_masks(n, 6), ncft._combo_masks(n, 6)[:132]
+    ncft._class_tables(n)  # the cached table is built outside the measurement
+    tracemalloc.start()
+    try:
+        batch = ncft._ClassBatch(n, t_sets, r_sets)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(batch.classes) == 1492
+    assert held < len(t_sets) * len(r_sets) * 8 / 2
 
 
 def count_orbits(p, cols, rows):
@@ -1340,21 +1357,21 @@ def test_conjecture_random_layer_memory():
 
 
 def test_conjecture_crosscheck_is_live(monkeypatch, tmp_path):
-    # Flip the scalar verdict for one pattern where the necklace scan lists
-    # the minor's hits, every pair of each flagged class: the frame-level check
-    # must disagree with it, so the audit cannot pass by comparing the minor
-    # test with itself.  R = {1, 2} is not a necklace, so the flip cannot
-    # act on the decided classes.
-    original = ncft._necklace_scan
+    # Flip the scalar verdict for one pattern where the square-layer driver
+    # returns the minor's hits, every pair of each flagged class: the
+    # frame-level check must disagree with it, so the audit cannot pass by
+    # comparing the minor test with itself.  The pattern T = {0},
+    # Omega = {0} lies in the tall group (1, 2), which the driver carries
+    # from the square layer 1.
+    original = ncft._square_layers
     target = ([0], [0])
 
-    def flipped(n, groups, frames=None):
-        checked, (hits, *others), fallbacks = original(n, groups, frames)
-        if (1, n - 1) in groups:  # the group of T = {0}, R = {1, ..., n - 1}
-            hits = [hit for hit in hits if hit != target] if target in hits else [target] + hits
-        return checked, [hits, *others], fallbacks
+    def flipped(n, frames=None):
+        (hits, *others), fallbacks = original(n, frames)
+        hits = [hit for hit in hits if hit != target] if target in hits else [target] + hits
+        return [hits, *others], fallbacks
 
-    monkeypatch.setattr(ncft, "_necklace_scan", flipped)
+    monkeypatch.setattr(ncft, "_square_layers", flipped)
     report = conjecture_audit(M2, 3, trials=50)
     assert report["reduction_crosscheck_agreed"] is False
     assert report["holds"] is False
@@ -1396,17 +1413,35 @@ def test_frames_over_the_algebra_are_kronecker_products_of_the_scalar_frames(dim
 
 
 @pytest.mark.parametrize(
-    "dims, n", [((1, 2), 5), ((1, 2), 7), ((3,), 5), ((3,), 7), ((1, 2), 6), ((1, 2), 8)]
+    "dims, n",
+    [
+        ((1, 2), 5),
+        ((1, 2), 7),
+        ((3,), 5),
+        ((3,), 7),
+        ((1, 2), 6),
+        ((1, 2), 8),
+        ((2,), 5),
+        ((2,), 7),
+        ((2,), 11),
+        ((2,), 13),
+        ((2,), 6),
+        ((2,), 8),
+    ],
 )
 def test_pattern_search_equals_the_algebra_frame_search(dims, n):
-    # Deciding the frame side on the frames over C flags the same patterns,
-    # with the same two verdicts, as deciding it on the frames over A; the
-    # composite lengths 6 and 8 flag some.
+    # Deciding the frame side on the frames over C, and only the square
+    # layers where they settle their tall groups, flags the same patterns,
+    # with the same two verdicts, as deciding every group on the frames
+    # over A; the composite lengths 6 and 8 flag some.  The minor's SVD
+    # fallback decides as many classes as in a scan of every group.
     shape = AlgebraShape(dims)
-    checked, flagged, _, agreed = ncft._pattern_search(shape, n)
+    checked, flagged, fallbacks, agreed = ncft._pattern_search(shape, n)
     assert (checked, flagged) == oracle_algebra_frame_search(shape, n)
     assert agreed == all(scalar == by_frames for *_, scalar, by_frames in flagged)
     assert bool(flagged) == (n in (6, 8))
+    groups = [(size_t, size_r) for size_t in range(1, n) for size_r in range(size_t, n)]
+    assert fallbacks == ncft._necklace_scan(n, groups)[2]
 
 
 @pytest.mark.parametrize("builder", ["standard_frame", "fourier_frame"])
@@ -1473,20 +1508,23 @@ def test_frame_side_singular_values_are_class_invariant(dims, n):
         assert np.array_equal(own_keys, batch.classes)
         members = singular_values(complements(n, cols), rows)
         representatives = singular_values(complements(n, batch.cols), batch.rows)
-        of_class = np.searchsorted(batch.classes, batch.keys)
+        keys = ncft._class_keys(n, subset_masks(t_sets), subset_masks(r_sets))
+        of_class = np.searchsorted(batch.classes, keys)
         for member, representative in zip(members, representatives):
             assert np.abs(member - representative[of_class]).max() <= 1e-12
 
 
 def test_pattern_search_keys_only_necklace_pairs(monkeypatch):
-    # Each (|T|, |R|) group is one batch over its necklace pairs, as in the
-    # square layer: N(p, |T|) N(p, |R|) pairs, with N(p, k) = C(p, k) / p
-    # necklaces of size k at a prime p, and still every pattern is counted.
+    # Each square layer (s, s) is one batch over its necklace pairs,
+    # N(p, s)^2 of them with N(p, s) = C(p, s) / p necklaces of size s at a
+    # prime p, shared by both ways.  The tall groups (s, r > s) are carried
+    # from the square layers and build no batch, and still every pattern is
+    # counted.
     p = 7
     batches = spy_batches(monkeypatch)
     checked, flagged, _, _ = ncft._pattern_search(M2, p)
     groups = [(s, p - o) for s in range(1, p) for o in range(1, p - s + 1)]
-    assert batches == [(s, r, comb(p, s) // p * (comb(p, r) // p)) for s, r in groups]
+    assert batches == [(s, s, (comb(p, s) // p) ** 2) for s in range(1, p)]
     assert checked == sum(comb(p, s) * comb(p, r) for s, r in groups) == 9653
     assert flagged == []
 
@@ -1505,22 +1543,96 @@ def test_pattern_search_memory():
 
 
 def test_pattern_search_decides_frames_once_per_class(monkeypatch):
-    # 575 patterns at p = 5 and 9,653 at p = 7 fall into 13 and 61 classes;
-    # the frame side decomposes one pattern of each.
-    seen = []
-    blocks = ncft._deficient_blocks
+    # The structured search decides the square layers alone, one pattern of
+    # each class: the frame side every layer s = 1..p-1, the minor the
+    # layers s <= p/2 (the others by their complements), one call per
+    # layer, with as many classes as Burnside's lemma counts.  The 575
+    # patterns at p = 5 take 6 frame-side classes, where every group
+    # decided took 13.
+    frame_side, scalar_side = [], []
+    blocks, certify = ncft._deficient_blocks, ncft._certified_nonsingular
 
-    def counting_blocks(tau, omega, comp_t, comp_o):
-        seen.append(len(comp_t))
-        return blocks(tau, omega, comp_t, comp_o)
+    def counting_blocks(tau, omega, comp_t, comp_o, *margin):
+        frame_side.append(len(comp_t))
+        return blocks(tau, omega, comp_t, comp_o, *margin)
+
+    def counting_certificate(n, cols, rows):
+        scalar_side.append(len(cols))
+        return certify(n, cols, rows)
 
     monkeypatch.setattr(ncft, "_deficient_blocks", counting_blocks)
-    for p, classes in ((5, 13), (7, 61)):
-        seen.clear()
-        checked, flagged, _, _ = ncft._pattern_search(M2, p)
-        orbits = sum(count_orbits(p, *cartesian(*sets)) for sets in pattern_groups(p))
-        assert sum(seen) == orbits == classes < checked
-        assert flagged == []
+    monkeypatch.setattr(ncft, "_certified_nonsingular", counting_certificate)
+    for p, frame_classes, scalar_classes in ((5, 6, 3), (7, 22, 11), (11, 638, 319), (13, 5314, 2657)):
+        frame_side.clear()
+        scalar_side.clear()
+        checked, flagged, fallbacks, agreed = ncft._pattern_search(M2, p)
+        assert frame_side == [burnside_square_orbits(p, s) for s in range(1, p)]
+        assert scalar_side == [burnside_square_orbits(p, s) for s in range(1, p // 2 + 1)]
+        assert (sum(frame_side), sum(scalar_side)) == (frame_classes, scalar_classes)
+        assert (flagged, fallbacks, agreed) == ([], 0, True)
+    orbits = sum(count_orbits(5, *cartesian(*sets)) for sets in pattern_groups(5))
+    assert orbits == 13
+
+
+def spy_full_scans(monkeypatch):
+    """Record the groups of every _necklace_scan call."""
+    scans, scan = [], ncft._necklace_scan
+
+    def recording_scan(n, groups, frames=None):
+        scans.append(list(groups))
+        return scan(n, groups, frames)
+
+    monkeypatch.setattr(ncft, "_necklace_scan", recording_scan)
+    return scans
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_a_flagged_square_class_sends_its_tall_groups_to_the_full_scan(monkeypatch, n):
+    # The square layer 1 is one class, which the minor never flags (no
+    # entry of W vanishes).  Flagged here by an injected verdict, it lists
+    # its pairs as the minor's hits, and the tall groups (1, r) go to the
+    # full scan, which finds just the oracle's patterns.  At the prime 7 no
+    # other size is scanned in full.
+    expected = oracle_algebra_frame_search(M2, n)
+    rank_deficient = ncft._rank_deficient
+
+    def flag_layer_one(length, cols, rows):
+        deficient, decided = rank_deficient(length, cols, rows)
+        if cols.shape[1] == rows.shape[1] == 1:
+            deficient = np.ones_like(deficient)
+        return deficient, decided
+
+    monkeypatch.setattr(ncft, "_rank_deficient", flag_layer_one)
+    scans = spy_full_scans(monkeypatch)
+    checked, flagged, _, agreed = ncft._pattern_search(M2, n)
+    assert [(1, r) for r in range(2, n)] in scans
+    assert (n == 7) == (scans == [[(1, r) for r in range(2, n)]])
+    injected = [([t], sorted(set(range(n)) - {k}), True, False) for t in range(n) for k in range(n)]
+    assert checked == expected[0]
+    assert flagged == sorted(injected) + expected[1]
+    assert not agreed
+
+
+def test_a_square_class_near_the_cutoff_sends_its_tall_groups_to_the_full_scan(monkeypatch):
+    # RANK_TOL raised to 1/1.2 of the least sigma_min / sigma_max of the
+    # frame side's square layer 3 at p = 7: no square class is flagged, but
+    # that layer's least class comes within _EXTENSION_MARGIN of the cutoff,
+    # so the tall groups (3, r) are scanned in full, while the layer 1,
+    # whose least ratio is above the margin, is carried.  The search still
+    # equals the oracle's at that cutoff.
+    p, s = 7, 3
+    std, fourier = standard_frame(C, p), fourier_frame(C, p)
+    cols, rows = layer_batch(p, s, s)
+    stacks = _constraint_stack(std.mats[0], fourier.mats[0], 1, complements(p, cols), rows)
+    sv = np.linalg.svd(stacks, compute_uv=False)
+    least = (sv[:, -1] / sv[:, 0]).min()
+    monkeypatch.setattr(frames, "RANK_TOL", least / 1.2)
+    scans = spy_full_scans(monkeypatch)
+    checked, flagged, fallbacks, agreed = ncft._pattern_search(M2, p)
+    assert [(s, r) for r in range(s + 1, p)] in scans
+    assert [(1, r) for r in range(2, p)] not in scans
+    assert (checked, flagged) == oracle_algebra_frame_search(M2, p)
+    assert (fallbacks, agreed) == (0, True)
 
 
 def test_conjecture_audit_searches_every_pattern_at_p13():
